@@ -1,7 +1,10 @@
 """Tests for squash injection and EDM checkpoint recovery (Section V-A1)."""
 
+import pytest
+
 from repro.core.policies import IQ_POLICY, WB_POLICY
 from repro.isa import instructions as ops
+from repro.pipeline.core import SimulationError
 
 from tests.pipeline.conftest import NVM, make_core
 
@@ -76,3 +79,14 @@ class TestSquashRecovery:
                             warm_lines=LINES, squash_at=[0])
         stats = core.run()
         assert stats.retired == len(core.trace)
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
+    "known defect: a squash that flushes an already-completed load "
+    "decrements its DMB memory-epoch count a second time, so the epoch "
+    "never drains and younger memory operations never issue"))
+def test_squash_flushing_a_completed_load_under_dmb():
+    from tests.golden.record import SQUASH_WORKLOADS, squash_workload_core
+
+    core, _ = squash_workload_core(*SQUASH_WORKLOADS["update/SU/1+2"])
+    core.run()
