@@ -4,7 +4,7 @@ Like :mod:`benchmarks.bench_selfperf` this measures the reproduction
 itself rather than the paper's claims: the lockstep N-core driver's
 throughput in retired kilo-instructions per second on the contended
 lock-protected counter at 1, 2 and 4 cores, and the N=1 overhead of the
-lockstep driver against the classic single-core loop.  The numbers land
+lockstep driver against ``OutOfOrderCore.run`` (both step the same loop).  The numbers land
 in the BENCH JSON (``benchmark.extra_info``) so the multi-core
 performance trajectory is tracked across commits.
 
@@ -32,6 +32,7 @@ from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
 from repro.multicore.system import simulate_built
 from repro.pipeline.core import OutOfOrderCore
+from repro.pipeline.replay import meta_for
 from repro.service.jobs import result_digest
 from repro.workloads import base as workload_base
 
@@ -145,11 +146,12 @@ def test_multicore_scaling_kips(benchmark):
 
 
 def test_multicore_lockstep_overhead(benchmark):
-    """N=1 through the lockstep driver vs the classic single-core loop.
+    """N=1 through the lockstep driver vs ``OutOfOrderCore.run``.
 
-    The two paths are pinned bit-identical by the determinism suite; this
-    measures what the lockstep clock costs in wall time (the overhead the
-    runner avoids by only routing ``cores > 1`` builds through the driver).
+    Both run the same pipeline loop, and the golden corpus pins their
+    results equal; this measures what stepping it one cycle at a time
+    under the driver's clock costs in wall time (the overhead the runner
+    avoids by only routing ``cores > 1`` builds through the driver).
     """
     config = configuration(SWEEP_CONFIG)
     built = workload_base.build(SWEEP_WORKLOAD, config.fence_mode, _scaled(1))
@@ -163,7 +165,7 @@ def test_multicore_lockstep_overhead(benchmark):
         hierarchy = CacheHierarchy(controller, DEFAULT_PARAMS.hierarchy)
         warm_hierarchy(hierarchy, built)
         core = OutOfOrderCore(built.trace, hierarchy, config.policy,
-                              DEFAULT_PARAMS.core, replay=False)
+                              DEFAULT_PARAMS.core, replay=meta_for(built))
         return core.run()
 
     def best_of(fn, rounds=3):
@@ -194,7 +196,7 @@ def test_multicore_lockstep_overhead(benchmark):
 
     print_header("Multi-core: lockstep-driver overhead at N=1")
     print("  retired        : %d instructions" % retired)
-    print("  classic loop   : %.3f s" % classic_s)
+    print("  core.run()     : %.3f s" % classic_s)
     print("  lockstep drive : %.3f s  (%.2fx)" % (lockstep_s, overhead))
 
 

@@ -71,8 +71,7 @@ def run_one(workload: str, config: Configuration,
             params: A72Params = DEFAULT_PARAMS,
             built: Optional[BuiltWorkload] = None,
             warm: bool = True,
-            trace_cache=None,
-            force_multicore: bool = False) -> RunResult:
+            trace_cache=None) -> RunResult:
     """Simulate one workload under one configuration.
 
     ``built`` lets callers reuse a pre-built trace (the build step is
@@ -87,10 +86,7 @@ def run_one(workload: str, config: Configuration,
     fence mode.
 
     Builds with ``cores > 1`` are routed through the lockstep multi-core
-    driver (:mod:`repro.multicore.system`) automatically;
-    ``force_multicore`` routes a single-core build through the same
-    driver, which is bit-identical to the classic path (the N=1
-    reduction contract) and exists so tests can assert exactly that.
+    driver (:mod:`repro.multicore.system`) automatically.
     """
     chaos_point("run_one", "%s/%s" % (workload, config.name))
     label = "%s-%s" % (workload, config.name)
@@ -105,7 +101,7 @@ def run_one(workload: str, config: Configuration,
                 built = workload_base.build(workload, config.fence_mode,
                                             scale, params=params)
 
-    multicore = getattr(built, "cores", 1) > 1 or force_multicore
+    multicore = getattr(built, "cores", 1) > 1
     with maybe_profile(label, "simulate"):
         if multicore:
             from repro.multicore.system import simulate_built
@@ -114,7 +110,7 @@ def run_one(workload: str, config: Configuration,
             stats = sim.stats
             controller = sim.controller
             store_visibility = sim.store_visibility
-            core_stats = sim.core_stats if sim.cores > 1 else None
+            core_stats = sim.core_stats
         else:
             controller = MemoryController(
                 address_map=params.address_map,

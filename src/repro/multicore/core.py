@@ -1,34 +1,29 @@
 """Per-core pipeline wired to the shared-EDM bus.
 
 :class:`CoherentCore` is an :class:`~repro.pipeline.core.OutOfOrderCore`
-that additionally
+whose dispatch and retire hooks
 
-- *publishes* its EDE producers to the :class:`SharedEdmBus` at dispatch,
-- picks up remote-dependence tokens for consumed keys whose globally
+- *publish* its EDE producers to the :class:`SharedEdmBus` at dispatch,
+- pick up remote-dependence tokens for consumed keys whose globally
   latest producer is in flight on another core (enforced at issue — for
   the WB policy this is conservative relative to the local srcID CAM,
   which cannot hold cross-core identifiers, and strictly safe), and
-- gates ``WAIT_KEY``/``WAIT_ALL_KEYS`` retirement on remote write-buffer
+- gate ``WAIT_KEY``/``WAIT_ALL_KEYS`` retirement on remote write-buffer
   draining via the bus's ticket watermark.
 
-It must be driven through :meth:`OutOfOrderCore.step_cycle` by the
-lockstep driver in :mod:`repro.multicore.system`: the fused replay loop
-inlines the stage methods overridden here (and ``run()``'s legacy loop
-owns the clock), so :meth:`run` refuses to execute.
+It runs under the shared clock of the lockstep driver in
+:mod:`repro.multicore.system`, through
+:meth:`~repro.pipeline.core.OutOfOrderCore.lockstep`; :meth:`run` would
+simulate it in isolation and refuses to.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.isa.opcodes import Opcode
 from repro.multicore.edm_bus import SharedEdmBus, remote_token
 from repro.pipeline.core import OutOfOrderCore
-from repro.pipeline.dyninst import (
-    DynInst,
-    RETIRE_WAIT_ALL,
-    RETIRE_WAIT_KEY,
-)
+from repro.pipeline.dyninst import DynInst, RETIRE_WAIT_KEY
 from repro.pipeline.stats import PipelineStats
 
 
@@ -37,9 +32,7 @@ class CoherentCore(OutOfOrderCore):
 
     def __init__(self, core_id: int, bus: SharedEdmBus, trace, hierarchy,
                  policy, params) -> None:
-        # replay=False: this core is stepped stage by stage; the fast path
-        # would silently skip the overrides below.
-        super().__init__(trace, hierarchy, policy, params, replay=False)
+        super().__init__(trace, hierarchy, policy, params)
         self.core_id = core_id
         self.bus = bus
         #: WAIT seq -> bus ticket watermark captured at dispatch.  Only
@@ -47,6 +40,8 @@ class CoherentCore(OutOfOrderCore):
         #: keeps the cross-core blocking relation acyclic.
         self._wait_watermarks: Dict[int, int] = {}
         self.on_complete = self._notify_bus
+        self.on_ede_dispatch = self._publish
+        self.wait_blocked = self._remote_wait
 
     # -- bus plumbing ---------------------------------------------------
 
@@ -54,13 +49,11 @@ class CoherentCore(OutOfOrderCore):
         if dyn.is_ede:
             self.bus.complete(self.core_id, dyn)
 
-    def _dispatch_ede(self, dyn: DynInst) -> None:
-        if not dyn.is_ede:
-            return
-        inst = dyn.inst
-        if inst.opcode is Opcode.WAIT_KEY or inst.opcode is Opcode.WAIT_ALL_KEYS:
-            super()._dispatch_ede(dyn)
-            self._wait_watermarks[dyn.seq] = self.bus.ticket
+    def _publish(self, dyn: DynInst) -> None:
+        """Dispatch hook: after the local EDM decode of ``dyn``."""
+        bus = self.bus
+        if dyn.is_wait:
+            self._wait_watermarks[dyn.seq] = bus.ticket
             return
         # Resolve remote producers against the bus state *before* this
         # instruction's own keys publish (read-then-define, like the local
@@ -69,13 +62,12 @@ class CoherentCore(OutOfOrderCore):
         if self.policy.enforces_ede:
             remote = tuple(
                 ident
-                for ident in (self.bus.remote_producer(self.core_id, key)
-                              for key in inst.consumer_keys())
+                for ident in (bus.remote_producer(self.core_id, key)
+                              for key in dyn.inst.consumer_keys())
                 if ident is not None)
-        super()._dispatch_ede(dyn)
         keys = dyn.producer_keys
         if keys:
-            self.bus.publish(self.core_id, dyn, tuple(keys))
+            bus.publish(self.core_id, dyn, tuple(keys))
         for ident in remote:
             deps = dyn.e_deps_outstanding
             if deps is None:
@@ -83,29 +75,17 @@ class CoherentCore(OutOfOrderCore):
             token = remote_token(*ident)
             if token not in deps:
                 deps.add(token)
-                self.bus.add_waiter(ident, dyn)
+                bus.add_waiter(ident, dyn)
 
-    def _can_retire(self, dyn: DynInst) -> bool:
-        retire_class = dyn.retire_class
-        if retire_class == RETIRE_WAIT_KEY:
-            watermark = self._wait_watermarks.get(dyn.seq, 0)
-            if (not self.wb.older_ede_with_key(dyn.inst.edk_use, dyn.seq)
-                    and not self.bus.remote_inflight(
-                        self.core_id, dyn.inst.edk_use, watermark)):
-                self._wait_watermarks.pop(dyn.seq, None)
-                return True
-            self.stats.retire_stall_wait += 1
-            return False
-        if retire_class == RETIRE_WAIT_ALL:
-            watermark = self._wait_watermarks.get(dyn.seq, 0)
-            if (not self.wb.older_ede_any(dyn.seq)
-                    and not self.bus.remote_inflight(
-                        self.core_id, 0, watermark)):
-                self._wait_watermarks.pop(dyn.seq, None)
-                return True
-            self.stats.retire_stall_wait += 1
-            return False
-        return super()._can_retire(dyn)
+    def _remote_wait(self, dyn: DynInst) -> bool:
+        """Retire hook: hold a WAIT while a matching remote producer
+        published before its watermark is in flight."""
+        key = dyn.inst.edk_use if dyn.retire_class == RETIRE_WAIT_KEY else 0
+        watermark = self._wait_watermarks.get(dyn.seq, 0)
+        if self.bus.remote_inflight(self.core_id, key, watermark):
+            return True
+        self._wait_watermarks.pop(dyn.seq, None)
+        return False
 
     # -- driver contract ------------------------------------------------
 

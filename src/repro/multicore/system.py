@@ -1,25 +1,26 @@
 """Lockstep N-core driver: one global clock over N pipelines.
 
 The driver owns the clock.  Every cycle it sets each live core's ``now``
-and calls :meth:`~repro.pipeline.core.OutOfOrderCore.step_cycle` in
-ascending core-id order — the deterministic total order underneath every
-cross-core interaction (bus publishes, coherence probes, controller
-traffic).  When no core makes progress, time fast-forwards to the
-earliest scheduled event across all live cores, charging the skipped
-cycles to each live core's zero-issue histogram bucket exactly as the
-single-core loop does.  Both single-core watchdogs (cycle budget,
+and advances the core's :meth:`~repro.pipeline.core.OutOfOrderCore.lockstep`
+loop by one cycle, in ascending core-id order — the deterministic total
+order underneath every cross-core interaction (bus publishes, coherence
+probes, controller traffic).  When no core makes progress, time
+fast-forwards to the earliest wake cycle across all live cores, and each
+core charges the skipped cycles to its zero-issue histogram bucket exactly
+as the single-core loop does.  Both single-core watchdogs (cycle budget,
 no-retire limit) apply to the whole machine.
 
 At N=1 the driver runs a plain :class:`~repro.pipeline.core.OutOfOrderCore`
 on a plain :class:`~repro.memory.hierarchy.CacheHierarchy` — no bus, no
-coherence directory — and its per-cycle schedule is exactly the legacy
-loop's, so results are bit-identical to the single-core pipeline (which
-is itself pinned bit-identical to the fused replay path).
+coherence directory — through the same loop as
+:meth:`~repro.pipeline.core.OutOfOrderCore.run`, so its results equal the
+single-core pipeline's (the golden corpus pins both).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 from typing import List, Optional
 
 from repro.memory.controller import MemoryController
@@ -29,6 +30,7 @@ from repro.multicore.coherence import CoherenceDirectory, CoherentHierarchy
 from repro.multicore.core import CoherentCore
 from repro.multicore.edm_bus import SharedEdmBus
 from repro.pipeline.core import OutOfOrderCore, SimulationError
+from repro.pipeline.replay import meta_for
 from repro.pipeline.stats import PipelineStats
 
 
@@ -46,20 +48,14 @@ class MulticoreResult:
 
 
 def merge_stats(core_stats: List[PipelineStats]) -> PipelineStats:
-    """Machine-level stats: counters summed, cycles = slowest core."""
+    """Machine-level stats: every counter summed, cycles = slowest core."""
     merged = PipelineStats()
+    for field in dataclasses.fields(PipelineStats):
+        if isinstance(getattr(merged, field.name), int):
+            setattr(merged, field.name,
+                    sum(getattr(stats, field.name) for stats in core_stats))
     merged.cycles = max(s.cycles for s in core_stats)
     for stats in core_stats:
-        merged.dispatched += stats.dispatched
-        merged.issued += stats.issued
-        merged.retired += stats.retired
-        merged.squashes += stats.squashes
-        merged.retire_stall_wb_full += stats.retire_stall_wb_full
-        merged.retire_stall_dsb += stats.retire_stall_dsb
-        merged.retire_stall_wait += stats.retire_stall_wait
-        merged.dispatch_stall_rob += stats.dispatch_stall_rob
-        merged.dispatch_stall_iq += stats.dispatch_stall_iq
-        merged.dispatch_stall_lsq += stats.dispatch_stall_lsq
         for issued, count in stats.issue_histogram.items():
             merged.issue_histogram[issued] = (
                 merged.issue_histogram.get(issued, 0) + count)
@@ -89,6 +85,14 @@ def _warm(hierarchy: CacheHierarchy, built) -> None:
             cache.insert(line)
 
 
+def _stuck(live, reason: str) -> None:
+    """Raise with every live core's pipeline-state report."""
+    for _, loop in live:
+        loop.close()  # syncs the core's frame state for the report
+    raise SimulationError("\n".join(
+        core._stuck_report(reason) for core, _ in live))
+
+
 def drive(cores: List[OutOfOrderCore],
           max_cycles: int = 500_000_000,
           no_retire_limit: Optional[int] = None) -> None:
@@ -97,48 +101,50 @@ def drive(cores: List[OutOfOrderCore],
         no_retire_limit = cores[0].params.watchdog_no_retire
     now = 0
     last_retire = 0
-    live = [core for core in cores if not core._halted]
-    while live:
-        if now > max_cycles:
-            raise SimulationError("\n".join(
-                core._stuck_report(
-                    "exceeded the %d-cycle budget" % max_cycles)
-                for core in live))
-        retired_before = sum(core.stats.retired for core in live)
-        progress = 0
-        for core in live:
-            core.now = now
-            progress += core.step_cycle()
-        retired = sum(core.stats.retired for core in live) - retired_before
-        if retired:
-            last_retire = now
-        elif no_retire_limit and now - last_retire > no_retire_limit:
-            raise SimulationError("\n".join(
-                core._stuck_report(
-                    "no instruction retired for %d cycles "
-                    "(watchdog limit %d)" % (now - last_retire,
-                                             no_retire_limit))
-                for core in live))
-        live = [core for core in live if not core._halted]
-        if not live:
-            return
-        if progress:
-            now += 1
-            continue
-        pending = [core.next_event_cycle() for core in live]
-        pending = [cycle for cycle in pending if cycle is not None]
-        if not pending:
-            raise SimulationError("\n".join(
-                core._stuck_report(
-                    "machine deadlock (no core progressed, "
-                    "nothing scheduled)")
-                for core in live))
-        target = min(pending)
-        skipped = target - now - 1
-        if skipped > 0:
-            for core in live:
-                core.stats.record_issue_cycles(0, skipped)
-        now = target
+    live = [(core, core.lockstep()) for core in cores]
+    # Pause the cyclic GC once for the whole machine, as the single-core
+    # loop does for its run.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while live:
+            if now > max_cycles:
+                _stuck(live, "exceeded the %d-cycle budget" % max_cycles)
+            retired = 0
+            target = None
+            running = []
+            for core, loop in live:
+                core.now = now
+                try:
+                    core_retired, wake = next(loop)
+                except StopIteration:
+                    # HALT retired: progress, and the core leaves the
+                    # machine.
+                    retired += 1
+                    target = now + 1
+                    continue
+                running.append((core, loop))
+                retired += core_retired
+                if wake is not None and (target is None or wake < target):
+                    target = wake
+            if retired:
+                last_retire = now
+            elif no_retire_limit and now - last_retire > no_retire_limit:
+                _stuck(live, "no instruction retired for %d cycles "
+                             "(watchdog limit %d)"
+                       % (now - last_retire, no_retire_limit))
+            live = running
+            if not live:
+                return
+            if target is None:
+                _stuck(live, "machine deadlock (no core progressed, "
+                             "nothing scheduled)")
+            now = target
+    finally:
+        for _, loop in live:
+            loop.close()
+        if gc_was_enabled:
+            gc.enable()
 
 
 def simulate_built(built, config, params, warm: bool = True,
@@ -155,7 +161,7 @@ def simulate_built(built, config, params, warm: bool = True,
         if warm:
             _warm(hierarchy, built)
         core = OutOfOrderCore(built.trace, hierarchy, config.policy,
-                              params.core, replay=False)
+                              params.core, replay=meta_for(built))
         drive([core], max_cycles=max_cycles)
         return MulticoreResult(
             cores=1,

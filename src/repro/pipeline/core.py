@@ -24,23 +24,34 @@ Pipeline structure per cycle (Table I sizes):
 When no stage makes progress the clock fast-forwards to the next scheduled
 event, attributing the skipped cycles to the zero-issue bucket of the
 Fig. 11 histogram.
+
+All five stages run in one loop, :meth:`OutOfOrderCore._loop`, driven by
+the packed per-instruction rows of :mod:`repro.pipeline.replay`.
+:meth:`OutOfOrderCore.run` runs it to HALT; :meth:`OutOfOrderCore.lockstep`
+runs it one cycle per step under a clock owned by a multi-core driver.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import sys
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.edk import NUM_KEYS, ZERO_KEY
 from repro.core.edm import CheckpointedEdm
 from repro.core.policies import EnforcementPolicy, FENCE_POLICY
-from repro.isa.instructions import (
-    CLASSIFICATION_BY_OPCODE,
-    FLAGS_REG,
-    Instruction,
-)
+from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.dyninst import (
@@ -60,11 +71,22 @@ from repro.pipeline.replay import TraceMeta
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.write_buffer import PENDING, WbEntry, WriteBuffer
 
-_FLAGS_REG = FLAGS_REG
+#: Event kinds.  An event is a ``(kind, payload)`` pair on the event wheel;
+#: the payload is the DynInst, or the WbEntry of a write-buffer push.
+EXECUTE_DONE = 0       # FU result ready (ALU, branch, MUL, store-class AGU)
+FINISH_PUSH = 1        # a write-buffer push landed
+LOAD_AGU_DONE = 2      # load address ready: forward or access the cache
+LOAD_DATA_RETURN = 3   # load data arrived
+WAKE = 4               # clock wakeup with no effect (DSB drain penalty)
 
 
 class SimulationError(RuntimeError):
     """Raised on deadlock or runaway simulation."""
+
+
+class _Stuck(Exception):
+    """Internal: the loop is stuck; :meth:`OutOfOrderCore.run` adds the
+    pipeline-state report once the loop has synced its frame state."""
 
 
 class OutOfOrderCore:
@@ -85,13 +107,11 @@ class OutOfOrderCore:
             squash_at: Trace indices at which to inject a pipeline squash
                 the first time the front end reaches them (testing hook for
                 the EDM checkpoint-recovery path).
-            replay: Replay-metadata control for the fast run loop.  ``None``
-                (default) builds a :class:`~repro.pipeline.replay.TraceMeta`
-                for the trace on demand; a ready ``TraceMeta`` (e.g. from
+            replay: Replay metadata.  ``None`` (default) builds a
+                :class:`~repro.pipeline.replay.TraceMeta` for the trace when
+                the run starts; a ready ``TraceMeta`` (e.g. from
                 :func:`repro.pipeline.replay.meta_for`) reuses a shared
-                prepass; ``False`` forces the legacy stage-by-stage loop —
-                the reference implementation the fast path is tested
-                bit-identical against.
+                prepass.
         """
         params.validate()
         self.trace = list(trace)
@@ -108,7 +128,6 @@ class OutOfOrderCore:
         self.now = 0
         self._fetch_index = 0
         self._next_seq = 0
-        self._halted = False
         self._halt_dyn: Optional[DynInst] = None
 
         self._rob: Deque[DynInst] = deque()
@@ -130,38 +149,29 @@ class OutOfOrderCore:
 
         self._active_dsbs: List[int] = []
 
-        # DMB ST epochs (store-class ordering, SFENCE-like).
-        self._store_epoch = 0
+        # DMB epochs: every DMB (ST or SY) starts a new epoch; younger
+        # memory operations wait at issue, and younger store-class entries
+        # in the write buffer, until the older epochs drain.  Rows carry
+        # each instruction's static epoch; per-epoch counts of in-flight
+        # instructions live here.
         self._store_epoch_outstanding: Dict[int, int] = {}
         self._min_live_store_epoch = 0
-        # DMB SY epochs (memory-op ordering at issue).
-        self._mem_epoch = 0
         self._mem_epoch_outstanding: Dict[int, int] = {}
         self._min_live_mem_epoch = 0
 
         # Store-to-load forwarding index: word address -> in-flight stores.
         self._store_by_word: Dict[int, List[DynInst]] = {}
 
-        # Event wheel.
-        self._events: Dict[int, List[Callable[[], None]]] = {}
+        # Event wheel: cycle -> [(kind, payload)], plus a heap of cycles.
+        self._events: Dict[int, List[tuple]] = {}
         self._event_heap: List[int] = []
 
-        #: Fast-path staleness flag for the write-buffer push scan: the
-        #: scan's outcome can only change after a deposit, a push start or
-        #: a push completion (removal / srcID clear / epoch drain), so the
-        #: fast loop skips the scan while this is False.  Dispatch-side
-        #: epoch increments only make entries *more* blocked and need no
-        #: flag.  The legacy loop ignores it (scans every cycle).
-        self._wb_dirty = True
-
         self._squash_at: Set[int] = set(squash_at)
-        self._squash_progress = False
 
-        if replay is not None and replay is not False:
+        if replay is not None:
             if not isinstance(replay, TraceMeta):
                 raise TypeError(
-                    "replay must be None, False or a TraceMeta, got %r"
-                    % (replay,))
+                    "replay must be None or a TraceMeta, got %r" % (replay,))
             if not replay.matches(self.trace):
                 raise ValueError(
                     "replay metadata does not match the trace "
@@ -175,59 +185,22 @@ class OutOfOrderCore:
 
         #: Optional observer called with each DynInst as it completes
         #: (``complete_cycle`` already set).  Completion is inlined at
-        #: several sites in both run loops for speed, so instrumentation
-        #: must use this hook rather than wrapping ``_mark_complete``.
+        #: several sites of the run loop for speed, so instrumentation must
+        #: use this hook rather than wrapping ``_mark_complete``.
         self.on_complete: Optional[Callable[[DynInst], None]] = None
+        #: Optional hook called with each EDE instruction at dispatch, right
+        #: after its local EDM decode (a multi-core machine publishes
+        #: producers and links remote dependences here).
+        self.on_ede_dispatch: Optional[Callable[[DynInst], None]] = None
+        #: Optional extra retire gate for WAIT_KEY / WAIT_ALL_KEYS, asked
+        #: once the local write buffer holds no matching older EDE entry;
+        #: returning True keeps the WAIT at the ROB head this cycle (a
+        #: ``retire_stall_wait`` cycle).
+        self.wait_blocked: Optional[Callable[[DynInst], bool]] = None
 
     # ------------------------------------------------------------------
-    # Event plumbing
+    # Completion and the store forwarding index
     # ------------------------------------------------------------------
-
-    def _schedule(self, cycle: int, fn: Callable, arg=None) -> None:
-        """Schedule ``fn(arg)`` for ``cycle`` (at least one cycle ahead).
-
-        Events are (bound method, argument) pairs rather than closures: the
-        simulator schedules one or more events per instruction, and lambda
-        allocation was a measurable share of the per-cycle loop.
-        """
-        now_next = self.now + 1
-        if cycle < now_next:
-            cycle = now_next
-        bucket = self._events.get(cycle)
-        if bucket is None:
-            self._events[cycle] = [(fn, arg)]
-            heapq.heappush(self._event_heap, cycle)
-        else:
-            bucket.append((fn, arg))
-
-    def _noop(self, _arg) -> None:
-        """Placeholder event used to wake the clock at a target cycle."""
-
-    def _process_events(self) -> int:
-        processed = 0
-        heap = self._event_heap
-        events = self._events
-        now = self.now
-        while heap and heap[0] == now:
-            cycle = heapq.heappop(heap)
-            for fn, arg in events.pop(cycle):
-                fn(arg)
-                processed += 1
-        return processed
-
-    # ------------------------------------------------------------------
-    # Completion tracking
-    # ------------------------------------------------------------------
-
-    def _min_incomplete(self) -> Optional[int]:
-        heap = self._incomplete_heap
-        while heap and heap[0] not in self._incomplete:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def _all_older_complete(self, seq: int) -> bool:
-        oldest = self._min_incomplete()
-        return oldest is None or oldest >= seq
 
     def _mark_complete(self, dyn: DynInst) -> None:
         """The EDE notion of completion: effects observable."""
@@ -251,10 +224,6 @@ class OutOfOrderCore:
             self._unindex_store(dyn)
         if self.on_complete is not None:
             self.on_complete(dyn)
-
-    # ------------------------------------------------------------------
-    # Store forwarding index
-    # ------------------------------------------------------------------
 
     def _index_store(self, dyn: DynInst) -> None:
         index = self._store_by_word
@@ -288,491 +257,6 @@ class OutOfOrderCore:
         return best
 
     # ------------------------------------------------------------------
-    # Dispatch stage
-    # ------------------------------------------------------------------
-
-    def _dispatch_stage(self) -> int:
-        dispatched = 0
-        params = self.params
-        decode_width = params.decode_width
-        rob_entries = params.rob_entries
-        iq_entries = params.iq_entries
-        lq_entries = params.load_queue_entries
-        sq_entries = params.store_queue_entries
-        trace = self.trace
-        trace_len = len(trace)
-        rob = self._rob
-        iq = self._iq
-        stats = self.stats
-        now = self.now
-        squash_at = self._squash_at
-        scoreboard = self._scoreboard
-        reg_waiters = self._reg_waiters
-        incomplete = self._incomplete
-        incomplete_heap = self._incomplete_heap
-        store_epoch_outstanding = self._store_epoch_outstanding
-        mem_epoch_outstanding = self._mem_epoch_outstanding
-        heappush = heapq.heappush
-        classify = CLASSIFICATION_BY_OPCODE
-        while (dispatched < decode_width
-               and self._fetch_index < trace_len
-               and self._halt_dyn is None):
-            fetch_index = self._fetch_index
-            if squash_at and fetch_index in squash_at:
-                squash_at.discard(fetch_index)
-                self._inject_squash()
-                break
-            inst = trace[fetch_index]
-            if len(rob) >= rob_entries:
-                stats.dispatch_stall_rob += 1
-                break
-            opcode = inst.opcode
-            flags = classify[opcode]
-            needs_iq = flags[8]
-            if needs_iq and len(iq) >= iq_entries:
-                stats.dispatch_stall_iq += 1
-                break
-            is_load = flags[0]
-            if is_load and self._lq_used >= lq_entries:
-                stats.dispatch_stall_lsq += 1
-                break
-            is_store_class = flags[3]
-            if is_store_class and self._sq_used >= sq_entries:
-                stats.dispatch_stall_lsq += 1
-                break
-
-            seq = self._next_seq
-            dyn = DynInst(seq, inst)
-            self._next_seq = seq + 1
-            self._fetch_index = fetch_index + 1
-            dyn.dispatch_cycle = now
-            dispatched += 1
-            stats.dispatched += 1
-
-            if dyn.is_ede:
-                self._dispatch_ede(dyn)
-
-            # Scoreboard / register dependences (inlined hot path).
-            for reg in inst.timing_src_regs:
-                writer = scoreboard.get(reg)
-                if (writer is not None and not writer.executed
-                        and not writer.squashed):
-                    dyn.regs_outstanding += 1
-                    bucket = reg_waiters.get(writer.seq)
-                    if bucket is None:
-                        reg_waiters[writer.seq] = [dyn]
-                    else:
-                        bucket.append(dyn)
-            for reg in inst.timing_dst_regs:
-                scoreboard[reg] = dyn
-
-            # Barrier epochs.  Architecturally DMB ST only orders the store
-            # class, but the paper's simulator (gem5) implements barriers
-            # conservatively in the LSQ: younger memory operations stall
-            # until the barrier's older accesses complete.  That conservatism
-            # is what makes the paper's SU configuration only ~5% faster
-            # than B, so we model the same behaviour (the epoch bump below
-            # advances both epochs for DMB ST and DMB SY).  Non-memory
-            # instructions still proceed — the difference from DSB SY that
-            # the paper calls out.
-            store_epoch = self._store_epoch
-            mem_epoch = self._mem_epoch
-            dyn.store_epoch = store_epoch
-            dyn.mem_epoch = mem_epoch
-            if is_store_class:
-                store_epoch_outstanding[store_epoch] = (
-                    store_epoch_outstanding.get(store_epoch, 0) + 1)
-            if flags[4]:  # is_memory
-                mem_epoch_outstanding[mem_epoch] = (
-                    mem_epoch_outstanding.get(mem_epoch, 0) + 1)
-
-            incomplete[seq] = dyn
-            heappush(incomplete_heap, seq)
-            rob.append(dyn)
-
-            if is_load:
-                self._lq_used += 1
-            if is_store_class:
-                self._sq_used += 1
-                if flags[1]:  # is_store
-                    self._index_store(dyn)
-
-            if needs_iq:
-                iq.append(dyn)
-            else:
-                dyn.executed = True
-                dyn.execute_done_cycle = now
-                if opcode is Opcode.DSB_SY:
-                    self._active_dsbs.append(seq)
-                elif opcode is Opcode.HALT:
-                    self._halt_dyn = dyn
-                elif opcode is Opcode.DMB_ST or opcode is Opcode.DMB_SY:
-                    self._store_epoch = store_epoch + 1
-                    self._mem_epoch = mem_epoch + 1
-        return dispatched
-
-    def _dispatch_ede(self, dyn: DynInst) -> None:
-        inst = dyn.inst
-        if not dyn.is_ede:
-            return
-        if inst.opcode is Opcode.WAIT_ALL_KEYS:
-            # Acts as a producer of every key so later consumers chain
-            # behind it; its own waiting happens at retirement via the
-            # write-buffer counters.
-            for key in range(1, NUM_KEYS):
-                self.edm.spec.define(key, dyn.seq)
-            return
-        producers = self.edm.decode(inst.edk_def, inst.consumer_keys(), dyn.seq)
-        producers = tuple(p for p in producers if p in self._incomplete)
-        dyn.src_ids = producers
-        enforce_here = (self.policy.enforce_at_issue
-                        or (dyn.is_load and self.policy.enforces_ede))
-        if enforce_here and not dyn.is_wait and producers:
-            deps = dyn.e_deps_outstanding
-            if deps is None:
-                deps = dyn.e_deps_outstanding = set()
-            for producer in producers:
-                deps.add(producer)
-                self._ede_waiters.setdefault(producer, []).append(dyn)
-
-    # ------------------------------------------------------------------
-    # Issue stage
-    # ------------------------------------------------------------------
-
-    def _store_epoch_ok(self, epoch: int) -> bool:
-        """True when all store-class ops of strictly older epochs completed."""
-        pointer = self._min_live_store_epoch
-        while (pointer < epoch
-               and self._store_epoch_outstanding.get(pointer, 0) == 0):
-            pointer += 1
-        self._min_live_store_epoch = pointer
-        return pointer >= epoch
-
-    def _mem_epoch_ok(self, epoch: int) -> bool:
-        pointer = self._min_live_mem_epoch
-        while (pointer < epoch
-               and self._mem_epoch_outstanding.get(pointer, 0) == 0):
-            pointer += 1
-        self._min_live_mem_epoch = pointer
-        return pointer >= epoch
-
-    def _min_active_dsb(self) -> Optional[int]:
-        while self._active_dsbs and (
-                self._active_dsbs[0] not in self._incomplete):
-            self._active_dsbs.pop(0)
-        return self._active_dsbs[0] if self._active_dsbs else None
-
-    def _issue_stage(self) -> int:
-        iq = self._iq
-        if not iq:
-            return 0
-        params = self.params
-        issue_width = params.issue_width
-        issued = 0
-        int_free = params.int_alus
-        branch_free = params.branch_units
-        load_free = params.load_ports
-        store_free = params.store_ports
-        dsb_barrier = self._min_active_dsb() if self._active_dsbs else None
-
-        remaining: List[DynInst] = []
-        append = remaining.append
-        for index, dyn in enumerate(iq):
-            if issued >= issue_width:
-                remaining.extend(iq[index:])
-                break
-            if dsb_barrier is not None and dyn.seq > dsb_barrier:
-                # A DSB blocks execution of everything younger; the IQ is in
-                # program order, so the rest of the queue is blocked too.
-                remaining.extend(iq[index:])
-                break
-            if dyn.regs_outstanding or dyn.e_deps_outstanding:
-                append(dyn)
-                continue
-            if dyn.is_memory and not self._mem_epoch_ok(dyn.mem_epoch):
-                append(dyn)
-                continue
-            if dyn.is_load:
-                if not load_free:
-                    append(dyn)
-                    continue
-                load_free -= 1
-            elif dyn.is_store_class:
-                if not self._store_epoch_ok(dyn.store_epoch):
-                    # DMB ST: younger store-class instructions stall until all
-                    # older store-class instructions complete (SFENCE-like).
-                    append(dyn)
-                    continue
-                if not store_free:
-                    append(dyn)
-                    continue
-                store_free -= 1
-            elif dyn.is_branch:
-                if not branch_free:
-                    append(dyn)
-                    continue
-                branch_free -= 1
-            else:
-                if not int_free:
-                    append(dyn)
-                    continue
-                int_free -= 1
-            self._begin_execute(dyn)
-            issued += 1
-        if issued:
-            self._iq = remaining
-        return issued
-
-    def _begin_execute(self, dyn: DynInst) -> None:
-        dyn.issued = True
-        dyn.issue_cycle = self.now
-        params = self.params
-        opcode = dyn.opcode
-
-        if dyn.is_load:
-            self._schedule(self.now + params.agu_latency,
-                           self._load_agu_done, dyn)
-            return
-        if dyn.is_store_class:
-            done = self.now + params.agu_latency
-        elif opcode is Opcode.MUL:
-            done = self.now + params.mul_latency
-        elif dyn.is_branch:
-            done = self.now + params.branch_latency
-        else:
-            done = self.now + params.alu_latency
-        self._schedule(done, self._execute_done, dyn)
-
-    def _load_agu_done(self, dyn: DynInst) -> None:
-        if dyn.squashed:
-            return
-        store = self._forwarding_store(dyn)
-        if store is None:
-            data_cycle = self.hierarchy.load(dyn.addr, self.now)
-            self._schedule(data_cycle, self._load_data_return, dyn)
-        elif store.executed:
-            self._schedule(self.now + self.params.forward_latency,
-                           self._load_data_return, dyn)
-        else:
-            # Forwarding store not executed yet: park the load; the store's
-            # execute-done wakes it (see _execute_done).
-            self._store_exec_waiters.setdefault(store.seq, []).append(dyn)
-
-    def _load_data_return(self, dyn: DynInst) -> None:
-        if dyn.squashed:
-            return
-        dyn.executed = True
-        dyn.execute_done_cycle = self.now
-        self._lq_used -= 1
-        # Inlined _wake_reg_waiters / _mark_complete: these callbacks fire
-        # once per instruction and the extra frames were measurable.
-        for waiter in self._reg_waiters.pop(dyn.seq, ()):
-            if not waiter.squashed:
-                waiter.regs_outstanding -= 1
-        self._mark_complete(dyn)
-
-    def _execute_done(self, dyn: DynInst) -> None:
-        if dyn.squashed:
-            return
-        dyn.executed = True
-        now = self.now
-        dyn.execute_done_cycle = now
-        seq = dyn.seq
-        for waiter in self._reg_waiters.pop(seq, ()):
-            if not waiter.squashed:
-                waiter.regs_outstanding -= 1
-        if dyn.is_store:
-            forward_latency = self.params.forward_latency
-            for load in self._store_exec_waiters.pop(seq, ()):
-                self._schedule(now + forward_latency,
-                               self._load_data_return, load)
-        if dyn.needs_write_buffer:
-            return
-        # ALU / branch results are observable once computed — inlined
-        # _mark_complete (the hottest completion site).
-        if dyn.completed:
-            return
-        dyn.completed = True
-        dyn.complete_cycle = now
-        self._incomplete.pop(seq, None)
-        if dyn.is_ede:
-            edm = self.edm
-            for key in dyn.producer_keys:
-                edm.complete(key, seq)
-            for waiter in self._ede_waiters.pop(seq, ()):
-                waiter.e_deps_outstanding.discard(seq)
-        if dyn.is_store_class:
-            self._store_epoch_outstanding[dyn.store_epoch] -= 1
-        if dyn.is_memory:
-            self._mem_epoch_outstanding[dyn.mem_epoch] -= 1
-        if dyn.is_store:
-            self._unindex_store(dyn)
-        if self.on_complete is not None:
-            self.on_complete(dyn)
-
-    def _wake_reg_waiters(self, dyn: DynInst) -> None:
-        for waiter in self._reg_waiters.pop(dyn.seq, ()):
-            if not waiter.squashed:
-                waiter.regs_outstanding -= 1
-
-    # ------------------------------------------------------------------
-    # Retire stage
-    # ------------------------------------------------------------------
-
-    def _can_retire(self, dyn: DynInst) -> bool:
-        retire_class = dyn.retire_class
-        if retire_class == RETIRE_NORMAL:
-            if not dyn.executed:
-                return False
-            if dyn.needs_write_buffer and not self.wb.has_space():
-                self.stats.retire_stall_wb_full += 1
-                return False
-            return True
-        if retire_class == RETIRE_DSB:
-            if self._all_older_complete(dyn.seq):
-                # Conditions hold; model the fixed pipeline drain-and-refill
-                # cost of a full synchronization barrier before releasing
-                # younger instructions.
-                if dyn.barrier_ready_cycle < 0:
-                    dyn.barrier_ready_cycle = self.now
-                    self._schedule(self.now + self.params.dsb_penalty,
-                                   self._noop)
-                if self.now >= dyn.barrier_ready_cycle + self.params.dsb_penalty:
-                    return True
-            self.stats.retire_stall_dsb += 1
-            return False
-        if retire_class == RETIRE_WAIT_KEY:
-            if not self.wb.older_ede_with_key(dyn.inst.edk_use, dyn.seq):
-                return True
-            self.stats.retire_stall_wait += 1
-            return False
-        if retire_class == RETIRE_WAIT_ALL:
-            if not self.wb.older_ede_any(dyn.seq):
-                return True
-            self.stats.retire_stall_wait += 1
-            return False
-        # RETIRE_HALT
-        return self._all_older_complete(dyn.seq)
-
-    def _retire_stage(self) -> int:
-        retired = 0
-        rob = self._rob
-        retire_width = self.params.retire_width
-        stats = self.stats
-        now = self.now
-        enforce_wb = self.policy.enforce_at_write_buffer
-        while retired < retire_width and rob:
-            dyn = rob[0]
-            if not self._can_retire(dyn):
-                break
-            rob.popleft()
-            dyn.retired = True
-            dyn.retire_cycle = now
-            retired += 1
-            stats.retired += 1
-
-            if dyn.is_ede:
-                for key in dyn.producer_keys:
-                    self.edm.retire(key, dyn.seq)
-
-            if dyn.needs_write_buffer:
-                self._sq_used -= 1
-                self.wb.deposit(dyn, now, enforce_src_ids=enforce_wb)
-            elif dyn.retire_class == RETIRE_NORMAL:
-                if not dyn.completed:
-                    self._mark_complete(dyn)
-            elif dyn.retire_class == RETIRE_HALT:
-                self._mark_complete(dyn)
-                self._halted = True
-                break
-            else:
-                # DSB_SY / WAIT_KEY / WAIT_ALL_KEYS
-                dyn.executed = True
-                dyn.execute_done_cycle = now
-                self._mark_complete(dyn)
-        return retired
-
-    # ------------------------------------------------------------------
-    # Write-buffer push stage
-    # ------------------------------------------------------------------
-
-    def _wb_push_stage(self) -> int:
-        wb = self.wb
-        if not wb.entries:
-            return 0
-        in_flight = wb.pushing
-        params = self.params
-        if in_flight >= params.wb_outstanding or in_flight == len(wb.entries):
-            return 0
-        budget = min(params.wb_push_width, params.wb_outstanding - in_flight)
-        pushes = 0
-        now = self.now
-        for entry in wb.iter_eligible(self._store_epoch_ok):
-            if pushes >= budget:
-                break
-            wb.mark_pushing(entry)
-            dyn = entry.dyn
-            if dyn.is_store:
-                done = self.hierarchy.store_commit(dyn.addr, now + 1)
-            elif dyn.is_writeback:
-                done = self.hierarchy.clean_to_pop(
-                    dyn.addr, now + 1,
-                    tag=dyn.inst.comment, inst_seq=dyn.seq)
-            else:  # JOIN: no data, completes once its srcIDs cleared.
-                done = now + 1
-            self._schedule(done, self._finish_push, entry)
-            pushes += 1
-        return pushes
-
-    def _finish_push(self, entry) -> None:
-        """Event: a push completed — free the entry, mark complete.
-
-        ``wb.remove`` and ``_mark_complete`` are inlined: this fires once
-        per store-class instruction and the chained calls were a measurable
-        share of the run.  Entries here are always PUSHING (``mark_pushing``
-        precedes the event), and a write-buffer resident is never already
-        completed.
-        """
-        wb = self.wb
-        dyn = entry.dyn
-        seq = entry.seq
-        self._wb_dirty = True
-        wb.entries.remove(entry)
-        wb._resident.discard(seq)
-        wb.pushing -= 1
-        if dyn.is_ede:
-            wb.total_ede -= 1
-            counters = wb.key_counters
-            for key in entry.ede_keys:
-                counters[key] -= 1
-        dependents = wb._dependents.pop(seq, None)
-        if dependents is not None:
-            for other in dependents:
-                other.src_ids.discard(seq)
-        if dyn.is_store and dyn.inst.comment is not None:
-            self.store_visibility.append(
-                (self.now, seq, dyn.inst.comment, dyn.addr))
-        if dyn.completed or dyn.squashed:
-            return
-        dyn.completed = True
-        dyn.complete_cycle = self.now
-        self._incomplete.pop(seq, None)
-        if dyn.is_ede:
-            edm = self.edm
-            for key in dyn.producer_keys:
-                edm.complete(key, seq)
-            for waiter in self._ede_waiters.pop(seq, ()):
-                waiter.e_deps_outstanding.discard(seq)
-        if dyn.is_store_class:
-            self._store_epoch_outstanding[dyn.store_epoch] -= 1
-        if dyn.is_memory:
-            self._mem_epoch_outstanding[dyn.mem_epoch] -= 1
-        if dyn.is_store:
-            self._unindex_store(dyn)
-        if self.on_complete is not None:
-            self.on_complete(dyn)
-
-    # ------------------------------------------------------------------
     # Squash injection (tests the EDM recovery path)
     # ------------------------------------------------------------------
 
@@ -784,9 +268,12 @@ class OutOfOrderCore:
         of the surviving (retired-but-incomplete instructions are in the
         write buffer and already reflected in the non-spec copy, so only the
         in-ROB survivors matter — and a full flush leaves none).
+
+        The run loop calls this at dispatch with its frame state synced to
+        the attributes, and reloads the state afterwards.  Events already
+        scheduled for flushed instructions still fire, as no-ops.
         """
         self.stats.squashes += 1
-        self._squash_progress = True
         refetch_from = None
         for dyn in self._rob:
             dyn.squashed = True
@@ -797,9 +284,7 @@ class OutOfOrderCore:
             if dyn.is_memory:
                 self._mem_epoch_outstanding[dyn.mem_epoch] -= 1
             if dyn.is_load and not dyn.executed:
-                self._lq_used -= 1
-            elif dyn.is_load and dyn.executed:
-                pass  # LQ entry already freed at data return
+                self._lq_used -= 1  # executed loads freed theirs at return
             if dyn.is_store:
                 self._unindex_store(dyn)
             self._ede_waiters.pop(dyn.seq, None)
@@ -811,7 +296,8 @@ class OutOfOrderCore:
             refetch_from = self._fetch_index - flushed
         self._rob.clear()
         self._iq.clear()
-        self._active_dsbs = [s for s in self._active_dsbs if s in self._incomplete]
+        self._active_dsbs[:] = [
+            s for s in self._active_dsbs if s in self._incomplete]
         # Rebuild the scoreboard: no unretired writers remain after a full
         # flush, so every register is architecturally ready.
         self._scoreboard.clear()
@@ -822,64 +308,6 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-
-    #: Methods whose bodies the replay fast path inlines or binds at loop
-    #: entry.  An instance-dict override of any of them (test harnesses
-    #: injecting faults, older instrumentation) would be silently ignored
-    #: by the fused loop, so ``run`` routes such cores to the legacy loop.
-    _FUSED_METHODS = (
-        "_schedule", "_process_events", "_mark_complete",
-        "_dispatch_stage", "_issue_stage", "_begin_execute",
-        "_load_agu_done", "_load_data_return", "_execute_done",
-        "_wake_reg_waiters", "_can_retire", "_retire_stage",
-        "_wb_push_stage", "_finish_push",
-    )
-
-    def _instance_overrides(self) -> bool:
-        """Whether any fused method is shadowed on the instance."""
-        instance_dict = self.__dict__
-        for name in self._FUSED_METHODS:
-            if name in instance_dict:
-                return True
-        return False
-
-    def next_event_cycle(self) -> Optional[int]:
-        """Cycle of the earliest scheduled event, or None if none pending."""
-        return self._event_heap[0] if self._event_heap else None
-
-    def step_cycle(self) -> int:
-        """Run one cycle of the legacy stage-by-stage loop; return progress.
-
-        This is exactly one iteration of :meth:`run`'s legacy loop body —
-        events, retire, write-buffer push, issue, dispatch, in that order —
-        minus clock advancement and the watchdogs, which belong to the
-        caller.  A multi-core driver uses it to lockstep N cores under one
-        global clock: it sets ``self.now``, steps every core, and advances
-        time itself.  Because each stage is a virtual call here (unlike the
-        fused replay path, which inlines them), subclass overrides of the
-        EDE dispatch and retire-gating hooks take effect.
-
-        Returns a positive number when any stage made progress this cycle
-        (the halt cycle always counts as progress) and ``0`` otherwise.
-        """
-        event_heap = self._event_heap
-        events = (self._process_events()
-                  if event_heap and event_heap[0] == self.now else 0)
-        retired = self._retire_stage() if self._rob else 0
-        if self._halted:
-            self.stats.record_issue_cycles(0)
-            return events + retired + 1
-        pushes = self._wb_push_stage() if self.wb.entries else 0
-        issued = self._issue_stage() if self._iq else 0
-        dispatched = (self._dispatch_stage()
-                      if (self._fetch_index < len(self.trace)
-                          and self._halt_dyn is None) else 0)
-        self.stats.record_issue_cycles(issued)
-        progress = events + retired + pushes + issued + dispatched
-        if self._squash_progress:
-            self._squash_progress = False
-            progress += 1
-        return progress
 
     def run(self, max_cycles: int = 500_000_000,
             no_retire_limit: Optional[int] = None) -> PipelineStats:
@@ -896,81 +324,47 @@ class OutOfOrderCore:
         """
         if no_retire_limit is None:
             no_retire_limit = self.params.watchdog_no_retire
-        replay = self._replay
-        if (replay is not False and not self._squash_at
-                and not self._instance_overrides()):
-            # Replay fast path: a single-frame loop driven by packed
-            # metadata rows.  Squash injection rewinds the front end and
-            # re-bumps the dynamic DMB epochs, which the static row epochs
-            # cannot model — those runs stay on the legacy loop below.
-            # Instance-level overrides of a fused stage/event method also
-            # force the legacy loop: the fast path inlines those bodies
-            # and would silently ignore the patch.
-            meta = replay if replay is not None else TraceMeta(self.trace)
-            return self._run_fast(meta, max_cycles, no_retire_limit)
-        # The per-cycle loop is the simulator's hottest code: stage calls
-        # are guarded so quiescent stages cost a single truth test, and the
-        # loop-invariant lookups are bound to locals.
-        stats = self.stats
-        record_issue = stats.record_issue_cycles
-        event_heap = self._event_heap
-        wb = self.wb
-        trace_len = len(self.trace)
-        last_retire = self.now
-        while not self._halted:
-            now = self.now
-            if now > max_cycles:
-                raise SimulationError(self._stuck_report(
-                    "exceeded the %d-cycle budget" % max_cycles))
-            events = (self._process_events()
-                      if event_heap and event_heap[0] == now else 0)
-            retired = self._retire_stage() if self._rob else 0
-            if retired:
-                last_retire = now
-            elif no_retire_limit and now - last_retire > no_retire_limit:
-                raise SimulationError(self._stuck_report(
-                    "no instruction retired for %d cycles "
-                    "(watchdog limit %d)" % (now - last_retire,
-                                             no_retire_limit)))
-            if self._halted:
-                record_issue(0)
-                break
-            pushes = self._wb_push_stage() if wb.entries else 0
-            issued = self._issue_stage() if self._iq else 0
-            dispatched = (self._dispatch_stage()
-                          if (self._fetch_index < trace_len
-                              and self._halt_dyn is None) else 0)
-            record_issue(issued)
-
-            if (retired or pushes or issued or dispatched or events
-                    or self._squash_progress):
-                self._squash_progress = False
-                self.now = now + 1
-                continue
-            if event_heap:
-                next_cycle = event_heap[0]
-                skipped = next_cycle - now - 1
-                if skipped > 0:
-                    record_issue(0, skipped)
-                self.now = next_cycle
-                continue
-            raise SimulationError(self._stuck_report(
-                "pipeline deadlock (no stage progressed, nothing scheduled)"))
+        try:
+            for _ in self._loop(max_cycles, no_retire_limit, False):
+                pass
+        except _Stuck as stuck:
+            raise SimulationError(self._stuck_report(str(stuck))) from None
         return self.stats
 
-    def _run_fast(self, meta: TraceMeta, max_cycles: int,
-                  no_retire_limit: int) -> PipelineStats:
-        """Single-frame replay loop (the fast path).
+    def lockstep(self) -> Iterator[Tuple[int, Optional[int]]]:
+        """Run as one core of a lockstep machine, one cycle per step.
 
-        Semantically identical to the legacy stage-by-stage loop in
-        :meth:`run` — the per-fence-mode equivalence suite asserts
-        bit-identical stats, persist logs and store visibility — but every
-        stage is inlined into one frame, dispatch is driven by the packed
-        replay rows, the DMB-epoch checks and write-buffer eligibility scan
-        are unrolled inline, and the issue histogram is accumulated in a
-        local dict flushed on exit.  Squash injection is unsupported here;
-        :meth:`run` routes those runs to the legacy loop.
+        The caller owns the clock.  Before each ``next()`` it sets ``now``
+        to the cycle to simulate: the current cycle on the first step, and
+        afterwards any cycle past the previous one and no later than the
+        wake cycle that step yielded.  Each step yields ``(retired, wake)``:
+        the instructions retired that cycle, and the cycle the core next
+        needs — the following cycle after any progress, else its earliest
+        scheduled event, else ``None`` (nothing will ever happen).  Cycles
+        the caller skips count as zero-issue cycles, as in :meth:`run`.
+        The generator finishes in the cycle HALT retires, and closing it
+        early syncs the core's attributes and statistics.  Watchdogs and
+        deadlock detection are the caller's.
         """
+        return self._loop(sys.maxsize, 0, True)
+
+    def _loop(self, max_cycles: int, no_retire_limit: int,
+              lockstep: bool) -> Iterator[Tuple[int, Optional[int]]]:
+        """The simulator: every stage inlined into one frame.
+
+        Dispatch is driven by the packed replay rows, the DMB-epoch checks
+        and write-buffer eligibility scan are unrolled inline, and the
+        issue histogram is accumulated in a local list flushed on exit.
+        Without ``lockstep`` the loop owns the clock and runs to HALT
+        without yielding; with it, each cycle ends in a yield and the
+        caller picks the next cycle (see :meth:`lockstep`).  The stuck
+        conditions raise :class:`_Stuck`, which :meth:`run` turns into a
+        :class:`SimulationError` once the ``finally`` below has synced the
+        frame state back onto the core.
+        """
+        meta = self._replay
+        if meta is None:
+            meta = TraceMeta(self.trace)
         stats = self.stats
         params = self.params
         wb = self.wb
@@ -1000,11 +394,6 @@ class OutOfOrderCore:
         enforces_ede = self.policy.enforces_ede
         mark_complete = self._mark_complete
         index_store = self._index_store
-        finish_push = self._finish_push
-        load_agu_done = self._load_agu_done
-        execute_done = self._execute_done
-        load_data_return = self._load_data_return
-        noop = self._noop
         store_exec_waiters = self._store_exec_waiters
         visibility_append = self.store_visibility.append
         unindex_store = self._unindex_store
@@ -1012,6 +401,9 @@ class OutOfOrderCore:
         hier_load = hierarchy.load
         edm_complete = edm.complete
         on_complete = self.on_complete
+        on_ede_dispatch = self.on_ede_dispatch
+        wait_blocked = self.wait_blocked
+        squash_at = self._squash_at
         enforce_wb = self.policy.enforce_at_write_buffer
         wb_capacity = wb.capacity
         wb_resident = wb._resident
@@ -1035,6 +427,8 @@ class OutOfOrderCore:
         branch_latency = params.branch_latency
         alu_latency = params.alu_latency
         dsb_penalty = params.dsb_penalty
+        # The DSB drain wakeup lands at least one cycle ahead.
+        dsb_wake = dsb_penalty if dsb_penalty > 0 else 1
         wb_outstanding = params.wb_outstanding
         wb_push_width = params.wb_push_width
         forward_latency = params.forward_latency
@@ -1044,11 +438,11 @@ class OutOfOrderCore:
         #: Delta-1 event lane: with the default latencies (ALU/branch/AGU/
         #: forward all 1) almost every event fires on the very next cycle,
         #: so those skip the cycle-keyed dict + heap entirely and ride a
-        #: double-buffered list.  Ordering stays bit-identical to the
-        #: legacy wheel: a dict bucket for cycle ``c`` only ever holds
-        #: events scheduled at cycles <= c-2, and the lane holds the ones
-        #: scheduled at c-1, so draining bucket-then-lane preserves the
-        #: legacy bucket's chronological append order.
+        #: double-buffered list.  Ordering stays chronological: a dict
+        #: bucket for cycle ``c`` only ever holds events scheduled at
+        #: cycles <= c-2, and the lane holds the ones scheduled at c-1, so
+        #: draining bucket-then-lane fires events in the order they were
+        #: scheduled.
         due = []
         due_next = []
         #: Without DSBs the oldest-incomplete heap is read only by the
@@ -1058,8 +452,7 @@ class OutOfOrderCore:
         # Pipeline-occupancy state promoted to frame locals for the whole
         # run (the attribute round-trips were measurable at one dispatch
         # per instruction).  They are mirrored back onto the core in the
-        # ``finally`` below and, because ``_stuck_report`` reads the
-        # attributes, immediately before each raise site.
+        # ``finally`` below, and around squash injection.
         iq_len = len(iq)
         rob_len = len(rob)
         lq_used = self._lq_used
@@ -1076,7 +469,13 @@ class OutOfOrderCore:
         dispatched_total = 0
         min_live_store = self._min_live_store_epoch
         min_live_mem = self._min_live_mem_epoch
-        last_retire = self.now
+        #: Squashes re-dispatch the flushed DMBs, so a refetched
+        #: instruction's dynamic DMB epoch is its row's static epoch plus
+        #: the barriers re-dispatched so far.
+        epoch_bias = 0
+        squash_progress = False
+        now = self.now
+        last_retire = now
         halted = False
         wb_dirty = True
         # Pause the cyclic GC for the run: the loop allocates heavily
@@ -1087,25 +486,16 @@ class OutOfOrderCore:
             gc.disable()
         try:
             while True:
-                now = self.now
                 now_next = now + 1
                 if now > max_cycles:
-                    self._fetch_index = fetch_index
-                    self._next_seq = next_seq
-                    self._lq_used = lq_used
-                    self._sq_used = sq_used
-                    self._halt_dyn = halt_dyn
-                    raise SimulationError(self._stuck_report(
-                        "exceeded the %d-cycle budget" % max_cycles))
+                    raise _Stuck("exceeded the %d-cycle budget" % max_cycles)
 
                 # --- events --------------------------------------------
-                # Identity-dispatched drain: the four hot callbacks fire
-                # once or twice per instruction and their bound-method
-                # frames were the largest remaining share of the run, so
-                # their bodies are inlined here.  Squash injection never
-                # reaches the fast path, so the ``squashed`` guards of the
-                # method bodies are dropped.  Anything else (noop wakeups)
-                # falls through to the generic call.
+                # The handlers are inlined: these events fire once or
+                # twice per instruction, and handler call frames were the
+                # largest share of the run.  Events of instructions a
+                # squash flushed fire as no-ops.  A WAKE has no effect
+                # beyond counting as progress.
                 # Swap the delta-1 double buffer: events parked on
                 # ``due_next`` during the previous cycle fire now, after
                 # any dict bucket (which only holds older schedules).
@@ -1119,8 +509,10 @@ class OutOfOrderCore:
                     batch = due
                 if batch:
                     events_any = True
-                    for fn, dyn in batch:
-                        if fn is execute_done:
+                    for kind, dyn in batch:
+                        if kind == EXECUTE_DONE:
+                            if dyn.squashed:
+                                continue
                             dyn.executed = True
                             dyn.execute_done_cycle = now
                             seq = dyn.seq
@@ -1141,7 +533,7 @@ class OutOfOrderCore:
                                             heappush(event_heap, done)
                                     for load in parked:
                                         bucket.append(
-                                            (load_data_return, load))
+                                            (LOAD_DATA_RETURN, load))
                             if dyn.needs_write_buffer or dyn.completed:
                                 continue
                             dyn.completed = True
@@ -1161,7 +553,7 @@ class OutOfOrderCore:
                                 unindex_store(dyn)
                             if on_complete is not None:
                                 on_complete(dyn)
-                        elif fn is finish_push:
+                        elif kind == FINISH_PUSH:
                             entry = dyn
                             dyn = entry.dyn
                             seq = entry.seq
@@ -1199,7 +591,9 @@ class OutOfOrderCore:
                                 unindex_store(dyn)
                             if on_complete is not None:
                                 on_complete(dyn)
-                        elif fn is load_agu_done:
+                        elif kind == LOAD_AGU_DONE:
+                            if dyn.squashed:
+                                continue
                             store = forwarding_store(dyn)
                             if store is None:
                                 done = hier_load(dyn.addr, now)
@@ -1216,15 +610,17 @@ class OutOfOrderCore:
                                     bucket.append(dyn)
                                 continue
                             if done <= now_next:
-                                due_next.append((load_data_return, dyn))
+                                due_next.append((LOAD_DATA_RETURN, dyn))
                             else:
                                 bucket = events.get(done)
                                 if bucket is None:
-                                    events[done] = [(load_data_return, dyn)]
+                                    events[done] = [(LOAD_DATA_RETURN, dyn)]
                                     heappush(event_heap, done)
                                 else:
-                                    bucket.append((load_data_return, dyn))
-                        elif fn is load_data_return:
+                                    bucket.append((LOAD_DATA_RETURN, dyn))
+                        elif kind == LOAD_DATA_RETURN:
+                            if dyn.squashed:
+                                continue
                             dyn.executed = True
                             dyn.execute_done_cycle = now
                             lq_used -= 1
@@ -1246,8 +642,6 @@ class OutOfOrderCore:
                             mem_epoch_outstanding[dyn.mem_epoch] -= 1
                             if on_complete is not None:
                                 on_complete(dyn)
-                        else:
-                            fn(dyn)
                     del batch[:]
                 else:
                     events_any = False
@@ -1272,7 +666,13 @@ class OutOfOrderCore:
                                 or incomplete_heap[0] >= dyn.seq):
                             if dyn.barrier_ready_cycle < 0:
                                 dyn.barrier_ready_cycle = now
-                                self._schedule(now + dsb_penalty, noop)
+                                done = now + dsb_wake
+                                bucket = events.get(done)
+                                if bucket is None:
+                                    events[done] = [(WAKE, None)]
+                                    heappush(event_heap, done)
+                                else:
+                                    bucket.append((WAKE, None))
                             if now < dyn.barrier_ready_cycle + dsb_penalty:
                                 stats.retire_stall_dsb += 1
                                 break
@@ -1280,11 +680,15 @@ class OutOfOrderCore:
                             stats.retire_stall_dsb += 1
                             break
                     elif rc == RETIRE_WAIT_KEY:
-                        if wb.older_ede_with_key(dyn.inst.edk_use, dyn.seq):
+                        if (wb.older_ede_with_key(dyn.inst.edk_use, dyn.seq)
+                                or (wait_blocked is not None
+                                    and wait_blocked(dyn))):
                             stats.retire_stall_wait += 1
                             break
                     elif rc == RETIRE_WAIT_ALL:
-                        if wb.older_ede_any(dyn.seq):
+                        if (wb.older_ede_any(dyn.seq)
+                                or (wait_blocked is not None
+                                    and wait_blocked(dyn))):
                             stats.retire_stall_wait += 1
                             break
                     else:  # RETIRE_HALT
@@ -1355,17 +759,11 @@ class OutOfOrderCore:
                     retired_total += retired
                     last_retire = now
                 elif no_retire_limit and now - last_retire > no_retire_limit:
-                    self._fetch_index = fetch_index
-                    self._next_seq = next_seq
-                    self._lq_used = lq_used
-                    self._sq_used = sq_used
-                    self._halt_dyn = halt_dyn
-                    raise SimulationError(self._stuck_report(
+                    raise _Stuck(
                         "no instruction retired for %d cycles "
                         "(watchdog limit %d)" % (now - last_retire,
-                                                 no_retire_limit)))
+                                                 no_retire_limit))
                 if halted:
-                    self._halted = True
                     hist[0] += 1
                     cycles_total += 1
                     break
@@ -1374,13 +772,12 @@ class OutOfOrderCore:
                 # The eligibility scan is pure (no side effects besides
                 # starting pushes), so a scan that started none stays
                 # empty until the buffer changes: skip it while clean.
-                # ``self._wb_dirty`` is raised by _finish_push (removal /
-                # srcID clear / epoch drain); deposits and push starts
-                # raise the local mirror inline.
+                # Deposits, push starts and push completions (removal /
+                # srcID clear / epoch drain) raise ``wb_dirty``; dispatch
+                # only ever adds younger epochs, which block more.
                 pushes = 0
-                if wb_entries and (wb_dirty or self._wb_dirty):
+                if wb_entries and wb_dirty:
                     wb_dirty = False
-                    self._wb_dirty = False
                     in_flight = wb.pushing
                     if (in_flight < wb_outstanding
                             and in_flight != len(wb_entries)):
@@ -1422,14 +819,14 @@ class OutOfOrderCore:
                             else:  # JOIN
                                 done = now_next
                             if done <= now_next:
-                                due_next.append((finish_push, entry))
+                                due_next.append((FINISH_PUSH, entry))
                             else:
                                 bucket = events.get(done)
                                 if bucket is None:
-                                    events[done] = [(finish_push, entry)]
+                                    events[done] = [(FINISH_PUSH, entry)]
                                     heappush(event_heap, done)
                                 else:
-                                    bucket.append((finish_push, entry))
+                                    bucket.append((FINISH_PUSH, entry))
                             pushes += 1
                             if pushes >= budget:
                                 break
@@ -1494,14 +891,14 @@ class OutOfOrderCore:
                             dyn.issue_cycle = now
                             done = now + agu_latency
                             if done <= now_next:
-                                due_next.append((load_agu_done, dyn))
+                                due_next.append((LOAD_AGU_DONE, dyn))
                             else:
                                 bucket = events.get(done)
                                 if bucket is None:
-                                    events[done] = [(load_agu_done, dyn)]
+                                    events[done] = [(LOAD_AGU_DONE, dyn)]
                                     heappush(event_heap, done)
                                 else:
-                                    bucket.append((load_agu_done, dyn))
+                                    bucket.append((LOAD_AGU_DONE, dyn))
                         else:
                             if kind == EXEC_AGU:
                                 epoch = dyn.store_epoch
@@ -1545,14 +942,14 @@ class OutOfOrderCore:
                             dyn.issued = True
                             dyn.issue_cycle = now
                             if done <= now_next:
-                                due_next.append((execute_done, dyn))
+                                due_next.append((EXECUTE_DONE, dyn))
                             else:
                                 bucket = events.get(done)
                                 if bucket is None:
-                                    events[done] = [(execute_done, dyn)]
+                                    events[done] = [(EXECUTE_DONE, dyn)]
                                     heappush(event_heap, done)
                                 else:
-                                    bucket.append((execute_done, dyn))
+                                    bucket.append((EXECUTE_DONE, dyn))
                         if remaining is None:
                             remaining = iq[:index]
                         issued += 1
@@ -1569,6 +966,23 @@ class OutOfOrderCore:
                 if fetch_index < trace_len and halt_dyn is None:
                     while (dispatched < decode_width
                            and fetch_index < trace_len):
+                        if squash_at and fetch_index in squash_at:
+                            squash_at.discard(fetch_index)
+                            squashed_from = fetch_index
+                            self._fetch_index = fetch_index
+                            self._lq_used = lq_used
+                            self._sq_used = sq_used
+                            self._inject_squash()
+                            fetch_index = self._fetch_index
+                            lq_used = self._lq_used
+                            sq_used = self._sq_used
+                            rob_len = iq_len = 0
+                            spec_entries = edm.spec._entries
+                            epoch_bias += (rows[squashed_from][19]
+                                           - rows[fetch_index][19])
+                            squash_progress = True
+                            wb_dirty = True
+                            break
                         if rob_len >= rob_entries:
                             stats.dispatch_stall_rob += 1
                             break
@@ -1586,9 +1000,9 @@ class OutOfOrderCore:
                             stats.dispatch_stall_lsq += 1
                             break
                         seq = next_seq
-                        # Inlined DynInst row constructor (same field
-                        # stores as DynInst.__init__'s row path, minus the
-                        # call frame — this runs once per instruction).
+                        # Fill the DynInst straight from the row: the slots
+                        # DynInst.__init__ sets, minus its classification
+                        # work and call frame (this runs per instruction).
                         dyn = dyn_new(DynInst)
                         dyn.seq = seq
                         (dyn.inst, dyn.opcode,
@@ -1614,10 +1028,13 @@ class OutOfOrderCore:
                         dyn.completed = False
                         dyn.squashed = False
                         dyn.barrier_ready_cycle = -1
+                        if epoch_bias:
+                            dyn.store_epoch += epoch_bias
+                            dyn.mem_epoch += epoch_bias
                         next_seq += 1
                         fetch_index += 1
                         dispatched += 1
-                        if row[9]:  # is_ede — inlined _dispatch_ede
+                        if row[9]:  # is_ede: EDM decode
                             if dyn.retire_class == RETIRE_WAIT_ALL:
                                 # WAIT_ALL_KEYS produces every key so later
                                 # consumers chain behind it.
@@ -1655,6 +1072,8 @@ class OutOfOrderCore:
                                                 ede_waiters[producer] = [dyn]
                                             else:
                                                 bucket.append(dyn)
+                            if on_ede_dispatch is not None:
+                                on_ede_dispatch(dyn)
                         for reg in row[22]:  # timing_src_regs
                             writer = scoreboard.get(reg)
                             if (writer is not None and not writer.executed
@@ -1668,11 +1087,11 @@ class OutOfOrderCore:
                         for reg in row[23]:  # timing_dst_regs
                             scoreboard[reg] = dyn
                         if is_store_class:
-                            epoch = row[19]
+                            epoch = dyn.store_epoch
                             store_epoch_outstanding[epoch] = (
                                 store_epoch_outstanding.get(epoch, 0) + 1)
                         if row[6]:  # is_memory
-                            epoch = row[20]
+                            epoch = dyn.mem_epoch
                             mem_epoch_outstanding[epoch] = (
                                 mem_epoch_outstanding.get(epoch, 0) + 1)
                         incomplete[seq] = dyn
@@ -1703,29 +1122,34 @@ class OutOfOrderCore:
                 cycles_total += 1
                 issued_total += issued
 
-                if retired or pushes or issued or dispatched or events_any:
-                    self.now = now_next
-                    continue
-                if event_heap:
-                    next_cycle = event_heap[0]
-                    skipped = next_cycle - now - 1
-                    if skipped > 0:
-                        hist[0] += skipped
-                        cycles_total += skipped
-                    self.now = next_cycle
-                    continue
-                self._fetch_index = fetch_index
-                self._next_seq = next_seq
-                self._lq_used = lq_used
-                self._sq_used = sq_used
-                self._halt_dyn = halt_dyn
-                raise SimulationError(self._stuck_report(
-                    "pipeline deadlock (no stage progressed, "
-                    "nothing scheduled)"))
+                # A cycle that progressed runs the next one (only such a
+                # cycle can have filled the delta-1 lane); otherwise the
+                # clock may jump to the next scheduled event.
+                if (retired or pushes or issued or dispatched or events_any
+                        or squash_progress):
+                    squash_progress = False
+                    wake = now_next
+                elif event_heap:
+                    wake = event_heap[0]
+                elif lockstep:
+                    wake = None
+                else:
+                    raise _Stuck("pipeline deadlock (no stage progressed, "
+                                 "nothing scheduled)")
+                if lockstep:
+                    yield retired, wake
+                    wake = self.now
+                else:
+                    self.now = wake
+                if wake > now_next:
+                    # Fast-forward: the skipped cycles issued nothing.
+                    skipped = wake - now_next
+                    hist[0] += skipped
+                    cycles_total += skipped
+                now = wake
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self._wb_dirty = True
             self._fetch_index = fetch_index
             self._next_seq = next_seq
             self._lq_used = lq_used
@@ -1741,7 +1165,6 @@ class OutOfOrderCore:
                     shist[count] = shist.get(count, 0) + cycles
             self._min_live_store_epoch = min_live_store
             self._min_live_mem_epoch = min_live_mem
-        return stats
 
     def _stuck_report(self, reason: str) -> str:
         """Rich pipeline-state dump for any stuck-simulation error."""
@@ -1763,7 +1186,8 @@ class OutOfOrderCore:
         else:
             lines.append("  event heap: empty (nothing will ever complete)")
         if self._active_dsbs:
-            blocking = self._min_active_dsb()
+            blocking = next((seq for seq in self._active_dsbs
+                             if seq in self._incomplete), None)
             lines.append(
                 "  active DSBs: seqs %s, oldest blocking=%s"
                 % (list(self._active_dsbs),

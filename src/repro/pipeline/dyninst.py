@@ -79,6 +79,10 @@ class DynInst:
     ready, load data returned); ``completed`` is the EDE notion of
     completion — for store-class instructions it happens *after* retirement
     when the write buffer push finishes (value visible / line persisted).
+
+    The run loop fills the slots straight from a replay row (see
+    :mod:`repro.pipeline.replay`); this constructor classifies a single
+    instruction directly.
     """
 
     __slots__ = (
@@ -95,40 +99,7 @@ class DynInst:
         "result_regs", "producer_keys", "exec_kind", "ede_keys",
     )
 
-    def __init__(self, seq: int, inst: Optional[Instruction],
-                 row: Optional[tuple] = None):
-        if row is not None:
-            # Replay fast path: every static fact was precomputed into one
-            # packed row (see repro.pipeline.replay) — a single tuple unpack
-            # replaces classification, word splitting and retire-class
-            # lookup.  The row's epoch tags are valid because the fast path
-            # never rewinds the front end (no squash injection).
-            self.seq = seq
-            (self.inst, self.opcode,
-             self.is_load, self.is_store, self.is_writeback,
-             self.is_store_class, self.is_memory, self.is_barrier,
-             self.is_branch, self.is_ede,
-             _enters_iq, self.needs_write_buffer, self.is_wait,
-             self.retire_class, self.addr, self.size, self.words,
-             self.producer_keys, self.exec_kind,
-             self.store_epoch, self.mem_epoch, self.result_regs,
-             _src_regs, _dst_regs, _is_dsb, _is_halt,
-             _consumer_keys, self.ede_keys) = row
-            self.regs_outstanding = 0
-            self.e_deps_outstanding = None
-            self.src_ids = ()
-            self.dispatch_cycle = -1
-            self.issue_cycle = -1
-            self.execute_done_cycle = -1
-            self.retire_cycle = -1
-            self.complete_cycle = -1
-            self.issued = False
-            self.executed = False
-            self.retired = False
-            self.completed = False
-            self.squashed = False
-            self.barrier_ready_cycle = -1
-            return
+    def __init__(self, seq: int, inst: Instruction):
         self.seq = seq
         self.inst = inst
         opcode = inst.opcode

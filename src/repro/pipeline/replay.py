@@ -1,26 +1,22 @@
-"""Packed per-instruction replay metadata (the trace-replay fast path).
+"""Packed per-instruction replay metadata for the pipeline's run loop.
 
 The timing core is trace-driven: the functional front end has already
 resolved every effective address, so every *static* per-instruction fact
 — classification flags, retire class, touched words, producer EDKs, DMB
 epoch tags — is a function of the trace alone, not of the simulation.
-The legacy dispatch stage nevertheless re-derived all of it per
-:class:`~repro.pipeline.dyninst.DynInst`, once for each of the
-(typically five) configurations that replay the same trace.
 
-:class:`TraceMeta` hoists that work into a single prepass: one packed
+:class:`TraceMeta` computes those facts in a single prepass: one packed
 row (a plain tuple — tuple indexing beats attribute lookups in the hot
 loop) per trace index, computed once per built workload and shared by
-every subsequent simulation of that trace.  ``DynInst`` gains a
-row-based constructor that replaces classification with one tuple
-unpack, and :class:`~repro.pipeline.core.OutOfOrderCore` drives its
-fused dispatch loop straight off the rows.
+every simulation of that trace (typically five configurations).
+:class:`~repro.pipeline.core.OutOfOrderCore` dispatches straight off the
+rows, filling each :class:`~repro.pipeline.dyninst.DynInst` with one
+tuple unpack.
 
-The DMB epoch tags in rows are static only while the front end never
-rewinds: a squash refetch re-dispatches the flushed DMBs and re-bumps
-the dynamic epoch counters.  The core therefore falls back to the
-legacy (reference) loop whenever squash injection is configured, and
-the fast path carries no squash handling at all.
+A row's DMB epoch is the number of DMBs before it in the trace.  A
+squash refetch re-dispatches the flushed DMBs, so the core adds the
+count of barriers re-dispatched so far to the row epochs of refetched
+instructions.
 
 Row layout (index constants below)::
 
@@ -37,7 +33,7 @@ Row layout (index constants below)::
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.isa.instructions import CLASSIFICATION_BY_OPCODE, Instruction
 from repro.isa.opcodes import Opcode
@@ -48,7 +44,7 @@ from repro.pipeline.dyninst import (
     retire_class_of,
 )
 
-# Row field indices (keep in sync with DynInst's row-unpack constructor).
+# Row field indices (keep in sync with the row unpack in OutOfOrderCore._loop).
 R_INST = 0
 R_OPCODE = 1
 R_IS_LOAD = 2

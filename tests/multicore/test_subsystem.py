@@ -1,5 +1,8 @@
 """Unit coverage of the multi-core building blocks: shared-EDM bus,
-coherence directory, per-core layout carve-outs, EDK partitioning."""
+coherence directory, per-core layout carve-outs, EDK partitioning and the
+machine-level stats merge."""
+
+import dataclasses
 
 import pytest
 
@@ -16,6 +19,8 @@ from repro.multicore.layout import (
     core_layout,
     txn_offset,
 )
+from repro.multicore.system import merge_stats
+from repro.pipeline.stats import PipelineStats
 
 
 class _Dyn:
@@ -185,3 +190,28 @@ class TestEdkPartitioning:
     def test_empty_partition_rejected(self):
         with pytest.raises(ValueError):
             PartitionedEdkAllocator(0, 1, reserved=tuple(range(1, 16)))
+
+
+class TestMergeStats:
+    def _stats(self, base):
+        stats = PipelineStats()
+        for index, field in enumerate(dataclasses.fields(PipelineStats)):
+            if field.name != "issue_histogram":
+                setattr(stats, field.name, base + index)
+        stats.issue_histogram = {0: base, 3: 2 * base}
+        return stats
+
+    def test_every_counter_summed_cycles_is_max(self):
+        cores = [self._stats(10), self._stats(20), self._stats(30)]
+        merged = merge_stats(cores)
+        for field in dataclasses.fields(PipelineStats):
+            if field.name in ("cycles", "issue_histogram"):
+                continue
+            assert getattr(merged, field.name) == sum(
+                getattr(stats, field.name) for stats in cores), field.name
+        assert merged.cycles == max(stats.cycles for stats in cores)
+        assert merged.issue_histogram == {0: 60, 3: 120}
+
+    def test_merging_one_core_is_identity(self):
+        stats = self._stats(7)
+        assert merge_stats([stats]) == stats

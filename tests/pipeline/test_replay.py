@@ -1,25 +1,20 @@
-"""Trace-replay fast path: bit-identical to the legacy event loop.
+"""Replay metadata: the packed per-instruction rows the run loop reads.
 
-The packed-row replay loop (:mod:`repro.pipeline.replay`) is the default
-run loop of :class:`~repro.pipeline.core.OutOfOrderCore`; ``replay=False``
-selects the legacy event-driven loop, which stays the golden reference.
-Every observable — cycle counts, the full stats dataclass, store
-visibility and the persist log — must match between the two, for every
-workload under every configuration.
+End-to-end results of the loop are pinned by the golden digest corpus
+(``tests/golden``); these are unit tests of :mod:`repro.pipeline.replay`.
 """
-
-import dataclasses
 
 import pytest
 
 import repro.workloads  # noqa: F401  (registers workloads)
 from repro.harness.configs import CONFIGURATIONS, DEFAULT_PARAMS
-from repro.harness.runner import warm_hierarchy
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.replay import (
     R_INST,
+    R_MEM_EPOCH,
+    R_STORE_EPOCH,
     TraceMeta,
     build_rows,
     meta_for,
@@ -27,46 +22,17 @@ from repro.pipeline.replay import (
 from repro.workloads import Scale
 from repro.workloads import base as workload_base
 
-#: Small but structurally complete: several transactions, enough ops to
-#: exercise the write buffer, EDM keys and DMB epochs in every mode.
 TEST_SCALE = Scale(ops_per_txn=4, txns=3)
 
 
-def _simulate(built, config, replay):
-    """One simulation; returns every observable as comparable data."""
+def _hierarchy():
     params = DEFAULT_PARAMS
     controller = MemoryController(
         address_map=params.address_map,
         dram_params=params.dram,
         nvm_params=params.nvm,
     )
-    hierarchy = CacheHierarchy(controller, params.hierarchy)
-    warm_hierarchy(hierarchy, built)
-    core = OutOfOrderCore(built.trace, hierarchy, config.policy,
-                          params.core, replay=replay)
-    stats = core.run()
-    controller.nvm.drain_all(stats.cycles)
-    return (dataclasses.asdict(stats),
-            list(core.store_visibility),
-            list(controller.persist_log.records()))
-
-
-@pytest.mark.parametrize("workload", sorted(workload_base.workload_names()))
-@pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: c.name)
-def test_replay_matches_legacy_loop(workload, config):
-    built = workload_base.build(workload, config.fence_mode, TEST_SCALE)
-    legacy = _simulate(built, config, replay=False)
-    fast = _simulate(built, config, replay=meta_for(built))
-    assert fast == legacy
-
-
-def test_default_run_uses_replay_and_matches():
-    """``replay=None`` (the constructor default) builds its own rows and
-    still equals the legacy loop."""
-    config = CONFIGURATIONS[0]
-    built = workload_base.build("btree", config.fence_mode, TEST_SCALE)
-    assert _simulate(built, config, replay=None) == _simulate(
-        built, config, replay=False)
+    return CacheHierarchy(controller, params.hierarchy)
 
 
 class TestTraceMeta:
@@ -95,14 +61,24 @@ class TestTraceMeta:
     def test_mismatched_meta_is_rejected_at_construction(self):
         built = self._built()
         other = workload_base.build("btree", "ede", TEST_SCALE)
-        params = DEFAULT_PARAMS
-        controller = MemoryController(
-            address_map=params.address_map,
-            dram_params=params.dram,
-            nvm_params=params.nvm,
-        )
-        hierarchy = CacheHierarchy(controller, params.hierarchy)
         config = CONFIGURATIONS[0]
         with pytest.raises(ValueError):
-            OutOfOrderCore(built.trace, hierarchy, config.policy,
-                           params.core, replay=meta_for(other))
+            OutOfOrderCore(built.trace, _hierarchy(), config.policy,
+                           DEFAULT_PARAMS.core, replay=meta_for(other))
+
+    def test_replay_must_be_trace_meta(self):
+        built = self._built()
+        config = CONFIGURATIONS[0]
+        with pytest.raises(TypeError, match="TraceMeta"):
+            OutOfOrderCore(built.trace, _hierarchy(), config.policy,
+                           DEFAULT_PARAMS.core, replay=built.trace)
+
+    def test_row_epochs_count_earlier_dmbs(self):
+        built = workload_base.build("update", "dmb_st", TEST_SCALE)
+        rows = build_rows(built.trace)
+        dmbs = 0
+        for row, inst in zip(rows, built.trace):
+            assert row[R_STORE_EPOCH] == row[R_MEM_EPOCH] == dmbs
+            if inst.opcode.name in ("DMB_ST", "DMB_SY"):
+                dmbs += 1
+        assert dmbs > 0
