@@ -32,7 +32,6 @@ from benchmarks.common import bench_scale, print_header
 from repro.harness.configs import DEFAULT_PARAMS, configuration
 from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.harness.runner import run_matrix, warm_hierarchy
-from repro.harness.shm_transport import orphaned_segments
 from repro.harness.trace_cache import TraceCache
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine
@@ -282,48 +281,6 @@ def test_selfperf_fusion_speedup(benchmark):
           % (fused_s, fused_kips, speedup))
     assert speedup >= 1.3, (
         "superinstruction fusion below the 1.3x gate: %.2fx" % speedup)
-
-
-def test_selfperf_shm_matrix(benchmark):
-    """Matrix wall time with the shared-memory trace transport on, equal
-    results to the plain path, and no leaked /dev/shm segments."""
-    scale = bench_scale()
-    apps = list(MATRIX_APPS)
-    configs = [configuration(name) for name in MATRIX_CONFIGS]
-
-    def timed_matrix():
-        start = time.perf_counter()
-        results = run_matrix_parallel(apps, configs, scale,
-                                      max_workers=2, cache=False,
-                                      trace_cache=False)
-        return results, time.perf_counter() - start
-
-    def run():
-        plain, plain_s = timed_matrix()
-        os.environ["REPRO_SHM"] = "1"
-        try:
-            shm, shm_s = timed_matrix()
-        finally:
-            os.environ.pop("REPRO_SHM", None)
-        return plain, shm, plain_s, shm_s
-
-    plain, shm, plain_s, shm_s = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    for app in apps:
-        for config in configs:
-            assert (plain[app][config.name].cycles
-                    == shm[app][config.name].cycles)
-    leaked = orphaned_segments()
-    assert not leaked, "leaked shared-memory segments: %s" % leaked
-
-    benchmark.extra_info["matrix_plain_seconds"] = round(plain_s, 3)
-    benchmark.extra_info["matrix_shm_seconds"] = round(shm_s, 3)
-
-    print_header("Self-perf: matrix with shared-memory trace transport")
-    print("  plain (workers build)  : %.3f s" % plain_s)
-    print("  REPRO_SHM=1 (attach)   : %.3f s" % shm_s)
-    print("  orphaned segments      : none")
 
 
 def test_selfperf_trace_cache_cold_vs_warm(benchmark):

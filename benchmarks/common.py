@@ -24,21 +24,15 @@ import functools
 from typing import Dict
 
 from repro.harness import CONFIGURATIONS
-from repro.harness.envutil import env_positive_int
+from repro.harness.envutil import knob
 from repro.harness.experiments import APPLICATIONS
 from repro.harness.parallel import run_matrix_parallel
 from repro.harness.runner import RunResult
 from repro.workloads import Scale
 
-#: Backwards-compatible alias; the strict parser now lives in
-#: :mod:`repro.harness.envutil` and is shared with the harness knobs.
-_env_positive_int = env_positive_int
-
-
 def bench_scale() -> Scale:
-    ops = env_positive_int("REPRO_BENCH_OPS", 25)
-    txns = env_positive_int("REPRO_BENCH_TXNS", 20)
-    return Scale(ops_per_txn=ops, txns=txns)
+    return Scale(ops_per_txn=knob("REPRO_BENCH_OPS"),
+                 txns=knob("REPRO_BENCH_TXNS"))
 
 
 @functools.lru_cache(maxsize=4)

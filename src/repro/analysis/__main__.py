@@ -289,8 +289,9 @@ def _run_optimize(argv: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.harness.cliutil import guard_broken_pipe
+    from repro.harness.cliutil import exit_on_bad_env, guard_broken_pipe
 
+    exit_on_bad_env("repro.analysis")
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "optimize":

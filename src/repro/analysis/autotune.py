@@ -454,7 +454,7 @@ def autotune_workload(
     dynamic oracle (``REPRO_AUTOTUNE_VALIDATE``).
     """
     from repro.harness.configs import DEFAULT_PARAMS, configuration
-    from repro.harness.envutil import env_flag, env_positive_int
+    from repro.harness.envutil import knob
     from repro.workloads import base as workload_base
 
     config = configuration(config_name)
@@ -463,9 +463,9 @@ def autotune_workload(
     if params is None:
         params = DEFAULT_PARAMS
     if budget is None or budget <= 0:
-        budget = env_positive_int("REPRO_AUTOTUNE_BUDGET", 64)
+        budget = knob("REPRO_AUTOTUNE_BUDGET")
     if validate is None:
-        validate = env_flag("REPRO_AUTOTUNE_VALIDATE", True)
+        validate = knob("REPRO_AUTOTUNE_VALIDATE")
 
     mode = (
         codegen.conservative_mode(config.fence_mode)

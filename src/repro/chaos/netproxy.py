@@ -44,6 +44,7 @@ import random
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.harness.envutil import knob
 from repro.service.http import ThreadedHttpServer
 
 __all__ = ["NetFaultSpec", "NetFaultPlan", "FaultProxy",
@@ -124,8 +125,10 @@ class NetFaultPlan:
         )
 
     @classmethod
-    def from_env(cls, environ=os.environ) -> Optional["NetFaultPlan"]:
-        raw = environ.get(ENV_VAR)
+    def from_env(cls, environ=None) -> Optional["NetFaultPlan"]:
+        """The installed plan, or None; ``environ`` (a mapping) stands in
+        for the process environment."""
+        raw = knob(ENV_VAR) if environ is None else environ.get(ENV_VAR)
         if not raw:
             return None
         if not raw.lstrip().startswith("{"):

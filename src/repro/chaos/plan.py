@@ -132,8 +132,10 @@ class FaultPlan:
         )
 
     @classmethod
-    def from_env(cls, environ=os.environ) -> Optional["FaultPlan"]:
-        raw = environ.get(ENV_VAR)
+    def from_env(cls, environ=None) -> Optional["FaultPlan"]:
+        """The installed plan, or None; ``environ`` (a mapping) stands in
+        for the process environment."""
+        raw = _installed() if environ is None else environ.get(ENV_VAR)
         if not raw:
             return None
         if not raw.lstrip().startswith("{"):
@@ -220,16 +222,24 @@ class FaultPlan:
 _CACHED: Optional[Tuple[str, FaultPlan]] = None
 
 
+def _installed() -> Optional[str]:
+    """The raw ``REPRO_CHAOS`` value (inline JSON or a path), or None."""
+    # Imported here: the harness package imports repro.chaos.
+    from repro.harness.envutil import knob
+
+    return knob(ENV_VAR)
+
+
 def chaos_active() -> bool:
     """Whether a fault plan is installed in this process's environment."""
-    return bool(os.environ.get(ENV_VAR))
+    return _installed() is not None
 
 
 def chaos_point(point: str, label: str = "",
                 path: Optional[os.PathLike] = None) -> None:
     """Declare an injection point; fires matching faults when a plan is
-    installed.  Costs one dict lookup when chaos is off."""
-    raw = os.environ.get(ENV_VAR)
+    installed.  Costs one environment lookup when chaos is off."""
+    raw = _installed()
     if not raw:
         return
     global _CACHED

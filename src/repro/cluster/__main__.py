@@ -35,8 +35,8 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro.harness.cliutil import guard_broken_pipe
-from repro.harness.envutil import env_int, render_env_table
+from repro.harness.cliutil import exit_on_bad_env, guard_broken_pipe
+from repro.harness.envutil import knob, render_env_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +138,7 @@ async def _serve_coordinator(addresses, args, journal_dir,
     from repro.cluster.coordinator import ClusterCoordinator
 
     port = args.port if args.port is not None else \
-        env_int("REPRO_SERVICE_PORT", 0, minimum=0)
+        knob("REPRO_SERVICE_PORT")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -170,10 +170,9 @@ async def _serve_coordinator(addresses, args, journal_dir,
 def _cmd_up(args) -> int:
     import asyncio
 
-    from repro.cluster.journal import journal_dir_by_env
     from repro.cluster.local import LocalCluster
 
-    journal_dir = args.journal_dir or journal_dir_by_env()
+    journal_dir = args.journal_dir or knob("REPRO_CLUSTER_JOURNAL_DIR")
     cluster = LocalCluster(
         shards=args.shards,
         workers_per_shard=args.workers_per_shard,
@@ -197,9 +196,7 @@ def _cmd_up(args) -> int:
 def _cmd_coordinator(args) -> int:
     import asyncio
 
-    from repro.cluster.journal import journal_dir_by_env
-
-    journal_dir = args.journal_dir or journal_dir_by_env()
+    journal_dir = args.journal_dir or knob("REPRO_CLUSTER_JOURNAL_DIR")
     addresses = [_parse_shard(value) for value in args.shard_addrs]
     try:
         asyncio.run(_serve_coordinator(
@@ -219,6 +216,7 @@ def _cmd_status(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    exit_on_bad_env("repro.cluster")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.env:

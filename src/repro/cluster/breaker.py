@@ -32,16 +32,12 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.harness.envutil import env_float
+from repro.harness.envutil import knob
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-#: Default EWMA failure rate that trips the breaker.
-DEFAULT_THRESHOLD = 0.5
-#: Default seconds an open breaker waits before half-open probing.
-DEFAULT_RESET_TIMEOUT_S = 2.0
 #: EWMA smoothing factor: one failure moves the rate by this fraction.
 DEFAULT_ALPHA = 0.3
 #: Outcomes required before the EWMA is trusted enough to trip.
@@ -50,20 +46,6 @@ DEFAULT_MIN_SAMPLES = 3
 DEFAULT_MAX_PROBES = 1
 #: Consecutive half-open successes required to re-close.
 DEFAULT_REQUIRED_SUCCESSES = 1
-
-
-def breaker_threshold_by_env() -> float:
-    """``REPRO_BREAKER_THRESHOLD``: EWMA failure rate in (0, 1] that
-    trips a shard's breaker open."""
-    return env_float("REPRO_BREAKER_THRESHOLD", DEFAULT_THRESHOLD,
-                     minimum=0.0)
-
-
-def breaker_reset_by_env() -> float:
-    """``REPRO_BREAKER_RESET``: seconds an open breaker waits before
-    admitting half-open probes."""
-    return env_float("REPRO_BREAKER_RESET", DEFAULT_RESET_TIMEOUT_S,
-                     minimum=0.0)
 
 
 class CircuitBreaker:
@@ -78,9 +60,9 @@ class CircuitBreaker:
                  required_successes: int = DEFAULT_REQUIRED_SUCCESSES,
                  clock: Callable[[], float] = time.monotonic):
         self.threshold = (threshold if threshold is not None
-                          else breaker_threshold_by_env())
+                          else knob("REPRO_BREAKER_THRESHOLD"))
         self.reset_timeout_s = (reset_timeout_s if reset_timeout_s is not None
-                                else breaker_reset_by_env())
+                                else knob("REPRO_BREAKER_RESET"))
         self.alpha = alpha
         self.min_samples = min_samples
         self.max_probes = max_probes

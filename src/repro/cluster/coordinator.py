@@ -62,7 +62,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.harness.configs import DEFAULT_PARAMS
-from repro.harness.envutil import env_float
+from repro.harness.envutil import knob
 from repro.service.http import (
     BaseHttpServer,
     ThreadedHttpServer,
@@ -87,40 +87,13 @@ from repro.cluster.ratelimit import RateLimiter
 __all__ = ["ClusterCoordinator", "ThreadedCoordinator", "ShardState",
            "federate_metrics"]
 
-#: Default seconds between health-probe rounds.
-DEFAULT_PROBE_INTERVAL_S = 1.0
 #: Consecutive probe failures before a shard is evicted from the ring.
 DEFAULT_EVICT_AFTER = 2
-#: Default wall-clock bound on one coordinator->shard submit exchange.
-DEFAULT_PROXY_TIMEOUT_S = 600.0
 #: Default wall-clock bound on one status/result read from a shard.
 DEFAULT_READ_TIMEOUT_S = 30.0
-#: Default delay before a slow read is hedged to the next candidate.
-DEFAULT_HEDGE_DELAY_S = 0.25
 #: Terminal job states (mirrors JobState.TERMINAL without the import
 #: cycle risk at JSON level).
 _TERMINAL = ("done", "failed")
-
-
-def probe_interval_by_env() -> float:
-    """``REPRO_CLUSTER_PROBE_INTERVAL``: seconds between shard health
-    probe rounds at the coordinator."""
-    return env_float("REPRO_CLUSTER_PROBE_INTERVAL",
-                     DEFAULT_PROBE_INTERVAL_S, minimum=0.01)
-
-
-def proxy_timeout_by_env() -> float:
-    """``REPRO_PROXY_TIMEOUT``: seconds one coordinator->shard submit
-    exchange may take before it counts as a transport failure."""
-    return env_float("REPRO_PROXY_TIMEOUT", DEFAULT_PROXY_TIMEOUT_S,
-                     minimum=0.01)
-
-
-def hedge_delay_by_env() -> float:
-    """``REPRO_HEDGE_DELAY``: seconds a status/result read waits on the
-    owning shard before hedging the next candidate concurrently."""
-    return env_float("REPRO_HEDGE_DELAY", DEFAULT_HEDGE_DELAY_S,
-                     minimum=0.0)
 
 
 class ShardState:
@@ -317,15 +290,15 @@ class ClusterCoordinator(BaseHttpServer):
         self.params = params
         self.probe_interval_s = (probe_interval_s
                                  if probe_interval_s is not None
-                                 else probe_interval_by_env())
+                                 else knob("REPRO_CLUSTER_PROBE_INTERVAL"))
         self.probe_timeout_s = probe_timeout_s
         self.evict_after = max(1, evict_after)
         self.proxy_timeout_s = (proxy_timeout_s
                                 if proxy_timeout_s is not None
-                                else proxy_timeout_by_env())
+                                else knob("REPRO_PROXY_TIMEOUT"))
         self.read_timeout_s = read_timeout_s
         self.hedge_delay_s = (hedge_delay_s if hedge_delay_s is not None
-                              else hedge_delay_by_env())
+                              else knob("REPRO_HEDGE_DELAY"))
         self.limiter = RateLimiter(rate=rate, burst=burst)
         self.metrics = ClusterMetrics()
         self.shards: Dict[str, ShardState] = {}

@@ -51,7 +51,7 @@ import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.harness.envutil import env_float, env_int
+from repro.harness.envutil import knob
 
 __all__ = ["CoordinatorJournal", "JournalRecord", "RecoveredState",
            "replay_records"]
@@ -60,37 +60,12 @@ __all__ = ["CoordinatorJournal", "JournalRecord", "RecoveredState",
 _RECORD_HEADER = struct.Struct("<4sII")
 _RECORD_MAGIC = b"RPJ1"
 
-#: Default seconds between fsync batches (0 = fsync every append).
-DEFAULT_FSYNC_INTERVAL_S = 0.0
-#: Default journal size that triggers compaction.
-DEFAULT_COMPACT_BYTES = 1 << 20
-
 #: Record kinds the coordinator writes.
 KIND_ADMIT = "admit"
 KIND_ROUTE = "route"
 KIND_DONE = "done"
 KIND_MEMBER = "member"
 KINDS = (KIND_ADMIT, KIND_ROUTE, KIND_DONE, KIND_MEMBER)
-
-
-def fsync_interval_by_env() -> float:
-    """``REPRO_JOURNAL_FSYNC_INTERVAL``: seconds between journal fsync
-    batches (0 fsyncs every append)."""
-    return env_float("REPRO_JOURNAL_FSYNC_INTERVAL",
-                     DEFAULT_FSYNC_INTERVAL_S, minimum=0.0)
-
-
-def compact_bytes_by_env() -> int:
-    """``REPRO_JOURNAL_COMPACT_BYTES``: journal size in bytes that
-    triggers a compacting rewrite."""
-    return env_int("REPRO_JOURNAL_COMPACT_BYTES", DEFAULT_COMPACT_BYTES,
-                   minimum=4096)
-
-
-def journal_dir_by_env() -> Optional[str]:
-    """``REPRO_CLUSTER_JOURNAL_DIR``: directory for the coordinator's
-    write-ahead journal (unset/empty = journaling off)."""
-    return os.environ.get("REPRO_CLUSTER_JOURNAL_DIR") or None
 
 
 class JournalRecord(dict):
@@ -128,9 +103,9 @@ class CoordinatorJournal:
         self.path = self.directory / self.filename
         self.fsync_interval_s = (fsync_interval_s
                                  if fsync_interval_s is not None
-                                 else fsync_interval_by_env())
+                                 else knob("REPRO_JOURNAL_FSYNC_INTERVAL"))
         self.compact_bytes = (compact_bytes if compact_bytes is not None
-                              else compact_bytes_by_env())
+                              else knob("REPRO_JOURNAL_COMPACT_BYTES"))
         self._clock = clock
         self._handle = None
         self._last_fsync = 0.0

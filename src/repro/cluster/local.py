@@ -36,18 +36,9 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.harness.envutil import env_positive_int
+from repro.harness.envutil import knob
 
-__all__ = ["LocalCluster", "cluster_shards_by_env", "DEFAULT_SHARDS"]
-
-#: Default worker count for ``repro-cluster up`` and the local manager.
-DEFAULT_SHARDS = 2
-
-
-def cluster_shards_by_env() -> int:
-    """``REPRO_CLUSTER_SHARDS``: worker-process count for a local
-    cluster."""
-    return env_positive_int("REPRO_CLUSTER_SHARDS", DEFAULT_SHARDS)
+__all__ = ["LocalCluster"]
 
 
 class _Worker:
@@ -86,7 +77,7 @@ class LocalCluster:
                  startup_timeout_s: float = 60.0,
                  extra_env: Optional[dict] = None):
         self.n_shards = shards if shards is not None \
-            else cluster_shards_by_env()
+            else knob("REPRO_CLUSTER_SHARDS")
         if self.n_shards < 1:
             raise ValueError("a cluster needs at least one shard")
         # One worker per shard by default: the shards themselves are the

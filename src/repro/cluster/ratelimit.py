@@ -20,25 +20,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional
 
-from repro.harness.envutil import env_float, env_positive_int
-
-#: Default steady-state submissions/second per tenant.
-DEFAULT_RATE = 100.0
-#: Default burst capacity (tokens) per tenant.
-DEFAULT_BURST = 200
-
-
-def cluster_rate_by_env() -> float:
-    """``REPRO_CLUSTER_RATE``: per-tenant sustained submissions/second
-    admitted by the coordinator."""
-    return env_float("REPRO_CLUSTER_RATE", DEFAULT_RATE, minimum=0.001)
-
-
-def cluster_burst_by_env() -> int:
-    """``REPRO_CLUSTER_BURST``: per-tenant burst capacity (token-bucket
-    size) at the coordinator."""
-    return env_positive_int("REPRO_CLUSTER_BURST", DEFAULT_BURST)
-
+from repro.harness.envutil import knob
 
 class TokenBucket:
     """One tenant's bucket: ``burst`` capacity, ``rate``/s refill."""
@@ -76,8 +58,9 @@ class RateLimiter:
     def __init__(self, rate: Optional[float] = None,
                  burst: Optional[int] = None,
                  clock: Callable[[], float] = time.monotonic):
-        self.rate = rate if rate is not None else cluster_rate_by_env()
-        self.burst = burst if burst is not None else cluster_burst_by_env()
+        self.rate = rate if rate is not None else knob("REPRO_CLUSTER_RATE")
+        self.burst = burst if burst is not None \
+            else knob("REPRO_CLUSTER_BURST")
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
         self.rejections = 0

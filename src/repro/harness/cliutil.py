@@ -4,7 +4,9 @@ Every CLI that prints to stdout can lose it mid-write when piped into a
 pager or ``head``; the fix (swallow ``BrokenPipeError``, point the
 dying stdout at ``/dev/null`` so the interpreter's shutdown flush does
 not traceback either) was first applied to ``repro.cluster status`` and
-is hoisted here so every driver exits the way coreutils do.
+is hoisted here so every driver exits the way coreutils do.  Every
+driver also validates the whole ``REPRO_*`` environment before it does
+anything (:func:`exit_on_bad_env`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,18 @@ from __future__ import annotations
 import os
 import sys
 from typing import Callable
+
+from repro.harness.envutil import check_env
+
+
+def exit_on_bad_env(prog: str) -> None:
+    """Exit with status 2 and one message naming every malformed
+    ``REPRO_*`` knob, before a driver acts on any of them."""
+    try:
+        check_env()
+    except ValueError as exc:
+        print("%s: error: %s" % (prog, exc), file=sys.stderr)
+        sys.exit(2)
 
 
 def guard_broken_pipe(handler: Callable[..., int], *args, **kwargs) -> int:

@@ -265,12 +265,12 @@ def hazard_pointer_experiment(scale: Scale = BENCH_SCALE,
     Unmodeled core counts fail loudly (:func:`ensure_core_count`).
     """
     from repro.harness.configs import configuration
+    from repro.harness.envutil import knob
     from repro.harness.parallel import run_matrix_parallel
-    from repro.multicore.knobs import experiment_cores
     from repro.workloads.base import ensure_core_count
 
     if cores is None:
-        cores = experiment_cores()
+        cores = knob("REPRO_CORES")
     ensure_core_count("hazard", cores)
     scale = dataclasses.replace(scale, cores=cores)
     # One run_matrix-style sweep instead of per-config run_one calls: the

@@ -40,9 +40,6 @@ Environment variables:
   :mod:`repro.harness.result_cache`.
 * ``REPRO_TRACE_CACHE=0`` — disable the trace cache (see
   :mod:`repro.harness.trace_cache`).
-* ``REPRO_SHM=1`` — publish each group's built trace into a parent-owned
-  shared-memory segment instead of having workers load (or build) their
-  own copy (see :mod:`repro.harness.shm_transport`).
 """
 
 from __future__ import annotations
@@ -54,23 +51,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos import chaos_point
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
-from repro.harness.result_cache import ResultCache, cache_enabled_by_env
-from repro.harness.shm_transport import (
-    TraceTransport,
-    attach_object,
-    shm_enabled_by_env,
-)
+from repro.harness.envutil import knob
+from repro.harness.result_cache import ResultCache
 from repro.harness.supervisor import (
     MatrixReport,
     SupervisorConfig,
     SupervisorError,
     run_supervised,
 )
-from repro.harness.trace_cache import (
-    TRACE_SUBDIR,
-    TraceCache,
-    trace_cache_enabled_by_env,
-)
+from repro.harness.trace_cache import TRACE_SUBDIR, TraceCache
 from repro.workloads import base as workload_base
 
 
@@ -107,16 +96,9 @@ class RunSummary:
 def resolve_workers(max_workers: Optional[int] = None) -> int:
     """Worker count: explicit argument > ``REPRO_PARALLEL`` > CPU count."""
     if max_workers is None:
-        env = os.environ.get("REPRO_PARALLEL")
-        if env:
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    "REPRO_PARALLEL must be an integer, got %r" % env
-                ) from None
-        else:
-            max_workers = os.cpu_count() or 1
+        max_workers = knob("REPRO_PARALLEL")
+    if max_workers is None:
+        max_workers = os.cpu_count() or 1
     return max(1, max_workers)
 
 
@@ -132,29 +114,23 @@ def last_matrix_report() -> Optional[MatrixReport]:
 
 def _simulate_group(task: Tuple[str, Tuple[Configuration, ...],
                                 workload_base.Scale, A72Params,
-                                Optional[str], Optional[str]]
+                                Optional[str]]
                     ) -> Dict[str, object]:
     """Worker: run every configuration of one (workload, fence mode) group.
 
-    With a shared-memory segment name in the task (``REPRO_SHM=1``), the
-    group's :class:`BuiltWorkload` is attached and deserialized from the
-    parent's segment; otherwise it is loaded from the trace cache
-    (building and storing it only on a miss).  Either way one built
-    workload is shared across the group's configurations, mirroring the
-    serial runner.  Module-level so it pickles for
-    :class:`~concurrent.futures.ProcessPoolExecutor`.
+    The group's :class:`BuiltWorkload` is loaded from the trace cache
+    (built and stored only on a miss) and shared across the group's
+    configurations, mirroring the serial runner.  Module-level so it
+    pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
     """
     from repro.harness.runner import run_one
 
     from repro.harness.profiling import maybe_profile
 
-    workload, configs, scale, params, trace_dir, shm_name = task
+    workload, configs, scale, params, trace_dir = task
     mode = configs[0].fence_mode
     chaos_point("worker", "%s/%s" % (workload, mode))
-    if shm_name is not None:
-        with maybe_profile("%s-%s" % (workload, mode), "load"):
-            built = attach_object(shm_name)
-    elif trace_dir is not None:
+    if trace_dir is not None:
         # load_or_build profiles its own load/build phases.
         built = workload_base.build(workload, mode, scale,
                                     cache=TraceCache(trace_dir),
@@ -209,11 +185,11 @@ def run_matrix_parallel(workloads: Sequence[str],
     configs = list(configs)
     explicit_no_cache = cache is False
     if cache is None:
-        cache = cache_enabled_by_env()
+        cache = knob("REPRO_RESULT_CACHE")
     store: Optional[ResultCache] = ResultCache(cache_dir) if cache else None
 
     if trace_cache is None:
-        trace_cache = False if explicit_no_cache else trace_cache_enabled_by_env()
+        trace_cache = False if explicit_no_cache else knob("REPRO_TRACE_CACHE")
     trace_dir: Optional[str] = None
     if trace_cache:
         if cache_dir is not None:
@@ -246,27 +222,9 @@ def run_matrix_parallel(workloads: Sequence[str],
     for workload, config in missing:
         groups.setdefault((workload, config.fence_mode), []).append(config)
 
-    # With REPRO_SHM on, the parent materializes each group's built
-    # workload once and publishes it into a shared-memory segment; the
-    # task then carries the segment name and the worker attaches instead
-    # of loading or rebuilding.  Segments survive worker retries and
-    # chaos kills (they are parent-owned), and the try/finally below —
-    # plus the transport's own atexit hook — guarantees they are unlinked
-    # however the supervised run ends.
-    transport: Optional[TraceTransport] = None
-    segment_names: Dict[Tuple[str, str], str] = {}
-    if groups and shm_enabled_by_env():
-        transport = TraceTransport()
-        group_store = TraceCache(trace_dir) if trace_dir is not None else None
-        for workload, mode in groups:
-            built = workload_base.build(workload, mode, scale,
-                                        cache=group_store, params=params)
-            segment_names[(workload, mode)] = transport.publish_object(built)
-
     tasks = [
         ("%s/%s" % (workload, mode),
-         (workload, tuple(group_configs), scale, params, trace_dir,
-          segment_names.get((workload, mode))))
+         (workload, tuple(group_configs), scale, params, trace_dir))
         for (workload, mode), group_configs in groups.items()
     ]
 
@@ -282,12 +240,8 @@ def run_matrix_parallel(workloads: Sequence[str],
     config_ = SupervisorConfig.from_env(
         max_workers=resolve_workers(max_workers),
         timeout=timeout, retries=retries, backoff=backoff)
-    try:
-        _, report = run_supervised(tasks, _simulate_group, config_,
-                                   on_result=_persist)
-    finally:
-        if transport is not None:
-            transport.close()
+    _, report = run_supervised(tasks, _simulate_group, config_,
+                               on_result=_persist)
     report.resumed_from_cache = resumed
     _LAST_REPORT = report
     if not report.all_succeeded:

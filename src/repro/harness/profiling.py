@@ -1,7 +1,7 @@
 """Opt-in per-phase profiling of harness runs.
 
 Setting ``REPRO_PROFILE=1`` wraps each phase of a run — trace *build*,
-trace-cache/shared-memory *load* (deserialization of a pre-built trace)
+trace-cache *load* (deserialization of a pre-built trace)
 and timing *simulate* — in :mod:`cProfile` and dumps the stats under
 ``.benchmarks/profile/``: one binary ``<label>.<phase>.prof`` (loadable
 with ``pstats`` or ``snakeviz``) plus a ``<label>.<phase>.txt`` rendering
@@ -26,35 +26,17 @@ from __future__ import annotations
 import cProfile
 import contextlib
 import io
-import os
 import pstats
 from pathlib import Path
 
-from repro.harness.envutil import env_flag
-
-DEFAULT_PROFILE_DIR = os.path.join(".benchmarks", "profile")
+from repro.harness.envutil import knob
 
 #: How many functions the text rendering keeps.
 _TOP_FUNCTIONS = 30
 
 
-def profile_enabled_by_env() -> bool:
-    """Whether ``REPRO_PROFILE`` asks for profiling (default no).
-
-    ``1`` opts in, ``0`` (or unset/empty) opts out; any other value
-    raises ``ValueError`` (shared
-    :func:`~repro.harness.envutil.env_flag` parsing).
-    """
-    return env_flag("REPRO_PROFILE", default=False)
-
-
-def profile_dir() -> Path:
-    """``$REPRO_PROFILE_DIR`` or ``.benchmarks/profile``."""
-    return Path(os.environ.get("REPRO_PROFILE_DIR", DEFAULT_PROFILE_DIR))
-
-
 def _dump(profile: cProfile.Profile, label: str, phase: str) -> None:
-    root = profile_dir()
+    root = Path(knob("REPRO_PROFILE_DIR"))
     root.mkdir(parents=True, exist_ok=True)
     profile.dump_stats(str(root / ("%s.%s.prof" % (label, phase))))
     text = io.StringIO()
@@ -80,7 +62,7 @@ def maybe_profile(label: str, phase: str):
     ``maybe_profile`` block is already being profiled.
     """
     global _ACTIVE
-    if _ACTIVE or not profile_enabled_by_env():
+    if _ACTIVE or not knob("REPRO_PROFILE"):
         yield
         return
     profile = cProfile.Profile()

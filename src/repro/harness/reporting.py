@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.harness.configs import CONFIGURATIONS
+from repro.harness.envutil import knob
 from repro.harness.experiments import (
     APPLICATIONS,
     Fig9Result,
@@ -134,12 +135,8 @@ def full_report(scale: Scale = BENCH_SCALE,
 
 
 def main() -> None:
-    import os
-
-    scale = Scale(
-        ops_per_txn=int(os.environ.get("REPRO_BENCH_OPS", "25")),
-        txns=int(os.environ.get("REPRO_BENCH_TXNS", "20")),
-    )
+    scale = Scale(ops_per_txn=knob("REPRO_BENCH_OPS"),
+                  txns=knob("REPRO_BENCH_TXNS"))
     print(full_report(scale))
 
 

@@ -31,7 +31,7 @@ Environment variables:
 
 * ``REPRO_RESULT_CACHE`` — ``0``/``false`` disables the cache,
   ``1``/``true`` (default) enables it; anything else is rejected loudly
-  (see :func:`repro.harness.envutil.env_flag`).
+  (see :mod:`repro.harness.envutil`).
 * ``REPRO_CACHE_DIR`` — override the default ``.benchmarks/cache``
   location (resolved against the current working directory).
 """
@@ -50,9 +50,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.chaos import chaos_point
-from repro.harness.envutil import env_flag
-
-DEFAULT_CACHE_DIR = os.path.join(".benchmarks", "cache")
+from repro.harness.envutil import knob
 
 #: Memoized source fingerprint (the tree does not change mid-process).
 _SOURCE_FINGERPRINT: Optional[str] = None
@@ -88,14 +86,9 @@ def unframe_payload(blob: bytes) -> bytes:
     return payload
 
 
-def cache_enabled_by_env() -> bool:
-    """Whether the cache is enabled (default yes; ``REPRO_RESULT_CACHE=0``
-    opts out; junk values are rejected loudly)."""
-    return env_flag("REPRO_RESULT_CACHE", default=True)
-
-
 def default_cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
+    """``$REPRO_CACHE_DIR`` or ``.benchmarks/cache``."""
+    return Path(knob("REPRO_CACHE_DIR"))
 
 
 def source_fingerprint() -> str:

@@ -10,12 +10,12 @@ samples, the persist log and the crash-consistency verdict.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional
 
 from repro.chaos import chaos_point
 from repro.consistency.checker import CheckResult, check_run
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
+from repro.harness.envutil import knob
 from repro.harness.profiling import maybe_profile
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
@@ -171,7 +171,7 @@ def run_matrix(workloads: List[str], configs: List[Configuration],
     plain in-process serial run with no caching.
     """
     if parallel is None:
-        parallel = bool(os.environ.get("REPRO_PARALLEL"))
+        parallel = knob("REPRO_PARALLEL") is not None
     if parallel or cache:
         from repro.harness.parallel import run_matrix_parallel
 

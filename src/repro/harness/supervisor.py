@@ -41,43 +41,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.envutil import env_float, env_int
+from repro.harness.envutil import check_env, knob
 
-DEFAULT_TIMEOUT_S = 600.0
-DEFAULT_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.1
 DEFAULT_MAX_POOL_RESPAWNS = 3
 
 #: Exponential backoff never sleeps longer than this per retry.
 BACKOFF_CAP_S = 5.0
-
-
-def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-group timeout: explicit argument > ``REPRO_TIMEOUT`` > 600 s.
-
-    ``0`` (argument or env) disables the timeout entirely.
-    """
-    if timeout is None:
-        timeout = env_float("REPRO_TIMEOUT", DEFAULT_TIMEOUT_S, minimum=0.0)
-    return None if not timeout else float(timeout)
-
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Retry budget: explicit argument > ``REPRO_RETRIES`` > 2."""
-    if retries is None:
-        retries = env_int("REPRO_RETRIES", DEFAULT_RETRIES, minimum=0)
-    if retries < 0:
-        raise ValueError("retries must be >= 0, got %d" % retries)
-    return retries
-
-
-def resolve_backoff(backoff: Optional[float] = None) -> float:
-    """Backoff base: explicit argument > ``REPRO_BACKOFF`` > 0.1 s."""
-    if backoff is None:
-        backoff = env_float("REPRO_BACKOFF", DEFAULT_BACKOFF_S, minimum=0.0)
-    if backoff < 0:
-        raise ValueError("backoff must be >= 0, got %g" % backoff)
-    return float(backoff)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,9 +54,9 @@ class SupervisorConfig:
     """Resilience policy for one supervised run."""
 
     max_workers: int = 1
-    timeout_s: Optional[float] = DEFAULT_TIMEOUT_S
-    retries: int = DEFAULT_RETRIES
-    backoff_s: float = DEFAULT_BACKOFF_S
+    timeout_s: Optional[float] = 600.0
+    retries: int = 2
+    backoff_s: float = 0.1
     max_pool_respawns: int = DEFAULT_MAX_POOL_RESPAWNS
 
     @classmethod
@@ -97,11 +66,26 @@ class SupervisorConfig:
                  backoff: Optional[float] = None,
                  max_pool_respawns: Optional[int] = None,
                  ) -> "SupervisorConfig":
+        """The policy for one run: explicit arguments win over the
+        ``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` knobs.
+
+        Every registered knob is validated first, so a junk value fails
+        here even when an argument overrides it.  A timeout of ``0``
+        disables the timeout.
+        """
+        check_env()
+        timeout = timeout if timeout is not None else knob("REPRO_TIMEOUT")
+        retries = retries if retries is not None else knob("REPRO_RETRIES")
+        backoff = backoff if backoff is not None else knob("REPRO_BACKOFF")
+        if retries < 0:
+            raise ValueError("retries must be >= 0, got %d" % retries)
+        if backoff < 0:
+            raise ValueError("backoff must be >= 0, got %g" % backoff)
         return cls(
             max_workers=max(1, max_workers),
-            timeout_s=resolve_timeout(timeout),
-            retries=resolve_retries(retries),
-            backoff_s=resolve_backoff(backoff),
+            timeout_s=float(timeout) if timeout else None,
+            retries=retries,
+            backoff_s=float(backoff),
             max_pool_respawns=(DEFAULT_MAX_POOL_RESPAWNS
                                if max_pool_respawns is None
                                else max_pool_respawns),

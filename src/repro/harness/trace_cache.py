@@ -35,7 +35,7 @@ import zlib
 from pathlib import Path
 from typing import Optional
 
-from repro.harness.envutil import env_flag
+from repro.harness.envutil import knob
 from repro.harness.result_cache import (
     PickleStore,
     canonical_key,
@@ -49,16 +49,6 @@ TRACE_SUBDIR = "traces"
 #: zlib level 1: traces are pickle-memoized and highly repetitive, so the
 #: fastest level already shrinks them severalfold.
 _COMPRESS_LEVEL = 1
-
-
-def trace_cache_enabled_by_env() -> bool:
-    """Whether the trace cache is enabled (default yes).
-
-    ``REPRO_TRACE_CACHE=0`` opts out, ``1`` (or unset/empty) opts in;
-    any other value raises ``ValueError`` (shared
-    :func:`~repro.harness.envutil.env_flag` parsing).
-    """
-    return env_flag("REPRO_TRACE_CACHE", default=True)
 
 
 def default_trace_cache_dir() -> Path:
@@ -120,7 +110,7 @@ def resolve_trace_cache(enabled: Optional[bool] = None,
     explicit ``cache_dir`` points at the trace directory itself.
     """
     if enabled is None:
-        enabled = trace_cache_enabled_by_env()
+        enabled = knob("REPRO_TRACE_CACHE")
     if not enabled:
         return None
     return TraceCache(cache_dir)

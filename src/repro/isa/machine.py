@@ -536,15 +536,6 @@ _ALU_EXPRS: Dict[Opcode, str] = {
 }
 
 
-def fusion_enabled() -> bool:
-    """Whether ``REPRO_FUSION`` enables superinstruction fusion (default
-    on).  Read per :meth:`Machine.run` call so tests can flip it."""
-    # Imported lazily: repro.isa is imported by the harness package, so a
-    # top-level import of repro.harness.envutil would be circular.
-    from repro.harness.envutil import env_flag
-    return env_flag("REPRO_FUSION", default=True)
-
-
 def _block_leaders(program: Program) -> frozenset:
     """Basic-block leaders: pc 0, every label and every static branch
     target, plus every control-transfer successor (fall-through pcs and
@@ -816,7 +807,11 @@ class Machine:
         self.regs[XZR] = 0
         handlers = base
         weights = None
-        if fusion_enabled():
+        # Imported here: repro.harness imports repro.isa.  Read per call
+        # so tests can flip the knob.
+        from repro.harness.envutil import knob
+
+        if knob("REPRO_FUSION"):
             fused_factories, fused_weights = compile_program_fused(program)
             for i, fused_factory in enumerate(fused_factories):
                 if fused_factory is None:

@@ -31,6 +31,7 @@ import dataclasses
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.edk import NUM_KEYS
+from repro.harness.envutil import knob
 from repro.isa.instructions import Instruction
 from repro.multicore import knobs
 from repro.multicore.interleave import run_interleaved
@@ -128,7 +129,7 @@ class MulticoreBuild:
 
     def run(self, streams: Sequence[Sequence[Callable[[], None]]]) -> None:
         """Interleave the per-core unit streams under the env policy/seed."""
-        run_interleaved(streams, knobs.interleave_policy(),
+        run_interleaved(streams, knob("REPRO_INTERLEAVE"),
                         knobs.interleave_seed(self.scale.seed))
 
     def finish(self) -> MultiBuiltWorkload:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Sequence
 
-from repro.multicore.knobs import POLICIES
+#: Supported policies (the ``REPRO_INTERLEAVE`` knob picks one).
+POLICIES = ("round_robin", "weighted")
 
 
 def schedule_order(counts: Sequence[int], policy: str,

@@ -1,28 +1,16 @@
-"""Environment knobs for the multi-core subsystem.
+"""How the multi-core environment knobs shape builds and cache keys.
 
-All knobs are registered in :func:`repro.harness.envutil.describe_env` so
-the ``--env`` tables and the registry/grep sync test stay coherent.
-Because the interleaver policy/seed shape built traces and the coherence
-toggle shapes timing, :func:`multicore_env_signature` folds them into the
-trace/result cache keys (see ``harness/result_cache.py``).
+The knobs themselves (``REPRO_INTERLEAVE``, ``REPRO_INTERLEAVE_SEED``,
+``REPRO_COHERENCE``, ``REPRO_CORES``) are declared and parsed in
+:mod:`repro.harness.envutil`.  Because the interleaver policy/seed shape
+built traces and the coherence toggle shapes timing,
+:func:`multicore_env_signature` folds them into the trace/result cache
+keys (see ``harness/result_cache.py``).
 """
 
 from __future__ import annotations
 
-from repro.harness.envutil import env_flag, env_int, env_positive_int, env_str
-
-#: Supported build-time interleaver policies.
-POLICIES = ("round_robin", "weighted")
-
-
-def interleave_policy() -> str:
-    """``REPRO_INTERLEAVE``: how per-core build units are linearized."""
-    value = env_str("REPRO_INTERLEAVE", "round_robin")
-    if value not in POLICIES:
-        raise ValueError(
-            "REPRO_INTERLEAVE must be one of %s, got %r"
-            % ("/".join(POLICIES), value))
-    return value
+from repro.harness.envutil import knob
 
 
 def interleave_seed(scale_seed: int) -> int:
@@ -32,26 +20,16 @@ def interleave_seed(scale_seed: int) -> int:
     derives deterministically from the workload scale seed, so the same
     (seed, cores) pair always builds the same interleaving.
     """
-    override = env_int("REPRO_INTERLEAVE_SEED", 0, minimum=0)
+    override = knob("REPRO_INTERLEAVE_SEED")
     if override:
         return override
     return (scale_seed * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
 
 
-def coherence_enabled() -> bool:
-    """``REPRO_COHERENCE``: the MESI-lite invalidation model on/off."""
-    return env_flag("REPRO_COHERENCE", default=True)
-
-
-def experiment_cores() -> int:
-    """``REPRO_CORES``: core count for the hazard-pointer experiment."""
-    return env_positive_int("REPRO_CORES", 2)
-
-
 def multicore_env_signature() -> str:
     """Cache-key component covering every build/run-shaping multicore knob."""
     return "multicore:%s:%d:%d" % (
-        env_str("REPRO_INTERLEAVE", "round_robin"),
-        env_int("REPRO_INTERLEAVE_SEED", 0, minimum=0),
-        1 if env_flag("REPRO_COHERENCE", default=True) else 0,
+        knob("REPRO_INTERLEAVE"),
+        knob("REPRO_INTERLEAVE_SEED"),
+        1 if knob("REPRO_COHERENCE") else 0,
     )

@@ -23,9 +23,9 @@ import dataclasses
 import gc
 from typing import List, Optional
 
+from repro.harness.envutil import knob
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
-from repro.multicore import knobs
 from repro.multicore.coherence import CoherenceDirectory, CoherentHierarchy
 from repro.multicore.core import CoherentCore
 from repro.multicore.edm_bus import SharedEdmBus
@@ -172,7 +172,7 @@ def simulate_built(built, config, params, warm: bool = True,
             coherence=None,
             bus=None,
         )
-    directory = CoherenceDirectory(enabled=knobs.coherence_enabled())
+    directory = CoherenceDirectory(enabled=knob("REPRO_COHERENCE"))
     bus = SharedEdmBus()
     cores: List[CoherentCore] = []
     for core_id in range(cores_n):

@@ -281,7 +281,8 @@ class OutOfOrderCore:
             if dyn.is_store_class:
                 self._store_epoch_outstanding[dyn.store_epoch] -= 1
                 self._sq_used -= 1
-            if dyn.is_memory:
+            if dyn.is_memory and not dyn.completed:
+                # A completed load already left its epoch in _mark_complete.
                 self._mem_epoch_outstanding[dyn.mem_epoch] -= 1
             if dyn.is_load and not dyn.executed:
                 self._lq_used -= 1  # executed loads freed theirs at return

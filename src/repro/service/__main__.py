@@ -29,12 +29,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.harness.envutil import (
-    env_int,
-    env_positive_int,
-    env_str,
-    render_env_table,
-)
+from repro.harness.cliutil import exit_on_bad_env
+from repro.harness.envutil import knob, render_env_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,11 +116,11 @@ def _cmd_serve(args) -> int:
     from repro.service.server import ServiceServer
 
     host = args.host if args.host is not None else \
-        env_str("REPRO_SERVICE_HOST", "127.0.0.1")
+        knob("REPRO_SERVICE_HOST")
     port = args.port if args.port is not None else \
-        env_int("REPRO_SERVICE_PORT", 0, minimum=0)
+        knob("REPRO_SERVICE_PORT")
     depth = args.queue_depth if args.queue_depth is not None else \
-        env_positive_int("REPRO_SERVICE_QUEUE_DEPTH", 64)
+        knob("REPRO_SERVICE_QUEUE_DEPTH")
 
     from repro.service.queue import BoundedJobQueue
 
@@ -248,6 +244,7 @@ def _cmd_metrics(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    exit_on_bad_env("repro.service")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.env:

@@ -30,15 +30,8 @@ import random
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.harness.envutil import env_float
+from repro.harness.envutil import knob
 from repro.service.jobs import JobSpec, JobState
-
-
-def request_deadline_by_env() -> Optional[float]:
-    """``REPRO_REQUEST_DEADLINE``: default end-to-end deadline in
-    seconds sent as ``X-Deadline`` on every request (0 = none)."""
-    value = env_float("REPRO_REQUEST_DEADLINE", 0.0, minimum=0.0)
-    return value if value > 0 else None
 
 
 class ServiceError(RuntimeError):
@@ -87,7 +80,7 @@ class ServiceClient:
         self.client_id = client_id
         self.timeout = timeout
         self.deadline_s = (deadline_s if deadline_s is not None
-                           else request_deadline_by_env())
+                           else knob("REPRO_REQUEST_DEADLINE") or None)
 
     # --- low-level ----------------------------------------------------------
 

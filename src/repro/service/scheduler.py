@@ -38,18 +38,11 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS
+from repro.harness.envutil import knob
 from repro.harness.parallel import resolve_workers
-from repro.harness.result_cache import (
-    ReportCache,
-    ResultCache,
-    cache_enabled_by_env,
-)
+from repro.harness.result_cache import ReportCache, ResultCache
 from repro.harness.supervisor import SupervisorConfig, run_supervised
-from repro.harness.trace_cache import (
-    TRACE_SUBDIR,
-    TraceCache,
-    trace_cache_enabled_by_env,
-)
+from repro.harness.trace_cache import TRACE_SUBDIR, TraceCache
 from repro.service.jobs import (
     Job,
     JobSpec,
@@ -160,14 +153,14 @@ class Scheduler:
         self._supervisor_overrides = (timeout, retries, backoff)
 
         if cache is None:
-            cache = cache_enabled_by_env()
+            cache = knob("REPRO_RESULT_CACHE")
         self.store: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache else None)
         self.report_store: Optional[ReportCache] = (
             ReportCache(cache_dir) if cache else None)
         if trace_cache is None:
             trace_cache = False if cache is False else \
-                trace_cache_enabled_by_env()
+                knob("REPRO_TRACE_CACHE")
         self.trace_dir: Optional[str] = None
         if trace_cache:
             if cache_dir is not None:

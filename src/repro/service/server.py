@@ -46,7 +46,7 @@ from typing import Dict, Optional
 
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.envutil import env_float
+from repro.harness.envutil import knob
 from repro.service.http import (
     MAX_BODY_BYTES,
     BaseHttpServer,
@@ -58,17 +58,6 @@ from repro.service.queue import QueueFullError
 from repro.service.scheduler import DrainingError, Scheduler
 
 __all__ = ["ServiceServer", "ThreadedServer", "MAX_BODY_BYTES"]
-
-#: Default wall-clock bound on the SIGTERM drain window (seconds).
-DEFAULT_DRAIN_TIMEOUT_S = 60.0
-
-
-def drain_timeout_by_env() -> float:
-    """``REPRO_DRAIN_TIMEOUT``: seconds a drain may take before a hard
-    stop (queued work beyond the window is abandoned to the cache)."""
-    return env_float("REPRO_DRAIN_TIMEOUT", DEFAULT_DRAIN_TIMEOUT_S,
-                     minimum=0.0)
-
 
 class ServiceServer(BaseHttpServer):
     """One scheduler plus the asyncio HTTP listener in front of it."""
@@ -97,7 +86,7 @@ class ServiceServer(BaseHttpServer):
         either way).
         """
         if timeout is None:
-            timeout = drain_timeout_by_env()
+            timeout = knob("REPRO_DRAIN_TIMEOUT")
         drained = True
         try:
             if timeout > 0:

@@ -11,7 +11,6 @@ run scaled-down but steady-state-reaching sizes.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 from typing import Callable, Dict
 
@@ -113,7 +112,10 @@ def _maybe_static_check(built: BuiltWorkload, name: str, mode: str) -> None:
     Cache hits are not re-checked: the cached trace is byte-identical to a
     build that was (or can be) checked.
     """
-    if os.environ.get("REPRO_STATIC_CHECK", "") in ("", "0"):
+    # Imported here: repro.harness imports this module.
+    from repro.harness.envutil import knob
+
+    if not knob("REPRO_STATIC_CHECK"):
         return
     from repro.analysis.report import static_check
 

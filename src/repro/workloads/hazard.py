@@ -122,6 +122,7 @@ def build_hazard(mode: str, scale: Scale) -> BuiltWorkload:
 
 def _build_hazard_multicore(mode: str, scale: Scale) -> BuiltWorkload:
     """The contended N-core variant (volatile; driven by the interleaver)."""
+    from repro.harness.envutil import knob
     from repro.multicore import knobs
     from repro.multicore.build import (
         MultiBuiltWorkload,
@@ -234,7 +235,7 @@ def _build_hazard_multicore(mode: str, scale: Scale) -> BuiltWorkload:
             units.append(announce_unit(core, index))
             units.append(validate_unit(core, mutate_index, mutate_payload))
         streams.append(units)
-    run_interleaved(streams, knobs.interleave_policy(),
+    run_interleaved(streams, knob("REPRO_INTERLEAVE"),
                     knobs.interleave_seed(scale.seed))
 
     core_traces = [builder.finish() for builder in builders]

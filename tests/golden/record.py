@@ -153,9 +153,8 @@ def squash_workload_core(workload: str, config_name: str, picks):
 
 #: Real-trace squash cases: name -> (workload, config, (pick, offset)
 #: pairs), squashing ``offset`` instructions past the ``pick``-th barrier.
-#: ``update/SU/1+2`` pins a known defect: the squash flushes a completed
-#: load, its memory-epoch count is decremented twice, and the run ends in
-#: a pipeline deadlock (recorded as such).
+#: ``update/SU/1+2`` flushes a load that has already completed (and so
+#: already left its DMB memory epoch).
 SQUASH_WORKLOADS = {
     "update/SU/0+1": ("update", "SU", ((0, 1),)),
     "update/SU/1+2": ("update", "SU", ((1, 2),)),

@@ -10,7 +10,6 @@ from repro.harness.configs import DEFAULT_PARAMS
 from repro.harness.parallel import run_matrix_parallel
 from repro.harness.result_cache import (
     ResultCache,
-    cache_enabled_by_env,
     default_cache_dir,
     source_fingerprint,
     unframe_payload,
@@ -123,13 +122,18 @@ class TestEngineIntegration:
                             cache=True, cache_dir=tmp_path)
         assert len(store) == 2
 
-    def test_cache_opt_out_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        assert not cache_enabled_by_env()
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "1")
-        assert cache_enabled_by_env()
-        monkeypatch.delenv("REPRO_RESULT_CACHE")
-        assert cache_enabled_by_env()
+    def test_cache_opt_out_env(self, monkeypatch, tmp_path):
+        def stored(env_value):
+            monkeypatch.setenv("REPRO_RESULT_CACHE", env_value)
+            root = tmp_path / ("cache-%s" % (env_value or "unset"))
+            run_matrix_parallel(["update"], [CONFIG], TEST_SCALE,
+                                max_workers=1, cache_dir=root,
+                                trace_cache=False)
+            return len(ResultCache(root))
+
+        assert stored("0") == 0
+        assert stored("1") == 1
+        assert stored("") == 1
 
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))

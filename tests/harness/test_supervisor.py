@@ -9,9 +9,6 @@ import pytest
 from repro.harness.supervisor import (
     SupervisorConfig,
     SupervisorError,
-    resolve_backoff,
-    resolve_retries,
-    resolve_timeout,
     run_supervised,
 )
 
@@ -132,14 +129,16 @@ class TestRetries:
         monkeypatch.setenv("REPRO_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_RETRIES", "4")
         monkeypatch.setenv("REPRO_BACKOFF", "0.25")
-        assert resolve_timeout() == 12.5
-        assert resolve_retries() == 4
-        assert resolve_backoff() == 0.25
+        cfg = SupervisorConfig.from_env()
+        assert (cfg.timeout_s, cfg.retries, cfg.backoff_s) == (12.5, 4, 0.25)
+        cfg = SupervisorConfig.from_env(timeout=3, retries=1, backoff=0)
+        assert (cfg.timeout_s, cfg.retries, cfg.backoff_s) == (3.0, 1, 0.0)
         monkeypatch.setenv("REPRO_TIMEOUT", "0")
-        assert resolve_timeout() is None  # 0 disables the timeout
+        # 0 disables the timeout
+        assert SupervisorConfig.from_env().timeout_s is None
         monkeypatch.setenv("REPRO_RETRIES", "-1")
         with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            resolve_retries()
+            SupervisorConfig.from_env(retries=2)
 
     def test_backoff_is_exponential_and_capped(self):
         cfg = SupervisorConfig(backoff_s=1.0)

@@ -8,7 +8,7 @@ import pytest
 from repro.harness import CONFIGURATIONS, configuration, run_matrix, run_one
 from repro.harness.configs import DEFAULT_PARAMS
 from repro.harness.parallel import run_matrix_parallel
-from repro.harness.profiling import profile_enabled_by_env
+from repro.harness.profiling import maybe_profile
 from repro.harness.result_cache import (
     default_cache_dir,
     source_fingerprint,
@@ -18,7 +18,7 @@ from repro.harness.trace_cache import (
     TraceCache,
     default_trace_cache_dir,
     load_or_build,
-    trace_cache_enabled_by_env,
+    resolve_trace_cache,
 )
 from repro.workloads import TEST_SCALE, Scale, base as workload_base
 
@@ -156,16 +156,17 @@ class TestZeroRebuildMatrix:
 class TestEnvKnobs:
     def test_trace_cache_opt_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert not trace_cache_enabled_by_env()
+        assert resolve_trace_cache() is None
         monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert trace_cache_enabled_by_env()
+        assert isinstance(resolve_trace_cache(), TraceCache)
         monkeypatch.delenv("REPRO_TRACE_CACHE")
-        assert trace_cache_enabled_by_env()
+        assert isinstance(resolve_trace_cache(), TraceCache)
+        assert resolve_trace_cache(enabled=False) is None
 
     def test_trace_cache_rejects_malformed(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "yes")
         with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            trace_cache_enabled_by_env()
+            resolve_trace_cache()
 
     def test_cache_dir_env_moves_traces(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
@@ -174,16 +175,23 @@ class TestEnvKnobs:
         assert default_trace_cache_dir() == default_cache_dir() / "traces"
         assert str(default_cache_dir()) == os.path.join(".benchmarks", "cache")
 
-    def test_profile_knob_validation(self, monkeypatch):
+    def test_profile_knob_validation(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path))
+
+        def profiled(label):
+            with maybe_profile(label, "build"):
+                pass
+            return (tmp_path / ("%s.build.prof" % label)).exists()
+
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not profile_enabled_by_env()
+        assert not profiled("unset")
         monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not profile_enabled_by_env()
+        assert not profiled("off")
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert profile_enabled_by_env()
+        assert profiled("on")
         monkeypatch.setenv("REPRO_PROFILE", "verbose")
         with pytest.raises(ValueError, match="REPRO_PROFILE"):
-            profile_enabled_by_env()
+            profiled("junk")
 
     def test_profile_dumps_per_phase_stats(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PROFILE", "1")

@@ -16,7 +16,6 @@ from repro.isa.machine import (
     SparseMemory,
     _block_leaders,
     compile_program_fused,
-    fusion_enabled,
 )
 from tests.isa.test_threaded_machine import GOLDEN_PROGRAMS, run_both
 
@@ -219,10 +218,24 @@ class TestFaultParity:
 
 
 def test_fusion_enabled_default_and_knob(monkeypatch):
+    """The knob reaches Machine.run: fused handlers are compiled only
+    when it is on (the default), and junk is refused."""
+    import repro.isa.machine as machine
+
+    calls = []
+
+    def spy(program):
+        calls.append(program)
+        return compile_program_fused(program)
+
+    monkeypatch.setattr(machine, "compile_program_fused", spy)
+    program = assemble(GOLDEN_PROGRAMS["figure4_undo_log"])
     monkeypatch.delenv("REPRO_FUSION", raising=False)
-    assert fusion_enabled() is True
+    Machine().run(program)
+    assert len(calls) == 1
     monkeypatch.setenv("REPRO_FUSION", "0")
-    assert fusion_enabled() is False
+    Machine().run(program)
+    assert len(calls) == 1
     monkeypatch.setenv("REPRO_FUSION", "bogus")
-    with pytest.raises(ValueError):
-        fusion_enabled()
+    with pytest.raises(ValueError, match="REPRO_FUSION"):
+        Machine().run(program)

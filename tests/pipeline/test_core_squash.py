@@ -1,10 +1,7 @@
 """Tests for squash injection and EDM checkpoint recovery (Section V-A1)."""
 
-import pytest
-
 from repro.core.policies import IQ_POLICY, WB_POLICY
 from repro.isa import instructions as ops
-from repro.pipeline.core import SimulationError
 
 from tests.pipeline.conftest import NVM, make_core
 
@@ -81,12 +78,14 @@ class TestSquashRecovery:
         assert stats.retired == len(core.trace)
 
 
-@pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
-    "known defect: a squash that flushes an already-completed load "
-    "decrements its DMB memory-epoch count a second time, so the epoch "
-    "never drains and younger memory operations never issue"))
 def test_squash_flushing_a_completed_load_under_dmb():
+    """A squash that flushes an already-completed load must not take it
+    out of its DMB memory epoch a second time: the count would go
+    negative, the epoch would never drain and the run would deadlock."""
     from tests.golden.record import SQUASH_WORKLOADS, squash_workload_core
 
     core, _ = squash_workload_core(*SQUASH_WORKLOADS["update/SU/1+2"])
-    core.run()
+    stats = core.run()
+    assert stats.squashes == 1
+    assert stats.retired == len(core.trace)
+    assert all(count == 0 for count in core._mem_epoch_outstanding.values())

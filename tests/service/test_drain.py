@@ -192,11 +192,12 @@ class TestSubmitRetrying:
 
 
 def test_drain_timeout_knob(monkeypatch):
-    from repro.service.server import drain_timeout_by_env
+    from repro.harness.envutil import knob
 
-    assert drain_timeout_by_env() == 60.0
+    monkeypatch.delenv("REPRO_DRAIN_TIMEOUT", raising=False)
+    assert knob("REPRO_DRAIN_TIMEOUT") == 60.0
     monkeypatch.setenv("REPRO_DRAIN_TIMEOUT", "5.5")
-    assert drain_timeout_by_env() == 5.5
+    assert knob("REPRO_DRAIN_TIMEOUT") == 5.5
     monkeypatch.setenv("REPRO_DRAIN_TIMEOUT", "soon")
     with pytest.raises(ValueError, match="REPRO_DRAIN_TIMEOUT"):
-        drain_timeout_by_env()
+        knob("REPRO_DRAIN_TIMEOUT")
