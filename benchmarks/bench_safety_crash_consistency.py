@@ -26,7 +26,7 @@ def test_safety_matrix(benchmark):
 
 
 def test_crash_recovery_replay(benchmark):
-    """Replay undo recovery at sampled crash points on the kernels."""
+    """Replay undo recovery at every crash point on the kernels."""
     def run():
         matrix = full_matrix()
         outcome = {}
@@ -36,14 +36,13 @@ def test_crash_recovery_replay(benchmark):
                 run_result = matrix[app][name]
                 injector = CrashInjector(run_result.built,
                                          run_result.persist_log)
-                reports = injector.validate_many(stride=7)
+                reports = injector.validate_many()
                 bad = sum(1 for r in reports if not r.consistent)
                 outcome[app][name] = (len(reports), bad)
         return outcome
 
     outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_header("Crash-injection recovery replay (crash points sampled "
-                 "every 7 persist events)")
+    print_header("Crash-injection recovery replay (every crash point)")
     for app, per_config in outcome.items():
         for name, (points, bad) in per_config.items():
             print("  %-7s %-3s %4d crash points, %4d unrecoverable"

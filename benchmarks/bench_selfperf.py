@@ -4,8 +4,9 @@ Unlike the other benches, this one measures the reproduction itself rather
 than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the threaded-code interpreter vs the reference interpreter, and
-the workload build path), serial-vs-parallel full-matrix wall time, and
-the persistent result and trace caches' cold/warm behaviour.  The numbers
+the workload build path), serial-vs-parallel full-matrix wall time, the
+persistent result and trace caches' cold/warm behaviour, and the crash
+sweep's cost per crash point.  The numbers
 land in the BENCH JSON (``benchmark.extra_info``) so the performance
 trajectory is tracked across commits.
 
@@ -29,9 +30,10 @@ import time
 from pathlib import Path
 
 from benchmarks.common import bench_scale, print_header
+from repro.consistency.crash_sim import CrashInjector
 from repro.harness.configs import DEFAULT_PARAMS, configuration
 from repro.harness.parallel import resolve_workers, run_matrix_parallel
-from repro.harness.runner import run_matrix, warm_hierarchy
+from repro.harness.runner import run_matrix, run_one, warm_hierarchy
 from repro.harness.trace_cache import TraceCache
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine
@@ -424,3 +426,34 @@ def test_selfperf_result_cache(benchmark):
     print("  cold (simulate + store) : %.3f s" % cold_s)
     print("  warm (cache hits)       : %.3f s  (%.2fx)" % (warm_s, speedup))
     assert speedup > 1.0
+
+
+def test_selfperf_crash_sweep(benchmark):
+    """Crash-sweep cost per point: full update and swap sweeps under WB."""
+    scale = bench_scale()
+    config = configuration("WB")
+    runs = [run_one(app, config, scale) for app in ("update", "swap")]
+    timings = []
+
+    def sweep():
+        start = time.perf_counter()
+        reports = [CrashInjector(run.built, run.persist_log).validate_many()
+                   for run in runs]
+        timings.append(time.perf_counter() - start)
+        return reports
+
+    reports = benchmark.pedantic(sweep, rounds=3, iterations=1)
+    points = sum(len(sweep_reports) for sweep_reports in reports)
+    best = min(timings)
+    us_per_point = best / points * 1e6
+    benchmark.extra_info["crash_points"] = points
+    benchmark.extra_info["sweep_seconds_best"] = round(best, 4)
+    benchmark.extra_info["crash_us_per_point"] = round(us_per_point, 1)
+    _record(crash_us_per_point=round(us_per_point, 1),
+            crash_points=points)
+
+    print_header("Self-perf: crash sweep, every point of update+swap x WB")
+    print("  crash points : %d" % points)
+    print("  best of %d    : %.3f s  ->  %.1f us/point"
+          % (len(timings), best, us_per_point))
+    assert points == sum(len(run.persist_log) + 1 for run in runs)

@@ -27,7 +27,7 @@ searches the (fence placement x EDK allocation) space:
    producer-overwrite check, and is rejected.
 4. **The dynamic oracle** simulates the surviving variant and accepts
    it only if the consistency checker stays clean, the crash-injection
-   sweep recovers at every sampled point, and the recovered-state
+   sweep recovers at every crash point, and the recovered-state
    digest is bit-identical to the unoptimized serial run.  A variant
    that fails falls back (drop the key map, then revert entirely).
 
@@ -85,11 +85,6 @@ REVERTED = "reverted"
 #: Verdict ranks for the no-regression rule: a candidate may keep or
 #: improve an obligation's verdict, never worsen it.
 _VERDICT_RANK = {VIOLATED: 0, INDETERMINATE: 1, GUARANTEED: 2}
-
-#: Crash-sweep sampling: cap the number of injected crash points so the
-#: dynamic oracle stays affordable at bench scales.
-_MAX_SWEEP_POINTS = 33
-
 
 # --- report types -------------------------------------------------------------
 
@@ -586,8 +581,7 @@ def autotune_workload(
             injector = CrashInjector(variant, opt_run.persist_log)
             sweep_ok = True
             if injector.supports_recovery_validation:
-                stride = max(1, (len(opt_run.persist_log) + 1) // _MAX_SWEEP_POINTS)
-                reports = injector.validate_many(stride=stride)
+                reports = injector.validate_many()
                 sweep_ok = all(r.consistent for r in reports)
                 sweep = {
                     "supported": True,

@@ -1,10 +1,11 @@
 """Crash injection and undo-log recovery replay.
 
 The persist log is the total order in which lines reached the persistence
-domain; a *crash point* is any prefix of it.  The injector reconstructs the
-NVM image at a crash point from the workload's per-persist line snapshots,
-runs undo recovery against it, and checks that the recovered state equals
-the state at the last committed transaction boundary.
+domain; a *crash point* is any prefix of it, ``0..len(persist_log)``.  At a
+crash point the NVM image is the baseline plus the line snapshots of every
+tagged persist in the prefix; undo recovery runs against that image, and
+the recovered state must equal the state at the last committed
+transaction boundary.
 
 Recovery protocol (matching :mod:`repro.nvmfw`):
 
@@ -16,6 +17,28 @@ Recovery protocol (matching :mod:`repro.nvmfw`):
   whose epoch matches the in-flight transaction, skipping stale entries
   from earlier epochs (EDE lets entries persist out of order, so the scan
   tolerates gaps).
+
+Validation is one sweep: a single pass over the persist log in ascending
+crash-point order, whose work at each point is proportional to what
+changed rather than to the image size.  The sweep keeps
+
+* a running image, to which each tagged record's line snapshot is
+  applied in place;
+* the written log-slot addresses of each layout, so recovery never scans
+  the image for its log region;
+* an undo overlay — recovery's restored values, kept beside the image
+  rather than in a copy of it;
+* per transaction boundary, computed once per sweep, the tracked cells
+  whose expected value differs from the baseline;
+* per core, the *stale* cells: tracked cells whose image value differs
+  from the expected state at the current boundary.  Each snapshot
+  updates them cell by cell; a new boundary rebuilds them from the
+  tracked cells written so far plus that boundary's differing cells,
+  since every other tracked cell holds its baseline value on both sides.
+
+At a crash point only the stale cells and the undo targets can disagree
+with the expected state, so only those are compared, and mismatches are
+reported in the expected state's key order.
 
 Known approximations (documented in DESIGN.md): line snapshots capture
 program-order content at emission, and untagged dirty evictions are not
@@ -31,11 +54,42 @@ out.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.persist_domain import PersistLog
 from repro.nvmfw.framework import BuiltWorkload
 from repro.nvmfw.layout import LOG_ENTRY_BYTES, NvmLayout
+
+
+def _log_slots(addrs, layout: NvmLayout) -> List[int]:
+    """The slot addresses of ``layout``'s undo log among ``addrs``, sorted.
+
+    A slot is the 16-byte-aligned first word of an entry in
+    ``[log_base, log_base + log_capacity * 16)``.
+    """
+    low = layout.log_base
+    high = low + layout.log_capacity * LOG_ENTRY_BYTES
+    return sorted(addr for addr in addrs
+                  if low <= addr < high and not (addr - low) % LOG_ENTRY_BYTES)
+
+
+def _undo_entries(read, slots: Sequence[int], epoch: int) -> List:
+    """Decode the undo entries of the in-flight transaction.
+
+    ``read`` maps an address to its current value (0 when never written)
+    and ``slots`` lists the written slot addresses in ascending order.
+    The ``(addr, old_value)`` pairs come back in the order recovery
+    applies them — reverse slot order, so the lowest slot's old value
+    wins when two entries name one address.  Empty slots are skipped
+    rather than ending the scan: EDE lets log-line persists reorder, so
+    an empty slot can be a gap before a persisted later entry.
+    """
+    entries = []
+    for slot in reversed(slots):
+        tagged_addr = read(slot)
+        if tagged_addr and tagged_addr & 7 == epoch:
+            entries.append((tagged_addr & ~7, read(slot + 8)))
+    return entries
 
 
 def recover_undo(image: Dict[int, int],
@@ -45,33 +99,23 @@ def recover_undo(image: Dict[int, int],
     Parameterized by layout so multi-core images — where each core has its
     own carve-out — recover core by core over disjoint regions.
     """
+    def read(addr: int) -> int:
+        return image.get(addr, 0)
+
+    slots = _log_slots(image, layout)
+    epoch = read(layout.commit_record_addr) & 7
     recovered = dict(image)
-    committed = recovered.get(layout.commit_record_addr, 0)
-    epoch = committed & 7
-
-    log_end = layout.log_base + layout.log_bytes
-    used = [a for a in recovered if layout.log_base <= a < log_end]
-    highest_slot = max(used) if used else layout.log_base
-
-    undo: List = []
-    for index in range(layout.log_capacity):
-        slot = layout.log_base + index * LOG_ENTRY_BYTES
-        if slot > highest_slot:
-            break  # past everything ever persisted into the log
-        tagged_addr = recovered.get(slot, 0)
-        if tagged_addr == 0:
-            # EDE lets log-line persists reorder, so an empty slot can
-            # be a gap before a persisted later entry — keep scanning.
-            continue
-        if tagged_addr & 7 != epoch:
-            continue  # stale entry from an earlier transaction
-        addr = tagged_addr & ~7
-        old_value = recovered.get(slot + 8, 0)
-        undo.append((slot, addr, old_value))
-
-    for _slot, addr, old_value in reversed(undo):
-        recovered[addr] = old_value
+    recovered.update(_undo_entries(read, slots, epoch))
     return recovered
+
+
+def _boundary_state(tracked: List[Dict[int, int]],
+                    baseline: Dict[int, int],
+                    committed: int) -> Dict[int, int]:
+    """Tracked state after ``committed`` transactions of one core."""
+    if committed <= 0:
+        return {addr: baseline.get(addr, 0) for addr in tracked[0]}
+    return tracked[committed - 1]
 
 
 @dataclasses.dataclass
@@ -85,6 +129,163 @@ class CrashReport:
     @property
     def consistent(self) -> bool:
         return not self.mismatches
+
+
+def _check_point(point: int, length: int) -> None:
+    if not 0 <= point <= length:
+        raise ValueError(
+            "crash point %d is outside the persist log: a log of length %d "
+            "has crash points 0..%d" % (point, length, length))
+
+
+class _CoreSweep:
+    """One core's share of a crash sweep: its undo log's written slots,
+    its per-boundary expected states and its stale cells (see the module
+    docstring), kept in step with the running image."""
+
+    def __init__(self, image: Dict[int, int], baseline: Dict[int, int],
+                 layout: NvmLayout, txn_offset: int,
+                 tracked: List[Dict[int, int]], prefix: str,
+                 boundary_label: str):
+        self.image = image
+        self.baseline = baseline
+        self.layout = layout
+        self.txn_offset = txn_offset
+        self.tracked = tracked
+        #: Mismatch-string prefix and boundary label.
+        self.prefix = prefix
+        self.boundary_label = boundary_label
+        self.slots = _log_slots(image, layout)
+        self._slot_set = set(self.slots)
+        #: boundary -> (expected state, cells differing from the baseline)
+        self._boundaries: Dict[int, tuple] = {}
+        self._orders: Dict[int, Dict[int, int]] = {}
+        self._boundary: Optional[int] = None
+        self.expected: Dict[int, int] = {}
+        self.stale: set = set()
+
+    def apply(self, snapshot: Dict[int, int]) -> None:
+        """Follow ``snapshot``, just applied to the running image."""
+        fresh = [addr for addr in _log_slots(snapshot, self.layout)
+                 if addr not in self._slot_set]
+        if fresh:
+            self._slot_set.update(fresh)
+            self.slots = sorted(self._slot_set)
+        expected = self.expected
+        for addr in snapshot:
+            if addr in expected:
+                if self.image[addr] == expected[addr]:
+                    self.stale.discard(addr)
+                else:
+                    self.stale.add(addr)
+
+    def recover(self, read, overlay: Dict[int, int]) -> None:
+        """Add this core's undo entries to ``overlay``."""
+        epoch = read(self.layout.commit_record_addr) & 7
+        overlay.update(_undo_entries(read, self.slots, epoch))
+
+    def compare(self, read, overlay: Dict[int, int],
+                written: set) -> Tuple[int, List[str]]:
+        """The local committed count and the mismatches after recovery."""
+        raw = read(self.layout.commit_record_addr)
+        local = raw - self.txn_offset if raw else 0
+        if not self.tracked:
+            return local, []
+        boundary = max(local, 0)
+        if boundary != self._boundary:
+            self._enter(boundary, written)
+        expected = self.expected
+        cells = self.stale.union(expected.keys() & overlay.keys())
+        bad = [addr for addr in cells if read(addr) != expected[addr]]
+        if len(bad) > 1:
+            order = self._orders.get(boundary)
+            if order is None:
+                order = self._orders[boundary] = dict(
+                    zip(expected, range(len(expected))))
+            bad.sort(key=order.__getitem__)
+        return local, ["%saddr %#x: recovered %d, expected %d (%s %d)"
+                       % (self.prefix, addr, read(addr), expected[addr],
+                          self.boundary_label, local)
+                       for addr in bad]
+
+    def _enter(self, boundary: int, written: set) -> None:
+        entry = self._boundaries.get(boundary)
+        if entry is None:
+            baseline = self.baseline
+            expected = _boundary_state(self.tracked, baseline, boundary)
+            baseline_value = baseline.get
+            diff = [addr for addr, value in expected.items()
+                    if value != baseline_value(addr, 0)]
+            entry = self._boundaries[boundary] = (expected, diff)
+        self._boundary = boundary
+        self.expected, diff = entry
+        cells = self.expected.keys() & written
+        cells.update(diff)
+        self.stale = {addr for addr in cells
+                      if self.image.get(addr, 0) != self.expected[addr]}
+
+
+def _sweep(built, persist_log: PersistLog, crash_points: Sequence[int],
+           core_specs: Sequence[dict]) -> List[CrashReport]:
+    """Recover at every crash point in one ascending pass over the log.
+
+    ``core_specs`` holds the :class:`_CoreSweep` arguments of each core
+    after the image and baseline.  Recovery runs core by core in list
+    order over the undo overlay, so a later core reads any cell an
+    earlier core restored.  A core's local committed count is its commit
+    record minus its transaction offset; its tracked cells are compared
+    at that local boundary.  Reports come back in ``crash_points`` order,
+    one per entry, duplicates included.
+    """
+    crash_points = list(crash_points)
+    length = len(persist_log)
+    for point in crash_points:
+        _check_point(point, length)
+    snapshots = built.line_snapshots
+    image = dict(built.baseline_memory)
+    overlay: Dict[int, int] = {}
+    written = set()  # every cell an applied snapshot wrote
+
+    def read(addr: int) -> int:
+        return overlay[addr] if addr in overlay else image.get(addr, 0)
+
+    cores = [_CoreSweep(image, built.baseline_memory, **spec)
+             for spec in core_specs]
+
+    by_point: Dict[int, CrashReport] = {}
+    applied = 0
+    for point in sorted(set(crash_points)):
+        for seq in range(applied, point):
+            record = persist_log[seq]
+            if record.tag is None:
+                continue  # untagged eviction: see module docstring
+            snapshot = snapshots.get(record.tag)
+            if not snapshot:
+                continue
+            image.update(snapshot)
+            written.update(snapshot)
+            for core in cores:
+                core.apply(snapshot)
+        applied = point
+
+        overlay.clear()
+        for core in cores:
+            core.recover(read, overlay)
+        mismatches: List[str] = []
+        committed_total = 0
+        for core in cores:
+            local, core_mismatches = core.compare(read, overlay, written)
+            committed_total += max(local, 0)
+            mismatches += core_mismatches
+        by_point[point] = CrashReport(
+            crash_point=point,
+            committed_txns=committed_total,
+            mismatches=mismatches,
+        )
+
+    return [dataclasses.replace(by_point[point],
+                                mismatches=list(by_point[point].mismatches))
+            for point in crash_points]
 
 
 class CrashInjector:
@@ -110,6 +311,7 @@ class CrashInjector:
 
     def image_at(self, crash_point: int) -> Dict[int, int]:
         """NVM content after the first ``crash_point`` persist events."""
+        _check_point(crash_point, len(self.persist_log))
         image = dict(self.built.baseline_memory)
         for record in self.persist_log.prefix(crash_point):
             if record.tag is None:
@@ -129,46 +331,39 @@ class CrashInjector:
 
     def expected_state(self, committed_txns: int) -> Dict[int, int]:
         """Tracked state after ``committed_txns`` transactions."""
-        tracked = self.built.committed_states
-        if not tracked:
+        self._require_committed_states()
+        return _boundary_state(self.built.committed_states,
+                               self.built.baseline_memory, committed_txns)
+
+    def _require_committed_states(self) -> None:
+        if not self.built.committed_states:
             raise ValueError(
                 "workload did not record committed states; check "
                 "supports_recovery_validation before validating")
-        if committed_txns <= 0:
-            baseline = self.built.baseline_memory
-            return {addr: baseline.get(addr, 0) for addr in tracked[0]}
-        return tracked[committed_txns - 1]
 
     def validate(self, crash_point: int) -> CrashReport:
         """Recover at one crash point; compare against the boundary state."""
+        return self.validate_many([crash_point])[0]
+
+    def validate_many(self, crash_points: Optional[Sequence[int]] = None,
+                      stride: int = 1) -> List[CrashReport]:
+        """Validate a set of crash points (default: every ``stride``-th).
+
+        One sweep over the persist log serves every point; reports come
+        back in the order asked for.
+        """
         if getattr(self.built, "cores", 1) > 1:
             raise ValueError(
                 "single-core recovery validation cannot express concurrent "
                 "commits; use validate_multicore for %d-core builds"
                 % self.built.cores)
-        image = self.image_at(crash_point)
-        recovered = self.recover(image)
-        committed = recovered.get(self.built.layout.commit_record_addr, 0)
-        expected = self.expected_state(committed)
-        mismatches = []
-        for addr, value in expected.items():
-            got = recovered.get(addr, self.built.baseline_memory.get(addr, 0))
-            if got != value:
-                mismatches.append(
-                    "addr %#x: recovered %d, expected %d (txn boundary %d)"
-                    % (addr, got, value, committed))
-        return CrashReport(
-            crash_point=crash_point,
-            committed_txns=committed,
-            mismatches=mismatches,
-        )
-
-    def validate_many(self, crash_points: Optional[Sequence[int]] = None,
-                      stride: int = 1) -> List[CrashReport]:
-        """Validate a set of crash points (default: every ``stride``-th)."""
+        self._require_committed_states()
         if crash_points is None:
             crash_points = range(0, len(self.persist_log) + 1, stride)
-        return [self.validate(point) for point in crash_points]
+        core = dict(layout=self.built.layout, txn_offset=0,
+                    tracked=self.built.committed_states, prefix="",
+                    boundary_label="txn boundary")
+        return _sweep(self.built, self.persist_log, crash_points, [core])
 
 
 def validate_multicore(built, persist_log: PersistLog,
@@ -181,55 +376,24 @@ def validate_multicore(built, persist_log: PersistLog,
     single-writer and line-exclusive, commit records and undo logs live in
     disjoint per-core carve-outs, and per-core transaction ids are offset
     by multiples of 8 so each core's 3-bit log epochs decode locally.
-    Recovery therefore runs :func:`recover_undo` once per core layout over
-    the shared crash image, decodes each core's local committed count from
-    its own commit record, and compares against the union of the per-core
-    tracked states — each core's tracked cells at *its own* boundary.
+    Recovery therefore runs undo recovery once per core layout, in core
+    order, over the shared crash image, decodes each core's local
+    committed count from its own commit record, and compares against the
+    union of the per-core tracked states — each core's tracked cells at
+    *its own* boundary.
 
     The report's ``committed_txns`` is the sum of local committed counts.
     """
-    cores = getattr(built, "cores", 1)
-    injector = CrashInjector(built, persist_log)
-    if crash_points is None:
-        crash_points = range(0, len(persist_log) + 1, stride)
     per_core_states = built.core_committed_states
     if not any(per_core_states):
         raise ValueError(
             "workload did not record per-core committed states; recovery "
             "validation does not apply")
-
-    reports = []
-    for point in crash_points:
-        recovered = injector.image_at(point)
-        for core in range(cores):
-            recovered = recover_undo(recovered, built.core_layouts[core])
-        mismatches: List[str] = []
-        committed_total = 0
-        for core in range(cores):
-            layout = built.core_layouts[core]
-            raw = recovered.get(layout.commit_record_addr, 0)
-            offset = built.core_txn_offsets[core]
-            local = raw - offset if raw else 0
-            committed_total += max(local, 0)
-            tracked = per_core_states[core]
-            if not tracked:
-                continue
-            if local <= 0:
-                baseline = built.baseline_memory
-                expected = {addr: baseline.get(addr, 0)
-                            for addr in tracked[0]}
-            else:
-                expected = tracked[local - 1]
-            for addr, value in expected.items():
-                got = recovered.get(addr, built.baseline_memory.get(addr, 0))
-                if got != value:
-                    mismatches.append(
-                        "core %d addr %#x: recovered %d, expected %d "
-                        "(local txn boundary %d)"
-                        % (core, addr, got, value, local))
-        reports.append(CrashReport(
-            crash_point=point,
-            committed_txns=committed_total,
-            mismatches=mismatches,
-        ))
-    return reports
+    if crash_points is None:
+        crash_points = range(0, len(persist_log) + 1, stride)
+    cores = [dict(layout=built.core_layouts[core],
+                  txn_offset=built.core_txn_offsets[core],
+                  tracked=per_core_states[core], prefix="core %d " % core,
+                  boundary_label="local txn boundary")
+             for core in range(getattr(built, "cores", 1))]
+    return _sweep(built, persist_log, crash_points, cores)

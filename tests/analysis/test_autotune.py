@@ -14,6 +14,8 @@ Covers the acceptance claims end to end at test scale:
   final one.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.autotune import (
@@ -30,6 +32,7 @@ from repro.analysis.autotune import (
     used_keys,
 )
 from repro.analysis.findings import INFO, WARNING
+from repro.harness import configuration, run_one
 from repro.isa import instructions as ops
 from repro.nvmfw import codegen
 from repro.workloads.base import TEST_SCALE, build
@@ -119,12 +122,20 @@ def test_safe_configs_shrink_or_prove_minimal(workload, config):
 
 def test_update_b_removes_only_the_final_trailing_fence():
     """Derived commit obligations pin every trailing DSB but the last
-    transaction's — that one has no successor to order against."""
+    transaction's — that one has no successor to order against.  The
+    emitted variant's crash sweep covers every one of its crash points."""
     report = autotune_workload("update", "B", scale=TEST_SCALE)
     assert report.status == OPTIMIZED
     assert report.fences_removed == 1
     assert report.crash_sweep["supported"] is True
     assert report.crash_sweep["consistent"] is True
+    built = build("update", report.mode, TEST_SCALE)
+    variant = dataclasses.replace(built, trace=codegen.apply_edits(
+        built.trace, drop=report.removed_sites,
+        key_map=report.key_map or None))
+    assert program_digest(variant.trace) == report.program_after
+    run = run_one("update", configuration("B"), TEST_SCALE, built=variant)
+    assert report.crash_sweep["points"] == len(run.persist_log) + 1
 
 
 def test_conservative_build_yields_bigger_wins():
