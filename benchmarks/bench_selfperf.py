@@ -3,7 +3,7 @@
 Unlike the other benches, this one measures the reproduction itself rather
 than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
-second (the threaded-code interpreter vs the reference interpreter, and
+second (the compiled interpreter vs the reference interpreter, and
 the workload build path), serial-vs-parallel full-matrix wall time, the
 persistent result and trace caches' cold/warm behaviour, and the crash
 sweep's cost per crash point.  The numbers
@@ -155,8 +155,8 @@ loop:
 
 
 def test_selfperf_trace_build_kips(benchmark):
-    """Trace-build throughput: threaded-code vs reference interpreter,
-    plus the workload (framework) build path, in built kIPS."""
+    """Trace-build throughput: compiled vs reference interpreter, plus
+    the workload (framework) build path, in built kIPS."""
     scale = bench_scale()
     iterations = max(500, scale.total_ops * 4)
     program = assemble(_BUILD_KERNEL % iterations)
@@ -174,46 +174,46 @@ def test_selfperf_trace_build_kips(benchmark):
     def run():
         ref_s, ref_trace = best_of(
             lambda: Machine().run_reference(program, max_steps=max_steps))
-        thr_s, thr_trace = best_of(
+        run_s, run_trace = best_of(
             lambda: Machine().run(program, max_steps=max_steps))
-        assert thr_trace == ref_trace  # bit-identical traces
+        assert run_trace == ref_trace  # bit-identical traces
         build_s, built = best_of(
             lambda: workload_base.build("btree", "ede", scale))
-        return ref_s, thr_s, len(ref_trace), build_s, len(built.trace)
+        return ref_s, run_s, len(ref_trace), build_s, len(built.trace)
 
-    ref_s, thr_s, trace_len, build_s, wl_trace_len = benchmark.pedantic(
+    ref_s, run_s, trace_len, build_s, wl_trace_len = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
-    speedup = ref_s / thr_s if thr_s else float("inf")
+    speedup = ref_s / run_s if run_s else float("inf")
     ref_kips = trace_len / ref_s / 1e3
-    thr_kips = trace_len / thr_s / 1e3
+    run_kips = trace_len / run_s / 1e3
     build_kips = wl_trace_len / build_s / 1e3
     benchmark.extra_info["interp_trace_len"] = trace_len
     benchmark.extra_info["interp_reference_kips"] = round(ref_kips, 1)
-    benchmark.extra_info["interp_threaded_kips"] = round(thr_kips, 1)
+    benchmark.extra_info["interp_compiled_kips"] = round(run_kips, 1)
     benchmark.extra_info["interp_speedup"] = round(speedup, 2)
     benchmark.extra_info["workload_build_kips"] = round(build_kips, 1)
     benchmark.extra_info["workload_trace_len"] = wl_trace_len
-    _record(trace_build_kips=round(thr_kips, 1),
+    _record(trace_build_kips=round(run_kips, 1),
             interp_speedup=round(speedup, 2))
 
-    print_header("Self-perf: trace-build throughput (threaded-code interpreter)")
+    print_header("Self-perf: trace-build throughput (compiled interpreter)")
     print("  kernel trace      : %d instructions" % trace_len)
     print("  reference interp  : %.3f s  ->  %.1f kIPS" % (ref_s, ref_kips))
-    print("  threaded interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
-          % (thr_s, thr_kips, speedup))
+    print("  compiled interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
+          % (run_s, run_kips, speedup))
     print("  workload build    : %.3f s  ->  %.1f kIPS (btree/ede, framework)"
           % (build_s, build_kips))
     assert speedup >= 2.0, (
-        "threaded-code interpreter below the 2x trace-build target: %.2fx"
+        "compiled interpreter below the 2x trace-build target: %.2fx"
         % speedup)
 
 
-#: ALU-weighted loop for the fusion measurement.  Fusion's win scales with
-#: straight-line run length and ALU density (memory handlers dominate the
-#: fused body otherwise), so this mirrors the checksum/compare portions of
-#: the workloads rather than the store-heavy logging portions.
-_FUSION_KERNEL = """
+#: ALU-weighted loop.  Chunked codegen wins most on long straight-line
+#: runs of ALU work (memory handlers dominate the chunk otherwise), so this
+#: mirrors the checksum/compare portions of the workloads rather than the
+#: store-heavy logging portions.
+_ALU_KERNEL = """
     mov x0, #4096
     mov x1, #0
     mov x5, #0
@@ -233,12 +233,12 @@ loop:
 """
 
 
-def test_selfperf_fusion_speedup(benchmark):
-    """Superinstruction fusion vs plain threaded code, bit-identical and
-    at least 1.3x on the ALU-weighted kernel (the CI perf gate)."""
+def test_selfperf_alu_kernel_speedup(benchmark):
+    """Compiled interpreter vs the reference on the ALU-weighted kernel,
+    bit-identical and at least 2.6x (the CI perf gate)."""
     scale = bench_scale()
     iterations = max(500, scale.total_ops * 4)
-    program = assemble(_FUSION_KERNEL % iterations)
+    program = assemble(_ALU_KERNEL % iterations)
     max_steps = 16 * iterations + 16
 
     def best_of(fn, rounds=3):
@@ -250,39 +250,36 @@ def test_selfperf_fusion_speedup(benchmark):
             timings.append(time.perf_counter() - start)
         return min(timings), result
 
-    def timed(value):
-        os.environ["REPRO_FUSION"] = value
-        try:
-            return best_of(
-                lambda: Machine().run(program, max_steps=max_steps))
-        finally:
-            os.environ.pop("REPRO_FUSION", None)
-
     def run():
-        plain_s, plain_trace = timed("0")
-        fused_s, fused_trace = timed("1")
-        assert fused_trace == plain_trace  # bit-identical traces
-        return plain_s, fused_s, len(plain_trace)
+        ref_s, ref_trace = best_of(
+            lambda: Machine().run_reference(program, max_steps=max_steps))
+        run_s, run_trace = best_of(
+            lambda: Machine().run(program, max_steps=max_steps))
+        assert run_trace == ref_trace  # bit-identical traces
+        return ref_s, run_s, len(ref_trace)
 
-    plain_s, fused_s, trace_len = benchmark.pedantic(
+    ref_s, run_s, trace_len = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
-    speedup = plain_s / fused_s if fused_s else float("inf")
-    plain_kips = trace_len / plain_s / 1e3
-    fused_kips = trace_len / fused_s / 1e3
-    benchmark.extra_info["fusion_trace_len"] = trace_len
-    benchmark.extra_info["fusion_off_kips"] = round(plain_kips, 1)
-    benchmark.extra_info["fusion_on_kips"] = round(fused_kips, 1)
-    benchmark.extra_info["fusion_speedup"] = round(speedup, 2)
-    _record(fusion_speedup=round(speedup, 2))
+    speedup = ref_s / run_s if run_s else float("inf")
+    ref_kips = trace_len / ref_s / 1e3
+    run_kips = trace_len / run_s / 1e3
+    benchmark.extra_info["alu_trace_len"] = trace_len
+    benchmark.extra_info["alu_reference_kips"] = round(ref_kips, 1)
+    benchmark.extra_info["alu_kips"] = round(run_kips, 1)
+    benchmark.extra_info["alu_speedup"] = round(speedup, 2)
+    _record(alu_kips=round(run_kips, 1), alu_speedup=round(speedup, 2))
 
-    print_header("Self-perf: superinstruction fusion (REPRO_FUSION)")
-    print("  kernel trace : %d instructions" % trace_len)
-    print("  fusion off   : %.3f s  ->  %.1f kIPS" % (plain_s, plain_kips))
-    print("  fusion on    : %.3f s  ->  %.1f kIPS  (%.2fx)"
-          % (fused_s, fused_kips, speedup))
-    assert speedup >= 1.3, (
-        "superinstruction fusion below the 1.3x gate: %.2fx" % speedup)
+    print_header("Self-perf: ALU-weighted kernel (compiled interpreter)")
+    print("  kernel trace      : %d instructions" % trace_len)
+    print("  reference interp  : %.3f s  ->  %.1f kIPS" % (ref_s, ref_kips))
+    print("  compiled interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
+          % (run_s, run_kips, speedup))
+    # 2.6x is the two retired gates composed: threaded code >= 2x the
+    # reference and fusion >= 1.3x threaded code.
+    assert speedup >= 2.6, (
+        "compiled interpreter below the 2.6x gate on the ALU kernel: %.2fx"
+        % speedup)
 
 
 def test_selfperf_trace_cache_cold_vs_warm(benchmark):

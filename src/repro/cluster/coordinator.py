@@ -91,6 +91,11 @@ __all__ = ["ClusterCoordinator", "ThreadedCoordinator", "ShardState",
 DEFAULT_EVICT_AFTER = 2
 #: Default wall-clock bound on one status/result read from a shard.
 DEFAULT_READ_TIMEOUT_S = 30.0
+#: Default wall-clock bound on one coordinator->shard submit exchange.
+DEFAULT_PROXY_TIMEOUT_S = 600.0
+#: Default wait on the owning shard before a status/result read is
+#: hedged to the next candidate.
+DEFAULT_HEDGE_DELAY_S = 0.25
 #: Terminal job states (mirrors JobState.TERMINAL without the import
 #: cycle risk at JSON level).
 _TERMINAL = ("done", "failed")
@@ -273,9 +278,9 @@ class ClusterCoordinator(BaseHttpServer):
                  probe_interval_s: Optional[float] = None,
                  probe_timeout_s: float = 5.0,
                  evict_after: int = DEFAULT_EVICT_AFTER,
-                 proxy_timeout_s: Optional[float] = None,
+                 proxy_timeout_s: float = DEFAULT_PROXY_TIMEOUT_S,
                  read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
-                 hedge_delay_s: Optional[float] = None,
+                 hedge_delay_s: float = DEFAULT_HEDGE_DELAY_S,
                  rate: Optional[float] = None,
                  burst: Optional[int] = None,
                  breaker_threshold: Optional[float] = None,
@@ -293,12 +298,9 @@ class ClusterCoordinator(BaseHttpServer):
                                  else knob("REPRO_CLUSTER_PROBE_INTERVAL"))
         self.probe_timeout_s = probe_timeout_s
         self.evict_after = max(1, evict_after)
-        self.proxy_timeout_s = (proxy_timeout_s
-                                if proxy_timeout_s is not None
-                                else knob("REPRO_PROXY_TIMEOUT"))
+        self.proxy_timeout_s = proxy_timeout_s
         self.read_timeout_s = read_timeout_s
-        self.hedge_delay_s = (hedge_delay_s if hedge_delay_s is not None
-                              else knob("REPRO_HEDGE_DELAY"))
+        self.hedge_delay_s = hedge_delay_s
         self.limiter = RateLimiter(rate=rate, burst=burst)
         self.metrics = ClusterMetrics()
         self.shards: Dict[str, ShardState] = {}

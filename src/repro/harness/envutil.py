@@ -76,8 +76,10 @@ _KNOBS = (
     EnvKnob("REPRO_BENCH_TXNS", "int", 20,
             "Benchmark scale: transaction count.", minimum=1),
     EnvKnob("REPRO_FUSION", "flag", True,
-            "Superinstruction fusion in the functional machine "
-            "(codegen'd basic-block handlers) on/off."),
+            "No effect: the functional machine always runs its codegen'd "
+            "handlers.  Kept registered only so the e2e benchmark's "
+            "inherited-knob check can set it; delete with the next "
+            "change to that benchmark."),
     EnvKnob("REPRO_CORES", "int", 2,
             "Core count for the multi-core hazard-pointer experiment "
             "(capped by the modeled maximum).", minimum=1),
@@ -146,13 +148,6 @@ _KNOBS = (
     EnvKnob("REPRO_REQUEST_DEADLINE", "float", 0.0,
             "Default end-to-end deadline in seconds clients send as "
             "X-Deadline (0 = none).", minimum=0),
-    EnvKnob("REPRO_PROXY_TIMEOUT", "float", 600.0,
-            "Seconds one coordinator->shard submit exchange may take "
-            "before counting as a transport failure.", minimum=0.01),
-    EnvKnob("REPRO_HEDGE_DELAY", "float", 0.25,
-            "Seconds the coordinator waits on the owning shard before "
-            "hedging a status/result read to the next candidate.",
-            minimum=0),
 )
 
 _BY_NAME = {spec.name: spec for spec in _KNOBS}

@@ -11,47 +11,39 @@ needed by the supported branches), and a sparse 64-bit word-addressed
 memory.  Persist and barrier instructions have no functional effect; they
 are recorded in the emitted trace for the timing model.
 
-Interpretation strategy
------------------------
+One interpreter, one oracle
+---------------------------
 
-:meth:`Machine.run` is a *threaded-code* interpreter: each :class:`Program`
-is pre-decoded once (and memoized on the program) into a flat list of
-per-instruction handler factories.  Decoding hoists everything static out
-of the step loop — opcode dispatch, operand register indices, ALU function
-selection, immediate masking, branch-target label resolution and the
-XZR-operand special cases — so the hot loop is nothing but ``pc =
-handlers[pc]()``.  Aligned 8-byte loads and stores additionally bypass
-:class:`SparseMemory` method dispatch and operate on its word dictionary
-directly.
+:meth:`Machine.run` executes code generated from the program.
+:func:`compile_program` turns every instruction into Python source through
+one template (:func:`_fused_lines`), with operand registers, immediates,
+ALU expressions and branch targets folded in as constants.  That source
+makes two kinds of handler:
 
-The original instruction-by-instruction interpreter is preserved verbatim
-as :meth:`Machine.run_reference`; the two produce bit-identical traces and
-architectural state (``tests/isa/test_threaded_machine.py`` holds the
-golden-equality suite, ``benchmarks/bench_selfperf.py`` tracks the
-speedup).
+* a *chunk* handler for each basic block (leaders are pc 0, label
+  targets, branch targets and control-transfer successors).  It runs the
+  whole block as one flat function, so a block costs a single indirect
+  call;
+* a *single* handler for every pc, which runs that one instruction.  A
+  computed ``RET`` into the middle of a block lands on it, and the step
+  loop single-steps on it when a whole chunk would overrun ``max_steps``.
+  That way the budget is charged per retired instruction, not per chunk.
 
-Superinstruction fusion
------------------------
+The compiled form is ``exec``'d once and memoized on the program.  Aligned
+8-byte loads and stores operate on :class:`SparseMemory`'s word
+dictionary directly, so the machine accepts only a plain
+:class:`SparseMemory`.
 
-On top of threading, :func:`compile_program_fused` fuses straight-line
-handler runs into *superinstructions*: per basic-block chunk (leaders are
-pc 0, label targets and branch targets), the per-instruction handler
-bodies are code-generated into one flat Python function and ``exec``'d,
-so a whole block costs a single indirect call and zero inter-instruction
-dispatch.  Fusion is controlled by the ``REPRO_FUSION`` knob (default
-on).  Chunks fall back to the per-instruction handlers when the machine's
-memory is not a plain :class:`SparseMemory` (codegen'd memory ops write
-the word dictionary directly) and instructions without a codegen template
-(unhandled opcodes, sub-word memory ops, undefined labels) are never
-fused.  Mid-chunk pcs keep their individual handlers, so dynamic entry
-into the middle of a chunk (a computed ``RET``) stays correct, and the
-step budget is charged per retired instruction, not per chunk — faults
-and traces stay bit-identical to :meth:`Machine.run_reference`.
+:meth:`Machine.run_reference` is the original per-step dispatch
+interpreter, kept as the oracle.  Both produce bit-identical traces,
+architectural state and faults.  ``tests/isa/test_threaded_machine.py``
+checks that on golden and seeded random programs, and
+``benchmarks/bench_selfperf.py`` gates the speedup.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import dataclasses
 
@@ -113,30 +105,43 @@ class SparseMemory:
 
 
 # ---------------------------------------------------------------------------
-# Threaded-code compilation
+# Code generation
 # ---------------------------------------------------------------------------
 
-#: Opcodes whose handlers only emit the instruction (no architectural effect).
+#: Opcodes that only emit the instruction (no architectural effect).
 _EMIT_ONLY_OPCODES = frozenset((
     Opcode.NOP, Opcode.DSB_SY, Opcode.DMB_ST, Opcode.DMB_SY,
     Opcode.JOIN, Opcode.WAIT_KEY, Opcode.WAIT_ALL_KEYS,
 ))
 
-_ALU_OPCODES = frozenset((
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.ORR,
-    Opcode.EOR, Opcode.MUL, Opcode.LSL, Opcode.LSR,
+#: Opcodes that transfer control: they end a chunk with a pc-returning
+#: statement.
+_CONTROL_OPCODES = frozenset((
+    Opcode.B, Opcode.BL, Opcode.RET,
+    Opcode.B_EQ, Opcode.B_NE, Opcode.B_LT, Opcode.B_GE,
+    Opcode.HALT,
 ))
 
-#: Unmasked ALU semantics; handlers apply the 64-bit mask on writeback.
-_ALU_FUNCS: Dict[Opcode, Callable[[int, int], int]] = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.ORR: lambda a, b: a | b,
-    Opcode.EOR: lambda a, b: a ^ b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.LSL: lambda a, b: a << (b & 63),
-    Opcode.LSR: lambda a, b: (a & _MASK64) >> (b & 63),
+#: Unmasked ALU source expressions; codegen applies the 64-bit mask on
+#: writeback, like ``write_reg`` in the reference interpreter.
+_ALU_EXPRS: Dict[Opcode, str] = {
+    Opcode.ADD: "(%s + %s)",
+    Opcode.SUB: "(%s - %s)",
+    Opcode.AND: "(%s & %s)",
+    Opcode.ORR: "(%s | %s)",
+    Opcode.EOR: "(%s ^ %s)",
+    Opcode.MUL: "(%s * %s)",
+    Opcode.LSL: "(%s << (%s & 63))",
+    Opcode.LSR: "((%s & _MASK64) >> (%s & 63))",
+}
+
+#: Source for a taken conditional branch, keyed by opcode: the flag it
+#: reads and whether it branches when that flag is set.
+_CONDITIONS: Dict[Opcode, Tuple[str, bool]] = {
+    Opcode.B_EQ: ("flags.zero", True),
+    Opcode.B_NE: ("flags.zero", False),
+    Opcode.B_LT: ("flags.negative", True),
+    Opcode.B_GE: ("flags.negative", False),
 }
 
 
@@ -158,382 +163,10 @@ def _with_addr(inst: Instruction, addr: int) -> Instruction:
 def _resolve_static_target(inst: Instruction,
                            labels: Dict[str, int]) -> Optional[int]:
     """Branch target as a trace index, or None for an undefined label
-    (which must fault at execution time, like the reference interpreter)."""
+    (which faults only when the branch is taken, like the reference)."""
     if inst.target is not None:
         return labels.get(inst.target)
     return inst.imm
-
-
-def _undefined_label_handler(inst: Instruction,
-                             append: Callable[[Instruction], int]):
-    def handler() -> int:
-        raise MachineError("undefined label %r" % (inst.target,))
-    return handler
-
-
-def _make_factory(inst: Instruction, pc: int, labels: Dict[str, int],
-                  program_len: int):
-    """One per-instruction handler factory.
-
-    The factory runs once per :meth:`Machine.run` call and binds the
-    machine's mutable state (register file, flags, memory, trace) into a
-    zero-argument handler returning the next pc.  Everything derivable
-    from the static instruction is bound here, at decode time.
-    """
-    opcode = inst.opcode
-    nxt = pc + 1
-    imm = inst.imm
-    static_addr = inst.addr
-    size = inst.size
-
-    if opcode is Opcode.HALT:
-        def factory(machine: "Machine"):
-            append = machine.trace.append
-
-            def handler() -> int:
-                append(inst)
-                return program_len
-            return handler
-        return factory
-
-    if opcode in _EMIT_ONLY_OPCODES:
-        def factory(machine: "Machine"):
-            append = machine.trace.append
-
-            def handler() -> int:
-                append(inst)
-                return nxt
-            return handler
-        return factory
-
-    if opcode is Opcode.MOV:
-        rd = inst.dst[0]
-        if inst.src:
-            rs = inst.src[0]
-
-            def factory(machine: "Machine"):
-                regs = machine.regs
-                append = machine.trace.append
-                if rd == XZR:
-                    def handler() -> int:
-                        append(inst)
-                        return nxt
-                else:
-                    def handler() -> int:
-                        regs[rd] = regs[rs]
-                        append(inst)
-                        return nxt
-                return handler
-            return factory
-        value = imm & _MASK64
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            append = machine.trace.append
-            if rd == XZR:
-                def handler() -> int:
-                    append(inst)
-                    return nxt
-            else:
-                def handler() -> int:
-                    regs[rd] = value
-                    append(inst)
-                    return nxt
-            return handler
-        return factory
-
-    if opcode in _ALU_OPCODES:
-        rd = inst.dst[0]
-        ra = inst.src[0]
-        fn = _ALU_FUNCS[opcode]
-        two_regs = len(inst.src) == 2
-        rb = inst.src[1] if two_regs else None
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            append = machine.trace.append
-            if rd == XZR:
-                if two_regs:
-                    def handler() -> int:
-                        fn(regs[ra], regs[rb])
-                        append(inst)
-                        return nxt
-                else:
-                    def handler() -> int:
-                        fn(regs[ra], imm)
-                        append(inst)
-                        return nxt
-            elif two_regs:
-                def handler() -> int:
-                    regs[rd] = fn(regs[ra], regs[rb]) & _MASK64
-                    append(inst)
-                    return nxt
-            else:
-                def handler() -> int:
-                    regs[rd] = fn(regs[ra], imm) & _MASK64
-                    append(inst)
-                    return nxt
-            return handler
-        return factory
-
-    if opcode is Opcode.CMP:
-        ra = inst.src[0]
-        two_regs = len(inst.src) == 2
-        rb = inst.src[1] if two_regs else None
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            flags = machine.flags
-            append = machine.trace.append
-            if two_regs:
-                def handler() -> int:
-                    result = (regs[ra] - regs[rb]) & _MASK64
-                    flags.zero = result == 0
-                    flags.negative = result >= _SIGN64
-                    append(inst)
-                    return nxt
-            else:
-                def handler() -> int:
-                    result = (regs[ra] - imm) & _MASK64
-                    flags.zero = result == 0
-                    flags.negative = result >= _SIGN64
-                    append(inst)
-                    return nxt
-            return handler
-        return factory
-
-    if opcode in (Opcode.LDR, Opcode.LDR_EDE):
-        rd = inst.dst[0]
-        rn = inst.src[0]
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            memory = machine.memory
-            append = machine.trace.append
-            words = getattr(memory, "_words", None)
-            if words is not None and size == 8:
-                get = words.get
-
-                def handler() -> int:
-                    addr = regs[rn] + imm
-                    if addr % 8:
-                        raise MachineError("unaligned 8-byte load at %#x"
-                                           % addr)
-                    if rd != XZR:
-                        regs[rd] = get(addr, 0)
-                    append(inst if static_addr == addr
-                           else _with_addr(inst, addr))
-                    return nxt
-            else:
-                load = memory.load
-
-                def handler() -> int:
-                    addr = regs[rn] + imm
-                    value = load(addr, size)
-                    if rd != XZR:
-                        regs[rd] = value & _MASK64
-                    append(inst if static_addr == addr
-                           else _with_addr(inst, addr))
-                    return nxt
-            return handler
-        return factory
-
-    if opcode in (Opcode.STR, Opcode.STR_EDE):
-        rs = inst.src[0]
-        rn = inst.src[1]
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            memory = machine.memory
-            append = machine.trace.append
-            words = getattr(memory, "_words", None)
-            if words is not None and size == 8:
-                def handler() -> int:
-                    addr = regs[rn] + imm
-                    if addr % 8:
-                        raise MachineError("unaligned 8-byte store at %#x"
-                                           % addr)
-                    words[addr] = regs[rs] & _MASK64
-                    append(inst if static_addr == addr
-                           else _with_addr(inst, addr))
-                    return nxt
-            else:
-                store = memory.store
-
-                def handler() -> int:
-                    addr = regs[rn] + imm
-                    store(addr, regs[rs], size)
-                    append(inst if static_addr == addr
-                           else _with_addr(inst, addr))
-                    return nxt
-            return handler
-        return factory
-
-    if opcode in (Opcode.STP, Opcode.STP_EDE):
-        rs1 = inst.src[0]
-        rs2 = inst.src[1]
-        rn = inst.src[2]
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            memory = machine.memory
-            append = machine.trace.append
-            words = getattr(memory, "_words", None)
-            if words is not None:
-                def handler() -> int:
-                    addr = regs[rn] + imm
-                    if addr % 8:
-                        raise MachineError("unaligned 8-byte store at %#x"
-                                           % addr)
-                    words[addr] = regs[rs1] & _MASK64
-                    words[addr + 8] = regs[rs2] & _MASK64
-                    append(inst if static_addr == addr
-                           else _with_addr(inst, addr))
-                    return nxt
-            else:
-                store = memory.store
-
-                def handler() -> int:
-                    addr = regs[rn] + imm
-                    store(addr, regs[rs1], 8)
-                    store(addr + 8, regs[rs2], 8)
-                    append(inst if static_addr == addr
-                           else _with_addr(inst, addr))
-                    return nxt
-            return handler
-        return factory
-
-    if opcode in (Opcode.DC_CVAP, Opcode.DC_CVAP_EDE):
-        rn = inst.src[0]
-
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            append = machine.trace.append
-
-            def handler() -> int:
-                addr = regs[rn]
-                append(inst if static_addr == addr
-                       else _with_addr(inst, addr))
-                return nxt
-            return handler
-        return factory
-
-    if opcode in (Opcode.B, Opcode.BL):
-        target = _resolve_static_target(inst, labels)
-        link = opcode is Opcode.BL
-
-        def factory(machine: "Machine"):
-            append = machine.trace.append
-            if target is None:
-                return _undefined_label_handler(inst, append)
-            if link:
-                regs = machine.regs
-
-                def handler() -> int:
-                    regs[30] = nxt
-                    append(inst)
-                    return target
-            else:
-                def handler() -> int:
-                    append(inst)
-                    return target
-            return handler
-        return factory
-
-    if opcode is Opcode.RET:
-        def factory(machine: "Machine"):
-            regs = machine.regs
-            append = machine.trace.append
-
-            def handler() -> int:
-                append(inst)
-                return regs[30]
-            return handler
-        return factory
-
-    if opcode in (Opcode.B_EQ, Opcode.B_NE, Opcode.B_LT, Opcode.B_GE):
-        target = _resolve_static_target(inst, labels)
-        on_zero = opcode in (Opcode.B_EQ, Opcode.B_NE)
-        branch_if = opcode in (Opcode.B_EQ, Opcode.B_LT)
-
-        def factory(machine: "Machine"):
-            flags = machine.flags
-            append = machine.trace.append
-            if target is None:
-                return _undefined_label_handler(inst, append)
-            if on_zero:
-                if branch_if:
-                    def handler() -> int:      # b.eq
-                        append(inst)
-                        return target if flags.zero else nxt
-                else:
-                    def handler() -> int:      # b.ne
-                        append(inst)
-                        return nxt if flags.zero else target
-            elif branch_if:
-                def handler() -> int:          # b.lt
-                    append(inst)
-                    return target if flags.negative else nxt
-            else:
-                def handler() -> int:          # b.ge
-                    append(inst)
-                    return nxt if flags.negative else target
-            return handler
-        return factory
-
-    def factory(machine: "Machine"):
-        def handler() -> int:
-            raise MachineError("unhandled opcode %s" % opcode.name)
-        return handler
-    return factory
-
-
-def compile_program(program: Program) -> List:
-    """Pre-decode ``program`` into per-instruction handler factories.
-
-    The compiled form is memoized on the program object and invalidated
-    when the program grows or its labels change, so repeated
-    :meth:`Machine.run` calls (e.g. re-running a kernel under several
-    configurations) pay the decode cost once.
-    """
-    labels = program.labels
-    cached = getattr(program, "_threaded_cache", None)
-    if cached is not None and cached[0] == len(program) and cached[1] == labels:
-        return cached[2]
-    instructions = program.instructions
-    n = len(instructions)
-    factories = [
-        _make_factory(inst, pc, labels, n)
-        for pc, inst in enumerate(instructions)
-    ]
-    program._threaded_cache = (n, labels, factories)
-    return factories
-
-
-# ---------------------------------------------------------------------------
-# Superinstruction fusion
-# ---------------------------------------------------------------------------
-
-#: Opcodes that transfer control: they terminate a fused chunk (and are
-#: fused into it as the final, pc-returning statement).
-_CONTROL_OPCODES = frozenset((
-    Opcode.B, Opcode.BL, Opcode.RET,
-    Opcode.B_EQ, Opcode.B_NE, Opcode.B_LT, Opcode.B_GE,
-    Opcode.HALT,
-))
-
-#: Unmasked ALU source expressions, mirroring ``_ALU_FUNCS`` (codegen
-#: applies the 64-bit mask on writeback, exactly like the handlers).
-_ALU_EXPRS: Dict[Opcode, str] = {
-    Opcode.ADD: "(%s + %s)",
-    Opcode.SUB: "(%s - %s)",
-    Opcode.AND: "(%s & %s)",
-    Opcode.ORR: "(%s | %s)",
-    Opcode.EOR: "(%s ^ %s)",
-    Opcode.MUL: "(%s * %s)",
-    Opcode.LSL: "(%s << (%s & 63))",
-    Opcode.LSR: "((%s & _MASK64) >> (%s & 63))",
-}
 
 
 def _block_leaders(program: Program) -> frozenset:
@@ -567,211 +200,207 @@ def _emit_trace_line(pc: int, static_addr, addr_var: str) -> str:
             % (pc, addr_var, static_addr, pc, addr_var))
 
 
+def _raise_line(message: str) -> str:
+    return "raise MachineError(%r)" % message
+
+
 def _fused_lines(inst: Instruction, pc: int, labels: Dict[str, int],
                  program_len: int):
-    """Codegen template for one instruction inside a fused chunk.
+    """Codegen template for one instruction: its source lines.
 
-    Returns ``(lines, uses_memory, ends_chunk)`` or ``None`` when the
-    instruction has no template (it then stays on its individual
-    handler).  The generated statements mirror the threaded handlers —
-    and therefore the reference interpreter — bit for bit, including
-    fault points and trace-append order.
+    Every instruction has a template; those of :data:`_CONTROL_OPCODES`
+    end by returning or raising.  The statements mirror
+    :meth:`Machine.run_reference` bit for bit, including fault points,
+    fault messages and trace-append order.
     """
     opcode = inst.opcode
     nxt = pc + 1
     imm = inst.imm
     static_addr = inst.addr
+    emit = "append(_i%d)" % pc
 
     if opcode is Opcode.HALT:
-        return ["append(_i%d)" % pc, "return %d" % program_len], False, True
+        return [emit, "return %d" % program_len]
 
     if opcode in _EMIT_ONLY_OPCODES:
-        return ["append(_i%d)" % pc], False, False
+        return [emit]
 
     if opcode is Opcode.MOV:
         rd = inst.dst[0]
         if rd == XZR:
-            return ["append(_i%d)" % pc], False, False
+            return [emit]
         if inst.src:
             move = "regs[%d] = regs[%d]" % (rd, inst.src[0])
         else:
             move = "regs[%d] = %d" % (rd, imm & _MASK64)
-        return [move, "append(_i%d)" % pc], False, False
+        return [move, emit]
 
-    if opcode in _ALU_OPCODES:
+    if opcode in _ALU_EXPRS:
         rd = inst.dst[0]
-        lhs = "regs[%d]" % inst.src[0]
+        if rd == XZR:
+            # The ALU expressions have no side effects: skip dead work.
+            return [emit]
         rhs = ("regs[%d]" % inst.src[1] if len(inst.src) == 2
                else repr(imm))
-        if rd == XZR:
-            # The handlers evaluate the (side-effect-free) ALU function
-            # and discard it; codegen skips the dead computation.
-            return ["append(_i%d)" % pc], False, False
-        expr = _ALU_EXPRS[opcode] % (lhs, rhs)
-        return ["regs[%d] = %s & _MASK64" % (rd, expr),
-                "append(_i%d)" % pc], False, False
+        expr = _ALU_EXPRS[opcode] % ("regs[%d]" % inst.src[0], rhs)
+        return ["regs[%d] = %s & _MASK64" % (rd, expr), emit]
 
     if opcode is Opcode.CMP:
-        lhs = "regs[%d]" % inst.src[0]
         rhs = ("regs[%d]" % inst.src[1] if len(inst.src) == 2
                else repr(imm))
-        return ["_t = (%s - %s) & _MASK64" % (lhs, rhs),
+        return ["_t = (regs[%d] - %s) & _MASK64" % (inst.src[0], rhs),
                 "flags.zero = _t == 0",
                 "flags.negative = _t >= _SIGN64",
-                "append(_i%d)" % pc], False, False
+                emit]
 
     if opcode in (Opcode.LDR, Opcode.LDR_EDE):
-        if inst.size != 8:
-            return None
         rd = inst.dst[0]
-        lines = ["_a = regs[%d] + %d" % (inst.src[0], imm),
-                 "if _a % 8:",
-                 "    raise MachineError('unaligned 8-byte load at %#x'"
-                 " % _a)"]
-        if rd != XZR:
-            lines.append("regs[%d] = get(_a, 0)" % rd)
-        lines.append(_emit_trace_line(pc, static_addr, "_a"))
-        return lines, True, False
+        lines = ["_a = regs[%d] + %d" % (inst.src[0], imm)]
+        if inst.size == 8:
+            lines += ["if _a % 8:",
+                      "    raise MachineError("
+                      "'unaligned 8-byte load at %#x' % _a)"]
+            if rd != XZR:
+                lines.append("regs[%d] = get(_a, 0)" % rd)
+        elif rd == XZR:
+            lines.append("load(_a, %d)" % inst.size)
+        else:
+            lines.append("regs[%d] = load(_a, %d) & _MASK64"
+                         % (rd, inst.size))
+        return lines + [_emit_trace_line(pc, static_addr, "_a")]
 
     if opcode in (Opcode.STR, Opcode.STR_EDE):
-        if inst.size != 8:
-            return None
-        lines = ["_a = regs[%d] + %d" % (inst.src[1], imm),
-                 "if _a % 8:",
-                 "    raise MachineError('unaligned 8-byte store at %#x'"
-                 " % _a)",
-                 "words[_a] = regs[%d] & _MASK64" % inst.src[0],
-                 _emit_trace_line(pc, static_addr, "_a")]
-        return lines, True, False
+        lines = ["_a = regs[%d] + %d" % (inst.src[1], imm)]
+        if inst.size == 8:
+            lines += ["if _a % 8:",
+                      "    raise MachineError("
+                      "'unaligned 8-byte store at %#x' % _a)",
+                      "words[_a] = regs[%d] & _MASK64" % inst.src[0]]
+        else:
+            lines.append("store(_a, regs[%d], %d)"
+                         % (inst.src[0], inst.size))
+        return lines + [_emit_trace_line(pc, static_addr, "_a")]
 
     if opcode in (Opcode.STP, Opcode.STP_EDE):
-        lines = ["_a = regs[%d] + %d" % (inst.src[2], imm),
-                 "if _a % 8:",
-                 "    raise MachineError('unaligned 8-byte store at %#x'"
-                 " % _a)",
-                 "words[_a] = regs[%d] & _MASK64" % inst.src[0],
-                 "words[_a + 8] = regs[%d] & _MASK64" % inst.src[1],
-                 _emit_trace_line(pc, static_addr, "_a")]
-        return lines, True, False
+        return ["_a = regs[%d] + %d" % (inst.src[2], imm),
+                "if _a % 8:",
+                "    raise MachineError("
+                "'unaligned 8-byte store at %#x' % _a)",
+                "words[_a] = regs[%d] & _MASK64" % inst.src[0],
+                "words[_a + 8] = regs[%d] & _MASK64" % inst.src[1],
+                _emit_trace_line(pc, static_addr, "_a")]
 
     if opcode in (Opcode.DC_CVAP, Opcode.DC_CVAP_EDE):
         return ["_a = regs[%d]" % inst.src[0],
-                _emit_trace_line(pc, static_addr, "_a")], False, False
-
-    if opcode in (Opcode.B, Opcode.BL, Opcode.B_EQ, Opcode.B_NE,
-                  Opcode.B_LT, Opcode.B_GE):
-        target = _resolve_static_target(inst, labels)
-        if target is None:
-            return None  # must fault at execution time, unfused
-        if opcode is Opcode.B:
-            return ["append(_i%d)" % pc, "return %d" % target], False, True
-        if opcode is Opcode.BL:
-            return ["regs[30] = %d" % nxt, "append(_i%d)" % pc,
-                    "return %d" % target], False, True
-        if opcode is Opcode.B_EQ:
-            tail = "return %d if flags.zero else %d" % (target, nxt)
-        elif opcode is Opcode.B_NE:
-            tail = "return %d if flags.zero else %d" % (nxt, target)
-        elif opcode is Opcode.B_LT:
-            tail = "return %d if flags.negative else %d" % (target, nxt)
-        else:
-            tail = "return %d if flags.negative else %d" % (nxt, target)
-        return ["append(_i%d)" % pc, tail], False, True
+                _emit_trace_line(pc, static_addr, "_a")]
 
     if opcode is Opcode.RET:
-        return ["append(_i%d)" % pc, "return regs[30]"], False, True
+        return [emit, "return regs[30]"]
 
-    return None
+    target = _resolve_static_target(inst, labels)
+    undefined = _raise_line("undefined label %r" % (inst.target,))
+
+    if opcode in _CONDITIONS:
+        flag, when_set = _CONDITIONS[opcode]
+        if target is None:
+            # The reference resolves the label only when taken.
+            return ["if %s%s:" % ("" if when_set else "not ", flag),
+                    "    " + undefined, emit, "return %d" % nxt]
+        taken, fallthrough = (target, nxt) if when_set else (nxt, target)
+        return [emit, "return %d if %s else %d" % (taken, flag, fallthrough)]
+
+    if opcode in (Opcode.B, Opcode.BL):
+        # BL links before it resolves the label, like the reference.
+        link = ["regs[30] = %d" % nxt] if opcode is Opcode.BL else []
+        if target is None:
+            return link + [undefined]
+        return link + [emit, "return %d" % target]
+
+    return [_raise_line("unhandled opcode %s" % opcode.name)]
 
 
-def compile_program_fused(program: Program):
-    """Fuse straight-line handler runs into codegen'd superinstructions.
+def compile_program(program: Program):
+    """Generate and ``exec`` the handlers for ``program``.
 
-    Returns ``(factories, weights)``, both parallel to the program:
-    ``factories[pc]`` is a fused-chunk factory at each chunk-start pc
-    (``None`` elsewhere) and ``weights[pc]`` is the number of
-    instructions that chunk retires per call (1 elsewhere).  A fused
-    factory binds one machine's state and returns the chunk handler — or
-    ``None`` when the chunk touches memory and the machine's memory is
-    not a plain :class:`SparseMemory`, in which case the caller keeps the
-    per-instruction handlers for that chunk.  Memoized on the program
-    like :func:`compile_program`.
+    Returns ``(bind, weights)``.  ``bind(machine)`` binds one machine's
+    state (registers, flags, memory, trace) and returns ``(handlers,
+    singles)``, both indexed by pc: ``singles[pc]`` runs instruction
+    ``pc`` alone, and ``handlers[pc]`` is the chunk starting there at a
+    chunk start and ``singles[pc]`` elsewhere.  ``weights[pc]`` is the
+    number of instructions ``handlers[pc]`` retires.  Every handler
+    returns the next pc.
+
+    The compiled form is memoized on the program and invalidated when
+    the program grows or its labels change, so repeated
+    :meth:`Machine.run` calls pay the codegen cost once.
     """
     labels = program.labels
-    cached = getattr(program, "_fused_cache", None)
-    if (cached is not None and cached[0] == len(program)
-            and cached[1] == labels):
-        return cached[2], cached[3]
+    cached = getattr(program, "_compiled", None)
+    if cached is not None and cached[0] == len(program) and cached[1] == labels:
+        return cached[2]
     instructions = program.instructions
     n = len(instructions)
     leaders = _block_leaders(program)
-    factories: List = [None] * n
+    templates = [_fused_lines(inst, pc, labels, n)
+                 for pc, inst in enumerate(instructions)]
+
+    def handler_source(name: str, first: int, last: int) -> List[str]:
+        body: List[str] = []
+        for lines in templates[first:last]:
+            body.extend(lines)
+        if instructions[last - 1].opcode not in _CONTROL_OPCODES:
+            body.append("return %d" % last)
+        return ["    def %s():" % name] + ["        " + line for line in body]
+
+    source = ["def _bind(machine):",
+              "    regs = machine.regs",
+              "    flags = machine.flags",
+              "    append = machine.trace.append",
+              "    memory = machine.memory",
+              "    words = memory._words",
+              "    get = words.get",
+              "    load = memory.load",
+              "    store = memory.store"]
+    for pc in range(n):
+        source.extend(handler_source("_s%d" % pc, pc, pc + 1))
+    handlers = ["_s%d" % pc for pc in range(n)]
     weights = [1] * n
-    namespace = {
-        "_MASK64": _MASK64, "_SIGN64": _SIGN64,
-        "MachineError": MachineError, "_with_addr": _with_addr,
-        "SparseMemory": SparseMemory,
-    }
-    source_parts: List[str] = []
-    chunks: List[tuple] = []  # (start_pc, length)
     pc = 0
     while pc < n:
         start = pc
-        body: List[str] = []
-        uses_memory = False
-        ends = False
-        while pc < n and not (pc > start and pc in leaders):
-            info = _fused_lines(instructions[pc], pc, labels, n)
-            if info is None:
-                break
-            lines, mem, ends = info
-            body.extend(lines)
-            uses_memory = uses_memory or mem
-            namespace["_i%d" % pc] = instructions[pc]
+        pc += 1
+        while pc < n and pc not in leaders:
             pc += 1
-            if ends:
-                break
-        length = pc - start
-        if length < 2:
-            # Unfused pc (no template, or a singleton chunk with nothing
-            # to gain): keep the individual handler and move past it.
-            pc = max(pc, start + 1)
-            continue
-        if not ends:
-            body.append("return %d" % pc)
-        bind = ["    regs = machine.regs",
-                "    flags = machine.flags",
-                "    append = machine.trace.append"]
-        if uses_memory:
-            bind = ["    memory = machine.memory",
-                    "    if type(memory) is not SparseMemory:",
-                    "        return None",
-                    "    words = memory._words",
-                    "    get = words.get"] + bind
-        source_parts.append(
-            "def _fused_%d(machine):\n%s\n    def handler():\n%s\n"
-            "    return handler\n"
-            % (start, "\n".join(bind),
-               "\n".join("        " + line for line in body)))
-        chunks.append((start, length))
-    if chunks:
-        exec(compile("\n".join(source_parts),
-                     "<fused:%s>" % getattr(program, "name", "program"),
-                     "exec"), namespace)
-        for start, length in chunks:
-            factories[start] = namespace["_fused_%d" % start]
-            weights[start] = length
-    program._fused_cache = (n, labels, factories, weights)
-    return factories, weights
+        if pc - start > 1:
+            source.extend(handler_source("_c%d" % start, start, pc))
+            handlers[start] = "_c%d" % start
+            weights[start] = pc - start
+    source.append("    return [%s], [%s]" % (
+        ", ".join(handlers), ", ".join("_s%d" % pc for pc in range(n))))
+    namespace = {"_MASK64": _MASK64, "_SIGN64": _SIGN64,
+                 "MachineError": MachineError, "_with_addr": _with_addr}
+    namespace.update(("_i%d" % pc, inst) for pc, inst in enumerate(instructions))
+    exec(compile("\n".join(source),
+                 "<machine:%s>" % getattr(program, "name", "program"),
+                 "exec"), namespace)
+    compiled = (namespace["_bind"], weights)
+    program._compiled = (n, labels, compiled)
+    return compiled
 
 
 class Machine:
     """Executes a :class:`Program` and emits a dynamic trace."""
 
     def __init__(self, memory: Optional[SparseMemory] = None):
+        if memory is None:
+            memory = SparseMemory()
+        elif type(memory) is not SparseMemory:
+            # The compiled handlers use the word dictionary directly.
+            raise TypeError("Machine memory must be a SparseMemory, not %s"
+                            % type(memory).__name__)
         self.regs = [0] * NUM_REG_ENCODINGS
         self.flags = Flags()
-        self.memory = memory if memory is not None else SparseMemory()
+        self.memory = memory
         self.trace: List[Instruction] = []
 
     # --- register helpers ---------------------------------------------------
@@ -792,61 +421,28 @@ class Machine:
             max_steps: int = 1_000_000) -> List[Instruction]:
         """Execute until HALT (or falling off the end); return the trace.
 
-        Threaded-code path: the program is pre-decoded once (see
-        :func:`compile_program`), the factories are bound to this
-        machine's state, and the step loop is a bare indirect call.
-        With ``REPRO_FUSION`` on (the default), chunk-start pcs are
-        further replaced by codegen'd superinstructions (see
-        :func:`compile_program_fused`).  Produces traces and
-        architectural state bit-identical to :meth:`run_reference`.
+        Runs the compiled handlers (see :func:`compile_program`).  Produces
+        traces, architectural state and faults bit-identical to
+        :meth:`run_reference`.
         """
-        factories = compile_program(program)
-        base = [factory(self) for factory in factories]
+        bind, weights = compile_program(program)
+        handlers, singles = bind(self)
         # Handlers read source registers by direct index; keep the XZR
         # invariant (always zero — no handler ever writes it) explicit.
         self.regs[XZR] = 0
-        handlers = base
-        weights = None
-        # Imported here: repro.harness imports repro.isa.  Read per call
-        # so tests can flip the knob.
-        from repro.harness.envutil import knob
-
-        if knob("REPRO_FUSION"):
-            fused_factories, fused_weights = compile_program_fused(program)
-            for i, fused_factory in enumerate(fused_factories):
-                if fused_factory is None:
-                    continue
-                handler = fused_factory(self)
-                if handler is None:
-                    continue  # non-SparseMemory: chunk stays unfused
-                if weights is None:
-                    handlers = list(base)
-                    weights = [1] * len(base)
-                handlers[i] = handler
-                weights[i] = fused_weights[i]
         pc = start
         steps = 0
-        n = len(base)
-        if weights is None:
-            while pc < n:
-                steps += 1
-                if steps > max_steps:
-                    raise MachineError("exceeded %d steps; runaway loop?"
-                                       % max_steps)
-                pc = handlers[pc]()
-            return self.trace
+        n = len(weights)
         while pc < n:
             budget = steps + weights[pc]
             if budget > max_steps:
-                # The chunk would blow the step budget mid-way; single-step
-                # its instructions on the unfused handlers so the fault
-                # fires after exactly ``max_steps`` retired instructions,
-                # like the reference interpreter.
+                # The chunk would overrun the budget; single-step so the
+                # fault fires after exactly ``max_steps`` instructions.
                 steps += 1
                 if steps > max_steps:
                     raise MachineError("exceeded %d steps; runaway loop?"
                                        % max_steps)
-                pc = base[pc]()
+                pc = singles[pc]()
             else:
                 steps = budget
                 pc = handlers[pc]()

@@ -262,14 +262,21 @@ class TestEnvRegistry:
 
     def test_registry_matches_src_grep(self):
         src_root = pathlib.Path(repro.__file__).resolve().parent
+        mentioned = set()
         read_in_code = set()
         for path in sorted(src_root.rglob("*.py")):
             for token in re.findall(r"REPRO_[A-Z_]+",
                                     path.read_text(encoding="utf-8")):
-                read_in_code.add(token.rstrip("_"))
+                mentioned.add(token.rstrip("_"))
+                # envutil.py declares every knob, so only mentions
+                # outside it show that something still reads one.
+                if path.name != "envutil.py":
+                    read_in_code.add(token.rstrip("_"))
         documented = {knob.name for knob in describe_env()}
-        undocumented = read_in_code - documented
-        stale = documented - read_in_code
+        undocumented = mentioned - documented
+        # REPRO_FUSION has no reader; the e2e benchmark's inherited-knob
+        # check sets it, so it stays registered until that changes.
+        stale = documented - read_in_code - {"REPRO_FUSION"}
         assert not undocumented, (
             "REPRO_* knobs read under src/repro but missing from "
             "describe_env(): %s" % sorted(undocumented))
