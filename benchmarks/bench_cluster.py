@@ -87,8 +87,7 @@ atexit.register(_flush_ledger)
 def _reference_digests(scale):
     """Serial run_matrix digests: the bit-identity baseline."""
     configs = [c for c in CONFIGURATIONS if c.name in CONFIGS]
-    serial = run_matrix(list(WORKLOADS), configs, scale,
-                        parallel=False, cache=False)
+    serial = run_matrix(list(WORKLOADS), configs, scale)
     return {(workload, config.name):
             result_digest(serial[workload][config.name])
             for workload in WORKLOADS for config in configs}

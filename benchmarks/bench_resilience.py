@@ -41,7 +41,7 @@ def test_resilience_supervision_overhead(benchmark):
 
     def run():
         start = time.perf_counter()
-        serial = run_matrix(list(APPS), configs, scale, parallel=False)
+        serial = run_matrix(list(APPS), configs, scale)
         serial_s = time.perf_counter() - start
         start = time.perf_counter()
         supervised = run_matrix_parallel(list(APPS), configs, scale,

@@ -351,7 +351,7 @@ def test_selfperf_matrix_serial_vs_parallel(benchmark):
 
     def run():
         start = time.perf_counter()
-        serial = run_matrix(apps, configs, scale, parallel=False)
+        serial = run_matrix(apps, configs, scale)
         serial_s = time.perf_counter() - start
         start = time.perf_counter()
         parallel = run_matrix_parallel(apps, configs, scale,

@@ -123,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_optimize_parser() -> argparse.ArgumentParser:
+    from repro.analysis.autotune import DEFAULT_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis optimize",
         description="Proof-guided fence autotuner: search the fence "
@@ -150,9 +152,8 @@ def _build_optimize_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help="max oracle trials per target (default: $REPRO_AUTOTUNE_BUDGET "
-        "or 64)",
+        default=DEFAULT_BUDGET,
+        help="max oracle trials per target (default: %(default)s)",
     )
     parser.add_argument(
         "--no-validate",

@@ -82,6 +82,9 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 SKIPPED = "skipped"
 REVERTED = "reverted"
 
+#: Oracle trials per target when no positive budget is given.
+DEFAULT_BUDGET = 64
+
 #: Verdict ranks for the no-regression rule: a candidate may keep or
 #: improve an obligation's verdict, never worsen it.
 _VERDICT_RANK = {VIOLATED: 0, INDETERMINATE: 1, GUARANTEED: 2}
@@ -437,7 +440,7 @@ def autotune_workload(
     scale=None,
     conservative: bool = False,
     budget: Optional[int] = None,
-    validate: Optional[bool] = None,
+    validate: bool = True,
     params=None,
 ) -> OptimizationReport:
     """Search, prove, validate: optimize one workload under one config.
@@ -445,11 +448,10 @@ def autotune_workload(
     ``conservative`` rebuilds the workload with the ``+cons`` fence-mode
     suffix (PMDK-style overfenced emission) so the search starts from a
     program with genuinely redundant ordering.  ``budget`` caps oracle
-    trials (``REPRO_AUTOTUNE_BUDGET``); ``validate`` controls the
-    dynamic oracle (``REPRO_AUTOTUNE_VALIDATE``).
+    trials (``None`` or ``<= 0`` means :data:`DEFAULT_BUDGET`);
+    ``validate`` turns the dynamic oracle on or off.
     """
     from repro.harness.configs import DEFAULT_PARAMS, configuration
-    from repro.harness.envutil import knob
     from repro.workloads import base as workload_base
 
     config = configuration(config_name)
@@ -458,9 +460,7 @@ def autotune_workload(
     if params is None:
         params = DEFAULT_PARAMS
     if budget is None or budget <= 0:
-        budget = knob("REPRO_AUTOTUNE_BUDGET")
-    if validate is None:
-        validate = knob("REPRO_AUTOTUNE_VALIDATE")
+        budget = DEFAULT_BUDGET
 
     mode = (
         codegen.conservative_mode(config.fence_mode)

@@ -17,7 +17,7 @@ point      label                       where
 ========== =========================== ====================================
 ``worker``  ``<workload>/<fence mode>`` start of a simulation group
                                         (:func:`repro.harness.parallel.
-                                        _simulate_group`)
+                                        simulate_group`)
 ``run_one`` ``<workload>/<config>``     start of one simulation
 ``build``   ``<workload>/<fence mode>`` start of a trace build
 ``store``   ``<kind>:<key>``            after a cache entry is written

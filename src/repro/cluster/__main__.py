@@ -31,12 +31,21 @@ default, then exits.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
+import signal
 import sys
 from typing import List, Optional, Tuple
 
+from repro.cluster.coordinator import (
+    DEFAULT_PROBE_INTERVAL_S,
+    ClusterCoordinator,
+)
+from repro.cluster.local import DEFAULT_SHARDS, LocalCluster
 from repro.harness.cliutil import exit_on_bad_env, guard_broken_pipe
 from repro.harness.envutil import knob, render_env_table
+from repro.service.client import ServiceClient
+from repro.service.queue import DEFAULT_MAX_DEPTH
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,9 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     up = sub.add_parser("up", help="run coordinator + N shard workers")
-    up.add_argument("--shards", type=int, default=None,
-                    help="worker-process count "
-                    "(default: $REPRO_CLUSTER_SHARDS or 2)")
+    up.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
+                    help="worker-process count (default: %(default)s)")
     up.add_argument("--host", default="127.0.0.1",
                     help="coordinator bind address")
     up.add_argument("--port", type=int, default=None,
@@ -64,8 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     up.add_argument("--workers-per-shard", type=int, default=1,
                     help="simulation pool size inside each shard "
                     "(default 1: the shards are the parallelism)")
-    up.add_argument("--queue-depth", type=int, default=None,
-                    help="per-shard admission-control queue bound")
+    up.add_argument("--queue-depth", type=int, default=DEFAULT_MAX_DEPTH,
+                    help="per-shard admission-control queue bound "
+                    "(default: %(default)s)")
     up.add_argument("--cache-dir", default=None,
                     help="shared result/trace cache directory "
                     "(default: scratch dir, removed on exit)")
@@ -90,9 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     coord.add_argument("--journal-dir", default=None,
                        help="write-ahead journal directory (restart with "
                        "the same directory to recover in-flight jobs)")
-    coord.add_argument("--probe-interval", type=float, default=None,
+    coord.add_argument("--probe-interval", type=float,
+                       default=DEFAULT_PROBE_INTERVAL_S,
                        help="seconds between shard health probes "
-                       "(default: $REPRO_CLUSTER_PROBE_INTERVAL or 1)")
+                       "(default: %(default)s)")
 
     status = sub.add_parser("status",
                             help="print a coordinator's /healthz JSON")
@@ -129,16 +139,12 @@ async def _start_proxies(addresses: List[Tuple[str, int]], host: str):
     return proxied, proxies
 
 
-async def _serve_coordinator(addresses, args, journal_dir,
-                             probe_interval_s=None,
-                             n_shards: Optional[int] = None) -> None:
-    import asyncio
-    import signal
-
-    from repro.cluster.coordinator import ClusterCoordinator
-
+async def _serve_coordinator(addresses, args,
+                             probe_interval_s=DEFAULT_PROBE_INTERVAL_S
+                             ) -> None:
     port = args.port if args.port is not None else \
         knob("REPRO_SERVICE_PORT")
+    journal_dir = args.journal_dir or knob("REPRO_CLUSTER_JOURNAL_DIR")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -149,8 +155,7 @@ async def _serve_coordinator(addresses, args, journal_dir,
         probe_interval_s=probe_interval_s)
     await coordinator.start()
     print("repro.cluster coordinator on http://%s:%d (%d shards%s%s)"
-          % (coordinator.host, coordinator.port,
-             n_shards if n_shards is not None else len(addresses),
+          % (coordinator.host, coordinator.port, len(addresses),
              ", journaled" if journal_dir else "",
              ", net-chaos proxied" if proxies else ""),
           flush=True)
@@ -168,11 +173,6 @@ async def _serve_coordinator(addresses, args, journal_dir,
 
 
 def _cmd_up(args) -> int:
-    import asyncio
-
-    from repro.cluster.local import LocalCluster
-
-    journal_dir = args.journal_dir or knob("REPRO_CLUSTER_JOURNAL_DIR")
     cluster = LocalCluster(
         shards=args.shards,
         workers_per_shard=args.workers_per_shard,
@@ -183,9 +183,7 @@ def _cmd_up(args) -> int:
     try:
         cluster.start()
         try:
-            asyncio.run(_serve_coordinator(
-                cluster.addresses, args, journal_dir,
-                n_shards=cluster.n_shards))
+            asyncio.run(_serve_coordinator(cluster.addresses, args))
         except KeyboardInterrupt:
             pass
     finally:
@@ -194,22 +192,16 @@ def _cmd_up(args) -> int:
 
 
 def _cmd_coordinator(args) -> int:
-    import asyncio
-
-    journal_dir = args.journal_dir or knob("REPRO_CLUSTER_JOURNAL_DIR")
     addresses = [_parse_shard(value) for value in args.shard_addrs]
     try:
         asyncio.run(_serve_coordinator(
-            addresses, args, journal_dir,
-            probe_interval_s=args.probe_interval))
+            addresses, args, probe_interval_s=args.probe_interval))
     except KeyboardInterrupt:
         pass
     return 0
 
 
 def _cmd_status(args) -> int:
-    from repro.service.client import ServiceClient
-
     client = ServiceClient(port=args.port, host=args.host)
     print(json.dumps(client.healthz(), indent=2))
     return 0

@@ -22,9 +22,9 @@ requests under load should trip even though successes are interleaved,
 and one success must not reset the evidence.  The clock is injectable
 so the state machine unit-tests run without sleeping.
 
-Tunables (see ``envutil.describe_env``): ``REPRO_BREAKER_THRESHOLD``
-(EWMA failure rate that trips an open) and ``REPRO_BREAKER_RESET``
-(seconds an open breaker waits before probing).
+Tunables: ``threshold`` (EWMA failure rate that trips an open,
+default :data:`DEFAULT_THRESHOLD`) and ``reset_timeout_s`` (seconds an
+open breaker waits before probing, default :data:`DEFAULT_RESET_S`).
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.harness.envutil import knob
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: EWMA failure rate that trips the breaker open.
+DEFAULT_THRESHOLD = 0.5
+#: Seconds an open breaker waits before admitting half-open probes.
+DEFAULT_RESET_S = 2.0
 #: EWMA smoothing factor: one failure moves the rate by this fraction.
 DEFAULT_ALPHA = 0.3
 #: Outcomes required before the EWMA is trusted enough to trip.
@@ -52,17 +54,15 @@ class CircuitBreaker:
     """State machine guarding one upstream (a shard, in the cluster)."""
 
     def __init__(self,
-                 threshold: Optional[float] = None,
-                 reset_timeout_s: Optional[float] = None,
+                 threshold: float = DEFAULT_THRESHOLD,
+                 reset_timeout_s: float = DEFAULT_RESET_S,
                  alpha: float = DEFAULT_ALPHA,
                  min_samples: int = DEFAULT_MIN_SAMPLES,
                  max_probes: int = DEFAULT_MAX_PROBES,
                  required_successes: int = DEFAULT_REQUIRED_SUCCESSES,
                  clock: Callable[[], float] = time.monotonic):
-        self.threshold = (threshold if threshold is not None
-                          else knob("REPRO_BREAKER_THRESHOLD"))
-        self.reset_timeout_s = (reset_timeout_s if reset_timeout_s is not None
-                                else knob("REPRO_BREAKER_RESET"))
+        self.threshold = threshold
+        self.reset_timeout_s = reset_timeout_s
         self.alpha = alpha
         self.min_samples = min_samples
         self.max_probes = max_probes

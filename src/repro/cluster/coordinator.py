@@ -62,7 +62,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.harness.configs import DEFAULT_PARAMS
-from repro.harness.envutil import knob
 from repro.service.http import (
     BaseHttpServer,
     ThreadedHttpServer,
@@ -71,9 +70,18 @@ from repro.service.http import (
 )
 from repro.service.jobs import JobSpec, job_id_for
 from repro.service.metrics import Counter, Gauge, MetricsRegistry
-from repro.cluster.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.cluster.breaker import (
+    CLOSED,
+    DEFAULT_RESET_S,
+    DEFAULT_THRESHOLD,
+    HALF_OPEN,
+    OPEN,
+    CircuitBreaker,
+)
 from repro.cluster.hashring import HashRing
 from repro.cluster.journal import (
+    DEFAULT_COMPACT_BYTES,
+    DEFAULT_FSYNC_INTERVAL_S,
     KIND_ADMIT,
     KIND_DONE,
     KIND_MEMBER,
@@ -87,6 +95,8 @@ from repro.cluster.ratelimit import RateLimiter
 __all__ = ["ClusterCoordinator", "ThreadedCoordinator", "ShardState",
            "federate_metrics"]
 
+#: Seconds between shard health-probe rounds.
+DEFAULT_PROBE_INTERVAL_S = 1.0
 #: Consecutive probe failures before a shard is evicted from the ring.
 DEFAULT_EVICT_AFTER = 2
 #: Default wall-clock bound on one status/result read from a shard.
@@ -275,7 +285,7 @@ class ClusterCoordinator(BaseHttpServer):
 
     def __init__(self, shards: List[Tuple[str, int]],
                  host: str = "127.0.0.1", port: int = 0,
-                 probe_interval_s: Optional[float] = None,
+                 probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
                  probe_timeout_s: float = 5.0,
                  evict_after: int = DEFAULT_EVICT_AFTER,
                  proxy_timeout_s: float = DEFAULT_PROXY_TIMEOUT_S,
@@ -283,19 +293,17 @@ class ClusterCoordinator(BaseHttpServer):
                  hedge_delay_s: float = DEFAULT_HEDGE_DELAY_S,
                  rate: Optional[float] = None,
                  burst: Optional[int] = None,
-                 breaker_threshold: Optional[float] = None,
-                 breaker_reset_s: Optional[float] = None,
+                 breaker_threshold: float = DEFAULT_THRESHOLD,
+                 breaker_reset_s: float = DEFAULT_RESET_S,
                  journal_dir=None,
-                 journal_fsync_interval_s: Optional[float] = None,
-                 journal_compact_bytes: Optional[int] = None,
+                 journal_fsync_interval_s: float = DEFAULT_FSYNC_INTERVAL_S,
+                 journal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
                  params=DEFAULT_PARAMS):
         super().__init__(host=host, port=port)
         if not shards:
             raise ValueError("a cluster needs at least one shard")
         self.params = params
-        self.probe_interval_s = (probe_interval_s
-                                 if probe_interval_s is not None
-                                 else knob("REPRO_CLUSTER_PROBE_INTERVAL"))
+        self.probe_interval_s = probe_interval_s
         self.probe_timeout_s = probe_timeout_s
         self.evict_after = max(1, evict_after)
         self.proxy_timeout_s = proxy_timeout_s

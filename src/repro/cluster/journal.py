@@ -25,16 +25,16 @@ a job that actually finished is a cache hit and replaying one that is
 still running coalesces onto the in-flight duplicate — exactly-once is
 preserved by construction, not by careful bookkeeping.
 
-Durability knobs (see ``envutil.describe_env``):
+Durability settings (constructor arguments):
 
-* ``REPRO_JOURNAL_FSYNC_INTERVAL`` — seconds between fsyncs.  ``0``
+* ``fsync_interval_s`` — seconds between fsyncs (default 0).  ``0``
   fsyncs every append (maximum durability, one ``fsync`` per record);
   larger values batch appends between syncs, trading the tail of the
   log on power loss for throughput.  A torn or half-written tail is
   detected by the per-record CRC frame on replay and truncated away —
   exactly the crash-consistency discipline the EDE paper's undo log
   applies to NVM lines.
-* ``REPRO_JOURNAL_COMPACT_BYTES`` — size trigger for compaction: when
+* ``compact_bytes`` — size trigger for compaction (default 1 MiB): when
   the live log exceeds this, the owner supplies a snapshot of live
   records and the journal atomically rewrites itself (temp file +
   ``fsync`` + ``os.replace``), dropping terminal jobs' bodies and
@@ -51,14 +51,17 @@ import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.harness.envutil import knob
-
 __all__ = ["CoordinatorJournal", "JournalRecord", "RecoveredState",
            "replay_records"]
 
 #: Per-record frame: magic, CRC-32 of the payload, payload length.
 _RECORD_HEADER = struct.Struct("<4sII")
 _RECORD_MAGIC = b"RPJ1"
+
+#: Seconds between fsync batches (0 fsyncs every append).
+DEFAULT_FSYNC_INTERVAL_S = 0.0
+#: Journal size in bytes that triggers a compacting rewrite.
+DEFAULT_COMPACT_BYTES = 1 << 20
 
 #: Record kinds the coordinator writes.
 KIND_ADMIT = "admit"
@@ -96,16 +99,13 @@ class CoordinatorJournal:
     filename = "coordinator.journal"
 
     def __init__(self, directory: os.PathLike,
-                 fsync_interval_s: Optional[float] = None,
-                 compact_bytes: Optional[int] = None,
+                 fsync_interval_s: float = DEFAULT_FSYNC_INTERVAL_S,
+                 compact_bytes: int = DEFAULT_COMPACT_BYTES,
                  clock: Callable[[], float] = time.monotonic):
         self.directory = Path(directory)
         self.path = self.directory / self.filename
-        self.fsync_interval_s = (fsync_interval_s
-                                 if fsync_interval_s is not None
-                                 else knob("REPRO_JOURNAL_FSYNC_INTERVAL"))
-        self.compact_bytes = (compact_bytes if compact_bytes is not None
-                              else knob("REPRO_JOURNAL_COMPACT_BYTES"))
+        self.fsync_interval_s = fsync_interval_s
+        self.compact_bytes = compact_bytes
         self._clock = clock
         self._handle = None
         self._last_fsync = 0.0

@@ -36,9 +36,12 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.harness.envutil import knob
+from repro.service.queue import DEFAULT_MAX_DEPTH
 
 __all__ = ["LocalCluster"]
+
+#: Shard workers a cluster spawns when not told otherwise.
+DEFAULT_SHARDS = 2
 
 
 class _Worker:
@@ -68,16 +71,15 @@ class _Worker:
 class LocalCluster:
     """N shard workers as subprocesses over one shared cache directory."""
 
-    def __init__(self, shards: Optional[int] = None,
+    def __init__(self, shards: int = DEFAULT_SHARDS,
                  workers_per_shard: int = 1,
-                 queue_depth: Optional[int] = None,
+                 queue_depth: int = DEFAULT_MAX_DEPTH,
                  cache_dir: Optional[os.PathLike] = None,
                  workdir: Optional[os.PathLike] = None,
                  host: str = "127.0.0.1",
                  startup_timeout_s: float = 60.0,
                  extra_env: Optional[dict] = None):
-        self.n_shards = shards if shards is not None \
-            else knob("REPRO_CLUSTER_SHARDS")
+        self.n_shards = shards
         if self.n_shards < 1:
             raise ValueError("a cluster needs at least one shard")
         # One worker per shard by default: the shards themselves are the
@@ -130,9 +132,8 @@ class LocalCluster:
                 "--port-file", str(port_file),
                 "--workers", str(self.workers_per_shard),
                 "--cache-dir", str(self.cache_dir),
+                "--queue-depth", str(self.queue_depth),
             ]
-            if self.queue_depth is not None:
-                command += ["--queue-depth", str(self.queue_depth)]
             log_handle = open(log_path, "wb")
             try:
                 process = subprocess.Popen(

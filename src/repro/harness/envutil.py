@@ -9,8 +9,9 @@ wins at the call site (``arg if arg is not None else knob(...)``).
 Parsing is strict: unset or empty means the default, flags accept only
 ``0``/``1``/``true``/``false``, numbers must parse and respect the lower
 bound, and anything else raises ``ValueError`` naming the variable and
-the offending value.  :func:`check_env` parses every knob at once and
-reports every bad one in a single error; the CLI mains and
+the offending value.  :func:`check_env` parses every knob at once,
+refuses any retired name (``_RETIRED``) that is still set, and reports
+every bad one in a single error; the CLI mains and
 :meth:`~repro.harness.supervisor.SupervisorConfig.from_env` call it, so
 a junk value fails loudly even where an explicit argument overrides it.
 
@@ -57,15 +58,6 @@ _KNOBS = (
             "Persistent compiled-trace cache on/off."),
     EnvKnob("REPRO_CACHE_DIR", "str", os.path.join(".benchmarks", "cache"),
             "Directory for result and trace caches."),
-    EnvKnob("REPRO_TIMEOUT", "float", 600.0,
-            "Per-group wall-clock timeout in seconds (0 disables).",
-            minimum=0),
-    EnvKnob("REPRO_RETRIES", "int", 2,
-            "Failed attempts tolerated per group beyond the first.",
-            minimum=0),
-    EnvKnob("REPRO_BACKOFF", "float", 0.1,
-            "Base retry backoff in seconds, doubled per failure.",
-            minimum=0),
     EnvKnob("REPRO_PROFILE", "flag", False,
             "Dump per-phase cProfile stats for build/load/simulate."),
     EnvKnob("REPRO_PROFILE_DIR", "str",
@@ -95,12 +87,6 @@ _KNOBS = (
     EnvKnob("REPRO_STATIC_CHECK", "flag", False,
             "Gate every interpreted workload build through the static "
             "analyzer."),
-    EnvKnob("REPRO_AUTOTUNE_BUDGET", "int", 64,
-            "Fence-autotuner trial budget: max candidate programs the "
-            "static oracle evaluates per target.", minimum=1),
-    EnvKnob("REPRO_AUTOTUNE_VALIDATE", "flag", True,
-            "Fence-autotuner dynamic oracle (simulation, crash sweep, "
-            "result digest) on/off."),
     EnvKnob("REPRO_CHAOS", "json", None,
             "Serialized fault-injection plan, inline JSON or a path "
             "(set by the chaos harness, not by hand)."),
@@ -109,48 +95,36 @@ _KNOBS = (
     EnvKnob("REPRO_SERVICE_PORT", "int", 0,
             "Bind port for the service and coordinator (0 = ephemeral).",
             minimum=0),
-    EnvKnob("REPRO_SERVICE_QUEUE_DEPTH", "int", 64,
-            "Admission-control bound on queued service jobs.", minimum=1),
-    EnvKnob("REPRO_DRAIN_TIMEOUT", "float", 60.0,
-            "Seconds a SIGTERM'd server may spend finishing admitted "
-            "work before exiting anyway.", minimum=0),
-    EnvKnob("REPRO_CLUSTER_SHARDS", "int", 2,
-            "Worker-process count for `repro-cluster up` and the local "
-            "cluster manager.", minimum=1),
-    EnvKnob("REPRO_CLUSTER_PROBE_INTERVAL", "float", 1.0,
-            "Seconds between the coordinator's shard health-probe "
-            "rounds.", minimum=0.01),
     EnvKnob("REPRO_CLUSTER_RATE", "float", 100.0,
             "Per-tenant sustained submissions/second admitted by the "
             "cluster coordinator.", minimum=0.001),
     EnvKnob("REPRO_CLUSTER_BURST", "int", 200,
             "Per-tenant burst capacity (token-bucket size) at the "
             "cluster coordinator.", minimum=1),
-    EnvKnob("REPRO_BREAKER_THRESHOLD", "float", 0.5,
-            "EWMA failure rate that trips a shard's circuit breaker "
-            "open.", minimum=0),
-    EnvKnob("REPRO_BREAKER_RESET", "float", 2.0,
-            "Seconds an open circuit breaker waits before admitting "
-            "half-open probes.", minimum=0),
     EnvKnob("REPRO_CLUSTER_JOURNAL_DIR", "str", None,
             "Directory for the coordinator's crash-recovery write-ahead "
             "journal (unset = journaling off)."),
-    EnvKnob("REPRO_JOURNAL_FSYNC_INTERVAL", "float", 0.0,
-            "Seconds between journal fsync batches (0 fsyncs every "
-            "append).", minimum=0),
-    EnvKnob("REPRO_JOURNAL_COMPACT_BYTES", "int", 1 << 20,
-            "Journal size in bytes that triggers a compacting rewrite.",
-            minimum=4096),
     EnvKnob("REPRO_NETPROXY_PLAN", "json", None,
             "Serialized network fault plan, inline JSON or a path; when "
             "set, the cluster CLI inserts a fault-injection TCP proxy "
             "before every shard."),
-    EnvKnob("REPRO_REQUEST_DEADLINE", "float", 0.0,
-            "Default end-to-end deadline in seconds clients send as "
-            "X-Deadline (0 = none).", minimum=0),
 )
 
 _BY_NAME = {spec.name: spec for spec in _KNOBS}
+
+#: Knobs that were deleted; most values are now constructor arguments
+#: or CLI flags.  A leftover export is refused rather than silently
+#: ignored.
+_RETIRED = (
+    "REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_BACKOFF",
+    "REPRO_AUTOTUNE_BUDGET", "REPRO_AUTOTUNE_VALIDATE",
+    "REPRO_SERVICE_QUEUE_DEPTH", "REPRO_DRAIN_TIMEOUT",
+    "REPRO_CLUSTER_SHARDS", "REPRO_CLUSTER_PROBE_INTERVAL",
+    "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_RESET",
+    "REPRO_JOURNAL_FSYNC_INTERVAL", "REPRO_JOURNAL_COMPACT_BYTES",
+    "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
+    "REPRO_PROXY_TIMEOUT",
+)
 
 
 def knob(name: str):
@@ -190,8 +164,10 @@ def knob(name: str):
 
 
 def check_env() -> None:
-    """Parse every registered knob; one ``ValueError`` names all bad ones."""
-    problems = []
+    """Parse every registered knob and refuse every retired one that is
+    set; one ``ValueError`` names all bad ones."""
+    problems = ["%s is retired and no longer read; unset it" % name
+                for name in _RETIRED if os.environ.get(name)]
     for spec in _KNOBS:
         try:
             knob(spec.name)

@@ -26,13 +26,12 @@ def _default_matrix(apps: Sequence[str], scale: Scale
 
     Goes through the supervised parallel + cached engine: independent
     simulations fan out over a process pool (``REPRO_PARALLEL``) under the
-    fault-tolerant supervisor (``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` — see
-    :mod:`repro.harness.supervisor`), previously computed results come
-    from the persistent result cache (``REPRO_RESULT_CACHE``), and
-    previously built traces come from the persistent trace cache
-    (``REPRO_TRACE_CACHE``) — a warm engine re-runs a figure with zero
-    simulation and zero trace interpretation, and an interrupted matrix
-    resumes from the groups already persisted.
+    fault-tolerant supervisor (see :mod:`repro.harness.supervisor`),
+    previously computed results come from the persistent result cache
+    (``REPRO_RESULT_CACHE``), and previously built traces come from the
+    persistent trace cache (``REPRO_TRACE_CACHE``) — a warm engine
+    re-runs a figure with zero simulation and zero trace interpretation,
+    and an interrupted matrix resumes from the groups already persisted.
     """
     from repro.harness.parallel import run_matrix_parallel
 

@@ -34,8 +34,6 @@ Environment variables:
 
 * ``REPRO_PARALLEL`` — default worker count (``0``/``1`` force the
   in-process serial path; unset means one worker per CPU).
-* ``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` — resilience
-  policy (see :mod:`repro.harness.supervisor`).
 * ``REPRO_RESULT_CACHE=0`` / ``REPRO_CACHE_DIR`` — see
   :mod:`repro.harness.result_cache`.
 * ``REPRO_TRACE_CACHE=0`` — disable the trace cache (see
@@ -46,20 +44,21 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos import chaos_point
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
 from repro.harness.envutil import knob
-from repro.harness.result_cache import ResultCache
 from repro.harness.supervisor import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT_S,
     MatrixReport,
     SupervisorConfig,
     SupervisorError,
     run_supervised,
 )
-from repro.harness.trace_cache import TRACE_SUBDIR, TraceCache
+from repro.harness.trace_cache import TraceCache, resolve_caches
 from repro.workloads import base as workload_base
 
 
@@ -112,16 +111,18 @@ def last_matrix_report() -> Optional[MatrixReport]:
     return _LAST_REPORT
 
 
-def _simulate_group(task: Tuple[str, Tuple[Configuration, ...],
-                                workload_base.Scale, A72Params,
-                                Optional[str]]
-                    ) -> Dict[str, object]:
+def simulate_group(task: Tuple[str, Sequence[Configuration],
+                               workload_base.Scale, A72Params,
+                               Optional[str]]
+                   ) -> Dict[str, object]:
     """Worker: run every configuration of one (workload, fence mode) group.
 
     The group's :class:`BuiltWorkload` is loaded from the trace cache
-    (built and stored only on a miss) and shared across the group's
-    configurations, mirroring the serial runner.  Module-level so it
-    pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
+    under the task's trace directory (built and stored only on a miss;
+    built uncached when the directory is None) and shared across the
+    group's configurations, mirroring the serial runner.  Module-level
+    so it pickles for :class:`~concurrent.futures.ProcessPoolExecutor`;
+    the service scheduler runs its simulate groups through it too.
     """
     from repro.harness.runner import run_one
 
@@ -152,29 +153,24 @@ def run_matrix_parallel(workloads: Sequence[str],
                         cache: Optional[bool] = None,
                         cache_dir: Optional[os.PathLike] = None,
                         trace_cache: Optional[bool] = None,
-                        timeout: Optional[float] = None,
-                        retries: Optional[int] = None,
-                        backoff: Optional[float] = None,
+                        timeout: Optional[float] = DEFAULT_TIMEOUT_S,
+                        retries: int = DEFAULT_RETRIES,
+                        backoff: float = DEFAULT_BACKOFF_S,
                         ) -> Dict[str, Dict[str, object]]:
     """Run every workload under every configuration, supervised and cached.
 
     Drop-in replacement for :func:`repro.harness.runner.run_matrix`: same
     result-dict shape, deterministic (workload, config) ordering, equal
-    results.  ``cache=None`` follows ``REPRO_RESULT_CACHE`` (on by
-    default); ``max_workers=None`` follows ``REPRO_PARALLEL`` (one worker
-    per CPU by default, ``<=1`` selects the in-process serial path).
+    results.  ``max_workers=None`` follows ``REPRO_PARALLEL`` (one worker
+    per CPU by default, ``<=1`` selects the in-process serial path);
+    ``cache``, ``cache_dir`` and ``trace_cache`` pick the stores as
+    :func:`~repro.harness.trace_cache.resolve_caches` describes.
 
-    ``trace_cache=None`` follows ``REPRO_TRACE_CACHE`` (on by default),
-    except that an explicit ``cache=False`` — "no disk caching, please" —
-    also disables the trace cache unless ``trace_cache`` is set
-    explicitly.  Trace entries live under ``cache_dir``/traces when
-    ``cache_dir`` is given, the default trace directory otherwise.
-
-    ``timeout``/``retries``/``backoff`` override ``REPRO_TIMEOUT`` /
-    ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` for this call (see
-    :mod:`repro.harness.supervisor`).  Completed groups are written to
-    the result cache immediately, so an interrupted call leaves every
-    finished group persisted; the rerun re-simulates only the rest.
+    ``timeout``/``retries``/``backoff`` set the supervisor's policy for
+    this call (see :mod:`repro.harness.supervisor`).  Completed groups
+    are written to the result cache immediately, so an interrupted call
+    leaves every finished group persisted; the rerun re-simulates only
+    the rest.
 
     Raises :class:`~repro.harness.supervisor.SupervisorError` when any
     group fails permanently — after persisting every group that did
@@ -183,19 +179,7 @@ def run_matrix_parallel(workloads: Sequence[str],
     global _LAST_REPORT
     workloads = list(workloads)
     configs = list(configs)
-    explicit_no_cache = cache is False
-    if cache is None:
-        cache = knob("REPRO_RESULT_CACHE")
-    store: Optional[ResultCache] = ResultCache(cache_dir) if cache else None
-
-    if trace_cache is None:
-        trace_cache = False if explicit_no_cache else knob("REPRO_TRACE_CACHE")
-    trace_dir: Optional[str] = None
-    if trace_cache:
-        if cache_dir is not None:
-            trace_dir = str(Path(cache_dir) / TRACE_SUBDIR)
-        else:
-            trace_dir = str(TraceCache().root)
+    store, trace_dir = resolve_caches(cache, cache_dir, trace_cache)
 
     results: Dict[str, Dict[str, object]] = {
         workload: {} for workload in workloads
@@ -240,7 +224,7 @@ def run_matrix_parallel(workloads: Sequence[str],
     config_ = SupervisorConfig.from_env(
         max_workers=resolve_workers(max_workers),
         timeout=timeout, retries=retries, backoff=backoff)
-    _, report = run_supervised(tasks, _simulate_group, config_,
+    _, report = run_supervised(tasks, simulate_group, config_,
                                on_result=_persist)
     report.resumed_from_cache = resumed
     _LAST_REPORT = report

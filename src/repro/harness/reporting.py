@@ -24,7 +24,8 @@ from repro.harness.experiments import (
     fig11_issue_distribution,
     safety_matrix,
 )
-from repro.harness.runner import RunResult, run_matrix
+from repro.harness.parallel import last_matrix_report, run_matrix_parallel
+from repro.harness.runner import RunResult
 from repro.harness.supervisor import MatrixReport
 from repro.workloads import BENCH_SCALE, Scale
 
@@ -102,18 +103,16 @@ def full_report(scale: Scale = BENCH_SCALE,
                 results: Dict[str, Dict[str, RunResult]] = None) -> str:
     """Run (or reuse) the full matrix; return the complete markdown.
 
-    When the matrix runs through the supervised parallel engine, the
-    supervisor's :class:`MatrixReport` is appended as a "Supervised
-    execution" section so regenerated reports record retries, pool
-    respawns and cache resumption alongside the measurements."""
-    from repro.harness.parallel import last_matrix_report
-
-    before = last_matrix_report()
+    When this call runs the matrix (through the supervised parallel
+    engine), the supervisor's :class:`MatrixReport` is appended as a
+    "Supervised execution" section so regenerated reports record
+    retries, pool respawns and cache resumption alongside the
+    measurements."""
+    supervision = None
     if results is None:
-        results = run_matrix(list(APPLICATIONS), list(CONFIGURATIONS), scale)
-    supervision = last_matrix_report()
-    if supervision is before:
-        supervision = None  # matrix was reused or ran serially
+        results = run_matrix_parallel(list(APPLICATIONS),
+                                      list(CONFIGURATIONS), scale)
+        supervision = last_matrix_report()
     sections: List[str] = []
     sections.append("# Measured results (%d ops/txn x %d txns)"
                     % (scale.ops_per_txn, scale.txns))

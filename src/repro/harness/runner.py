@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 from repro.chaos import chaos_point
 from repro.consistency.checker import CheckResult, check_run
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
-from repro.harness.envutil import knob
 from repro.harness.profiling import maybe_profile
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
@@ -70,20 +69,14 @@ def run_one(workload: str, config: Configuration,
             scale: workload_base.Scale = workload_base.BENCH_SCALE,
             params: A72Params = DEFAULT_PARAMS,
             built: Optional[BuiltWorkload] = None,
-            warm: bool = True,
-            trace_cache=None) -> RunResult:
+            warm: bool = True) -> RunResult:
     """Simulate one workload under one configuration.
 
     ``built`` lets callers reuse a pre-built trace (the build step is
-    deterministic per (workload, fence_mode, scale)); ``trace_cache`` (a
-    :class:`~repro.harness.trace_cache.TraceCache`) serves the build from
-    the on-disk trace cache instead, skipping trace interpretation on a
-    hit.  ``REPRO_PROFILE=1`` dumps per-phase (build / load / simulate)
-    cProfile stats to ``.benchmarks/profile/`` (see
-    :mod:`repro.harness.profiling`); with a trace cache the ``load``
-    (cache deserialization) and ``build`` (miss) phases are profiled
-    inside :func:`~repro.harness.trace_cache.load_or_build`, labelled by
-    fence mode.
+    deterministic per (workload, fence_mode, scale)).
+    ``REPRO_PROFILE=1`` dumps per-phase (build / simulate) cProfile
+    stats to ``.benchmarks/profile/`` (see
+    :mod:`repro.harness.profiling`).
 
     Builds with ``cores > 1`` are routed through the lockstep multi-core
     driver (:mod:`repro.multicore.system`) automatically.
@@ -91,15 +84,9 @@ def run_one(workload: str, config: Configuration,
     chaos_point("run_one", "%s/%s" % (workload, config.name))
     label = "%s-%s" % (workload, config.name)
     if built is None:
-        if trace_cache is not None:
-            # load_or_build profiles its own load/build phases; wrapping
-            # it here would fold cache deserialization into "build".
+        with maybe_profile(label, "build"):
             built = workload_base.build(workload, config.fence_mode, scale,
-                                        cache=trace_cache, params=params)
-        else:
-            with maybe_profile(label, "build"):
-                built = workload_base.build(workload, config.fence_mode,
-                                            scale, params=params)
+                                        params=params)
 
     multicore = getattr(built, "cores", 1) > 1
     with maybe_profile(label, "simulate"):
@@ -154,30 +141,15 @@ def run_one(workload: str, config: Configuration,
 def run_matrix(workloads: List[str], configs: List[Configuration],
                scale: workload_base.Scale = workload_base.BENCH_SCALE,
                params: A72Params = DEFAULT_PARAMS,
-               parallel: Optional[bool] = None,
-               max_workers: Optional[int] = None,
-               cache: Optional[bool] = None,
                ) -> Dict[str, Dict[str, RunResult]]:
-    """Run every workload under every configuration.
+    """Run every workload under every configuration, serially.
 
     Traces are rebuilt per fence mode (shared between IQ and WB, which run
-    the same program on different hardware).
-
-    ``parallel=True`` (or setting ``REPRO_PARALLEL``) and ``cache=True``
-    delegate to the :mod:`repro.harness.parallel` engine, which fans the
-    independent simulations out over a process pool and/or reuses results
-    from the persistent on-disk cache; output is deterministic and equal
-    to the serial path.  The default — no arguments, no env vars — is the
-    plain in-process serial run with no caching.
+    the same program on different hardware).  This is the in-process
+    reference run: no pool, no caches and no knob changes what it does,
+    so the engines (:func:`~repro.harness.parallel.run_matrix_parallel`,
+    the service) are checked against it.
     """
-    if parallel is None:
-        parallel = knob("REPRO_PARALLEL") is not None
-    if parallel or cache:
-        from repro.harness.parallel import run_matrix_parallel
-
-        return run_matrix_parallel(
-            list(workloads), list(configs), scale, params,
-            max_workers=max_workers, cache=cache)
     results: Dict[str, Dict[str, RunResult]] = {}
     for workload in workloads:
         built_by_mode: Dict[str, BuiltWorkload] = {}

@@ -23,14 +23,9 @@ waiting and ordered recovery:
   per-group attempts, latencies and failure causes — so flaky
   infrastructure is visible instead of silent.
 
-Environment variables (overridable per call):
-
-* ``REPRO_TIMEOUT`` — per-group wall-clock timeout in seconds
-  (default 600; ``0`` disables).
-* ``REPRO_RETRIES`` — failed attempts tolerated per group beyond the
-  first (default 2).
-* ``REPRO_BACKOFF`` — base backoff delay in seconds, doubled per
-  failure and capped (default 0.1).
+The policy is set per call (``timeout``/``retries``/``backoff`` on
+:func:`~repro.harness.parallel.run_matrix_parallel` and the service
+scheduler); the defaults are the module constants below.
 """
 
 from __future__ import annotations
@@ -41,9 +36,16 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.envutil import check_env, knob
+from repro.harness.envutil import check_env
 
 DEFAULT_MAX_POOL_RESPAWNS = 3
+
+#: Per-group wall-clock timeout in seconds (``0`` disables it).
+DEFAULT_TIMEOUT_S = 600.0
+#: Failed attempts tolerated per group beyond the first.
+DEFAULT_RETRIES = 2
+#: Base retry backoff in seconds, doubled per failure.
+DEFAULT_BACKOFF_S = 0.1
 
 #: Exponential backoff never sleeps longer than this per retry.
 BACKOFF_CAP_S = 5.0
@@ -54,29 +56,26 @@ class SupervisorConfig:
     """Resilience policy for one supervised run."""
 
     max_workers: int = 1
-    timeout_s: Optional[float] = 600.0
-    retries: int = 2
-    backoff_s: float = 0.1
+    timeout_s: Optional[float] = DEFAULT_TIMEOUT_S
+    retries: int = DEFAULT_RETRIES
+    backoff_s: float = DEFAULT_BACKOFF_S
     max_pool_respawns: int = DEFAULT_MAX_POOL_RESPAWNS
 
     @classmethod
     def from_env(cls, max_workers: int = 1,
-                 timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 backoff: Optional[float] = None,
-                 max_pool_respawns: Optional[int] = None,
+                 timeout: Optional[float] = DEFAULT_TIMEOUT_S,
+                 retries: int = DEFAULT_RETRIES,
+                 backoff: float = DEFAULT_BACKOFF_S,
+                 max_pool_respawns: int = DEFAULT_MAX_POOL_RESPAWNS,
                  ) -> "SupervisorConfig":
-        """The policy for one run: explicit arguments win over the
-        ``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` knobs.
+        """The policy for one run, after validating the environment.
 
-        Every registered knob is validated first, so a junk value fails
-        here even when an argument overrides it.  A timeout of ``0``
-        disables the timeout.
+        Every registered knob is parsed first (and every retired one
+        refused), so a junk value fails a run here even when an argument
+        overrides that knob.  A timeout of ``0`` or ``None`` disables the
+        timeout.
         """
         check_env()
-        timeout = timeout if timeout is not None else knob("REPRO_TIMEOUT")
-        retries = retries if retries is not None else knob("REPRO_RETRIES")
-        backoff = backoff if backoff is not None else knob("REPRO_BACKOFF")
         if retries < 0:
             raise ValueError("retries must be >= 0, got %d" % retries)
         if backoff < 0:
@@ -86,9 +85,7 @@ class SupervisorConfig:
             timeout_s=float(timeout) if timeout else None,
             retries=retries,
             backoff_s=float(backoff),
-            max_pool_respawns=(DEFAULT_MAX_POOL_RESPAWNS
-                               if max_pool_respawns is None
-                               else max_pool_respawns),
+            max_pool_respawns=max_pool_respawns,
         )
 
     def backoff_delay(self, failures: int) -> float:

@@ -33,11 +33,12 @@ import os
 import pickle
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.harness.envutil import knob
 from repro.harness.result_cache import (
     PickleStore,
+    ResultCache,
     canonical_key,
     default_cache_dir,
     source_fingerprint,
@@ -101,29 +102,39 @@ class TraceCache(PickleStore):
         return pickle.loads(zlib.decompress(payload))
 
 
-def resolve_trace_cache(enabled: Optional[bool] = None,
-                        cache_dir: Optional[os.PathLike] = None,
-                        ) -> Optional[TraceCache]:
-    """The store to use, or None when trace caching is off.
+def resolve_caches(cache: Optional[bool] = None,
+                   cache_dir: Optional[os.PathLike] = None,
+                   trace_cache: Optional[bool] = None,
+                   ) -> Tuple[Optional[ResultCache], Optional[str]]:
+    """The result store and trace directory of one matrix run or service.
 
-    ``enabled=None`` follows ``REPRO_TRACE_CACHE`` (on by default); an
-    explicit ``cache_dir`` points at the trace directory itself.
+    ``cache=None`` follows ``REPRO_RESULT_CACHE`` (on by default) and
+    ``trace_cache=None`` follows ``REPRO_TRACE_CACHE`` (on by default),
+    except that an explicit ``cache=False`` — "no disk caching, please"
+    — also turns the trace cache off.  Traces live under
+    ``cache_dir``/traces when ``cache_dir`` is given, the default trace
+    directory otherwise.  Either half is None when it is off; the trace
+    directory is a string so it pickles into worker tasks.
     """
-    if enabled is None:
-        enabled = knob("REPRO_TRACE_CACHE")
-    if not enabled:
-        return None
-    return TraceCache(cache_dir)
+    if trace_cache is None:
+        trace_cache = cache is not False and knob("REPRO_TRACE_CACHE")
+    if cache is None:
+        cache = knob("REPRO_RESULT_CACHE")
+    store = ResultCache(cache_dir) if cache else None
+    trace_dir = None
+    if trace_cache:
+        trace_dir = str(Path(cache_dir) / TRACE_SUBDIR if cache_dir is not None
+                        else default_trace_cache_dir())
+    return store, trace_dir
 
 
-def load_or_build(workload: str, fence_mode: str, scale, params=None,
-                  store: Optional[TraceCache] = None):
-    """Return the built workload, from cache when possible.
+def load_or_build(workload: str, fence_mode: str, scale, params=None, *,
+                  store: TraceCache):
+    """Return the built workload from ``store``, building it on a miss.
 
     On a miss the workload is built through
     :func:`repro.workloads.base.build` and the result is stored for every
-    later process (and every later worker group of this process).  With
-    ``store=None`` the build is uncached — the serial seed path.
+    later process (and every later worker group of this process).
     ``params=None`` keys under the default Table I parameters.
 
     With ``REPRO_PROFILE=1`` the cache probe is profiled as its own
@@ -133,8 +144,6 @@ def load_or_build(workload: str, fence_mode: str, scale, params=None,
     from repro.harness.profiling import maybe_profile
     from repro.workloads import base as workload_base
 
-    if store is None:
-        return workload_base.build(workload, fence_mode, scale)
     if params is None:
         from repro.harness.configs import DEFAULT_PARAMS
 

@@ -31,6 +31,10 @@ from typing import List, Optional
 
 from repro.harness.cliutil import exit_on_bad_env
 from repro.harness.envutil import knob, render_env_table
+from repro.service.client import ServiceClient
+from repro.service.jobs import JobSpec
+from repro.service.queue import DEFAULT_MAX_DEPTH, BoundedJobQueue
+from repro.service.server import ServiceServer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="simulation worker count "
                        "(default: $REPRO_PARALLEL or CPU count)")
-    serve.add_argument("--queue-depth", type=int, default=None,
+    serve.add_argument("--queue-depth", type=int, default=DEFAULT_MAX_DEPTH,
                        help="admission-control queue bound (default: "
-                       "$REPRO_SERVICE_QUEUE_DEPTH or 64)")
+                       "%(default)s)")
     serve.add_argument("--cache-dir", default=None,
                        help="result/trace cache directory "
                        "(default: $REPRO_CACHE_DIR)")
@@ -91,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="optimize the overfenced '+cons' build "
                              "(optimize jobs only)")
             cmd.add_argument("--budget", type=int, default=0,
-                             help="autotuner trial budget; 0 = "
-                             "$REPRO_AUTOTUNE_BUDGET default "
+                             help="autotuner trial budget; 0 = the "
+                             "autotuner's default of 64 "
                              "(optimize jobs only)")
             cmd.add_argument("--ops", type=int, default=5,
                              help="operations per transaction")
@@ -113,20 +117,13 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.service.server import ServiceServer
-
     host = args.host if args.host is not None else \
         knob("REPRO_SERVICE_HOST")
     port = args.port if args.port is not None else \
         knob("REPRO_SERVICE_PORT")
-    depth = args.queue_depth if args.queue_depth is not None else \
-        knob("REPRO_SERVICE_QUEUE_DEPTH")
-
-    from repro.service.queue import BoundedJobQueue
-
     server = ServiceServer(
         host=host, port=port,
-        queue=BoundedJobQueue(max_depth=depth),
+        queue=BoundedJobQueue(max_depth=args.queue_depth),
         max_workers=args.workers,
         cache=False if args.no_cache else None,
         cache_dir=args.cache_dir,
@@ -137,7 +134,7 @@ def _cmd_serve(args) -> int:
         # admissions with 503, finish every admitted job (each group's
         # results are flushed to the result cache as it completes),
         # then exit.  A second signal is not special-cased: the drain
-        # window is bounded by REPRO_DRAIN_TIMEOUT.
+        # window is bounded by drain_and_stop's timeout.
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -164,14 +161,10 @@ def _cmd_serve(args) -> int:
 
 
 def _client(args):
-    from repro.service.client import ServiceClient
-
     return ServiceClient(port=args.port, host=args.host)
 
 
 def _cmd_submit(args) -> int:
-    from repro.service.jobs import JobSpec
-
     client = _client(args)
     if args.analyze and args.optimize:
         raise SystemExit("--analyze and --optimize are mutually exclusive")

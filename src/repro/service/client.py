@@ -9,9 +9,8 @@ retry-after hint so callers can implement honest retry loops.
 
 Hardening against a misbehaving wire (see ``repro.chaos.netproxy``):
 
-* **End-to-end deadlines** — a ``deadline_s`` (or the
-  ``REPRO_REQUEST_DEADLINE`` knob) rides every request as an
-  ``X-Deadline`` header carrying the remaining budget in seconds; the
+* **End-to-end deadlines** — a ``deadline_s`` rides every request as
+  an ``X-Deadline`` header carrying the remaining budget in seconds; the
   cluster coordinator bounds all upstream work by it and answers an
   honest ``504`` when it expires.
 * **Resumable progress streams** — :meth:`ServiceClient.watch`
@@ -30,7 +29,6 @@ import random
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.harness.envutil import knob
 from repro.service.jobs import JobSpec, JobState
 
 
@@ -79,8 +77,7 @@ class ServiceClient:
         self.port = port
         self.client_id = client_id
         self.timeout = timeout
-        self.deadline_s = (deadline_s if deadline_s is not None
-                           else knob("REPRO_REQUEST_DEADLINE") or None)
+        self.deadline_s = deadline_s
 
     # --- low-level ----------------------------------------------------------
 

@@ -66,8 +66,8 @@ class JobSpec:
     spelled out field by field so a spec serializes to/from JSON without
     pickling.  ``conservative`` and ``budget`` parameterize ``optimize``
     jobs only (rebuild with the overfenced ``+cons`` emission; cap the
-    static oracle's trial count — 0 means the ``REPRO_AUTOTUNE_BUDGET``
-    default).
+    static oracle's trial count — 0 means the autotuner's
+    ``DEFAULT_BUDGET``).
     """
 
     kind: str
@@ -186,12 +186,17 @@ def optimize_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:
     the configuration, the scale, the conservative flag, the trial
     budget and the architectural parameters — so the cluster coordinator
     routes and single-flights optimize jobs by program fingerprint with
-    zero coordinator changes.
+    zero coordinator changes.  The budget is keyed as the autotuner
+    resolves it, so ``budget=0`` and an explicit default budget are one
+    job.
     """
+    from repro.analysis.autotune import DEFAULT_BUDGET
+
     return canonical_key(source_fingerprint(), KIND_OPTIMIZE, spec.workload,
                          spec.configuration, spec.scale,
                          "cons" if spec.conservative else "base",
-                         "budget=%d" % spec.budget, params)
+                         "budget=%d" % (spec.budget or DEFAULT_BUDGET),
+                         params)
 
 
 def job_id_for(spec: JobSpec, params=DEFAULT_PARAMS) -> str:

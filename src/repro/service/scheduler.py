@@ -33,16 +33,20 @@ dispatch loop on the event loop:
 from __future__ import annotations
 
 import asyncio
-import pathlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS
-from repro.harness.envutil import knob
-from repro.harness.parallel import resolve_workers
-from repro.harness.result_cache import ReportCache, ResultCache
-from repro.harness.supervisor import SupervisorConfig, run_supervised
-from repro.harness.trace_cache import TRACE_SUBDIR, TraceCache
+from repro.harness.parallel import resolve_workers, simulate_group
+from repro.harness.result_cache import ReportCache
+from repro.harness.supervisor import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT_S,
+    SupervisorConfig,
+    run_supervised,
+)
+from repro.harness.trace_cache import resolve_caches
 from repro.service.jobs import (
     Job,
     JobSpec,
@@ -82,10 +86,12 @@ def _execute_task(payload: tuple):
     supervised process pool.
 
     ``("simulate", workload, config_names, scale_tuple, params,
-    trace_dir)`` builds the group's trace once (served from the trace
-    cache when possible) and simulates every configuration against it —
-    exactly the serial runner's trace sharing, so results are
-    bit-identical to :func:`repro.harness.runner.run_matrix`.
+    trace_dir)`` runs the batch engine's
+    :func:`~repro.harness.parallel.simulate_group`: the group's trace is
+    built once (served from the trace cache when possible) and every
+    configuration is simulated against it — exactly the serial runner's
+    trace sharing, so results are bit-identical to
+    :func:`repro.harness.runner.run_matrix`.
 
     ``("analyze", workload, mode, scale_tuple)`` runs the static
     analyzer and returns the report as a JSON-ready dict.
@@ -97,18 +103,10 @@ def _execute_task(payload: tuple):
     """
     kind = payload[0]
     if kind == KIND_SIMULATE:
-        from repro.harness.runner import run_one
-
         _, workload, config_names, scale_tuple, params, trace_dir = payload
-        scale = workload_base.Scale(*scale_tuple)
-        configs = [CONFIG_BY_NAME[name] for name in config_names]
-        store = TraceCache(trace_dir) if trace_dir is not None else None
-        built = workload_base.build(workload, configs[0].fence_mode, scale,
-                                    cache=store, params=params)
-        return {
-            config.name: run_one(workload, config, scale, params, built=built)
-            for config in configs
-        }
+        return simulate_group((
+            workload, [CONFIG_BY_NAME[name] for name in config_names],
+            workload_base.Scale(*scale_tuple), params, trace_dir))
     if kind == KIND_OPTIMIZE:
         from repro.analysis.autotune import autotune_workload
 
@@ -116,7 +114,7 @@ def _execute_task(payload: tuple):
             params = payload
         report = autotune_workload(
             workload, config_name, scale=workload_base.Scale(*scale_tuple),
-            conservative=conservative, budget=budget or None, params=params)
+            conservative=conservative, budget=budget, params=params)
         return report.to_dict()
     from repro.analysis.report import analyze_workload
 
@@ -139,9 +137,9 @@ class Scheduler:
                  trace_cache: Optional[bool] = None,
                  params=DEFAULT_PARAMS,
                  batch_limit: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 backoff: Optional[float] = None,
+                 timeout: Optional[float] = DEFAULT_TIMEOUT_S,
+                 retries: int = DEFAULT_RETRIES,
+                 backoff: float = DEFAULT_BACKOFF_S,
                  max_history: int = DEFAULT_MAX_HISTORY):
         self.queue = queue if queue is not None else BoundedJobQueue()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -150,23 +148,13 @@ class Scheduler:
         self.params = params
         self.batch_limit = batch_limit
         self.max_history = max_history
-        self._supervisor_overrides = (timeout, retries, backoff)
+        self._supervision = dict(timeout=timeout, retries=retries,
+                                 backoff=backoff)
 
-        if cache is None:
-            cache = knob("REPRO_RESULT_CACHE")
-        self.store: Optional[ResultCache] = (
-            ResultCache(cache_dir) if cache else None)
+        self.store, self.trace_dir = resolve_caches(cache, cache_dir,
+                                                    trace_cache)
         self.report_store: Optional[ReportCache] = (
-            ReportCache(cache_dir) if cache else None)
-        if trace_cache is None:
-            trace_cache = False if cache is False else \
-                knob("REPRO_TRACE_CACHE")
-        self.trace_dir: Optional[str] = None
-        if trace_cache:
-            if cache_dir is not None:
-                self.trace_dir = str(pathlib.Path(cache_dir) / TRACE_SUBDIR)
-            else:
-                self.trace_dir = str(TraceCache().root)
+            ReportCache(cache_dir) if self.store is not None else None)
 
         self.jobs: Dict[str, Job] = {}
         self._wake = asyncio.Event()
@@ -378,10 +366,8 @@ class Scheduler:
             job.transition(JobState.RUNNING)
         self.metrics.inflight.add(len(batch))
         tasks, jobmap = self._make_tasks(batch)
-        timeout, retries, backoff = self._supervisor_overrides
-        config = SupervisorConfig.from_env(
-            max_workers=self.max_workers, timeout=timeout,
-            retries=retries, backoff=backoff)
+        config = SupervisorConfig.from_env(max_workers=self.max_workers,
+                                           **self._supervision)
         loop = asyncio.get_running_loop()
 
         def on_result(task_id: str, value) -> None:

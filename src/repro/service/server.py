@@ -46,7 +46,6 @@ from typing import Dict, Optional
 
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.envutil import knob
 from repro.service.http import (
     MAX_BODY_BYTES,
     BaseHttpServer,
@@ -58,6 +57,9 @@ from repro.service.queue import QueueFullError
 from repro.service.scheduler import DrainingError, Scheduler
 
 __all__ = ["ServiceServer", "ThreadedServer", "MAX_BODY_BYTES"]
+
+#: Seconds a draining server may spend finishing admitted work.
+DEFAULT_DRAIN_TIMEOUT_S = 60.0
 
 class ServiceServer(BaseHttpServer):
     """One scheduler plus the asyncio HTTP listener in front of it."""
@@ -77,22 +79,20 @@ class ServiceServer(BaseHttpServer):
     async def on_stop(self) -> None:
         await self.scheduler.stop()
 
-    async def drain_and_stop(self, timeout: Optional[float] = None) -> bool:
+    async def drain_and_stop(self,
+                             timeout: float = DEFAULT_DRAIN_TIMEOUT_S
+                             ) -> bool:
         """Refuse new work, finish admitted jobs, then stop.
 
-        Returns True when the drain completed inside ``timeout``
-        (default ``REPRO_DRAIN_TIMEOUT``); False when the window closed
-        with work still in flight (completed groups are persisted
-        either way).
+        Returns True when the drain completed inside ``timeout`` seconds
+        (``0`` waits without a bound); False when the window closed with
+        work still in flight (completed groups are persisted either
+        way).
         """
-        if timeout is None:
-            timeout = knob("REPRO_DRAIN_TIMEOUT")
         drained = True
         try:
-            if timeout > 0:
-                await asyncio.wait_for(self.scheduler.drain(), timeout)
-            else:
-                await self.scheduler.drain()
+            await asyncio.wait_for(self.scheduler.drain(),
+                                   timeout if timeout > 0 else None)
         except asyncio.TimeoutError:
             drained = False
         await self.stop()

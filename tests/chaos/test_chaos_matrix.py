@@ -25,7 +25,7 @@ N_CELLS = len(APPS) * len(CONFIGS)
 @pytest.fixture(scope="module")
 def serial_matrix():
     """The clean, uncached, in-process reference run."""
-    return run_matrix(APPS, CONFIGS, TEST_SCALE, parallel=False)
+    return run_matrix(APPS, CONFIGS, TEST_SCALE)
 
 
 def assert_bit_identical(results, reference):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cluster.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.cluster.breaker import (
+    CLOSED,
+    DEFAULT_RESET_S,
+    DEFAULT_THRESHOLD,
+    HALF_OPEN,
+    OPEN,
+    CircuitBreaker,
+)
 
 
 class FakeClock:
@@ -146,15 +153,16 @@ class TestHalfOpen:
         assert breaker.allow()
 
 
-class TestEnvDefaults:
-    def test_env_overrides(self, clock, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0.9")
-        monkeypatch.setenv("REPRO_BREAKER_RESET", "7.5")
-        breaker = CircuitBreaker(clock=clock)
-        assert breaker.threshold == 0.9
-        assert breaker.reset_timeout_s == 7.5
+class TestDefaults:
+    def test_defaults_are_the_constants(self, clock):
+        import inspect
 
-    def test_junk_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "hot")
-        with pytest.raises(ValueError, match="REPRO_BREAKER_THRESHOLD"):
-            CircuitBreaker()
+        from repro.cluster.coordinator import ClusterCoordinator
+
+        assert (DEFAULT_THRESHOLD, DEFAULT_RESET_S) == (0.5, 2.0)
+        breaker = CircuitBreaker(clock=clock)
+        assert breaker.threshold == DEFAULT_THRESHOLD
+        assert breaker.reset_timeout_s == DEFAULT_RESET_S
+        params = inspect.signature(ClusterCoordinator).parameters
+        assert params["breaker_threshold"].default == DEFAULT_THRESHOLD
+        assert params["breaker_reset_s"].default == DEFAULT_RESET_S

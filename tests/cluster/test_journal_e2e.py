@@ -102,7 +102,7 @@ def test_sigkill_midmatrix_restart_is_exactly_once_bitidentical(
         tmp_path, chaos):
     serial = run_matrix(
         WORKLOADS, [c for c in CONFIGURATIONS if c.name in CONFIG_NAMES],
-        SCALE, parallel=False, cache=False)
+        SCALE)
     cells = [(w, c) for w in WORKLOADS for c in CONFIG_NAMES]
 
     cluster = LocalCluster(shards=2, workdir=tmp_path / "cluster")

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.harness import configuration, profiling
 from repro.harness.envutil import (
+    _RETIRED,
     check_env,
     describe_env,
     knob,
@@ -19,7 +20,7 @@ from repro.harness.envutil import (
 from repro.harness.parallel import run_matrix_parallel
 from repro.harness.profiling import maybe_profile
 from repro.harness.result_cache import ResultCache
-from repro.harness.trace_cache import resolve_trace_cache
+from repro.harness.trace_cache import resolve_caches
 from repro.workloads import TEST_SCALE, base as workload_base
 
 
@@ -56,28 +57,28 @@ class TestEnvFlag:
 
 class TestNumericKnobs:
     def test_env_int(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        assert knob("REPRO_RETRIES") == 5
-        monkeypatch.delenv("REPRO_RETRIES")
-        assert knob("REPRO_RETRIES") == 2
+        monkeypatch.setenv("REPRO_PARALLEL", "5")
+        assert knob("REPRO_PARALLEL") == 5
+        monkeypatch.delenv("REPRO_PARALLEL")
+        assert knob("REPRO_PARALLEL") is None
 
     def test_env_int_rejects_garbage_and_bounds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "many")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            knob("REPRO_RETRIES")
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            knob("REPRO_RETRIES")
+        monkeypatch.setenv("REPRO_PARALLEL", "many")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+            knob("REPRO_PARALLEL")
+        monkeypatch.setenv("REPRO_PARALLEL", "-1")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+            knob("REPRO_PARALLEL")
 
     def test_env_float(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF", "2.5")
-        assert knob("REPRO_BACKOFF") == 2.5
-        monkeypatch.setenv("REPRO_BACKOFF", "soon")
-        with pytest.raises(ValueError, match="REPRO_BACKOFF"):
-            knob("REPRO_BACKOFF")
-        monkeypatch.setenv("REPRO_BACKOFF", "-0.5")
-        with pytest.raises(ValueError, match="REPRO_BACKOFF"):
-            knob("REPRO_BACKOFF")
+        monkeypatch.setenv("REPRO_CLUSTER_RATE", "2.5")
+        assert knob("REPRO_CLUSTER_RATE") == 2.5
+        monkeypatch.setenv("REPRO_CLUSTER_RATE", "soon")
+        with pytest.raises(ValueError, match="REPRO_CLUSTER_RATE"):
+            knob("REPRO_CLUSTER_RATE")
+        monkeypatch.setenv("REPRO_CLUSTER_RATE", "-0.5")
+        with pytest.raises(ValueError, match="REPRO_CLUSTER_RATE"):
+            knob("REPRO_CLUSTER_RATE")
 
     def test_env_positive_int(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORES", "3")
@@ -101,8 +102,8 @@ def cache_enabled() -> bool:
 
 
 def trace_cache_enabled() -> bool:
-    """Whether ``resolve_trace_cache()`` hands out a trace store."""
-    return resolve_trace_cache() is not None
+    """Whether ``resolve_caches()`` hands out a trace directory."""
+    return resolve_caches()[1] is not None
 
 
 class TestHarnessKnobsShareTheParser:
@@ -267,11 +268,14 @@ class TestEnvRegistry:
         for path in sorted(src_root.rglob("*.py")):
             for token in re.findall(r"REPRO_[A-Z_]+",
                                     path.read_text(encoding="utf-8")):
-                mentioned.add(token.rstrip("_"))
-                # envutil.py declares every knob, so only mentions
-                # outside it show that something still reads one.
+                # envutil.py declares every knob and lists the retired
+                # ones, so only mentions outside it show that something
+                # still reads one.
                 if path.name != "envutil.py":
                     read_in_code.add(token.rstrip("_"))
+                elif token.rstrip("_") not in _RETIRED:
+                    mentioned.add(token.rstrip("_"))
+        mentioned |= read_in_code
         documented = {knob.name for knob in describe_env()}
         undocumented = mentioned - documented
         # REPRO_FUSION has no reader; the e2e benchmark's inherited-knob
@@ -334,7 +338,7 @@ class TestEnvRegistry:
             assert knob(spec.name) == spec.default
 
     def test_check_env_names_every_bad_knob(self, monkeypatch):
-        bad = {"REPRO_TIMEOUT": "soon", "REPRO_CLUSTER_RATE": "fast",
+        bad = {"REPRO_PARALLEL": "lots", "REPRO_CLUSTER_RATE": "fast",
                "REPRO_PROFILE": "maybe", "REPRO_CORES": "0"}
         for name, raw in bad.items():
             monkeypatch.setenv(name, raw)
@@ -344,13 +348,97 @@ class TestEnvRegistry:
             assert name in str(info.value)
 
     def test_explicit_argument_no_longer_hides_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "soon")
-        with pytest.raises(ValueError, match="REPRO_TIMEOUT"):
+        monkeypatch.setenv("REPRO_PARALLEL", "lots")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
             run_matrix_parallel(["update"], [configuration("B")],
-                                TEST_SCALE, max_workers=1, cache=False,
-                                timeout=5)
+                                TEST_SCALE, max_workers=1, cache=False)
+
+    def test_retired_names(self):
+        assert set(_RETIRED) == {
+            "REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_BACKOFF",
+            "REPRO_AUTOTUNE_BUDGET", "REPRO_AUTOTUNE_VALIDATE",
+            "REPRO_SERVICE_QUEUE_DEPTH", "REPRO_DRAIN_TIMEOUT",
+            "REPRO_CLUSTER_SHARDS", "REPRO_CLUSTER_PROBE_INTERVAL",
+            "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_RESET",
+            "REPRO_JOURNAL_FSYNC_INTERVAL", "REPRO_JOURNAL_COMPACT_BYTES",
+            "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
+            "REPRO_PROXY_TIMEOUT"}
+        assert not set(_RETIRED) & {spec.name for spec in describe_env()}
+        assert len(describe_env()) == 21
+
+    @pytest.mark.parametrize("name", _RETIRED)
+    def test_set_retired_name_is_refused(self, monkeypatch, name):
+        monkeypatch.setenv(name, "30")
+        with pytest.raises(ValueError, match="%s is retired" % name):
+            check_env()
+        monkeypatch.setenv(name, "")
+        check_env()
+
+    @pytest.mark.parametrize("module", [
+        "repro.service.__main__", "repro.cluster.__main__",
+        "repro.analysis.__main__"])
+    def test_clis_refuse_a_retired_name(self, monkeypatch, capsys, module):
+        import importlib
+
+        main = importlib.import_module(module).main
+        monkeypatch.setenv("REPRO_TIMEOUT", "30")
+        with pytest.raises(SystemExit) as info:
+            main(["--env"])
+        assert info.value.code == 2
+        assert "REPRO_TIMEOUT is retired" in capsys.readouterr().err
 
     def test_render_lists_every_knob(self):
         table = render_env_table()
         for spec in describe_env():
             assert spec.name in table
+
+
+# --- where the retired knobs' values are set now ----------------------------
+
+def _default(entry, name):
+    import importlib
+    import inspect
+
+    module, _, attr = entry.partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    return inspect.signature(target).parameters[name].default
+
+
+def _flag(module, argv):
+    import importlib
+
+    cli = importlib.import_module(module)
+    if argv[0] == "optimize":
+        return vars(cli._build_optimize_parser().parse_args(argv[1:]))
+    return vars(cli._build_parser().parse_args(argv))
+
+
+# The supervisor, breaker and drain defaults are checked in their own
+# suites (test_supervisor, test_breaker, test_drain).
+@pytest.mark.parametrize("entry,name,expected", [
+    ("repro.analysis.autotune:autotune_workload", "validate", True),
+    ("repro.cluster.local:LocalCluster", "queue_depth", 64),
+    ("repro.cluster.local:LocalCluster", "shards", 2),
+    ("repro.cluster.coordinator:ClusterCoordinator", "probe_interval_s", 1.0),
+    ("repro.cluster.coordinator:ClusterCoordinator",
+     "journal_fsync_interval_s", 0.0),
+    ("repro.cluster.coordinator:ClusterCoordinator",
+     "journal_compact_bytes", 1 << 20),
+    ("repro.cluster.journal:CoordinatorJournal", "fsync_interval_s", 0.0),
+    ("repro.cluster.journal:CoordinatorJournal", "compact_bytes", 1 << 20),
+    ("repro.service.client:ServiceClient", "deadline_s", None),
+])
+def test_retired_knob_argument_defaults(entry, name, expected):
+    assert _default(entry, name) == expected
+
+
+@pytest.mark.parametrize("module,argv,dest,expected", [
+    ("repro.analysis.__main__", ["optimize"], "budget", 64),
+    ("repro.service.__main__", ["serve"], "queue_depth", 64),
+    ("repro.cluster.__main__", ["up"], "shards", 2),
+    ("repro.cluster.__main__", ["up"], "queue_depth", 64),
+    ("repro.cluster.__main__", ["coordinator", "--shard", "h:1"],
+     "probe_interval", 1.0),
+])
+def test_retired_knob_flag_defaults(module, argv, dest, expected):
+    assert _flag(module, argv)[dest] == expected

@@ -14,8 +14,7 @@ from repro.workloads import TEST_SCALE
 
 @pytest.fixture(scope="module")
 def serial_matrix():
-    return run_matrix(list(APPLICATIONS), list(CONFIGURATIONS), TEST_SCALE,
-                      parallel=False)
+    return run_matrix(list(APPLICATIONS), list(CONFIGURATIONS), TEST_SCALE)
 
 
 @pytest.fixture(scope="module")

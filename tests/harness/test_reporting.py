@@ -106,17 +106,18 @@ class TestFullReport:
 
     def test_supervision_section_after_supervised_run(self, matrix,
                                                       monkeypatch):
-        """When run_matrix goes through the parallel engine, the
-        supervisor's report lands in the regenerated markdown."""
+        """When full_report runs the matrix through the parallel engine,
+        the supervisor's report lands in the regenerated markdown."""
         import repro.harness.parallel as parallel
         import repro.harness.reporting as reporting
 
-        def fake_run_matrix(*args, **kwargs):
+        def fake_run_matrix_parallel(*args, **kwargs):
             monkeypatch.setattr(parallel, "_LAST_REPORT",
                                 _supervision_report())
             return matrix
 
-        monkeypatch.setattr(reporting, "run_matrix", fake_run_matrix)
+        monkeypatch.setattr(reporting, "run_matrix_parallel",
+                            fake_run_matrix_parallel)
         text = full_report(SMALL)
         assert "## Supervised execution" in text
         assert "| update/dsb | ok |" in text

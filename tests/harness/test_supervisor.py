@@ -7,6 +7,9 @@ import time
 import pytest
 
 from repro.harness.supervisor import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT_S,
     SupervisorConfig,
     SupervisorError,
     run_supervised,
@@ -125,20 +128,28 @@ class TestRetries:
         assert bad.failures == 2  # initial attempt + 1 retry
         assert all("always fails" in cause for cause in bad.failure_causes)
 
-    def test_resolvers_follow_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_RETRIES", "4")
-        monkeypatch.setenv("REPRO_BACKOFF", "0.25")
+    def test_defaults_are_the_constants(self):
+        import inspect
+
+        from repro.harness.parallel import run_matrix_parallel
+        from repro.service.scheduler import Scheduler
+
+        assert (DEFAULT_TIMEOUT_S, DEFAULT_RETRIES,
+                DEFAULT_BACKOFF_S) == (600.0, 2, 0.1)
         cfg = SupervisorConfig.from_env()
-        assert (cfg.timeout_s, cfg.retries, cfg.backoff_s) == (12.5, 4, 0.25)
+        assert (cfg.timeout_s, cfg.retries, cfg.backoff_s) == (
+            DEFAULT_TIMEOUT_S, DEFAULT_RETRIES, DEFAULT_BACKOFF_S)
+        for entry in (run_matrix_parallel, Scheduler):
+            params = inspect.signature(entry).parameters
+            assert (params["timeout"].default, params["retries"].default,
+                    params["backoff"].default) == (
+                DEFAULT_TIMEOUT_S, DEFAULT_RETRIES, DEFAULT_BACKOFF_S)
         cfg = SupervisorConfig.from_env(timeout=3, retries=1, backoff=0)
         assert (cfg.timeout_s, cfg.retries, cfg.backoff_s) == (3.0, 1, 0.0)
-        monkeypatch.setenv("REPRO_TIMEOUT", "0")
         # 0 disables the timeout
-        assert SupervisorConfig.from_env().timeout_s is None
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            SupervisorConfig.from_env(retries=2)
+        assert SupervisorConfig.from_env(timeout=0).timeout_s is None
+        with pytest.raises(ValueError, match="retries"):
+            SupervisorConfig.from_env(retries=-1)
 
     def test_backoff_is_exponential_and_capped(self):
         cfg = SupervisorConfig(backoff_s=1.0)

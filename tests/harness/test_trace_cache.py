@@ -18,7 +18,7 @@ from repro.harness.trace_cache import (
     TraceCache,
     default_trace_cache_dir,
     load_or_build,
-    resolve_trace_cache,
+    resolve_caches,
 )
 from repro.workloads import TEST_SCALE, Scale, base as workload_base
 
@@ -124,7 +124,7 @@ class TestInvalidation:
 class TestZeroRebuildMatrix:
     def test_warm_matrix_builds_nothing(self, tmp_path):
         configs = list(CONFIGURATIONS)
-        serial = run_matrix(["update"], configs, TEST_SCALE, parallel=False)
+        serial = run_matrix(["update"], configs, TEST_SCALE)
         cold = run_matrix_parallel(["update"], configs, TEST_SCALE,
                                    max_workers=1, cache=False,
                                    trace_cache=True, cache_dir=tmp_path)
@@ -155,18 +155,33 @@ class TestZeroRebuildMatrix:
 
 class TestEnvKnobs:
     def test_trace_cache_opt_out(self, monkeypatch):
+        def trace_dir(**kwargs):
+            return resolve_caches(**kwargs)[1]
+
+        default = str(default_trace_cache_dir())
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert resolve_trace_cache() is None
+        assert trace_dir() is None
         monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert isinstance(resolve_trace_cache(), TraceCache)
+        assert trace_dir() == default
         monkeypatch.delenv("REPRO_TRACE_CACHE")
-        assert isinstance(resolve_trace_cache(), TraceCache)
-        assert resolve_trace_cache(enabled=False) is None
+        assert trace_dir() == default
+        assert trace_dir(trace_cache=False) is None
+        assert trace_dir(cache=False) is None
+        assert trace_dir(cache=False, trace_cache=True) == default
+
+    def test_result_cache_opt_out_keeps_traces(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+        store, trace_dir = resolve_caches(cache_dir=tmp_path)
+        assert store is None
+        assert trace_dir == str(tmp_path / "traces")
+        monkeypatch.delenv("REPRO_RESULT_CACHE")
+        store, _ = resolve_caches(cache_dir=tmp_path)
+        assert store.root == tmp_path
 
     def test_trace_cache_rejects_malformed(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "yes")
         with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            resolve_trace_cache()
+            resolve_caches()
 
     def test_cache_dir_env_moves_traces(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))

@@ -87,8 +87,7 @@ class TestSerialParallelEquality:
         from repro.harness.runner import run_matrix
 
         configs = [configuration(n) for n in SAFE]
-        serial = run_matrix(list(MULTI), configs, SCALE2,
-                            parallel=False, cache=False)
+        serial = run_matrix(list(MULTI), configs, SCALE2)
         parallel = run_matrix_parallel(
             list(MULTI), configs, SCALE2, max_workers=2,
             cache=True, cache_dir=tmp_path)

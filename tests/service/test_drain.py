@@ -191,13 +191,11 @@ class TestSubmitRetrying:
                                  sleep=lambda _s: None)
 
 
-def test_drain_timeout_knob(monkeypatch):
-    from repro.harness.envutil import knob
+def test_drain_timeout_default():
+    import inspect
 
-    monkeypatch.delenv("REPRO_DRAIN_TIMEOUT", raising=False)
-    assert knob("REPRO_DRAIN_TIMEOUT") == 60.0
-    monkeypatch.setenv("REPRO_DRAIN_TIMEOUT", "5.5")
-    assert knob("REPRO_DRAIN_TIMEOUT") == 5.5
-    monkeypatch.setenv("REPRO_DRAIN_TIMEOUT", "soon")
-    with pytest.raises(ValueError, match="REPRO_DRAIN_TIMEOUT"):
-        knob("REPRO_DRAIN_TIMEOUT")
+    from repro.service.server import DEFAULT_DRAIN_TIMEOUT_S, ServiceServer
+
+    assert DEFAULT_DRAIN_TIMEOUT_S == 60.0
+    params = inspect.signature(ServiceServer.drain_and_stop).parameters
+    assert params["timeout"].default == DEFAULT_DRAIN_TIMEOUT_S

@@ -69,6 +69,15 @@ class TestContentAddressing:
         other = JobSpec.from_dict({**SPEC.to_dict(), **mutation})
         assert job_id_for(other) != job_id_for(SPEC)
 
+    def test_default_budget_is_one_job(self):
+        from repro.analysis.autotune import DEFAULT_BUDGET
+
+        implicit = JobSpec.from_dict({**SPEC.to_dict(), "budget": 0})
+        explicit = JobSpec.from_dict({**SPEC.to_dict(),
+                                      "budget": DEFAULT_BUDGET})
+        assert DEFAULT_BUDGET == 64
+        assert job_id_for(implicit) == job_id_for(explicit)
+
     def test_optimize_never_collides_with_simulate(self):
         sim = JobSpec(kind="simulate", workload="update", config="B",
                       ops_per_txn=5, txns=2)

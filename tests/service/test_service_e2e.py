@@ -59,7 +59,7 @@ class TestBitIdentical:
         workloads, configs = ["update", "swap"], ["B", "WB"]
         serial = run_matrix(workloads,
                             [c for c in CONFIGURATIONS if c.name in configs],
-                            SCALE, parallel=False, cache=False)
+                            SCALE)
         statuses = client.submit_matrix(workloads, configs,
                                         SCALE.ops_per_txn, SCALE.txns)
         finals = client.wait_all(statuses)
