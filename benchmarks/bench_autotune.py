@@ -13,20 +13,11 @@ the framework workloads under the safe configurations, measuring
 
 Scale control: ``REPRO_BENCH_OPS`` / ``REPRO_BENCH_TXNS`` as in
 :mod:`benchmarks.common`; CI runs this at a tiny scale as a smoke test.
-
-``REPRO_BENCH_RECORD=1`` additionally appends this run's per-workload
-fences-eliminated and kIPS numbers to the committed ``BENCH_autotune.json``
-ledger at the repository root (off by default so routine pytest
-invocations do not dirty the working tree).
+Per-target numbers go to the ``BENCH_autotune.json`` ledger (see
+:mod:`benchmarks.ledger`).
 """
 
 from __future__ import annotations
-
-import atexit
-import json
-import os
-import time
-from pathlib import Path
 
 from benchmarks.common import bench_scale, print_header
 from repro.analysis.autotune import OPTIMIZED, PROVEN_MINIMAL, autotune_workload
@@ -41,44 +32,8 @@ BENCH_TARGETS = (
     ("btree", "WB", True),
 )
 
-#: Committed ledger of autotuner wins (repo root).
-BENCH_LEDGER = Path(__file__).resolve().parent.parent / "BENCH_autotune.json"
 
-_SESSION: dict = {}
-
-
-def _record(target: str, **metrics) -> None:
-    _SESSION[target] = metrics
-
-
-def _flush_ledger() -> None:
-    """Append this session's entries to ``BENCH_autotune.json``.
-
-    Only with ``REPRO_BENCH_RECORD=1`` (an unregistered bench-only knob,
-    like ``REPRO_BENCH_OPS``): the ledger is a committed file and
-    routine test runs must not modify it.
-    """
-    if not _SESSION or os.environ.get("REPRO_BENCH_RECORD", "0") != "1":
-        return
-    scale = bench_scale()
-    entry = {
-        "date": time.strftime("%Y-%m-%d"),
-        "scale": {"ops_per_txn": scale.ops_per_txn, "txns": scale.txns},
-        "targets": dict(sorted(_SESSION.items())),
-    }
-    try:
-        ledger = json.loads(BENCH_LEDGER.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        ledger = {}
-    ledger.setdefault("entries", []).append(entry)
-    BENCH_LEDGER.write_text(
-        json.dumps(ledger, indent=2) + "\n", encoding="utf-8")
-
-
-atexit.register(_flush_ledger)
-
-
-def test_autotune_wins(benchmark):
+def test_autotune_wins(benchmark, bench_ledger):
     """Autotune the bench targets; record eliminations and speedups."""
     scale = bench_scale()
 
@@ -115,25 +70,20 @@ def test_autotune_wins(benchmark):
             if report.crash_sweep.get("supported"):
                 assert report.crash_sweep["consistent"] is True
 
-        _record(target,
-                status=report.status,
-                ordering_before=before,
-                ordering_after=after,
-                fences_removed=before - after,
-                keys_before=report.keys_before,
-                keys_after=report.keys_after,
-                baseline_kips=round(report.baseline.kips, 1)
-                if report.baseline else None,
-                optimized_kips=round(report.optimized.kips, 1)
-                if report.optimized else None,
-                speedup=round(speedup, 4),
-                digest_match=report.digest_match)
-
         benchmark.extra_info[target] = {
             "status": report.status,
+            "ordering_before": before,
+            "ordering_after": after,
             "fences_removed": before - after,
+            "keys_before": report.keys_before,
+            "keys_after": report.keys_after,
+            "baseline_simulated_kips": round(report.baseline.kips, 1)
+            if report.baseline else None,
+            "optimized_simulated_kips": round(report.optimized.kips, 1)
+            if report.optimized else None,
             "speedup": round(speedup, 4),
-        }
+            "digest_match": report.digest_match}
+        bench_ledger.record("autotune", **{target: benchmark.extra_info[target]})
 
     # The conservative update build must show a real elimination win.
     cons_update = next(r for w, c, k, r in results

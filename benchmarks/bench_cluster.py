@@ -19,21 +19,16 @@ correctness does not depend on the core count.
 
 Scale control: ``REPRO_BENCH_OPS`` / ``REPRO_BENCH_TXNS`` as in
 :mod:`benchmarks.common`; CI runs this at a tiny scale as a smoke test.
-
-``REPRO_BENCH_RECORD=1`` appends this run's headline numbers to the
-committed ``BENCH_cluster.json`` ledger at the repository root (off by
-default so routine pytest invocations do not dirty the working tree).
+Headline numbers go to the ``BENCH_cluster.json`` ledger (see
+:mod:`benchmarks.ledger`).
 """
 
 from __future__ import annotations
 
-import atexit
-import json
 import os
 import shutil
 import tempfile
 import time
-from pathlib import Path
 
 from benchmarks.common import bench_scale, print_header
 from repro.cluster.coordinator import ThreadedCoordinator
@@ -49,39 +44,6 @@ CONFIGS = ("B", "SU", "IQ", "WB", "U")
 
 #: Shard counts swept by the scaling bench.
 SHARD_COUNTS = (1, 2, 4)
-
-#: Committed performance ledger (repo root).
-BENCH_LEDGER = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
-
-_SESSION: dict = {}
-
-
-def _record(**metrics) -> None:
-    _SESSION.update(metrics)
-
-
-def _flush_ledger() -> None:
-    """Append this session's entry to ``BENCH_cluster.json`` when
-    ``REPRO_BENCH_RECORD=1`` (a bench-only knob, like REPRO_BENCH_OPS)."""
-    if not _SESSION or os.environ.get("REPRO_BENCH_RECORD", "0") != "1":
-        return
-    scale = bench_scale()
-    entry = {
-        "date": time.strftime("%Y-%m-%d"),
-        "scale": {"ops_per_txn": scale.ops_per_txn, "txns": scale.txns},
-        "cpu_count": os.cpu_count(),
-    }
-    entry.update(_SESSION)
-    try:
-        ledger = json.loads(BENCH_LEDGER.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        ledger = {}
-    ledger.setdefault("entries", []).append(entry)
-    BENCH_LEDGER.write_text(
-        json.dumps(ledger, indent=2) + "\n", encoding="utf-8")
-
-
-atexit.register(_flush_ledger)
 
 
 def _reference_digests(scale):
@@ -133,20 +95,16 @@ def _cluster_pass(n_shards, scale, reference):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def test_cluster_jobs_per_sec_scaling(benchmark):
+def test_cluster_jobs_per_sec_scaling(benchmark, bench_ledger):
     scale = bench_scale()
     jobs = len(WORKLOADS) * len(CONFIGS)
     reference = _reference_digests(scale)
     cores = os.cpu_count() or 1
 
-    results = {}
-
-    def run():
-        for n_shards in SHARD_COUNTS:
-            results[n_shards] = _cluster_pass(n_shards, scale, reference)
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: {n_shards: _cluster_pass(n_shards, scale, reference)
+                 for n_shards in SHARD_COUNTS},
+        rounds=1, iterations=1)
 
     base_cold, base_warm = results[1]
     print_header("Cluster scaling: %d cold jobs (%dx%d), %d cores"
@@ -156,23 +114,19 @@ def test_cluster_jobs_per_sec_scaling(benchmark):
         cold_rate = jobs / cold_s
         warm_rate = jobs / warm_s
         speedup = base_cold / cold_s
-        benchmark.extra_info["cold_s_%d" % n_shards] = round(cold_s, 3)
-        benchmark.extra_info["cold_jobs_per_sec_%d" % n_shards] = \
-            round(cold_rate, 2)
-        benchmark.extra_info["warm_jobs_per_sec_%d" % n_shards] = \
-            round(warm_rate, 2)
-        benchmark.extra_info["cold_speedup_%d" % n_shards] = \
-            round(speedup, 2)
-        _record(**{"cold_jobs_per_sec_%d" % n_shards: round(cold_rate, 2),
+        metrics = {"cold_jobs_per_sec_%d" % n_shards: round(cold_rate, 2),
                    "warm_jobs_per_sec_%d" % n_shards: round(warm_rate, 2),
-                   "cold_speedup_%d" % n_shards: round(speedup, 2)})
+                   "cold_speedup_%d" % n_shards: round(speedup, 2)}
+        benchmark.extra_info.update(metrics)
+        benchmark.extra_info["cold_s_%d" % n_shards] = round(cold_s, 3)
+        bench_ledger.record("cluster", **metrics)
         print("  %d shard%s : cold %7.3f s (%6.2f jobs/s, %.2fx)   "
               "warm %7.3f s (%6.2f jobs/s)"
               % (n_shards, "s" if n_shards > 1 else " ", cold_s, cold_rate,
                  speedup, warm_s, warm_rate))
     benchmark.extra_info["cpu_count"] = cores
     benchmark.extra_info["jobs"] = jobs
-    _record(jobs=jobs)
+    bench_ledger.record("cluster", jobs=jobs)
 
     # Digest equality was asserted inside every pass.  The scaling
     # gates need real cores to mean anything (K time-sliced shard

@@ -6,41 +6,28 @@ per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the compiled interpreter vs the reference interpreter, and
 the workload build path), serial-vs-parallel full-matrix wall time, the
 persistent result and trace caches' cold/warm behaviour, and the crash
-sweep's cost per crash point.  The numbers
-land in the BENCH JSON (``benchmark.extra_info``) so the performance
-trajectory is tracked across commits.
+sweep's cost per crash point.  The numbers land in the BENCH JSON
+(``benchmark.extra_info``) and the headline ones in the
+``BENCH_selfperf.json`` ledger (see :mod:`benchmarks.ledger`).
 
 Scale control: ``REPRO_BENCH_OPS`` / ``REPRO_BENCH_TXNS`` as in
 :mod:`benchmarks.common`; CI runs this at a tiny scale as a smoke test.
-
-``REPRO_BENCH_RECORD=1`` additionally appends this run's headline numbers
-to the committed ``BENCH_selfperf.json`` ledger at the repository root, so
-the performance trajectory across PRs lives in version control (off by
-default so routine pytest invocations do not dirty the working tree).
 """
 
 from __future__ import annotations
 
-import atexit
-import json
-import os
 import shutil
 import tempfile
-import time
-from pathlib import Path
 
-from benchmarks.common import bench_scale, print_header
+from benchmarks.common import bench_scale, print_header, simulate
+from benchmarks.ledger import timed_rounds
 from repro.consistency.crash_sim import CrashInjector
-from repro.harness.configs import DEFAULT_PARAMS, configuration
+from repro.harness.configs import configuration
 from repro.harness.parallel import resolve_workers, run_matrix_parallel
-from repro.harness.runner import run_matrix, run_one, warm_hierarchy
+from repro.harness.runner import run_matrix, run_one
 from repro.harness.trace_cache import TraceCache
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine
-from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
-from repro.pipeline.core import OutOfOrderCore
-from repro.pipeline.replay import meta_for
 from repro.workloads import base as workload_base
 
 #: Matrix used by the serial-vs-parallel and cache measurements — small
@@ -48,88 +35,29 @@ from repro.workloads import base as workload_base
 MATRIX_APPS = ("btree", "update")
 MATRIX_CONFIGS = ("B", "SU", "IQ", "WB", "U")
 
-#: Committed performance ledger (repo root).  See :func:`_flush_ledger`.
-BENCH_LEDGER = Path(__file__).resolve().parent.parent / "BENCH_selfperf.json"
 
-#: Headline numbers of this pytest session, keyed by metric name; flushed
-#: to :data:`BENCH_LEDGER` at interpreter exit when ``REPRO_BENCH_RECORD=1``.
-_SESSION: dict = {}
-
-
-def _record(**metrics) -> None:
-    """Stash headline numbers for the end-of-session ledger entry."""
-    _SESSION.update(metrics)
-
-
-def _flush_ledger() -> None:
-    """Append this session's entry to ``BENCH_selfperf.json``.
-
-    Only with ``REPRO_BENCH_RECORD=1`` (an unregistered bench-only knob,
-    like ``REPRO_BENCH_OPS``): the ledger is a committed file and routine
-    test runs must not modify it.
-    """
-    if not _SESSION or os.environ.get("REPRO_BENCH_RECORD", "0") != "1":
-        return
-    scale = bench_scale()
-    entry = {
-        "date": time.strftime("%Y-%m-%d"),
-        "scale": {"ops_per_txn": scale.ops_per_txn, "txns": scale.txns},
-    }
-    entry.update(_SESSION)
-    try:
-        ledger = json.loads(BENCH_LEDGER.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        ledger = {}
-    ledger.setdefault("entries", []).append(entry)
-    BENCH_LEDGER.write_text(
-        json.dumps(ledger, indent=2) + "\n", encoding="utf-8")
-
-
-atexit.register(_flush_ledger)
-
-
-def _simulate(built, config, params=DEFAULT_PARAMS):
-    """One timing simulation of a pre-built trace (no build, no checker)."""
-    controller = MemoryController(
-        address_map=params.address_map,
-        dram_params=params.dram,
-        nvm_params=params.nvm,
-    )
-    hierarchy = CacheHierarchy(controller, params.hierarchy)
-    warm_hierarchy(hierarchy, built)
-    core = OutOfOrderCore(built.trace, hierarchy, config.policy, params.core,
-                          replay=meta_for(built))
-    return core.run()
-
-
-def test_selfperf_single_run_kips(benchmark):
+def test_selfperf_single_run_kips(benchmark, bench_ledger):
     """Simulator hot-loop throughput on one representative run (btree/WB)."""
     scale = bench_scale()
     config = configuration("WB")
     built = workload_base.build("btree", config.fence_mode, scale)
 
-    timings = []
-
-    def run():
-        start = time.perf_counter()
-        stats = _simulate(built, config)
-        timings.append(time.perf_counter() - start)
-        return stats
-
-    stats = benchmark.pedantic(run, rounds=3, iterations=1)
-    best = min(timings)
-    kips = stats.retired / best / 1e3
+    timing, stats = benchmark.pedantic(
+        timed_rounds, args=(lambda: simulate(built, config),),
+        rounds=1, iterations=1)
+    kips = stats.retired / timing.best / 1e3
     benchmark.extra_info["retired_instructions"] = stats.retired
-    benchmark.extra_info["sim_seconds_best"] = round(best, 4)
+    benchmark.extra_info["sim_seconds_best"] = round(timing.best, 4)
     benchmark.extra_info["kips"] = round(kips, 1)
-    _record(retired_kips=round(kips, 1),
-            retired_instructions=stats.retired)
+    bench_ledger.record("selfperf", retired_kips=round(kips, 1),
+                        retired_kips_timing=timing,
+                        retired_instructions=stats.retired)
 
     print_header("Self-perf: single-run simulator throughput (btree/WB)")
     print("  trace length : %d instructions" % len(built.trace))
     print("  retired      : %d" % stats.retired)
     print("  best of %d    : %.3f s  ->  %.1f kIPS"
-          % (len(timings), best, kips))
+          % (timing.n, timing.best, kips))
     assert stats.retired == len(built.trace)
     assert kips > 0
 
@@ -154,56 +82,62 @@ loop:
 """
 
 
-def test_selfperf_trace_build_kips(benchmark):
+def _time_kernel(kernel):
+    """Reference and compiled interpreter timings on ``kernel``, and its
+    trace length; the two traces must be bit-identical."""
+    iterations = max(500, bench_scale().total_ops * 4)
+    program = assemble(kernel % iterations)
+    max_steps = 16 * iterations + 16
+    ref, ref_trace = timed_rounds(
+        lambda: Machine().run_reference(program, max_steps=max_steps))
+    compiled, run_trace = timed_rounds(
+        lambda: Machine().run(program, max_steps=max_steps))
+    assert run_trace == ref_trace
+    return ref, compiled, len(ref_trace)
+
+
+def _print_kernel(title, ref, compiled, trace_len):
+    """Print a kernel's timings; return its speedup and compiled kIPS."""
+    speedup = ref.best / compiled.best if compiled.best else float("inf")
+    print_header(title)
+    print("  kernel trace      : %d instructions" % trace_len)
+    print("  reference interp  : %.3f s  ->  %.1f kIPS"
+          % (ref.best, trace_len / ref.best / 1e3))
+    print("  compiled interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
+          % (compiled.best, trace_len / compiled.best / 1e3, speedup))
+    return speedup, trace_len / compiled.best / 1e3
+
+
+def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     """Trace-build throughput: compiled vs reference interpreter, plus
     the workload (framework) build path, in built kIPS."""
     scale = bench_scale()
-    iterations = max(500, scale.total_ops * 4)
-    program = assemble(_BUILD_KERNEL % iterations)
-    max_steps = 16 * iterations + 16
-
-    def best_of(fn, rounds=3):
-        timings = []
-        result = None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = fn()
-            timings.append(time.perf_counter() - start)
-        return min(timings), result
 
     def run():
-        ref_s, ref_trace = best_of(
-            lambda: Machine().run_reference(program, max_steps=max_steps))
-        run_s, run_trace = best_of(
-            lambda: Machine().run(program, max_steps=max_steps))
-        assert run_trace == ref_trace  # bit-identical traces
-        build_s, built = best_of(
+        build, built = timed_rounds(
             lambda: workload_base.build("btree", "ede", scale))
-        return ref_s, run_s, len(ref_trace), build_s, len(built.trace)
+        return _time_kernel(_BUILD_KERNEL) + (build, len(built.trace))
 
-    ref_s, run_s, trace_len, build_s, wl_trace_len = benchmark.pedantic(
+    ref, compiled, trace_len, build, wl_trace_len = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
-    speedup = ref_s / run_s if run_s else float("inf")
-    ref_kips = trace_len / ref_s / 1e3
-    run_kips = trace_len / run_s / 1e3
-    build_kips = wl_trace_len / build_s / 1e3
+    speedup, run_kips = _print_kernel(
+        "Self-perf: trace-build throughput (compiled interpreter)",
+        ref, compiled, trace_len)
+    build_kips = wl_trace_len / build.best / 1e3
+    print("  workload build    : %.3f s  ->  %.1f kIPS (btree/ede, framework)"
+          % (build.best, build_kips))
     benchmark.extra_info["interp_trace_len"] = trace_len
-    benchmark.extra_info["interp_reference_kips"] = round(ref_kips, 1)
+    benchmark.extra_info["interp_reference_kips"] = round(
+        trace_len / ref.best / 1e3, 1)
     benchmark.extra_info["interp_compiled_kips"] = round(run_kips, 1)
     benchmark.extra_info["interp_speedup"] = round(speedup, 2)
     benchmark.extra_info["workload_build_kips"] = round(build_kips, 1)
     benchmark.extra_info["workload_trace_len"] = wl_trace_len
-    _record(trace_build_kips=round(run_kips, 1),
-            interp_speedup=round(speedup, 2))
-
-    print_header("Self-perf: trace-build throughput (compiled interpreter)")
-    print("  kernel trace      : %d instructions" % trace_len)
-    print("  reference interp  : %.3f s  ->  %.1f kIPS" % (ref_s, ref_kips))
-    print("  compiled interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
-          % (run_s, run_kips, speedup))
-    print("  workload build    : %.3f s  ->  %.1f kIPS (btree/ede, framework)"
-          % (build_s, build_kips))
+    bench_ledger.record("selfperf", trace_build_kips=round(run_kips, 1),
+                        trace_build_timing=compiled,
+                        interp_speedup=round(speedup, 2),
+                        trace_build_reference_timing=ref)
     assert speedup >= 2.0, (
         "compiled interpreter below the 2x trace-build target: %.2fx"
         % speedup)
@@ -233,48 +167,23 @@ loop:
 """
 
 
-def test_selfperf_alu_kernel_speedup(benchmark):
+def test_selfperf_alu_kernel_speedup(benchmark, bench_ledger):
     """Compiled interpreter vs the reference on the ALU-weighted kernel,
     bit-identical and at least 2.6x (the CI perf gate)."""
-    scale = bench_scale()
-    iterations = max(500, scale.total_ops * 4)
-    program = assemble(_ALU_KERNEL % iterations)
-    max_steps = 16 * iterations + 16
+    ref, compiled, trace_len = benchmark.pedantic(
+        _time_kernel, args=(_ALU_KERNEL,), rounds=1, iterations=1)
 
-    def best_of(fn, rounds=3):
-        timings = []
-        result = None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = fn()
-            timings.append(time.perf_counter() - start)
-        return min(timings), result
-
-    def run():
-        ref_s, ref_trace = best_of(
-            lambda: Machine().run_reference(program, max_steps=max_steps))
-        run_s, run_trace = best_of(
-            lambda: Machine().run(program, max_steps=max_steps))
-        assert run_trace == ref_trace  # bit-identical traces
-        return ref_s, run_s, len(ref_trace)
-
-    ref_s, run_s, trace_len = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    speedup = ref_s / run_s if run_s else float("inf")
-    ref_kips = trace_len / ref_s / 1e3
-    run_kips = trace_len / run_s / 1e3
+    speedup, run_kips = _print_kernel(
+        "Self-perf: ALU-weighted kernel (compiled interpreter)",
+        ref, compiled, trace_len)
     benchmark.extra_info["alu_trace_len"] = trace_len
-    benchmark.extra_info["alu_reference_kips"] = round(ref_kips, 1)
+    benchmark.extra_info["alu_reference_kips"] = round(
+        trace_len / ref.best / 1e3, 1)
     benchmark.extra_info["alu_kips"] = round(run_kips, 1)
     benchmark.extra_info["alu_speedup"] = round(speedup, 2)
-    _record(alu_kips=round(run_kips, 1), alu_speedup=round(speedup, 2))
-
-    print_header("Self-perf: ALU-weighted kernel (compiled interpreter)")
-    print("  kernel trace      : %d instructions" % trace_len)
-    print("  reference interp  : %.3f s  ->  %.1f kIPS" % (ref_s, ref_kips))
-    print("  compiled interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
-          % (run_s, run_kips, speedup))
+    bench_ledger.record("selfperf", alu_kips=round(run_kips, 1),
+                        alu_timing=compiled, alu_speedup=round(speedup, 2),
+                        alu_reference_timing=ref)
     # 2.6x is the two retired gates composed: threaded code >= 2x the
     # reference and fusion >= 1.3x threaded code.
     assert speedup >= 2.6, (
@@ -282,41 +191,32 @@ def test_selfperf_alu_kernel_speedup(benchmark):
         % speedup)
 
 
-def test_selfperf_trace_cache_cold_vs_warm(benchmark):
+def test_selfperf_trace_cache_cold_vs_warm(benchmark, bench_ledger):
     """Cold (build + store) vs warm (load) trace-cache timings, and the
     zero-rebuild guarantee of a warm-trace-cache matrix run."""
     scale = bench_scale()
     apps = list(MATRIX_APPS)
     configs = [configuration(name) for name in MATRIX_CONFIGS]
-    modes = []
-    for config in configs:
-        if config.fence_mode not in modes:
-            modes.append(config.fence_mode)
+    modes = list(dict.fromkeys(config.fence_mode for config in configs))
     tmp = tempfile.mkdtemp(prefix="repro-trace-bench-")
     try:
         store = TraceCache(tmp + "/traces")
 
-        def run():
-            start = time.perf_counter()
+        def build_all():
             for app in apps:
                 for mode in modes:
                     workload_base.build(app, mode, scale, cache=store)
-            cold_s = time.perf_counter() - start
-            start = time.perf_counter()
-            for app in apps:
-                for mode in modes:
-                    workload_base.build(app, mode, scale, cache=store)
-            warm_s = time.perf_counter() - start
 
+        def run():
+            cold, _ = timed_rounds(build_all, rounds=1)
+            warm, _ = timed_rounds(build_all, rounds=1)
             # Warm-trace-cache matrix run: zero trace interpretation.
             builds_before = workload_base.BUILD_COUNT
-            start = time.perf_counter()
-            run_matrix_parallel(apps, configs, scale, max_workers=1,
-                                cache=False, trace_cache=True,
-                                cache_dir=tmp)
-            matrix_s = time.perf_counter() - start
+            matrix, _ = timed_rounds(lambda: run_matrix_parallel(
+                apps, configs, scale, max_workers=1, cache=False,
+                trace_cache=True, cache_dir=tmp), rounds=1)
             builds = workload_base.BUILD_COUNT - builds_before
-            return cold_s, warm_s, matrix_s, builds
+            return cold.best, warm.best, matrix.best, builds
 
         cold_s, warm_s, matrix_s, builds = benchmark.pedantic(
             run, rounds=1, iterations=1)
@@ -329,7 +229,7 @@ def test_selfperf_trace_cache_cold_vs_warm(benchmark):
     benchmark.extra_info["trace_cache_speedup"] = round(speedup, 2)
     benchmark.extra_info["warm_matrix_seconds"] = round(matrix_s, 3)
     benchmark.extra_info["warm_matrix_builds"] = builds
-    _record(warm_matrix_seconds=round(matrix_s, 3))
+    bench_ledger.record("selfperf", warm_matrix_seconds=round(matrix_s, 3))
 
     print_header("Self-perf: trace cache, cold vs warm")
     print("  builds cached           : %d (%d apps x %d fence modes)"
@@ -350,14 +250,11 @@ def test_selfperf_matrix_serial_vs_parallel(benchmark):
     workers = resolve_workers(None)
 
     def run():
-        start = time.perf_counter()
-        serial = run_matrix(apps, configs, scale)
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = run_matrix_parallel(apps, configs, scale,
-                                       max_workers=workers, cache=False)
-        parallel_s = time.perf_counter() - start
-        return serial, parallel, serial_s, parallel_s
+        serial_t, serial = timed_rounds(
+            lambda: run_matrix(apps, configs, scale), rounds=1)
+        parallel_t, parallel = timed_rounds(lambda: run_matrix_parallel(
+            apps, configs, scale, max_workers=workers, cache=False), rounds=1)
+        return serial, parallel, serial_t.best, parallel_t.best
 
     serial, parallel, serial_s, parallel_s = benchmark.pedantic(
         run, rounds=1, iterations=1)
@@ -391,18 +288,14 @@ def test_selfperf_result_cache(benchmark):
     configs = [configuration(name) for name in MATRIX_CONFIGS]
     tmp = tempfile.mkdtemp(prefix="repro-cache-bench-")
     try:
+        def matrix():
+            return run_matrix_parallel(apps, configs, scale, max_workers=1,
+                                       cache=True, cache_dir=tmp)
+
         def run():
-            start = time.perf_counter()
-            cold = run_matrix_parallel(apps, configs, scale,
-                                       max_workers=1, cache=True,
-                                       cache_dir=tmp)
-            cold_s = time.perf_counter() - start
-            start = time.perf_counter()
-            warm = run_matrix_parallel(apps, configs, scale,
-                                       max_workers=1, cache=True,
-                                       cache_dir=tmp)
-            warm_s = time.perf_counter() - start
-            return cold, warm, cold_s, warm_s
+            cold_t, cold = timed_rounds(matrix, rounds=1)
+            warm_t, warm = timed_rounds(matrix, rounds=1)
+            return cold, warm, cold_t.best, warm_t.best
 
         cold, warm, cold_s, warm_s = benchmark.pedantic(
             run, rounds=1, iterations=1)
@@ -425,32 +318,28 @@ def test_selfperf_result_cache(benchmark):
     assert speedup > 1.0
 
 
-def test_selfperf_crash_sweep(benchmark):
+def test_selfperf_crash_sweep(benchmark, bench_ledger):
     """Crash-sweep cost per point: full update and swap sweeps under WB."""
     scale = bench_scale()
     config = configuration("WB")
     runs = [run_one(app, config, scale) for app in ("update", "swap")]
-    timings = []
 
     def sweep():
-        start = time.perf_counter()
-        reports = [CrashInjector(run.built, run.persist_log).validate_many()
-                   for run in runs]
-        timings.append(time.perf_counter() - start)
-        return reports
+        return [CrashInjector(run.built, run.persist_log).validate_many()
+                for run in runs]
 
-    reports = benchmark.pedantic(sweep, rounds=3, iterations=1)
+    timing, reports = benchmark.pedantic(
+        timed_rounds, args=(sweep,), rounds=1, iterations=1)
     points = sum(len(sweep_reports) for sweep_reports in reports)
-    best = min(timings)
-    us_per_point = best / points * 1e6
+    us_per_point = timing.best / points * 1e6
     benchmark.extra_info["crash_points"] = points
-    benchmark.extra_info["sweep_seconds_best"] = round(best, 4)
+    benchmark.extra_info["sweep_seconds_best"] = round(timing.best, 4)
     benchmark.extra_info["crash_us_per_point"] = round(us_per_point, 1)
-    _record(crash_us_per_point=round(us_per_point, 1),
-            crash_points=points)
+    bench_ledger.record("selfperf", crash_us_per_point=round(us_per_point, 1),
+                        crash_sweep_timing=timing, crash_points=points)
 
     print_header("Self-perf: crash sweep, every point of update+swap x WB")
     print("  crash points : %d" % points)
     print("  best of %d    : %.3f s  ->  %.1f us/point"
-          % (len(timings), best, us_per_point))
+          % (timing.n, timing.best, us_per_point))
     assert points == sum(len(run.persist_log) + 1 for run in runs)

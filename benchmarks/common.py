@@ -24,10 +24,15 @@ import functools
 from typing import Dict
 
 from repro.harness import CONFIGURATIONS
+from repro.harness.configs import DEFAULT_PARAMS
 from repro.harness.envutil import knob
 from repro.harness.experiments import APPLICATIONS
 from repro.harness.parallel import run_matrix_parallel
-from repro.harness.runner import RunResult
+from repro.harness.runner import RunResult, warm_hierarchy
+from repro.memory.controller import MemoryController
+from repro.memory.hierarchy import CacheHierarchy
+from repro.pipeline.core import OutOfOrderCore
+from repro.pipeline.replay import meta_for
 from repro.workloads import Scale
 
 def bench_scale() -> Scale:
@@ -44,6 +49,20 @@ def _matrix_cached(ops: int, txns: int) -> Dict[str, Dict[str, RunResult]]:
 def full_matrix() -> Dict[str, Dict[str, RunResult]]:
     scale = bench_scale()
     return _matrix_cached(scale.ops_per_txn, scale.txns)
+
+
+def simulate(built, config, params=DEFAULT_PARAMS):
+    """One timing simulation of a pre-built trace (no build, no checker)."""
+    controller = MemoryController(
+        address_map=params.address_map,
+        dram_params=params.dram,
+        nvm_params=params.nvm,
+    )
+    hierarchy = CacheHierarchy(controller, params.hierarchy)
+    warm_hierarchy(hierarchy, built)
+    core = OutOfOrderCore(built.trace, hierarchy, config.policy, params.core,
+                          replay=meta_for(built))
+    return core.run()
 
 
 def config_names() -> list:

@@ -67,6 +67,9 @@ _KNOBS = (
             "Benchmark scale: operations per transaction.", minimum=1),
     EnvKnob("REPRO_BENCH_TXNS", "int", 20,
             "Benchmark scale: transaction count.", minimum=1),
+    EnvKnob("REPRO_BENCH_RECORD", "flag", False,
+            "Append each bench session's headline metrics to the "
+            "committed BENCH_*.json ledgers (benchmarks/ledger.py)."),
     EnvKnob("REPRO_FUSION", "flag", True,
             "No effect: the functional machine always runs its codegen'd "
             "handlers.  Kept registered only so the e2e benchmark's "

@@ -1,5 +1,6 @@
 """The REPRO_* knob registry: strict parsing, whole-environment checks,
-and the rule that nothing under ``src/repro`` reads a knob around it."""
+and the rule that nothing under ``src/repro`` or the top-level
+``benchmarks/*.py`` reads a knob around it."""
 
 import ast
 import pathlib
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro.harness import configuration, profiling
 from repro.harness.envutil import (
     _RETIRED,
@@ -256,18 +256,27 @@ def _bypassing_reads(source: str):
             yield node.lineno, name
 
 
+def _scanned_sources():
+    """Every file that may read a knob: ``src/repro`` and the top-level
+    benchmark modules (``benchmarks/e2e`` has its own environment
+    rules), as ``(path relative to the repo root, text)``."""
+    repo_root = pathlib.Path(__file__).resolve().parents[2]
+    paths = (sorted((repo_root / "src" / "repro").rglob("*.py"))
+             + sorted((repo_root / "benchmarks").glob("*.py")))
+    return [(path.relative_to(repo_root), path.read_text(encoding="utf-8"))
+            for path in paths]
+
+
 class TestEnvRegistry:
     """describe_env() is the authoritative knob list; it must match the
     variables the code mentions, in both directions, and knob() must be
     the only way the code reads them."""
 
     def test_registry_matches_src_grep(self):
-        src_root = pathlib.Path(repro.__file__).resolve().parent
         mentioned = set()
         read_in_code = set()
-        for path in sorted(src_root.rglob("*.py")):
-            for token in re.findall(r"REPRO_[A-Z_]+",
-                                    path.read_text(encoding="utf-8")):
+        for path, text in _scanned_sources():
+            for token in re.findall(r"REPRO_[A-Z_]+", text):
                 # envutil.py declares every knob and lists the retired
                 # ones, so only mentions outside it show that something
                 # still reads one.
@@ -282,20 +291,18 @@ class TestEnvRegistry:
         # check sets it, so it stays registered until that changes.
         stale = documented - read_in_code - {"REPRO_FUSION"}
         assert not undocumented, (
-            "REPRO_* knobs read under src/repro but missing from "
+            "REPRO_* knobs read under src/repro or benchmarks but missing from "
             "describe_env(): %s" % sorted(undocumented))
         assert not stale, (
             "describe_env() documents knobs nothing reads: %s"
             % sorted(stale))
 
     def test_no_reads_around_the_registry(self):
-        src_root = pathlib.Path(repro.__file__).resolve().parent
         bypasses = [
-            "%s:%d %s" % (path.relative_to(src_root), line, name)
-            for path in sorted(src_root.rglob("*.py"))
+            "%s:%d %s" % (path, line, name)
+            for path, text in _scanned_sources()
             if path.name != "envutil.py"
-            for line, name in _bypassing_reads(
-                path.read_text(encoding="utf-8"))
+            for line, name in _bypassing_reads(text)
         ]
         assert not bypasses, (
             "read these through repro.harness.envutil.knob(): %s"
@@ -364,7 +371,7 @@ class TestEnvRegistry:
             "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
             "REPRO_PROXY_TIMEOUT"}
         assert not set(_RETIRED) & {spec.name for spec in describe_env()}
-        assert len(describe_env()) == 21
+        assert len(describe_env()) == 22
 
     @pytest.mark.parametrize("name", _RETIRED)
     def test_set_retired_name_is_refused(self, monkeypatch, name):
