@@ -19,6 +19,9 @@ across branches and loops.  This package provides that machinery:
 * :mod:`repro.analysis.fences` — a fence-redundancy linter that finds
   ``DSB SY``/``DMB SY`` instructions whose ordering effect is already
   covered by EDE edges (the paper's whole point: fences to eliminate).
+* :mod:`repro.analysis.oracle` — the fence autotuner's static oracle:
+  the prover and the key-state checks specialized to straight-line code,
+  kept per site so a one-site edit is re-proved over its window only.
 * :mod:`repro.analysis.report` — aggregation plus text/JSON/SARIF output.
 
 ``python -m repro.analysis`` runs everything from the command line; the

@@ -19,8 +19,11 @@ searches the (fence placement x EDK allocation) space:
    enforce), and ``init -> publish`` for the volatile publication
    kernel — so a barrier whose ordering work is real can never be
    dropped, while the final transaction's trailing barrier can.
-   Search obligations feed only the :class:`PersistProver`; the dynamic
-   checker keeps validating exactly the framework-declared set.
+   Search obligations feed only the static oracle; the dynamic checker
+   keeps validating exactly the framework-declared set.  The oracle
+   (:mod:`repro.analysis.oracle`) keeps the accepted program's per-site
+   state, so a trial re-runs the analyses only over the window its drop
+   changes and re-proves only the obligations that window touches.
 3. **EDK reallocation** then tries folding the used key set into
    narrower widths (8, 4, 2) through the same oracle: a fold that
    aliases a live key either regresses a proven EDE edge or trips the
@@ -48,18 +51,9 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import KeyDependenceAnalysis
 from repro.analysis.fences import lint_fences
-from repro.analysis.findings import ERROR, INFO, WARNING, Finding
-from repro.analysis.keystate import FULL_FENCES, analyze_key_states
-from repro.analysis.persist import (
-    GUARANTEED,
-    INDETERMINATE,
-    VIOLATED,
-    PersistProver,
-    summarize,
-)
+from repro.analysis.findings import INFO, WARNING, Finding
+from repro.analysis.keystate import FULL_FENCES
 from repro.consistency.obligations import Obligation
 from repro.core.edk import ZERO_KEY
 from repro.isa.instructions import Instruction
@@ -84,10 +78,6 @@ REVERTED = "reverted"
 
 #: Oracle trials per target when no positive budget is given.
 DEFAULT_BUDGET = 64
-
-#: Verdict ranks for the no-regression rule: a candidate may keep or
-#: improve an obligation's verdict, never worsen it.
-_VERDICT_RANK = {VIOLATED: 0, INDETERMINATE: 1, GUARANTEED: 2}
 
 # --- report types -------------------------------------------------------------
 
@@ -274,53 +264,6 @@ def derive_search_obligations(
     return obligations
 
 
-# --- static oracle ------------------------------------------------------------
-
-
-def _obligation_key(obligation: Obligation) -> Tuple[str, str, str]:
-    return (obligation.kind, obligation.first_tag, obligation.second_tag)
-
-
-@dataclasses.dataclass
-class _StaticState:
-    """Verdict ranks and severe-finding counts for one program variant."""
-
-    ranks: Dict[Tuple[str, str, str], int]
-    severe: Dict[Tuple[str, str], int]
-    verdict_counts: Dict[str, int]
-
-
-def _static_state(
-    instructions: Sequence[Instruction], obligations: Sequence[Obligation]
-) -> _StaticState:
-    cfg = build_cfg(instructions)
-    analysis = KeyDependenceAnalysis(instructions, cfg)
-    prover = PersistProver(instructions, cfg=cfg, analysis=analysis)
-    verdicts = prover.prove_all(obligations)
-    ranks = {
-        _obligation_key(v.obligation): _VERDICT_RANK[v.verdict] for v in verdicts
-    }
-    severe: Dict[Tuple[str, str], int] = {}
-    for finding in analyze_key_states(instructions, cfg=cfg):
-        if finding.severity in (ERROR, WARNING) and finding.check != "dead-key":
-            key = (finding.severity, finding.check)
-            severe[key] = severe.get(key, 0) + 1
-    return _StaticState(ranks=ranks, severe=severe, verdict_counts=summarize(verdicts))
-
-
-def _statically_safe(
-    candidate: _StaticState, baseline: _StaticState
-) -> Tuple[bool, str]:
-    """The pruning oracle: no verdict regression, no new severe finding."""
-    for key, base_rank in baseline.ranks.items():
-        if candidate.ranks.get(key, 0) < base_rank:
-            return False, "obligation %s %s -> %s would regress" % key
-    for key, count in candidate.severe.items():
-        if count > baseline.severe.get(key, 0):
-            return False, "would introduce %s finding(s): %s" % key
-    return True, "no obligation regresses; no new warning-or-worse finding"
-
-
 # --- program accounting -------------------------------------------------------
 
 
@@ -451,6 +394,7 @@ def autotune_workload(
     trials (``None`` or ``<= 0`` means :data:`DEFAULT_BUDGET`);
     ``validate`` turns the dynamic oracle on or off.
     """
+    from repro.analysis.oracle import StaticOracle
     from repro.harness.configs import DEFAULT_PARAMS, configuration
     from repro.workloads import base as workload_base
 
@@ -484,16 +428,19 @@ def autotune_workload(
             reason="no persist or publication obligations to prove against",
         )
 
-    # Baseline static state (lint once here; trials skip the linter).
-    cfg = build_cfg(trace)
-    analysis = KeyDependenceAnalysis(trace, cfg)
-    _fence_findings, fence_report = lint_fences(trace, cfg, analysis)
-    base_static = _static_state(trace, obligations)
+    # The linter reads the baseline once; the static oracle keeps the
+    # accepted program's per-site state and re-proves each trial's window.
+    _fence_findings, fence_report = lint_fences(trace)
+    oracle = StaticOracle(trace, obligations)
+    base_static = oracle.state()
+    rewriter = codegen.Rewriter(trace)
 
     sites = codegen.ordering_sites(trace)
-    linter_redundant = [s for s in fence_report.redundant_sites if s in set(sites)]
+    site_set = set(sites)
+    linter_redundant = [s for s in fence_report.redundant_sites if s in site_set]
+    redundant_set = set(linter_redundant)
     candidates = list(linter_redundant)
-    candidates.extend(s for s in reversed(sites) if s not in set(linter_redundant))
+    candidates.extend(s for s in reversed(sites) if s not in redundant_set)
 
     trials: List[CandidateTrial] = []
     accepted: List[int] = []
@@ -506,25 +453,29 @@ def autotune_workload(
         used += 1
         detail = "site %d (%s)" % (site, trace[site].opcode.name)
         try:
-            cand_trace = codegen.apply_edits(trace, drop=accepted + [site])
+            rewriter.check(drop=accepted + [site])
         except codegen.RewriteError as exc:
             trials.append(CandidateTrial("drop", detail, False, str(exc), {}))
             continue
-        cand_static = _static_state(cand_trace, obligations)
-        ok, reason = _statically_safe(cand_static, base_static)
+        oracle.drop(site)
+        ok, reason = oracle.judge(base_static)
         trials.append(
-            CandidateTrial("drop", detail, ok, reason, cand_static.verdict_counts)
+            CandidateTrial("drop", detail, ok, reason, oracle.verdict_counts())
         )
         if ok:
+            oracle.commit()
             accepted.append(site)
+        else:
+            oracle.rollback()
 
     # EDK reallocation: fold the used key set into narrower widths.  The
     # narrowest statically-safe fold wins; aliasing a live key regresses
     # a proven EDE edge or trips producer-overwrite, so the same oracle
-    # applies.
-    current = codegen.apply_edits(trace, drop=accepted)
-    keys = used_keys(current)
+    # applies, as a full pass with the keys renamed.
+    dropped = set(accepted)
+    keys = used_keys([inst for s, inst in enumerate(trace) if s not in dropped])
     key_map: Dict[int, int] = {}
+    fold_counts: Dict[str, int] = {}
     for width in (8, 4, 2):
         if len(keys) <= width:
             continue
@@ -534,14 +485,16 @@ def autotune_workload(
         used += 1
         cand_map = {k: (i % width) + 1 for i, k in enumerate(keys)}
         detail = "fold %d keys into width %d" % (len(keys), width)
-        cand_trace = codegen.apply_edits(trace, drop=accepted, key_map=cand_map)
-        cand_static = _static_state(cand_trace, obligations)
-        ok, reason = _statically_safe(cand_static, base_static)
+        rewriter.check(drop=accepted, key_map=cand_map)
+        fold = StaticOracle(trace, obligations, dropped=accepted,
+                            key_map=cand_map)
+        ok, reason = fold.judge(base_static)
         trials.append(
-            CandidateTrial("keymap", detail, ok, reason, cand_static.verdict_counts)
+            CandidateTrial("keymap", detail, ok, reason, fold.verdict_counts())
         )
         if ok:
             key_map = cand_map  # keep narrowing; narrowest safe fold wins
+            fold_counts = fold.verdict_counts()
 
     # Fall-back ladder for the dynamic oracle: full variant, then without
     # the key map, then full revert.
@@ -553,6 +506,7 @@ def autotune_workload(
 
     final_drops: List[int] = []
     final_map: Dict[int, int] = {}
+    final_trace = trace
     baseline_metrics: Optional[RunMetrics] = None
     optimized_metrics: Optional[RunMetrics] = None
     digest_match: Optional[bool] = None
@@ -573,7 +527,7 @@ def autotune_workload(
         for drops, kmap in attempts:
             if not drops and not kmap:
                 break  # pure revert: the baseline itself
-            opt_trace = codegen.apply_edits(trace, drop=drops, key_map=kmap or None)
+            opt_trace = rewriter.apply(drop=drops, key_map=kmap or None)
             variant = dataclasses.replace(built, trace=opt_trace)
             opt_run = run_one(workload, config, scale, params=params, built=variant)
             opt_digest = state_digest(variant, opt_run.persist_log)
@@ -595,11 +549,12 @@ def autotune_workload(
                 <= len(base_run.consistency.violations)
             )
             if opt_digest == base_digest and sweep_ok and ordering_ok:
-                chosen = (drops, kmap, opt_run, opt_digest, sweep)
+                chosen = (drops, kmap, opt_trace, opt_run, opt_digest, sweep)
                 break
 
         if chosen is not None:
-            final_drops, final_map, opt_run, opt_digest, crash_sweep = chosen
+            (final_drops, final_map, final_trace, opt_run, opt_digest,
+             crash_sweep) = chosen
             optimized_metrics = _metrics(opt_run, opt_digest)
             digest_match = True
             reverted = (final_drops, final_map) != (accepted, key_map)
@@ -608,10 +563,7 @@ def autotune_workload(
             digest_match = False if reverted else None
     else:
         final_drops, final_map = accepted, key_map
-
-    final_trace = codegen.apply_edits(
-        trace, drop=final_drops, key_map=final_map or None
-    )
+        final_trace = rewriter.apply(drop=final_drops, key_map=final_map or None)
 
     if final_drops or final_map:
         status = OPTIMIZED
@@ -638,7 +590,14 @@ def autotune_workload(
         status = BUDGET_EXHAUSTED
         reason = "trial budget %d exhausted before covering all candidates" % budget
 
-    final_static = _static_state(final_trace, obligations)
+    # The final variant is one the oracle already holds: the accepted key
+    # fold, the accepted drops, or the baseline.
+    if final_map:
+        obligations_after = fold_counts
+    elif final_drops:
+        obligations_after = oracle.verdict_counts()
+    else:
+        obligations_after = dict(base_static.verdict_counts)
     return OptimizationReport(
         workload=workload,
         config=config.name,
@@ -661,7 +620,7 @@ def autotune_workload(
         budget_used=used,
         exhaustive=exhausted_candidates,
         obligations_before=base_static.verdict_counts,
-        obligations_after=final_static.verdict_counts,
+        obligations_after=obligations_after,
         program_before=program_digest(trace),
         program_after=program_digest(final_trace),
         validated=validate and optimized_metrics is not None,

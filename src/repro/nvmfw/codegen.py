@@ -29,7 +29,7 @@ instructions a proof can discharge — the input the fence autotuner
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.edk import ZERO_KEY, EdkAllocator
 from repro.isa import instructions as ops
@@ -307,51 +307,82 @@ def ordering_sites(instructions: Sequence[Instruction]) -> List[int]:
     ]
 
 
+def remap_keys(inst: Instruction, key_map: Optional[Dict[int, int]]
+               ) -> Tuple[int, int, int]:
+    """``inst``'s ``(edk_def, edk_use, edk_use2)`` after renaming by
+    ``key_map``; the second use key of a ``JOIN`` keeps its name."""
+    if not key_map:
+        return inst.edk_def, inst.edk_use, inst.edk_use2
+    return (key_map.get(inst.edk_def, inst.edk_def),
+            key_map.get(inst.edk_use, inst.edk_use), inst.edk_use2)
+
+
+class Rewriter:
+    """The rewriter's safety rails for one program, and the rewrite itself.
+
+    :meth:`check` validates an edit list — ``drop`` names sites of
+    ordering instructions to remove; ``key_map`` renames EDK
+    producers/consumers (identity for keys it omits; the zero key can
+    never be remapped) — so callers cannot accidentally delete a tagged
+    persist, a data-effecting instruction, or shift branch targets.
+    :meth:`apply` checks, then materializes the candidate program as a
+    fresh instruction list; the input is never mutated.  A search that
+    only needs the verdict of the rails calls :meth:`check` per trial and
+    scans the program for branches once.
+    """
+
+    def __init__(self, instructions: Sequence[Instruction]):
+        self.instructions = instructions
+        self._branchy = any(inst.is_branch for inst in instructions)
+
+    def check(self, drop: Iterable[int] = (),
+              key_map: Optional[Dict[int, int]] = None) -> Set[int]:
+        """Raise :class:`RewriteError` unless the edits are safe; returns
+        the drop set."""
+        instructions = self.instructions
+        drop_set = set(drop)
+        for site in drop_set:
+            if not 0 <= site < len(instructions):
+                raise RewriteError("drop site %d out of range" % site)
+            inst = instructions[site]
+            if inst.opcode not in ORDERING_OPCODES:
+                raise RewriteError(
+                    "site %d is %s, not a droppable ordering instruction"
+                    % (site, inst.opcode.name))
+            if inst.comment is not None:
+                raise RewriteError(
+                    "site %d carries persist tag %r and cannot be dropped"
+                    % (site, inst.comment))
+        if drop_set and self._branchy:
+            raise RewriteError(
+                "cannot drop instructions from a program with branches: "
+                "targets would shift")
+        if key_map:
+            for old, new in key_map.items():
+                if old == ZERO_KEY or new == ZERO_KEY:
+                    raise RewriteError("the zero key cannot be remapped")
+        return drop_set
+
+    def apply(self, drop: Iterable[int] = (),
+              key_map: Optional[Dict[int, int]] = None) -> List[Instruction]:
+        drop_set = self.check(drop, key_map)
+        out: List[Instruction] = []
+        for site, inst in enumerate(self.instructions):
+            if site in drop_set:
+                continue
+            if key_map and (inst.edk_def != ZERO_KEY
+                            or inst.edk_use != ZERO_KEY):
+                edk_def, edk_use, _ = remap_keys(inst, key_map)
+                inst = dataclasses.replace(inst, edk_def=edk_def,
+                                           edk_use=edk_use)
+            out.append(inst)
+        return out
+
+
 def apply_edits(instructions: Sequence[Instruction],
                 drop: Iterable[int] = (),
                 key_map: Optional[Dict[int, int]] = None
                 ) -> List[Instruction]:
-    """Materialize a candidate program from an edit list.
-
-    ``drop`` names sites of ordering instructions to remove; ``key_map``
-    renames EDK producers/consumers (identity for keys it omits; the
-    zero key can never be remapped).  The rewriter enforces its safety
-    rails itself — callers cannot accidentally delete a tagged persist,
-    a data-effecting instruction, or shift branch targets — and returns
-    a fresh instruction list; the input is never mutated.
-    """
-    drop_set = set(drop)
-    for site in drop_set:
-        if not 0 <= site < len(instructions):
-            raise RewriteError("drop site %d out of range" % site)
-        inst = instructions[site]
-        if inst.opcode not in ORDERING_OPCODES:
-            raise RewriteError(
-                "site %d is %s, not a droppable ordering instruction"
-                % (site, inst.opcode.name))
-        if inst.comment is not None:
-            raise RewriteError(
-                "site %d carries persist tag %r and cannot be dropped"
-                % (site, inst.comment))
-    if drop_set and any(inst.is_branch for inst in instructions):
-        raise RewriteError(
-            "cannot drop instructions from a program with branches: "
-            "targets would shift")
-    if key_map:
-        for old, new in key_map.items():
-            if old == ZERO_KEY or new == ZERO_KEY:
-                raise RewriteError("the zero key cannot be remapped")
-
-    out: List[Instruction] = []
-    for site, inst in enumerate(instructions):
-        if site in drop_set:
-            continue
-        if key_map and (inst.edk_def != ZERO_KEY
-                        or inst.edk_use != ZERO_KEY):
-            inst = dataclasses.replace(
-                inst,
-                edk_def=key_map.get(inst.edk_def, inst.edk_def),
-                edk_use=key_map.get(inst.edk_use, inst.edk_use),
-            )
-        out.append(inst)
-    return out
+    """Materialize a candidate program from an edit list (see
+    :class:`Rewriter`)."""
+    return Rewriter(instructions).apply(drop, key_map)
