@@ -9,8 +9,8 @@ across branches and loops.  This package provides that machinery:
   dominators and natural-loop detection over any instruction sequence
   (a :class:`~repro.isa.program.Program` with labels, or a flat trace).
 * :mod:`repro.analysis.keystate` — a path-sensitive key-state lattice
-  analysis generalizing every :mod:`repro.core.verifier` check, plus
-  dead-key and EDM-pressure checks.
+  analysis: dangling consumers, overwritten producers, dead keys, EDM
+  pressure and the other use-before-def checks on EDKs.
 * :mod:`repro.analysis.dataflow` — reaching-producer analysis and the
   execution-dependence chain graph shared by the provers.
 * :mod:`repro.analysis.persist` — a static persist-ordering prover that
@@ -24,18 +24,13 @@ across branches and loops.  This package provides that machinery:
   kept per site so a one-site edit is re-proved over its window only.
 * :mod:`repro.analysis.report` — aggregation plus text/JSON/SARIF output.
 
-``python -m repro.analysis`` runs everything from the command line; the
-``REPRO_STATIC_CHECK`` environment knob wires it into every workload build
-(see :func:`repro.workloads.base.build`).
+``python -m repro.analysis`` runs everything from the command line; CI
+sweeps every workload and fence mode through it.
 """
 
 from repro.analysis.cfg import CFG, BasicBlock, CfgError, build_cfg
 from repro.analysis.findings import ERROR, INFO, WARNING, Finding
-from repro.analysis.keystate import (
-    COMPAT_OPTIONS,
-    KeyStateOptions,
-    analyze_key_states,
-)
+from repro.analysis.keystate import analyze_key_states
 
 __all__ = [
     "CFG",
@@ -46,7 +41,5 @@ __all__ = [
     "INFO",
     "WARNING",
     "Finding",
-    "COMPAT_OPTIONS",
-    "KeyStateOptions",
     "analyze_key_states",
 ]

@@ -36,13 +36,13 @@ from repro.analysis.findings import (
     WARNING,
     at_or_above,
 )
-from repro.analysis.keystate import KeyStateOptions
 from repro.analysis.report import (
     AnalysisReport,
     analyze_program,
     analyze_workload,
     render,
 )
+from repro.core.edk import NUM_EDM_ENTRIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--edm-capacity",
         type=int,
-        default=None,
+        default=NUM_EDM_ENTRIES,
         help="override the EDM capacity used by the pressure check",
     )
     parser.add_argument(
@@ -335,10 +335,6 @@ def _run_analyze(argv: Optional[List[str]] = None) -> int:
                 % (", ".join(unknown), ", ".join(ALL_MODES), CONS_SUFFIX)
             )
 
-    options = None
-    if args.edm_capacity is not None:
-        options = KeyStateOptions(edm_capacity=args.edm_capacity)
-
     scale = _resolve_scale(args.scale)
     reports: List[AnalysisReport] = []
     for target in targets:
@@ -349,7 +345,7 @@ def _run_analyze(argv: Optional[List[str]] = None) -> int:
                         target,
                         mode,
                         scale=scale,
-                        options=options,
+                        edm_capacity=args.edm_capacity,
                         lint=not args.no_lint,
                     )
                 )
@@ -357,7 +353,7 @@ def _run_analyze(argv: Optional[List[str]] = None) -> int:
             reports.append(
                 analyze_program(
                     target,
-                    options=options,
+                    edm_capacity=args.edm_capacity,
                     check_convention=args.convention,
                     lint=not args.no_lint,
                 )

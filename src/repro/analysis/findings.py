@@ -1,10 +1,9 @@
 """The finding model shared by every static check.
 
-A :class:`Finding` is one diagnostic anchored to an instruction index.
-The first three fields mirror the historical ``repro.core.verifier``
-finding (severity, index, message) so the old linear verifier can stay a
-thin wrapper; ``check`` names the specific analysis that produced it,
-which the CLI surfaces as a rule id in JSON and SARIF output.
+A :class:`Finding` is one diagnostic anchored to an instruction index:
+its severity, the index, a message, and ``check``, the name of the
+analysis that produced it, which the CLI surfaces as a rule id in JSON
+and SARIF output.
 """
 
 from __future__ import annotations

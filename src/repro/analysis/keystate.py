@@ -1,17 +1,26 @@
 """Path-sensitive key-state dataflow analysis.
 
-Generalizes every :mod:`repro.core.verifier` check from a linear scan to a
-fixpoint over the CFG, so branchy and loopy EDE code (every tree workload,
-every assembled Figure) is analyzed soundly, and adds two new checks the
-linear verifier could not express:
+A fixpoint over the CFG, so branchy and loopy EDE code (every tree
+workload, every assembled Figure) is analyzed soundly.  The checks catch
+the programming errors the EDE model makes possible — the analogue of
+using an uninitialized register:
 
+* **dangling-consumer** — consuming a key no live producer defines (the
+  EDM misses and no ordering is enforced).
+* **producer-overwrite** — a producer whose key is redefined before any
+  consumer reads it; downgraded to info when a later wait still drains
+  the orphaned persist from the write buffer.
+* **join-no-use** — a ``JOIN`` whose use keys are both zero.
+* **fence-shadow** — an execution dependence a full fence between
+  producer and consumer already enforces (informational).
 * **dead-key** — a produced dependence no path ever consumes (the
   annotation costs an EDM entry and orders nothing).
-* **EDM-pressure** — a path on which every one of the 15 EDM entries holds
+* **edm-pressure** — a path on which every one of the 15 EDM entries holds
   a live (unconsumed) dependence.  The architecture cannot encode a 16th
   simultaneously-live key; the next dependence on such a path must stall
   behind or overwrite an existing entry, so reaching capacity is reported
   the moment the 15th key goes live (a ``>15``-th would be unencodable).
+* **unreachable-code** — a basic block no path from the entry reaches.
 
 Abstract state: for each key, the set of *producer records* that may be
 the key's live producer at this point.  A record is ``(site, consumed,
@@ -25,7 +34,6 @@ reports at most once.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg
@@ -47,40 +55,13 @@ _ABSENT_ONLY: FrozenSet = frozenset({ABSENT})
 #: Orphan records are ``(key, site)`` pairs.
 ORPHANS = -1
 
-#: Fences treated as ordering everything, matching the historical verifier
-#: (``DMB ST`` architecturally does not order ``DC CVAP`` and is excluded).
+#: Fences treated as ordering everything (``DMB ST`` architecturally does
+#: not order ``DC CVAP`` and is excluded).
 FULL_FENCES = (Opcode.DSB_SY, Opcode.DMB_SY)
 
 # A producer record is (site, consumed, fenced).
 Record = Tuple[int, bool, bool]
 State = Dict[int, FrozenSet]
-
-
-@dataclasses.dataclass(frozen=True)
-class KeyStateOptions:
-    """Which checks run, and their parameters."""
-
-    dangling: bool = True
-    overwrite: bool = True
-    join_no_use: bool = True
-    fence_shadow: bool = True
-    dead_key: bool = True
-    edm_pressure: bool = True
-    unreachable: bool = True
-    edm_capacity: int = NUM_EDM_ENTRIES
-    #: Model the write-buffer retirement semantics of waits: waits drain
-    #: orphaned (overwritten-while-pending) producers too, and an
-    #: overwrite that a later wait re-secures downgrades to info.
-    wb_wait_semantics: bool = True
-
-
-#: The historical ``repro.core.verifier.verify`` behaviour: the four
-#: original checks only, with the EDM-only wait model, so existing
-#: callers see exactly the findings the linear verifier produced.
-COMPAT_OPTIONS = KeyStateOptions(
-    dead_key=False, edm_pressure=False, unreachable=False,
-    wb_wait_semantics=False,
-)
 
 
 def _join(a: State, b: State) -> State:
@@ -102,11 +83,11 @@ class _Analyzer:
         self,
         instructions: Sequence[Instruction],
         cfg: CFG,
-        options: KeyStateOptions,
+        edm_capacity: int,
     ):
         self.instructions = instructions
         self.cfg = cfg
-        self.options = options
+        self.edm_capacity = edm_capacity
         self.findings: List[Finding] = []
         self.consumed_sites: Set[int] = set()
         self.producer_sites: List[Tuple[int, int, Opcode]] = []
@@ -123,7 +104,6 @@ class _Analyzer:
         state = dict(state)
         block = self.cfg.blocks[block_index]
         in_loop = block_index in self.loop_blocks
-        options = self.options
         for site in block.sites():
             inst = self.instructions[site]
             opcode = inst.opcode
@@ -155,18 +135,13 @@ class _Analyzer:
                 self._drain_orphans(state, None, emit)
                 continue
 
-            if (
-                emit
-                and options.join_no_use
-                and opcode is Opcode.JOIN
-                and not inst.consumer_keys()
-            ):
+            if emit and opcode is Opcode.JOIN and not inst.consumer_keys():
                 self._emit(WARNING, site, "join-no-use", "JOIN with no use keys has no effect")
 
             for key in inst.consumer_keys():
                 records = state.get(key, _ABSENT_ONLY)
                 producers = [r for r in records if r is not ABSENT]
-                if emit and options.dangling and ABSENT in records:
+                if emit and ABSENT in records:
                     message = (
                         "consumes EDK#%d but no live producer exists "
                         "(EDM will miss; no ordering enforced)" % key
@@ -175,11 +150,7 @@ class _Analyzer:
                         message += " on some path"
                     self._emit(WARNING, site, "dangling-consumer", message)
                 if producers:
-                    if (
-                        emit
-                        and options.fence_shadow
-                        and all(r[2] for r in producers)
-                    ):
+                    if emit and all(r[2] for r in producers):
                         self._emit(
                             INFO,
                             site,
@@ -210,7 +181,7 @@ class _Analyzer:
                     if r is not ABSENT and not r[1]
                 ]
                 if not self_chain:
-                    if emit and options.overwrite:
+                    if emit:
                         for record in sorted(pending):
                             message = (
                                 "EDK#%d producer at %d is overwritten before "
@@ -233,34 +204,30 @@ class _Analyzer:
                 state[key] = frozenset({(site, False, False)})
                 if emit:
                     self.producer_sites.append((site, key, opcode))
-                    if options.edm_pressure:
-                        live = sum(
-                            1
-                            for state_key, records in state.items()
-                            if state_key != ORPHANS
-                            and any(r is not ABSENT and not r[1] for r in records)
+                    live = sum(
+                        1
+                        for state_key, records in state.items()
+                        if state_key != ORPHANS
+                        and any(r is not ABSENT and not r[1] for r in records)
+                    )
+                    if live >= self.edm_capacity:
+                        self._emit(
+                            WARNING,
+                            site,
+                            "edm-pressure",
+                            "EDM pressure: %d keys may be live simultaneously "
+                            "(capacity %d) — the next dependence on this path "
+                            "must stall or overwrite a live entry"
+                            % (live, self.edm_capacity),
                         )
-                        if live >= options.edm_capacity:
-                            self._emit(
-                                WARNING,
-                                site,
-                                "edm-pressure",
-                                "EDM pressure: %d keys may be live simultaneously "
-                                "(capacity %d) — the next dependence on this path "
-                                "must stall or overwrite a live entry"
-                                % (live, options.edm_capacity),
-                            )
         return state
 
     def _drain_orphans(self, state: State, key, emit: bool) -> None:
         """A retiring wait drains orphaned producers from the write buffer.
 
         ``key is None`` (``WAIT_ALL_KEYS``) drains every orphan; an
-        integer key (``WAIT_KEY``) drains orphans of that key only.  Under
-        the historical EDM-only model this is a no-op.
+        integer key (``WAIT_KEY``) drains orphans of that key only.
         """
-        if not self.options.wb_wait_semantics:
-            return
         orphans = [r for r in state.get(ORPHANS, frozenset()) if r is not ABSENT]
         if not orphans:
             return
@@ -303,7 +270,7 @@ class _Analyzer:
         for block in cfg.blocks:
             if block.index in reachable:
                 self._transfer_block(block.index, in_states[block.index], emit=True)
-            elif self.options.unreachable:
+            else:
                 self._emit(
                     INFO,
                     block.start,
@@ -311,31 +278,29 @@ class _Analyzer:
                     "basic block at %d is unreachable from the entry" % block.start,
                 )
 
-        if self.options.dead_key:
-            for site, key, opcode in self.producer_sites:
-                if opcode is Opcode.WAIT_KEY:
-                    continue  # waits re-produce their own key by design
-                if site not in self.consumed_sites:
-                    self._emit(
-                        WARNING,
-                        site,
-                        "dead-key",
-                        "EDK#%d produced at %d is never consumed on any path "
-                        "(dead dependence)" % (key, site),
-                    )
+        for site, key, opcode in self.producer_sites:
+            if opcode is Opcode.WAIT_KEY:
+                continue  # waits re-produce their own key by design
+            if site not in self.consumed_sites:
+                self._emit(
+                    WARNING,
+                    site,
+                    "dead-key",
+                    "EDK#%d produced at %d is never consumed on any path "
+                    "(dead dependence)" % (key, site),
+                )
 
-        if self.options.wb_wait_semantics:
-            for finding_index, producer_site in self.overwrite_refs:
-                if producer_site in self.drained_orphans:
-                    old = self.findings[finding_index]
-                    self.findings[finding_index] = Finding(
-                        INFO,
-                        old.index,
-                        old.message
-                        + " (EDM edge dropped; a later wait still drains "
-                        "the persist from the write buffer)",
-                        old.check,
-                    )
+        for finding_index, producer_site in self.overwrite_refs:
+            if producer_site in self.drained_orphans:
+                old = self.findings[finding_index]
+                self.findings[finding_index] = Finding(
+                    INFO,
+                    old.index,
+                    old.message
+                    + " (EDM edge dropped; a later wait still drains "
+                    "the persist from the write buffer)",
+                    old.check,
+                )
 
         self.findings.sort(key=lambda f: f.index)
         return self.findings
@@ -345,15 +310,15 @@ def analyze_key_states(
     instructions: Sequence[Instruction],
     labels: Optional[Dict[str, int]] = None,
     cfg: Optional[CFG] = None,
-    options: Optional[KeyStateOptions] = None,
+    edm_capacity: int = NUM_EDM_ENTRIES,
 ) -> List[Finding]:
     """Run the key-state checks; findings are ordered by instruction index.
 
-    May raise :class:`~repro.analysis.cfg.CfgError` when ``cfg`` is not
-    supplied and the sequence branches to an undefined label.
+    ``edm_capacity`` is the live-key count at which the EDM-pressure
+    check fires.  May raise :class:`~repro.analysis.cfg.CfgError` when
+    ``cfg`` is not supplied and the sequence branches to an undefined
+    label.
     """
     if cfg is None:
         cfg = build_cfg(instructions, labels)
-    if options is None:
-        options = KeyStateOptions()
-    return _Analyzer(instructions, cfg, options).run()
+    return _Analyzer(instructions, cfg, edm_capacity).run()

@@ -5,8 +5,7 @@ instruction sequence (a workload trace under one fence mode, or an
 assembled program).  :func:`analyze_instructions` is the single engine
 entry point; :func:`analyze_workload` and :func:`analyze_program` adapt
 the two target kinds; :func:`render` serializes a list of reports to
-text, JSON, or SARIF.  :func:`static_check` is the build-time gate behind the
-``REPRO_STATIC_CHECK`` environment knob.
+text, JSON, or SARIF.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.analysis.findings import (
     Finding,
     count_by_severity,
 )
-from repro.analysis.keystate import KeyStateOptions, analyze_key_states
+from repro.analysis.keystate import analyze_key_states
 from repro.analysis.persist import (
     GUARANTEED,
     INDETERMINATE,
@@ -35,6 +34,7 @@ from repro.analysis.persist import (
     PersistProver,
     summarize,
 )
+from repro.core.edk import NUM_EDM_ENTRIES
 from repro.isa.instructions import Instruction
 from repro.nvmfw.codegen import mode_safe_by_spec
 
@@ -139,7 +139,7 @@ def analyze_instructions(
     mode: Optional[str] = None,
     obligations: Optional[Sequence] = None,
     safe_by_spec: Optional[bool] = None,
-    options: Optional[KeyStateOptions] = None,
+    edm_capacity: int = NUM_EDM_ENTRIES,
     check_convention: bool = False,
     lint: bool = True,
 ) -> AnalysisReport:
@@ -156,7 +156,9 @@ def analyze_instructions(
             findings=[Finding(ERROR, exc.index, str(exc), "cfg")],
         )
 
-    findings = analyze_key_states(instructions, cfg=cfg, options=options)
+    findings = analyze_key_states(
+        instructions, cfg=cfg, edm_capacity=edm_capacity
+    )
     analysis = KeyDependenceAnalysis(instructions, cfg)
 
     verdicts: List[ObligationVerdict] = []
@@ -200,7 +202,7 @@ def analyze_workload(
     name: str,
     mode: str,
     scale=None,
-    options: Optional[KeyStateOptions] = None,
+    edm_capacity: int = NUM_EDM_ENTRIES,
     lint: bool = True,
 ) -> AnalysisReport:
     """Build one workload under one fence mode and analyze its trace."""
@@ -209,14 +211,16 @@ def analyze_workload(
     if scale is None:
         scale = workloads_base.TEST_SCALE
     built = workloads_base.build(name, mode, scale)
-    return analyze_built(built, target=name, mode=mode, options=options, lint=lint)
+    return analyze_built(
+        built, target=name, mode=mode, edm_capacity=edm_capacity, lint=lint
+    )
 
 
 def analyze_built(
     built,
     target: str,
     mode: str,
-    options: Optional[KeyStateOptions] = None,
+    edm_capacity: int = NUM_EDM_ENTRIES,
     lint: bool = True,
 ) -> AnalysisReport:
     """Analyze an already-built workload (its trace plus obligations)."""
@@ -225,14 +229,14 @@ def analyze_built(
         target=target,
         mode=mode,
         obligations=built.obligations,
-        options=options,
+        edm_capacity=edm_capacity,
         lint=lint,
     )
 
 
 def analyze_program(
     path: str,
-    options: Optional[KeyStateOptions] = None,
+    edm_capacity: int = NUM_EDM_ENTRIES,
     check_convention: bool = False,
     lint: bool = True,
 ) -> AnalysisReport:
@@ -262,32 +266,10 @@ def analyze_program(
         labels=program.labels,
         target=path,
         obligations=derive_obligations(program.instructions),
-        options=options,
+        edm_capacity=edm_capacity,
         check_convention=check_convention,
         lint=lint,
     )
-
-
-class StaticCheckError(ValueError):
-    """Raised by :func:`static_check` when a build has error findings."""
-
-    def __init__(self, report: AnalysisReport):
-        self.report = report
-        lines = ["static analysis failed for %s/%s:" % (report.target, report.mode)]
-        lines.extend(str(f) for f in report.errors)
-        super().__init__("\n".join(lines))
-
-
-def static_check(built, name: str, mode: str) -> AnalysisReport:
-    """The ``REPRO_STATIC_CHECK`` gate: analyze a fresh build, raise on errors.
-
-    The fence linter is skipped — the gate is a correctness check, and the
-    linter's path searches dominate analysis time on large traces.
-    """
-    report = analyze_built(built, target=name, mode=mode, lint=False)
-    if report.errors:
-        raise StaticCheckError(report)
-    return report
 
 
 # --- rendering ---------------------------------------------------------------

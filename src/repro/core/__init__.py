@@ -6,7 +6,6 @@ Submodules:
 * :mod:`repro.core.edm` — the Execution Dependence Map with checkpointing.
 * :mod:`repro.core.policies` — hardware enforcement policies (IQ, WB, fences).
 * :mod:`repro.core.depgraph` — register/memory/execution dependence graphs.
-* :mod:`repro.core.verifier` — static checks on EDE usage.
 * :mod:`repro.core.calling_convention` — caller/callee-saved EDK discipline.
 """
 

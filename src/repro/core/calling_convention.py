@@ -11,7 +11,7 @@ Like registers, EDKs are split into *caller-saved* and *callee-saved* keys:
   caller's (Figure 13, line 10).
 
 This module provides the key split, a rewriter that makes an instruction
-sequence convention-conformant, and a checker used by the static verifier.
+sequence convention-conformant, and a checker behind the analyzer's ``--convention`` flag.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ The graph records three edge kinds:
 * **execution** — the EDE edges: from a dependence producer to each
   consumer that picked it up through the EDM.
 
-It is used by the static verifier, by documentation/examples that reproduce
-Figure 5, and by tests that cross-check the timing model's enforcement
-against the architectural dependences.
+It is used by tests that reproduce Figure 5 and cross-check the timing
+model's enforcement against the architectural dependences.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ class EnvKnob:
     default: object    # typed; None means "unset"
     description: str
     minimum: Optional[float] = None
-    choices: Tuple[str, ...] = ()
 
 
 _KNOBS = (
@@ -78,18 +77,6 @@ _KNOBS = (
     EnvKnob("REPRO_CORES", "int", 2,
             "Core count for the multi-core hazard-pointer experiment "
             "(capped by the modeled maximum).", minimum=1),
-    EnvKnob("REPRO_INTERLEAVE", "str", "round_robin",
-            "Multi-core build interleaver policy.",
-            choices=("round_robin", "weighted")),
-    EnvKnob("REPRO_INTERLEAVE_SEED", "int", 0,
-            "Multi-core interleaver seed override (0 derives it from "
-            "the workload scale seed).", minimum=0),
-    EnvKnob("REPRO_COHERENCE", "flag", True,
-            "MESI-lite invalidation coherence model in multi-core runs "
-            "on/off."),
-    EnvKnob("REPRO_STATIC_CHECK", "flag", False,
-            "Gate every interpreted workload build through the static "
-            "analyzer."),
     EnvKnob("REPRO_CHAOS", "json", None,
             "Serialized fault-injection plan, inline JSON or a path "
             "(set by the chaos harness, not by hand)."),
@@ -116,8 +103,10 @@ _KNOBS = (
 _BY_NAME = {spec.name: spec for spec in _KNOBS}
 
 #: Knobs that were deleted; most values are now constructor arguments
-#: or CLI flags.  A leftover export is refused rather than silently
-#: ignored.
+#: or CLI flags, the interleave policy is ``Scale.interleave``, coherence
+#: is always modeled, and the build-time static check is
+#: ``python -m repro.analysis``.  A leftover export is refused rather
+#: than silently ignored.
 _RETIRED = (
     "REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_BACKOFF",
     "REPRO_AUTOTUNE_BUDGET", "REPRO_AUTOTUNE_VALIDATE",
@@ -126,7 +115,8 @@ _RETIRED = (
     "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_RESET",
     "REPRO_JOURNAL_FSYNC_INTERVAL", "REPRO_JOURNAL_COMPACT_BYTES",
     "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
-    "REPRO_PROXY_TIMEOUT",
+    "REPRO_PROXY_TIMEOUT", "REPRO_INTERLEAVE", "REPRO_INTERLEAVE_SEED",
+    "REPRO_COHERENCE", "REPRO_STATIC_CHECK",
 )
 
 
@@ -149,9 +139,6 @@ def knob(name: str):
         raise ValueError(
             "%s must be one of 0/1/true/false, got %r" % (name, raw))
     if spec.kind in ("str", "json"):
-        if spec.choices and raw not in spec.choices:
-            raise ValueError("%s must be one of %s, got %r"
-                             % (name, "/".join(spec.choices), raw))
         return raw
     parse, noun = (int, "an integer") if spec.kind == "int" \
         else (float, "a number")
@@ -194,8 +181,6 @@ def _render_default(spec: EnvKnob) -> str:
 
 
 def _render_kind(spec: EnvKnob) -> str:
-    if spec.choices:
-        return "|".join(spec.choices)
     if spec.minimum is not None:
         return "%s >= %g" % (spec.kind, spec.minimum)
     return spec.kind

@@ -279,18 +279,10 @@ class ResultCache(PickleStore):
             fingerprint: Optional[str] = None) -> str:
         """Content-addressed key for one (workload, config, scale, params)
         simulation under the current source tree.
-
-        The multicore env signature (interleave policy/seed, coherence
-        toggle — :mod:`repro.multicore.knobs`) is part of the key because
-        those knobs change multi-core builds and simulations without
-        appearing in scale or params.
         """
-        from repro.multicore.knobs import multicore_env_signature
-
         if fingerprint is None:
             fingerprint = source_fingerprint()
-        return canonical_key(fingerprint, workload, config, scale, params,
-                             multicore_env_signature())
+        return canonical_key(fingerprint, workload, config, scale, params)
 
 
 class ReportCache(PickleStore):

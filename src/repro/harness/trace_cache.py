@@ -80,18 +80,12 @@ class TraceCache(PickleStore):
     def key(self, workload: str, fence_mode: str, scale, params,
             fingerprint: Optional[str] = None) -> str:
         """Content-addressed key for one (workload, fence mode, scale,
-        Table I params) build under the current source tree.
-
-        Multi-core builds are shaped by the interleaver/coherence env
-        knobs (see :mod:`repro.multicore.knobs`), so their signature is
-        part of the key; ``scale.cores`` rides in through ``scale``.
+        Table I params) build under the current source tree.  The core
+        count and interleave policy ride in through ``scale``.
         """
-        from repro.multicore.knobs import multicore_env_signature
-
         if fingerprint is None:
             fingerprint = source_fingerprint()
-        return canonical_key(fingerprint, workload, fence_mode, scale, params,
-                             multicore_env_signature())
+        return canonical_key(fingerprint, workload, fence_mode, scale, params)
 
     def _serialize(self, value) -> bytes:
         return zlib.compress(

@@ -24,9 +24,10 @@ pipeline:
   every core stepped per cycle in core-id order, deterministic
   fast-forward over idle gaps.
 
-Determinism is the contract: a (seed, core count) pair yields bit-identical
-stats/visibility/persist-log digests across repeated runs, and N=1 reduces
-bit-identically to the single-core pipeline.
+Determinism is the contract: a scale (seed, core count, interleave
+policy) yields bit-identical stats/visibility/persist-log digests across
+repeated runs, and N=1 reduces bit-identically to the single-core
+pipeline.
 
 Submodules are imported explicitly (not re-exported here) to keep the
 package import-cycle-free with the harness.

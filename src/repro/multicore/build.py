@@ -31,9 +31,7 @@ import dataclasses
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.edk import NUM_KEYS
-from repro.harness.envutil import knob
 from repro.isa.instructions import Instruction
-from repro.multicore import knobs
 from repro.multicore.interleave import run_interleaved
 from repro.multicore.layout import core_layout, txn_offset
 from repro.nvmfw.allocator import PersistentHeap
@@ -128,9 +126,8 @@ class MulticoreBuild:
             fw._baseline_memory = dict(self.memory)
 
     def run(self, streams: Sequence[Sequence[Callable[[], None]]]) -> None:
-        """Interleave the per-core unit streams under the env policy/seed."""
-        run_interleaved(streams, knob("REPRO_INTERLEAVE"),
-                        knobs.interleave_seed(self.scale.seed))
+        """Interleave the per-core unit streams under the scale's policy."""
+        run_schedule(streams, self.scale)
 
     def finish(self) -> MultiBuiltWorkload:
         """Bundle per-core traces + merged artifacts."""
@@ -139,7 +136,6 @@ class MulticoreBuild:
         obligations = []
         line_snapshots: Dict[str, Dict[int, int]] = {}
         core_committed: List[List[Dict[int, int]]] = []
-        merged_trace: List[Instruction] = []
         ops = 0
         txns = 0
         for core, fw in enumerate(self.frameworks):
@@ -148,20 +144,18 @@ class MulticoreBuild:
                     "finish() with core %d inside an open transaction" % core)
             trace = fw.builder.finish()
             core_traces.append(trace)
-            merged_trace.extend(trace[:-1])  # strip per-core HALT
             obligations.extend(fw.obligations)
             line_snapshots.update(fw.line_snapshots)
             core_committed.append(list(fw.committed_states))
             ops += fw._op_id - offsets[core]
             txns += fw._txn_id - offsets[core]
-        merged_trace.append(core_traces[-1][-1])  # one terminal HALT
         baseline = self.frameworks[0]._baseline_memory
         # At N=1 the single-core recovery validator is fully sound, so the
         # merged view carries the committed states; at N>1 it cannot
         # express concurrent commits and validate_multicore must be used.
         merged_committed = list(core_committed[0]) if self.cores == 1 else []
         return MultiBuiltWorkload(
-            trace=merged_trace,
+            trace=merge_core_traces(core_traces),
             obligations=obligations,
             line_snapshots=line_snapshots,
             committed_states=merged_committed,
@@ -177,6 +171,28 @@ class MulticoreBuild:
             core_committed_states=core_committed,
             core_txn_offsets=offsets,
         )
+
+
+def run_schedule(streams: Sequence[Sequence[Callable[[], None]]],
+                 scale) -> List[int]:
+    """Run per-core unit streams in the order ``scale.interleave`` picks.
+
+    The weighted schedule's RNG seed derives from ``scale.seed``, so a
+    scale always builds the same interleaving.
+    """
+    seed = (scale.seed * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
+    return run_interleaved(streams, scale.interleave, seed)
+
+
+def merge_core_traces(
+        core_traces: Sequence[List[Instruction]]) -> List[Instruction]:
+    """Concatenate per-core traces, each without its ``HALT``, then one
+    terminal ``HALT`` (the merged view is informational)."""
+    merged: List[Instruction] = []
+    for trace in core_traces:
+        merged.extend(trace[:-1])
+    merged.append(core_traces[-1][-1])
+    return merged
 
 
 def per_core_rng_seed(scale_seed: int, core: int) -> int:

@@ -17,9 +17,7 @@ each access, which is exactly equivalent for timing purposes:
 Cores are probed in ascending id order, so every coherence action — and
 thus every persist-log record it produces — is deterministic.  The
 writebacks are untagged eviction-class controller writes, which the
-crash-image reconstruction already skips.  ``REPRO_COHERENCE=0`` turns
-the model off (incoherent private caches), which is occasionally useful
-to isolate its timing contribution.
+crash-image reconstruction already skips.
 """
 
 from __future__ import annotations
@@ -38,10 +36,8 @@ INVALIDATE_PENALTY = 8
 class CoherenceDirectory:
     """Probes and fixes up the other cores' caches on each access."""
 
-    def __init__(self, enabled: bool = True,
-                 demote_penalty: int = DEMOTE_PENALTY,
+    def __init__(self, demote_penalty: int = DEMOTE_PENALTY,
                  invalidate_penalty: int = INVALIDATE_PENALTY) -> None:
-        self.enabled = enabled
         self.demote_penalty = demote_penalty
         self.invalidate_penalty = invalidate_penalty
         self._hierarchies: Dict[int, "CoherentHierarchy"] = {}
@@ -59,7 +55,7 @@ class CoherenceDirectory:
 
     def on_load(self, core_id: int, addr: int, cycle: int) -> int:
         """Demote remote dirty copies of ``addr``'s line; return penalty."""
-        if not self.enabled or len(self._order) < 2:
+        if len(self._order) < 2:
             return 0
         penalty = 0
         for other_id in self._order:
@@ -80,7 +76,7 @@ class CoherenceDirectory:
 
     def on_store(self, core_id: int, addr: int, cycle: int) -> int:
         """Invalidate remote copies of ``addr``'s line; return penalty."""
-        if not self.enabled or len(self._order) < 2:
+        if len(self._order) < 2:
             return 0
         penalty = 0
         for other_id in self._order:

@@ -13,9 +13,12 @@ its instructions — and this module linearizes them:
 - ``weighted``: a seeded RNG picks the next core, weighted 2:1 toward
   core 0 (the consumer/leader core in the bundled workloads).
 
-The chosen order is a pure function of (policy, seed, unit counts), so a
-(seed, core count) pair always builds the same traces — the foundation of
-the subsystem's bit-identical determinism contract.
+The schedule is an explicit input, not ambient state: a workload's
+:class:`~repro.workloads.base.Scale` names the policy and its seed, and
+the chosen order is a pure function of (policy, seed, unit counts).  So
+a scale always builds the same traces — the foundation of the
+subsystem's bit-identical determinism contract — and, since the scale
+keys every cache, two policies never share a cache entry.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Sequence
 
-#: Supported policies (the ``REPRO_INTERLEAVE`` knob picks one).
+#: Supported policies (``Scale.interleave`` picks one).
 POLICIES = ("round_robin", "weighted")
 
 

@@ -23,7 +23,6 @@ import dataclasses
 import gc
 from typing import List, Optional
 
-from repro.harness.envutil import knob
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
 from repro.multicore.coherence import CoherenceDirectory, CoherentHierarchy
@@ -172,7 +171,7 @@ def simulate_built(built, config, params, warm: bool = True,
             coherence=None,
             bus=None,
         )
-    directory = CoherenceDirectory(enabled=knob("REPRO_COHERENCE"))
+    directory = CoherenceDirectory()
     bus = SharedEdmBus()
     cores: List[CoherentCore] = []
     for core_id in range(cores_n):

@@ -170,11 +170,8 @@ def result_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:
     simulate job's result lives under — identical to
     ``ResultCache.key(workload, config, scale, params)``, so the service
     and the batch engines share one cache population."""
-    from repro.multicore.knobs import multicore_env_signature
-
     return canonical_key(source_fingerprint(), spec.workload,
-                         spec.configuration, spec.scale, params,
-                         multicore_env_signature())
+                         spec.configuration, spec.scale, params)
 
 
 def optimize_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:

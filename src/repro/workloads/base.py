@@ -15,6 +15,7 @@ import random
 from typing import Callable, Dict
 
 from repro.chaos import chaos_point
+from repro.multicore.interleave import POLICIES
 from repro.nvmfw.framework import BuiltWorkload, PersistentFramework
 
 
@@ -27,12 +28,23 @@ class Scale:
     ``txns`` transactions (weak scaling).  Only workloads registered with
     ``multicore=True`` model core counts above one; everything else fails
     loudly rather than silently reporting single-core numbers.
+
+    ``interleave`` names the build-time schedule of a multi-core build
+    (one of :data:`repro.multicore.interleave.POLICIES`); the weighted
+    schedule draws from an RNG seeded by ``seed``.  Being a field, it
+    keys every trace, result and job cache like the sizes do.
     """
 
     ops_per_txn: int = 100
     txns: int = 1000
     seed: int = 2021
     cores: int = 1
+    interleave: str = "round_robin"
+
+    def __post_init__(self) -> None:
+        if self.interleave not in POLICIES:
+            raise ValueError("unknown interleave policy %r (have: %s)"
+                             % (self.interleave, ", ".join(POLICIES)))
 
     @property
     def total_ops(self) -> int:
@@ -101,27 +113,6 @@ def ensure_core_count(name: str, cores: int) -> None:
             % (name, cores, ", ".join(sorted(_MULTICORE)) or "none"))
 
 
-def _maybe_static_check(built: BuiltWorkload, name: str, mode: str) -> None:
-    """Run the static analyzer over a fresh build when opted in.
-
-    Set ``REPRO_STATIC_CHECK=1`` to have every interpreted workload build
-    pass through :func:`repro.analysis.report.static_check`; a build with
-    error-severity findings (e.g. a statically violated persist ordering
-    under a safe-by-spec fence mode) raises
-    :class:`~repro.analysis.report.StaticCheckError` instead of returning.
-    Cache hits are not re-checked: the cached trace is byte-identical to a
-    build that was (or can be) checked.
-    """
-    # Imported here: repro.harness imports this module.
-    from repro.harness.envutil import knob
-
-    if not knob("REPRO_STATIC_CHECK"):
-        return
-    from repro.analysis.report import static_check
-
-    static_check(built, name, mode)
-
-
 def build(name: str, mode: str, scale: Scale,
           cache=None, params=None) -> BuiltWorkload:
     """Build the named workload's trace for the given fence mode.
@@ -146,12 +137,7 @@ def build(name: str, mode: str, scale: Scale,
             "unknown workload %r (have: %s)"
             % (name, ", ".join(sorted(_REGISTRY)))) from None
     BUILD_COUNT += 1
-    built = fn(mode, scale)
-    if scale.cores == 1:
-        # The static analyzer reasons over a single program order; the
-        # merged multi-core trace is not one, so only N=1 builds go through.
-        _maybe_static_check(built, name, mode)
-    return built
+    return fn(mode, scale)
 
 
 def workload_names() -> tuple:

@@ -122,14 +122,13 @@ def build_hazard(mode: str, scale: Scale) -> BuiltWorkload:
 
 def _build_hazard_multicore(mode: str, scale: Scale) -> BuiltWorkload:
     """The contended N-core variant (volatile; driven by the interleaver)."""
-    from repro.harness.envutil import knob
-    from repro.multicore import knobs
     from repro.multicore.build import (
         MultiBuiltWorkload,
         PartitionedEdkAllocator,
+        merge_core_traces,
         per_core_rng_seed,
+        run_schedule,
     )
-    from repro.multicore.interleave import run_interleaved
     from repro.multicore.layout import core_layout
 
     cores = scale.cores
@@ -235,16 +234,11 @@ def _build_hazard_multicore(mode: str, scale: Scale) -> BuiltWorkload:
             units.append(announce_unit(core, index))
             units.append(validate_unit(core, mutate_index, mutate_payload))
         streams.append(units)
-    run_interleaved(streams, knob("REPRO_INTERLEAVE"),
-                    knobs.interleave_seed(scale.seed))
+    run_schedule(streams, scale)
 
     core_traces = [builder.finish() for builder in builders]
-    merged = []
-    for trace in core_traces:
-        merged.extend(trace[:-1])
-    merged.append(core_traces[-1][-1])
     return MultiBuiltWorkload(
-        trace=merged,
+        trace=merge_core_traces(core_traces),
         obligations=[],
         line_snapshots={},
         committed_states=[],

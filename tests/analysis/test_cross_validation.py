@@ -66,8 +66,8 @@ def test_guaranteed_obligations_pass_dynamic_checker(workload, config_name):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_static_report_matches_dynamic_under_ede(workload):
-    # The full report path (what the CLI and the REPRO_STATIC_CHECK gate
-    # run) must agree with the raw prover: zero violated, zero errors.
+    # The full report path (what the CLI and CI's analyzer sweep run)
+    # must agree with the raw prover: zero violated, zero errors.
     config = CONFIG_BY_NAME["IQ"]
     built = workloads_base.build(workload, config.fence_mode,
                                  workloads_base.TEST_SCALE)

@@ -10,7 +10,7 @@ overwritten-while-pending producer becomes an "orphan" that a later wait
 drains, downgrading the overwrite to info and suppressing dead-key.
 """
 
-from repro.analysis import INFO, WARNING, KeyStateOptions, analyze_key_states
+from repro.analysis import INFO, WARNING, analyze_key_states
 from repro.isa import instructions as ops
 
 
@@ -54,12 +54,3 @@ def test_no_wait_keeps_overwrite_a_warning():
     assert overwrite.severity == WARNING
     # Both the orphan and the live redefinition die unconsumed.
     assert len(_by_check(findings, "dead-key")) == 2
-
-
-def test_compat_mode_matches_legacy_linear_verifier():
-    findings = analyze_key_states(
-        _reuse_then(ops.wait_all_keys(), ops.store(4, 1)),
-        options=KeyStateOptions(wb_wait_semantics=False),
-    )
-    (overwrite,) = _by_check(findings, "producer-overwrite")
-    assert overwrite.severity == WARNING

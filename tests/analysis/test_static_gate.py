@@ -1,9 +1,8 @@
-"""The opt-in REPRO_STATIC_CHECK build gate in repro.workloads.base."""
-
-import pytest
+"""The error findings that gate a build: CI's analyzer sweep
+(``python -m repro.analysis``) fails on any of them."""
 
 from repro.analysis.persist import derive_obligations
-from repro.analysis.report import StaticCheckError
+from repro.analysis.report import analyze_built
 from repro.isa import instructions as ops
 from repro.nvmfw.layout import DEFAULT_LAYOUT
 from repro.nvmfw.framework import BuiltWorkload
@@ -33,38 +32,17 @@ def _bad_built():
     )
 
 
-@pytest.fixture
-def bad_workload():
-    name = "_gate_test_bad"
-    workloads_base._REGISTRY[name] = lambda mode, scale: _bad_built()
-    try:
-        yield name
-    finally:
-        del workloads_base._REGISTRY[name]
-
-
-def test_gate_off_by_default(bad_workload, monkeypatch):
-    monkeypatch.delenv("REPRO_STATIC_CHECK", raising=False)
-    built = workloads_base.build(bad_workload, "ede", workloads_base.TEST_SCALE)
-    assert built.ops == 1
-
-    monkeypatch.setenv("REPRO_STATIC_CHECK", "0")
-    workloads_base.build(bad_workload, "ede", workloads_base.TEST_SCALE)
-
-
-def test_gate_rejects_statically_violated_build(bad_workload, monkeypatch):
-    monkeypatch.setenv("REPRO_STATIC_CHECK", "1")
-    with pytest.raises(StaticCheckError) as excinfo:
-        workloads_base.build(bad_workload, "ede", workloads_base.TEST_SCALE)
-    report = excinfo.value.report
-    assert report.target == bad_workload
+def test_gate_rejects_statically_violated_build():
+    report = analyze_built(_bad_built(), target="bad", mode="ede",
+                           lint=False)
+    assert report.target == "bad"
     assert report.mode == "ede"
     assert [f.check for f in report.errors] == ["persist-ordering"]
-    assert "log-before-store" in str(excinfo.value)
+    assert "log-before-store" in report.errors[0].message
 
 
-def test_gate_accepts_correct_builds(monkeypatch):
-    monkeypatch.setenv("REPRO_STATIC_CHECK", "1")
+def test_gate_accepts_correct_builds():
     for mode in ("dsb", "ede"):
         built = workloads_base.build("update", mode, workloads_base.TEST_SCALE)
-        assert built.trace
+        report = analyze_built(built, target="update", mode=mode, lint=False)
+        assert report.errors == []

@@ -213,10 +213,13 @@ class TestLoweringProperties:
     @settings(max_examples=30, deadline=None)
     @given(random_ir(), st.integers(min_value=1, max_value=15))
     def test_lowered_code_passes_static_verifier(self, fn, num_keys):
-        from repro.core import verifier
+        # Every consumer the lowering emits reads a live producer.  Dead
+        # keys and overwrites are expected: the IR may define dependences
+        # nothing uses, and a small key set forces reuse.
+        from repro.analysis import ERROR, analyze_key_states
         lowered = lower(fn, num_keys=num_keys)
-        findings = [f for f in verifier.verify(lowered.instructions)
-                    if f.severity == verifier.ERROR]
+        findings = [f for f in analyze_key_states(lowered.instructions)
+                    if f.severity == ERROR or f.check == "dangling-consumer"]
         assert findings == []
 
 

@@ -21,7 +21,7 @@ from repro.harness.parallel import run_matrix_parallel
 from repro.harness.profiling import maybe_profile
 from repro.harness.result_cache import ResultCache
 from repro.harness.trace_cache import resolve_caches
-from repro.workloads import TEST_SCALE, base as workload_base
+from repro.workloads import TEST_SCALE
 
 
 class TestEnvFlag:
@@ -146,28 +146,8 @@ class TestEnvStr:
         monkeypatch.delenv("REPRO_SERVICE_HOST")
         assert knob("REPRO_SERVICE_HOST") == "127.0.0.1"
 
-    def test_choices(self, monkeypatch):
-        from repro.multicore.interleave import POLICIES
-
-        (spec,) = [k for k in describe_env() if k.name == "REPRO_INTERLEAVE"]
-        assert spec.choices == POLICIES
-        monkeypatch.setenv("REPRO_INTERLEAVE", "weighted")
-        assert knob("REPRO_INTERLEAVE") == "weighted"
-        monkeypatch.setenv("REPRO_INTERLEAVE", "random")
-        with pytest.raises(ValueError, match="round_robin/weighted"):
-            knob("REPRO_INTERLEAVE")
-
 
 # --- knobs that used to be parsed by hand, each wrongly ---------------------
-
-def _static_check_false(monkeypatch, tmp_path):
-    checked = []
-    monkeypatch.setattr("repro.analysis.report.static_check",
-                        lambda *args: checked.append(args))
-    monkeypatch.setenv("REPRO_STATIC_CHECK", "false")
-    workload_base.build("update", "ede", TEST_SCALE)
-    assert checked == []
-
 
 def _empty_cache_dir(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
@@ -197,12 +177,11 @@ def _report_scale(raw):
 
 
 @pytest.mark.parametrize("check", [
-    _static_check_false,
     _empty_cache_dir,
     _empty_profile_dir,
     _report_scale("0"),
     _report_scale("many"),
-], ids=["static-check-false-is-off", "empty-cache-dir-is-default",
+], ids=["empty-cache-dir-is-default",
         "empty-profile-dir-is-default", "report-rejects-zero-ops",
         "report-names-junk-ops"])
 def test_formerly_hand_parsed_knob(monkeypatch, tmp_path, check):
@@ -369,9 +348,10 @@ class TestEnvRegistry:
             "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_RESET",
             "REPRO_JOURNAL_FSYNC_INTERVAL", "REPRO_JOURNAL_COMPACT_BYTES",
             "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
-            "REPRO_PROXY_TIMEOUT"}
+            "REPRO_PROXY_TIMEOUT", "REPRO_INTERLEAVE",
+            "REPRO_INTERLEAVE_SEED", "REPRO_COHERENCE", "REPRO_STATIC_CHECK"}
         assert not set(_RETIRED) & {spec.name for spec in describe_env()}
-        assert len(describe_env()) == 22
+        assert len(describe_env()) == 18
 
     @pytest.mark.parametrize("name", _RETIRED)
     def test_set_retired_name_is_refused(self, monkeypatch, name):
@@ -388,11 +368,13 @@ class TestEnvRegistry:
         import importlib
 
         main = importlib.import_module(module).main
-        monkeypatch.setenv("REPRO_TIMEOUT", "30")
-        with pytest.raises(SystemExit) as info:
-            main(["--env"])
-        assert info.value.code == 2
-        assert "REPRO_TIMEOUT is retired" in capsys.readouterr().err
+        for name in _RETIRED:
+            monkeypatch.setenv(name, "30")
+            with pytest.raises(SystemExit) as info:
+                main(["--env"])
+            assert info.value.code == 2
+            assert "%s is retired" % name in capsys.readouterr().err
+            monkeypatch.delenv(name)
 
     def test_render_lists_every_knob(self):
         table = render_env_table()

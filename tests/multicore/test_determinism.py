@@ -12,10 +12,13 @@ That an N=1 build through the lockstep driver equals the classic
 single-core run is pinned by the golden corpus (``tests/golden``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.harness.configs import configuration
 from repro.harness.runner import run_one
+from repro.multicore.build import run_schedule
 from repro.service.jobs import result_digest
 from repro.workloads.base import Scale
 
@@ -45,15 +48,19 @@ class TestRepeatRuns:
             Scale(ops_per_txn=5, txns=3, seed=7, cores=2)))
         assert base != other
 
-    def test_interleaving_changes_digest(self, monkeypatch):
+    def test_interleaving_changes_digest(self):
         # The consumer's per-transaction `take` count depends on how many
         # produces the interleaver ran before each consume — a genuinely
-        # interleaving-dependent trace.  Weighted seed 3 front-loads the
-        # consumer ([0,0,0,1,1,1]) vs round-robin's strict turns.
+        # interleaving-dependent trace.  At 2 cores mpsc runs 3 consume
+        # units on core 0 and 3 produce units on core 1; at seed 2021 the
+        # weighted schedule is [1, 0, 0, 0, 1, 1] against round-robin's
+        # strict turns.
+        weighted = dataclasses.replace(SCALE2, interleave="weighted")
+        units = [[lambda: None] * SCALE2.txns] * 2
+        assert run_schedule(units, SCALE2) == [0, 1, 0, 1, 0, 1]
+        assert run_schedule(units, weighted) == [1, 0, 0, 0, 1, 1]
         base = result_digest(run_one("mpsc", configuration("IQ"), SCALE2))
-        monkeypatch.setenv("REPRO_INTERLEAVE", "weighted")
-        monkeypatch.setenv("REPRO_INTERLEAVE_SEED", "3")
-        other = result_digest(run_one("mpsc", configuration("IQ"), SCALE2))
+        other = result_digest(run_one("mpsc", configuration("IQ"), weighted))
         assert base != other
 
     def test_core_count_changes_digest(self):

@@ -50,3 +50,13 @@ class TestRunInterleaved:
         run_interleaved([[lambda i=i: log.append(i) for i in range(5)]],
                         "weighted", seed=3)
         assert log == list(range(5))
+
+
+class TestScalePolicy:
+    def test_scale_rejects_unknown_policy(self):
+        from repro.workloads.base import Scale
+
+        with pytest.raises(ValueError, match="lottery") as info:
+            Scale(interleave="lottery")
+        assert "round_robin" in str(info.value)
+        assert "weighted" in str(info.value)

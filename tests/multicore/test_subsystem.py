@@ -109,22 +109,6 @@ class TestCoherence:
         b.load(addr, cycle=0)
         assert directory.on_load(0, addr, cycle=10) == 0
 
-    def test_disabled_directory_is_inert(self):
-        from repro.harness.configs import DEFAULT_PARAMS
-        from repro.memory.controller import MemoryController
-
-        params = DEFAULT_PARAMS
-        controller = MemoryController(address_map=params.address_map,
-                                      dram_params=params.dram,
-                                      nvm_params=params.nvm)
-        directory = CoherenceDirectory(enabled=False)
-        pair = [CoherentHierarchy(controller, params.hierarchy, directory,
-                                  core_id) for core_id in range(2)]
-        addr = 64 << 20
-        pair[1].store_commit(addr, cycle=0)
-        assert directory.on_load(0, addr, cycle=10) == 0
-        assert directory.on_store(0, addr, cycle=10) == 0
-
     def test_store_penalty_constant(self):
         directory, (a, b) = self._pair()
         addr = 64 << 20
