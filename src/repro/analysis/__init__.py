@@ -10,9 +10,8 @@ across branches and loops.  This package provides that machinery:
   (a :class:`~repro.isa.program.Program` with labels, or a flat trace).
 * :mod:`repro.analysis.keystate` — a path-sensitive key-state lattice
   analysis: dangling consumers, overwritten producers, dead keys, EDM
-  pressure and the other use-before-def checks on EDKs.
-* :mod:`repro.analysis.dataflow` — reaching-producer analysis and the
-  execution-dependence chain graph shared by the provers.
+  pressure and the other use-before-def checks on EDKs.  The same pass
+  answers the one ordering question the prover and the linter share.
 * :mod:`repro.analysis.persist` — a static persist-ordering prover that
   classifies each crash-consistency obligation as statically guaranteed,
   statically violated, or indeterminate before any timing simulation runs.

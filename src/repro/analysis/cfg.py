@@ -17,21 +17,36 @@ following a branch, ``BL``, ``RET`` or ``HALT``.  Successor rules:
   resolved the branch, so the recorded path *is* the fall-through (see
   the hazard workload's perfectly-predicted ``B.NE``).
 
-Dominators use the standard iterative dataflow over a reverse-postorder;
-back edges (edges whose head dominates their tail) identify natural
-loops, which the key-state checks use to annotate loop-carried findings.
+:meth:`CFG.solve` is the one forward dataflow solver (a reverse-postorder
+worklist, then a recording pass); the key-state analysis, the fence
+linter's windows and the dominators all run on it.  Back edges (edges
+whose head dominates their tail) identify natural loops, which the
+key-state checks use to annotate loop-carried findings.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 
 #: Successor marker for leaving the program (RET/HALT/falling off the end).
 EXIT = -1
+
+State = TypeVar("State")
 
 
 class CfgError(ValueError):
@@ -96,34 +111,58 @@ class CFG:
     # --- dominators and loops ----------------------------------------------
 
     def dominators(self) -> List[Set[int]]:
-        """Per-block dominator sets (iterative dataflow, entry = block 0)."""
+        """Per-block dominator sets (entry = block 0; unreachable: all blocks)."""
         if self._dominators is not None:
             return self._dominators
-        count = len(self.blocks)
-        everything = set(range(count))
-        doms: List[Set[int]] = [set(everything) for _ in range(count)]
-        if count:
-            doms[0] = {0}
-        order = self.reverse_postorder()
-        changed = True
-        while changed:
-            changed = False
-            for index in order:
-                if index == 0:
-                    continue
-                preds = self.blocks[index].predecessors
-                if preds:
-                    new = set(everything)
-                    for pred in preds:
-                        new &= doms[pred]
-                else:
-                    new = set(everything)
-                new.add(index)
-                if new != doms[index]:
-                    doms[index] = new
-                    changed = True
+        doms = [set(range(len(self.blocks))) for _ in self.blocks]
+
+        def transfer(index: int, state: FrozenSet[int], record: bool) -> FrozenSet[int]:
+            out = state | {index}
+            if record:
+                doms[index] = set(out)
+            return out
+
+        self.solve(frozenset(), transfer, frozenset.intersection)
         self._dominators = doms
         return doms
+
+    def solve(
+        self,
+        entry: State,
+        transfer: Callable[[int, State, bool], State],
+        join: Callable[[State, State], State],
+    ) -> Dict[int, State]:
+        """Run a forward dataflow to its fixpoint, then one recording pass.
+
+        ``transfer(block, state, record)`` maps a block's entry state to
+        its exit state.  The worklist takes blocks in reverse postorder
+        with ``record=False``, joining each exit state into the successors'
+        entry states (``join(existing, incoming)``) until none changes;
+        then every reachable block is transferred once more, in index
+        order, with ``record=True``.  Returns the entry state of every
+        reachable block.
+        """
+        if not self.blocks:
+            return {}
+        in_states: Dict[int, State] = {0: entry}
+        order = {b: i for i, b in enumerate(self.reverse_postorder())}
+        work: Set[int] = {0}
+        while work:
+            block_index = min(work, key=order.__getitem__)
+            work.discard(block_index)
+            succs = [s for s in self.blocks[block_index].successors if s != EXIT]
+            if not succs:
+                continue  # an exit block's out state feeds no join
+            out = transfer(block_index, in_states[block_index], False)
+            for succ in succs:
+                existing = in_states.get(succ)
+                joined = out if existing is None else join(existing, out)
+                if existing is None or joined != existing:
+                    in_states[succ] = joined
+                    work.add(succ)
+        for block_index in sorted(in_states):
+            transfer(block_index, in_states[block_index], True)
+        return in_states
 
     def reverse_postorder(self) -> List[int]:
         """Block indices in reverse postorder from the entry."""

@@ -27,9 +27,20 @@ the key's live producer at this point.  A record is ``(site, consumed,
 fenced)``; the distinguished :data:`ABSENT` element means "no producer on
 some path".  Join is per-key set union, transfer is per-instruction, and
 the whole lattice is finite (records are drawn from instruction sites),
-so the worklist terminates.  After the fixpoint, one reporting pass per
-block emits findings from the final entry states — each diagnostic site
-reports at most once.
+so the worklist (:meth:`~repro.analysis.cfg.CFG.solve`) terminates.
+After the fixpoint, one reporting pass per block emits findings from the
+final entry states — each diagnostic site reports at most once.
+
+The same pass is the reaching-producer analysis the ordering checks read
+(the EDM keeps only the latest producer per key, Figure 6 of the paper):
+it keeps the state each consumer and wait reads, and
+:meth:`KeyStateAnalysis.ordering` answers the one ordering question the
+persist prover and the fence linter ask — is ``a`` ordered before ``b``
+on every path?  Every "guaranteed" claim quantifies over all possible
+producers: ``X`` waits on ``A`` only when **every** possible current
+producer of one of ``X``'s use keys transitively waits on ``A``.  That
+is sound — paths the program cannot take only add candidates that make
+claims harder.
 """
 
 from __future__ import annotations
@@ -59,6 +70,14 @@ ORPHANS = -1
 #: not order ``DC CVAP`` and is excluded).
 FULL_FENCES = (Opcode.DSB_SY, Opcode.DMB_SY)
 
+_WAITS = (Opcode.WAIT_KEY, Opcode.WAIT_ALL_KEYS)
+
+#: :meth:`KeyStateAnalysis.ordering` answers: the second instruction
+#: transitively consumes the first's key production, or every path
+#: between them crosses a full fence or a covering wait.
+EDE_EDGE = "ede-edge"
+SECURED_PATHS = "secured-paths"
+
 # A producer record is (site, consumed, fenced).
 Record = Tuple[int, bool, bool]
 State = Dict[int, FrozenSet]
@@ -78,25 +97,33 @@ def _join(a: State, b: State) -> State:
     return out
 
 
-class _Analyzer:
+class KeyStateAnalysis:
+    """The key-state pass: its findings and the ordering queries on it."""
+
     def __init__(
         self,
         instructions: Sequence[Instruction],
         cfg: CFG,
-        edm_capacity: int,
+        edm_capacity: int = NUM_EDM_ENTRIES,
     ):
         self.instructions = instructions
         self.cfg = cfg
         self.edm_capacity = edm_capacity
         self.findings: List[Finding] = []
-        self.consumed_sites: Set[int] = set()
+        #: Producer sites some consumer or ``WAIT_ALL_KEYS`` may wait on.
+        self.waited_on: Set[int] = set()
+        #: Consumer and ``WAIT_ALL_KEYS`` site -> the key state it reads.
+        self.current_at: Dict[int, State] = {}
+        #: Reachable ``DSB SY``/``DMB SY`` sites.
+        self.full_fence_sites: Set[int] = set()
         self.producer_sites: List[Tuple[int, int, Opcode]] = []
         #: (finding list index, overwritten producer site) — revisited at
         #: the end to downgrade overwrites a later wait re-secured.
         self.overwrite_refs: List[Tuple[int, int]] = []
         #: Orphaned producer sites some wait drained (write-buffer model).
         self.drained_orphans: Set[int] = set()
-        self.loop_blocks = cfg.loop_blocks() if cfg.blocks else frozenset()
+        self.loop_blocks = cfg.loop_blocks()
+        self._run()
 
     # --- transfer -----------------------------------------------------------
 
@@ -109,6 +136,8 @@ class _Analyzer:
             opcode = inst.opcode
 
             if opcode in FULL_FENCES:
+                if emit:
+                    self.full_fence_sites.add(site)
                 for key, records in state.items():
                     if key == ORPHANS:
                         continue
@@ -118,6 +147,8 @@ class _Analyzer:
 
             if not inst.is_ede:
                 continue
+            if emit and (inst.consumer_keys() or opcode is Opcode.WAIT_ALL_KEYS):
+                self.current_at[site] = dict(state)
 
             if opcode is Opcode.WAIT_ALL_KEYS:
                 for key, records in state.items():
@@ -130,7 +161,7 @@ class _Analyzer:
                         else:
                             updated.add((record[0], True, record[2]))
                             if emit:
-                                self.consumed_sites.add(record[0])
+                                self.waited_on.add(record[0])
                     state[key] = frozenset(updated)
                 self._drain_orphans(state, None, emit)
                 continue
@@ -166,7 +197,7 @@ class _Analyzer:
                         else:
                             updated.add((record[0], True, record[2]))
                             if emit:
-                                self.consumed_sites.add(record[0])
+                                self.waited_on.add(record[0])
                     state[key] = frozenset(updated)
 
             if opcode is Opcode.WAIT_KEY:
@@ -204,12 +235,13 @@ class _Analyzer:
                 state[key] = frozenset({(site, False, False)})
                 if emit:
                     self.producer_sites.append((site, key, opcode))
-                    live = sum(
-                        1
-                        for state_key, records in state.items()
-                        if state_key != ORPHANS
-                        and any(r is not ABSENT and not r[1] for r in records)
-                    )
+                    live = 0
+                    for state_key, records in state.items():
+                        if state_key != ORPHANS:
+                            for record in records:
+                                if record is not ABSENT and not record[1]:
+                                    live += 1
+                                    break
                     if live >= self.edm_capacity:
                         self._emit(
                             WARNING,
@@ -235,7 +267,6 @@ class _Analyzer:
         for orphan_key, orphan_site in orphans:
             if key is None or orphan_key == key:
                 if emit:
-                    self.consumed_sites.add(orphan_site)
                     self.drained_orphans.add(orphan_site)
             else:
                 kept.append((orphan_key, orphan_site))
@@ -246,31 +277,11 @@ class _Analyzer:
 
     # --- driver -------------------------------------------------------------
 
-    def run(self) -> List[Finding]:
+    def _run(self) -> None:
         cfg = self.cfg
-        if not cfg.blocks:
-            return []
-        in_states: Dict[int, State] = {0: {}}
-        order = {b: i for i, b in enumerate(cfg.reverse_postorder())}
-        work: Set[int] = {0}
-        while work:
-            block_index = min(work, key=lambda b: order.get(b, b))
-            work.discard(block_index)
-            out = self._transfer_block(block_index, in_states[block_index], emit=False)
-            for succ in cfg.blocks[block_index].successors:
-                if succ < 0:
-                    continue
-                existing = in_states.get(succ)
-                joined = out if existing is None else _join(existing, out)
-                if existing is None or joined != existing:
-                    in_states[succ] = joined
-                    work.add(succ)
-
-        reachable = cfg.reachable_blocks()
+        in_states = cfg.solve({}, self._transfer_block, _join)
         for block in cfg.blocks:
-            if block.index in reachable:
-                self._transfer_block(block.index, in_states[block.index], emit=True)
-            else:
+            if block.index not in in_states:
                 self._emit(
                     INFO,
                     block.start,
@@ -281,7 +292,7 @@ class _Analyzer:
         for site, key, opcode in self.producer_sites:
             if opcode is Opcode.WAIT_KEY:
                 continue  # waits re-produce their own key by design
-            if site not in self.consumed_sites:
+            if site not in self.waited_on and site not in self.drained_orphans:
                 self._emit(
                     WARNING,
                     site,
@@ -303,7 +314,107 @@ class _Analyzer:
                 )
 
         self.findings.sort(key=lambda f: f.index)
-        return self.findings
+
+    # --- ordering queries -----------------------------------------------------
+
+    def _all_wait_on(self, records: FrozenSet, a_site: int, visiting: Set[int]) -> bool:
+        """Whether every producer in ``records`` transitively waits on ``a``."""
+        if not records or ABSENT in records:
+            return False
+        return all(self.waits_on(r[0], a_site, visiting) for r in records)
+
+    def waits_on(self, x_site: int, a_site: int, _visiting: Optional[Set[int]] = None) -> bool:
+        """True when executing ``x_site`` provably waits for ``a_site``.
+
+        ``X`` waits on ``A`` when ``X`` *is* ``A``, or when for some use
+        key of ``X`` every possible current producer transitively waits
+        on ``A`` (a consumer cannot execute before its producer completes;
+        ``JOIN``/``WAIT_KEY`` chain productions behind consumptions).
+        Cycles (loop-carried chains) conservatively fail.
+        """
+        if x_site == a_site:
+            return True
+        if _visiting is None:
+            _visiting = set()
+        state = self.current_at.get(x_site)
+        if state is None or x_site in _visiting:
+            return False
+        _visiting.add(x_site)
+        try:
+            inst = self.instructions[x_site]
+            use_keys = inst.consumer_keys()
+            if not use_keys and inst.opcode is Opcode.WAIT_ALL_KEYS:
+                use_keys = [key for key in state if key != ORPHANS]
+            return any(
+                self._all_wait_on(state.get(key, _ABSENT_ONLY), a_site, _visiting)
+                for key in use_keys
+            )
+        finally:
+            _visiting.discard(x_site)
+
+    def wait_covers(self, wait_site: int, a_site: int) -> bool:
+        """True when the wait at ``wait_site`` provably waits for ``a_site``.
+
+        Waits enforce their ordering at *retirement* against the write
+        buffer, not against the EDM (:mod:`repro.pipeline.write_buffer`):
+        a retiring ``WAIT_ALL_KEYS`` stalls until no older EDE instruction
+        is resident, and ``WAIT_KEY (k)`` until no older EDE instruction
+        touching ``k`` is.  So on any path that reaches the wait *through*
+        ``a_site``, the wait covers ``a_site`` whenever ``a_site`` is an
+        EDE instruction (with a matching key, for ``WAIT_KEY``) — even
+        when its EDM entry was overwritten in between.  Callers must only
+        query waits that lie on a path from ``a_site``.  The EDM chain
+        (:meth:`waits_on`) remains as the fallback for ``JOIN``-mediated
+        coverage.
+        """
+        wait = self.instructions[wait_site]
+        target = self.instructions[a_site]
+        if target.is_ede:
+            if wait.opcode is Opcode.WAIT_ALL_KEYS:
+                return True
+            if wait.opcode is Opcode.WAIT_KEY:
+                keys = (target.edk_def, target.edk_use, target.edk_use2)
+                if wait.edk_use != ZERO_KEY and wait.edk_use in keys:
+                    return True
+        return self.waits_on(wait_site, a_site)
+
+    def has_consumer(self, a_site: int) -> bool:
+        """Whether any consumer anywhere may wait on ``a_site``."""
+        return a_site in self.waited_on
+
+    def ordering(self, a_site: int, b_site: int, ignore: Optional[int] = None) -> Optional[str]:
+        """What orders ``a_site`` before ``b_site`` on every path, if anything.
+
+        :data:`EDE_EDGE` when ``b`` transitively consumes ``a``'s key
+        production; :data:`SECURED_PATHS` when every ``a -> b`` path
+        crosses a full fence or a wait covering ``a``; None when some
+        path carries neither.  ``ignore`` is a full-fence site to treat
+        as absent (the fence linter asks whether a pair stays ordered
+        without the fence under test).
+        """
+        state = self.current_at.get(b_site)
+        if state is not None:
+            for key in self.instructions[b_site].consumer_keys():
+                if self._all_wait_on(state.get(key, _ABSENT_ONLY), a_site, set()):
+                    return EDE_EDGE
+        successor_sites = self.cfg.successor_sites
+        frontier = list(successor_sites(a_site))
+        visited = set(frontier)
+        while frontier:
+            site = frontier.pop()
+            if site == b_site:
+                return None
+            if site != ignore:
+                opcode = self.instructions[site].opcode
+                if opcode in FULL_FENCES:
+                    continue
+                if opcode in _WAITS and self.wait_covers(site, a_site):
+                    continue
+            for succ in successor_sites(site):
+                if succ not in visited:
+                    visited.add(succ)
+                    frontier.append(succ)
+        return SECURED_PATHS
 
 
 def analyze_key_states(
@@ -321,4 +432,4 @@ def analyze_key_states(
     """
     if cfg is None:
         cfg = build_cfg(instructions, labels)
-    return _Analyzer(instructions, cfg, edm_capacity).run()
+    return KeyStateAnalysis(instructions, cfg, edm_capacity).findings

@@ -33,9 +33,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import NO_PRODUCER, KeyDependenceAnalysis
-from repro.analysis.keystate import FULL_FENCES
+from repro.analysis.cfg import build_cfg
+from repro.analysis.keystate import EDE_EDGE, KeyStateAnalysis
 from repro.consistency.obligations import (
     LOG_BEFORE_STORE,
     PERSIST_BEFORE_COMMIT,
@@ -43,7 +42,6 @@ from repro.consistency.obligations import (
 )
 from repro.core.edk import ZERO_KEY
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
 
 GUARANTEED = "guaranteed"
 VIOLATED = "violated"
@@ -145,60 +143,15 @@ class PersistProver:
     def __init__(
         self,
         instructions: Sequence[Instruction],
-        cfg: Optional[CFG] = None,
-        analysis: Optional[KeyDependenceAnalysis] = None,
+        analysis: Optional[KeyStateAnalysis] = None,
     ):
         self.instructions = instructions
-        self.cfg = cfg if cfg is not None else build_cfg(instructions)
         self.analysis = (
             analysis
             if analysis is not None
-            else KeyDependenceAnalysis(instructions, self.cfg)
+            else KeyStateAnalysis(instructions, build_cfg(instructions))
         )
         self.tag_index = build_tag_index(instructions)
-
-    # --- path search --------------------------------------------------------
-
-    def _unsecured_path_exists(self, a_site: int, b_site: int) -> bool:
-        """Whether some path ``a -> b`` avoids every securing instruction.
-
-        Securing instructions are full fences and waits that provably
-        wait for ``a_site``'s completion; the search does not expand
-        through them.  Reaching ``b_site`` means the ordering is not
-        enforced on at least one path.
-        """
-        analysis = self.analysis
-        frontier = list(self.cfg.successor_sites(a_site))
-        visited = set(frontier)
-        while frontier:
-            site = frontier.pop()
-            if site == b_site:
-                return True
-            inst = self.instructions[site]
-            opcode = inst.opcode
-            if opcode in FULL_FENCES:
-                continue
-            if opcode in (Opcode.WAIT_KEY, Opcode.WAIT_ALL_KEYS):
-                if analysis.wait_covers(site, a_site):
-                    continue
-            for succ in self.cfg.successor_sites(site):
-                if succ not in visited:
-                    visited.add(succ)
-                    frontier.append(succ)
-        return False
-
-    def _consumes_chain(self, b_site: int, a_site: int) -> bool:
-        """Whether ``b`` transitively consumes ``a``'s key production."""
-        state = self.analysis.current_at.get(b_site)
-        if state is None:
-            return False
-        for key in self.instructions[b_site].consumer_keys():
-            producers = state.get(key)
-            if not producers or NO_PRODUCER in producers:
-                continue
-            if all(self.analysis.waits_on(p, a_site) for p in producers):
-                return True
-        return False
 
     # --- verdicts -----------------------------------------------------------
 
@@ -223,7 +176,8 @@ class PersistProver:
                 b_site,
             )
 
-        if self._consumes_chain(b_site, a_site):
+        ordering = self.analysis.ordering(a_site, b_site)
+        if ordering == EDE_EDGE:
             return ObligationVerdict(
                 obligation,
                 GUARANTEED,
@@ -232,7 +186,7 @@ class PersistProver:
                 a_site,
                 b_site,
             )
-        if not self._unsecured_path_exists(a_site, b_site):
+        if ordering is not None:
             return ObligationVerdict(
                 obligation,
                 GUARANTEED,

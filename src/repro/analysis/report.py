@@ -15,7 +15,6 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.cfg import CfgError, build_cfg
-from repro.analysis.dataflow import KeyDependenceAnalysis
 from repro.analysis.fences import FenceReport, lint_fences
 from repro.analysis.findings import (
     CHECK_CATALOG,
@@ -25,7 +24,7 @@ from repro.analysis.findings import (
     Finding,
     count_by_severity,
 )
-from repro.analysis.keystate import analyze_key_states
+from repro.analysis.keystate import KeyStateAnalysis
 from repro.analysis.persist import (
     GUARANTEED,
     INDETERMINATE,
@@ -156,14 +155,12 @@ def analyze_instructions(
             findings=[Finding(ERROR, exc.index, str(exc), "cfg")],
         )
 
-    findings = analyze_key_states(
-        instructions, cfg=cfg, edm_capacity=edm_capacity
-    )
-    analysis = KeyDependenceAnalysis(instructions, cfg)
+    analysis = KeyStateAnalysis(instructions, cfg, edm_capacity)
+    findings = list(analysis.findings)
 
     verdicts: List[ObligationVerdict] = []
     if obligations:
-        prover = PersistProver(instructions, cfg=cfg, analysis=analysis)
+        prover = PersistProver(instructions, analysis)
         verdicts = prover.prove_all(obligations)
         for verdict in verdicts:
             finding = _verdict_finding(verdict, safe_by_spec)
@@ -172,7 +169,7 @@ def analyze_instructions(
 
     fence_report: Optional[FenceReport] = None
     if lint:
-        fence_findings, fence_report = lint_fences(instructions, cfg, analysis)
+        fence_findings, fence_report = lint_fences(instructions, analysis)
         findings.extend(fence_findings)
 
     if check_convention:

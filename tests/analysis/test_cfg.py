@@ -116,3 +116,37 @@ class TestBasicBlocks:
     def test_empty_sequence(self):
         cfg = build_cfg([])
         assert cfg.blocks == []
+
+
+class TestSolve:
+    def test_reaching_sets_over_a_loop(self):
+        cfg = _cfg("""
+            mov x0, #4
+        loop:
+            sub x0, x0, #1
+            cmp x0, #0
+            b.ne loop
+            b done
+            mov x1, #9
+        done:
+            halt
+        """)
+        recorded = []
+
+        def transfer(index, state, record):
+            if record:
+                recorded.append(index)
+            return state | {index}
+
+        in_states = cfg.solve(frozenset(), transfer, frozenset.union)
+        stranded = cfg.block_of(5).index
+        assert stranded not in in_states
+        assert recorded == sorted(set(range(len(cfg.blocks))) - {stranded})
+        loop = cfg.block_of(1).index
+        # The loop head is reached from the entry and from its own back edge.
+        assert in_states[loop] == {cfg.block_of(0).index, loop}
+        assert in_states[cfg.block_of(6).index] == {0, loop, cfg.block_of(4).index}
+
+    def test_empty_program(self):
+        cfg = build_cfg([])
+        assert cfg.solve(frozenset(), lambda b, s, r: s, frozenset.union) == {}

@@ -10,7 +10,6 @@ two verdicts obligation-by-obligation.
 
 import pytest
 
-from repro.analysis.dataflow import KeyDependenceAnalysis
 from repro.analysis.persist import GUARANTEED, PersistProver
 from repro.analysis.report import analyze_built
 from repro.harness.configs import CONFIG_BY_NAME
@@ -24,11 +23,7 @@ CASES = [(w, c) for w in WORKLOADS for c in SAFE_CONFIGS]
 
 
 def _prove(built, mode):
-    from repro.analysis.cfg import build_cfg
-
-    cfg = build_cfg(built.trace)
-    analysis = KeyDependenceAnalysis(built.trace, cfg)
-    return PersistProver(built.trace, cfg, analysis).prove_all(built.obligations)
+    return PersistProver(built.trace).prove_all(built.obligations)
 
 
 @pytest.mark.parametrize("workload,config_name", CASES,

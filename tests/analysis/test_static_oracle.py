@@ -1,9 +1,9 @@
 """The incremental static oracle against a from-scratch reference.
 
 :func:`reference_state` is the oracle as the autotuner first ran it: for
-each candidate, materialize the program, build its CFG, run the full
-key-dependence dataflow, the key-state checks and the persist prover over
-every obligation.  :class:`repro.analysis.oracle.StaticOracle` must agree
+each candidate, materialize the program, build its CFG, run the
+key-state pass (its checks and the ordering queries) and the persist
+prover over every obligation.  :class:`repro.analysis.oracle.StaticOracle` must agree
 with it — ranks, severe-finding counts (in first-finding order) and
 verdict counts — after every staged drop, every commit and rollback, and
 for every key fold, on seeded random straight-line EDE programs that mix
@@ -24,9 +24,8 @@ import pytest
 
 from repro.analysis.autotune import derive_search_obligations
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import KeyDependenceAnalysis
 from repro.analysis.findings import ERROR, WARNING
-from repro.analysis.keystate import analyze_key_states
+from repro.analysis.keystate import KeyStateAnalysis
 from repro.analysis.oracle import (
     VERDICT_RANK,
     StaticOracle,
@@ -47,15 +46,14 @@ def reference_state(
     instructions: Sequence[Instruction], obligations: Sequence[Obligation]
 ) -> StaticState:
     """Every analysis from scratch over one materialized program."""
-    cfg = build_cfg(instructions)
-    analysis = KeyDependenceAnalysis(instructions, cfg)
-    prover = PersistProver(instructions, cfg=cfg, analysis=analysis)
+    analysis = KeyStateAnalysis(instructions, build_cfg(instructions))
+    prover = PersistProver(instructions, analysis)
     verdicts = prover.prove_all(obligations)
     ranks = {
         obligation_key(v.obligation): VERDICT_RANK[v.verdict] for v in verdicts
     }
     severe: Dict[Tuple[str, str], int] = {}
-    for finding in analyze_key_states(instructions, cfg=cfg):
+    for finding in analysis.findings:
         if finding.severity in (ERROR, WARNING) and finding.check != "dead-key":
             key = (finding.severity, finding.check)
             severe[key] = severe.get(key, 0) + 1
