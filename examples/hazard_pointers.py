@@ -19,8 +19,8 @@ def main() -> None:
     print(__doc__)
     result = hazard_pointer_experiment(Scale(ops_per_txn=50, txns=10))
 
-    print("Simulated cores: %d (REPRO_CORES; cores=1 reproduces the "
-          "uncontended approximation)\n" % result.cores)
+    print("Simulated cores: %d (hazard_pointer_experiment(..., cores=1) "
+          "reproduces the uncontended approximation)\n" % result.cores)
     labels = {
         "B": "DMB SY full fence (Figure 12)",
         "IQ": "EDE, IQ hardware",

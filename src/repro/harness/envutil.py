@@ -74,9 +74,6 @@ _KNOBS = (
             "handlers.  Kept registered only so the e2e benchmark's "
             "inherited-knob check can set it; delete with the next "
             "change to that benchmark."),
-    EnvKnob("REPRO_CORES", "int", 2,
-            "Core count for the multi-core hazard-pointer experiment "
-            "(capped by the modeled maximum).", minimum=1),
     EnvKnob("REPRO_CHAOS", "json", None,
             "Serialized fault-injection plan, inline JSON or a path "
             "(set by the chaos harness, not by hand)."),
@@ -103,8 +100,9 @@ _KNOBS = (
 _BY_NAME = {spec.name: spec for spec in _KNOBS}
 
 #: Knobs that were deleted; most values are now constructor arguments
-#: or CLI flags, the interleave policy is ``Scale.interleave``, coherence
-#: is always modeled, and the build-time static check is
+#: or CLI flags (the hazard-pointer experiment's core count is its
+#: ``cores`` argument), the interleave policy is ``Scale.interleave``,
+#: coherence is always modeled, and the build-time static check is
 #: ``python -m repro.analysis``.  A leftover export is refused rather
 #: than silently ignored.
 _RETIRED = (
@@ -116,7 +114,7 @@ _RETIRED = (
     "REPRO_JOURNAL_FSYNC_INTERVAL", "REPRO_JOURNAL_COMPACT_BYTES",
     "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
     "REPRO_PROXY_TIMEOUT", "REPRO_INTERLEAVE", "REPRO_INTERLEAVE_SEED",
-    "REPRO_COHERENCE", "REPRO_STATIC_CHECK",
+    "REPRO_COHERENCE", "REPRO_STATIC_CHECK", "REPRO_CORES",
 )
 
 

@@ -253,23 +253,20 @@ class HazardResult:
 
 
 def hazard_pointer_experiment(scale: Scale = BENCH_SCALE,
-                              cores: Optional[int] = None) -> HazardResult:
+                              cores: int = 2) -> HazardResult:
     """Fence vs EDE vs unordered hazard-pointer announcement (Fig. 12).
 
     Hazard pointers only need ordering because another thread may retire
     the element between the announce and the validating re-load, so this
-    experiment defaults to the genuinely contended multi-core kernel
-    (``REPRO_CORES``, default 2) rather than silently reporting the old
-    single-core approximation; pass ``cores=1`` to get that explicitly.
+    experiment defaults to the genuinely contended 2-core kernel rather
+    than silently reporting the old single-core approximation; pass
+    ``cores=1`` to get that explicitly.
     Unmodeled core counts fail loudly (:func:`ensure_core_count`).
     """
     from repro.harness.configs import configuration
-    from repro.harness.envutil import knob
     from repro.harness.parallel import run_matrix_parallel
     from repro.workloads.base import ensure_core_count
 
-    if cores is None:
-        cores = knob("REPRO_CORES")
     ensure_core_count("hazard", cores)
     scale = dataclasses.replace(scale, cores=cores)
     # One run_matrix-style sweep instead of per-config run_one calls: the

@@ -81,11 +81,11 @@ class TestNumericKnobs:
             knob("REPRO_CLUSTER_RATE")
 
     def test_env_positive_int(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORES", "3")
-        assert knob("REPRO_CORES") == 3
-        monkeypatch.setenv("REPRO_CORES", "0")
-        with pytest.raises(ValueError, match="REPRO_CORES"):
-            knob("REPRO_CORES")
+        monkeypatch.setenv("REPRO_CLUSTER_BURST", "3")
+        assert knob("REPRO_CLUSTER_BURST") == 3
+        monkeypatch.setenv("REPRO_CLUSTER_BURST", "0")
+        with pytest.raises(ValueError, match="REPRO_CLUSTER_BURST"):
+            knob("REPRO_CLUSTER_BURST")
 
 
 def profile_enabled() -> bool:
@@ -325,7 +325,7 @@ class TestEnvRegistry:
 
     def test_check_env_names_every_bad_knob(self, monkeypatch):
         bad = {"REPRO_PARALLEL": "lots", "REPRO_CLUSTER_RATE": "fast",
-               "REPRO_PROFILE": "maybe", "REPRO_CORES": "0"}
+               "REPRO_PROFILE": "maybe", "REPRO_CLUSTER_BURST": "0"}
         for name, raw in bad.items():
             monkeypatch.setenv(name, raw)
         with pytest.raises(ValueError) as info:
@@ -349,9 +349,10 @@ class TestEnvRegistry:
             "REPRO_JOURNAL_FSYNC_INTERVAL", "REPRO_JOURNAL_COMPACT_BYTES",
             "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
             "REPRO_PROXY_TIMEOUT", "REPRO_INTERLEAVE",
-            "REPRO_INTERLEAVE_SEED", "REPRO_COHERENCE", "REPRO_STATIC_CHECK"}
+            "REPRO_INTERLEAVE_SEED", "REPRO_COHERENCE", "REPRO_STATIC_CHECK",
+            "REPRO_CORES"}
         assert not set(_RETIRED) & {spec.name for spec in describe_env()}
-        assert len(describe_env()) == 18
+        assert len(describe_env()) == 17
 
     @pytest.mark.parametrize("name", _RETIRED)
     def test_set_retired_name_is_refused(self, monkeypatch, name):

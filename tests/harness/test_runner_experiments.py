@@ -121,7 +121,7 @@ class TestSafety:
 
 class TestHazard:
     def test_ede_beats_fence(self):
-        # Default: the contended multi-core kernel (REPRO_CORES, 2).
+        # Default: the contended 2-core kernel.
         result = hazard_pointer_experiment(Scale(ops_per_txn=10, txns=5))
         assert result.cores == 2
         assert result.normalized["IQ"] < 1.0
