@@ -28,9 +28,9 @@ from repro.harness.configs import DEFAULT_PARAMS
 from repro.harness.envutil import knob
 from repro.harness.experiments import APPLICATIONS
 from repro.harness.parallel import run_matrix_parallel
-from repro.harness.runner import RunResult, warm_hierarchy
+from repro.harness.runner import RunResult
 from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.replay import meta_for
 from repro.workloads import Scale

@@ -68,7 +68,7 @@ from repro.service.http import (
     http_fetch,
     render_request,
 )
-from repro.service.jobs import JobSpec, job_id_for
+from repro.service.jobs import job_id_for, parse_submit
 from repro.service.metrics import Counter, Gauge, MetricsRegistry
 from repro.cluster.breaker import (
     CLOSED,
@@ -582,13 +582,7 @@ class ClusterCoordinator(BaseHttpServer):
     async def _submit(self, headers: Dict[str, str], body: bytes,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            data = json.loads(body.decode() or "{}")
-            if not isinstance(data, dict):
-                raise ValueError("request body must be a JSON object")
-            spec = JobSpec.from_dict(data.get("spec", data))
-            client = str(data.get("client")
-                         or headers.get("x-client", "anonymous"))
-            priority = int(data.get("priority", 0))
+            spec, client, priority = parse_submit(headers, body)
         except ValueError as exc:
             self._respond(writer, 400, {"error": str(exc)})
             return
@@ -597,12 +591,9 @@ class ClusterCoordinator(BaseHttpServer):
         retry_after = self.limiter.try_acquire(client)
         if retry_after is not None:
             self.metrics.rate_limited.inc()
-            self._respond(
-                writer, 429,
-                {"error": "tenant %r over its submission rate" % client,
-                 "retry_after_s": retry_after},
-                extra_headers={"Retry-After":
-                               "%d" % max(1, round(retry_after))})
+            self._respond_retry_after(
+                writer, 429, "tenant %r over its submission rate" % client,
+                retry_after)
             return
 
         job_id = job_id_for(spec, self.params)
@@ -621,12 +612,9 @@ class ClusterCoordinator(BaseHttpServer):
                 self._respond_deadline(writer)
                 return
             self.metrics.unroutable.inc()
-            retry = self.probe_interval_s * self.evict_after
-            self._respond(
-                writer, 429,
-                {"error": "no routable shard (all evicted, draining or "
-                          "circuit-open)", "retry_after_s": retry},
-                extra_headers={"Retry-After": "%d" % max(1, round(retry))})
+            self._respond_retry_after(
+                writer, 429, "no routable shard (all evicted, draining or "
+                "circuit-open)", self.probe_interval_s * self.evict_after)
             return
         payload = self._stamp_shard(data, name)
         if 200 <= status < 300:

@@ -17,7 +17,7 @@ from repro.consistency.checker import CheckResult, check_run
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
 from repro.harness.profiling import maybe_profile
 from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.memory.persist_domain import PersistLog
 from repro.nvmfw.framework import BuiltWorkload
 from repro.pipeline.core import OutOfOrderCore
@@ -51,18 +51,6 @@ class RunResult:
     @property
     def instructions(self) -> int:
         return self.stats.retired
-
-
-def warm_hierarchy(hierarchy: CacheHierarchy, built: BuiltWorkload) -> None:
-    """Install the workload's data (clean) before timing.
-
-    The paper's runs are 100 000 operations long and therefore measure a
-    warm steady state; the scaled-down runs here warm the caches explicitly
-    so that cold-start NVM read misses do not dominate.
-    """
-    for line in built.warm_lines(hierarchy.params.line_size):
-        for cache in (hierarchy.l3, hierarchy.l2, hierarchy.l1d):
-            cache.insert(line)
 
 
 def run_one(workload: str, config: Configuration,

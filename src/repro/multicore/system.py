@@ -24,7 +24,7 @@ import gc
 from typing import List, Optional
 
 from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.multicore.coherence import CoherenceDirectory, CoherentHierarchy
 from repro.multicore.core import CoherentCore
 from repro.multicore.edm_bus import SharedEdmBus
@@ -74,14 +74,6 @@ def _merge_visibility(cores: List[OutOfOrderCore]) -> List[tuple]:
             tagged.append((entry[0], index, entry[1], entry))
     tagged.sort(key=lambda item: item[:3])
     return [item[3] for item in tagged]
-
-
-def _warm(hierarchy: CacheHierarchy, built) -> None:
-    # Same warming as harness.runner.warm_hierarchy (not imported: the
-    # runner imports this module lazily and a top-level import would cycle).
-    for line in built.warm_lines(hierarchy.params.line_size):
-        for cache in (hierarchy.l3, hierarchy.l2, hierarchy.l1d):
-            cache.insert(line)
 
 
 def _stuck(live, reason: str) -> None:
@@ -158,7 +150,7 @@ def simulate_built(built, config, params, warm: bool = True,
     if cores_n == 1:
         hierarchy = CacheHierarchy(controller, params.hierarchy)
         if warm:
-            _warm(hierarchy, built)
+            warm_hierarchy(hierarchy, built)
         core = OutOfOrderCore(built.trace, hierarchy, config.policy,
                               params.core, replay=meta_for(built))
         drive([core], max_cycles=max_cycles)
@@ -178,7 +170,7 @@ def simulate_built(built, config, params, warm: bool = True,
         hierarchy = CoherentHierarchy(controller, params.hierarchy,
                                       directory, core_id)
         if warm:
-            _warm(hierarchy, built)
+            warm_hierarchy(hierarchy, built)
         cores.append(CoherentCore(core_id, bus, built.core_traces[core_id],
                                   hierarchy, config.policy, params.core))
     drive(cores, max_cycles=max_cycles)

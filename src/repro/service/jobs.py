@@ -27,8 +27,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hashlib
+import json
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS, Configuration
 from repro.harness.result_cache import (
@@ -163,6 +164,28 @@ class JobSpec:
             raise ValueError("conservative must be a boolean")
         spec.validate()
         return spec
+
+
+def parse_submit(headers: Dict[str, str], body: bytes
+                 ) -> Tuple[JobSpec, str, int]:
+    """Parse a ``POST /jobs`` request into ``(spec, client, priority)``.
+
+    The body is ``{"spec": {...}, "client": ..., "priority": N}`` or a
+    bare spec; the client defaults to the ``X-Client`` header, then
+    ``"anonymous"``, and the priority to 0.  Anything malformed raises
+    ``ValueError`` — the server's 400 — including a priority that is
+    not a JSON integer (``null``, ``[1]``, ``"3"``, ``true``).
+    """
+    data = json.loads(body.decode() or "{}")
+    if not isinstance(data, dict):
+        raise ValueError("request body must be a JSON object")
+    spec = JobSpec.from_dict(data.get("spec", data))
+    client = str(data.get("client") or headers.get("x-client", "anonymous"))
+    priority = data.get("priority", 0)
+    if isinstance(priority, bool) or not isinstance(priority, int):
+        raise ValueError("priority must be an integer, got %s"
+                         % json.dumps(priority))
+    return spec, client, priority
 
 
 def result_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:

@@ -51,7 +51,7 @@ from repro.service.http import (
     BaseHttpServer,
     ThreadedHttpServer,
 )
-from repro.service.jobs import Job, JobSpec, JobState, KIND_SIMULATE, \
+from repro.service.jobs import Job, JobState, KIND_SIMULATE, parse_submit, \
     result_digest
 from repro.service.queue import QueueFullError
 from repro.service.scheduler import DrainingError, Scheduler
@@ -135,13 +135,7 @@ class ServiceServer(BaseHttpServer):
     def _submit(self, headers: Dict[str, str], body: bytes,
                 writer: asyncio.StreamWriter) -> None:
         try:
-            data = json.loads(body.decode() or "{}")
-            if not isinstance(data, dict):
-                raise ValueError("request body must be a JSON object")
-            spec = JobSpec.from_dict(data.get("spec", data))
-            client = str(data.get("client")
-                         or headers.get("x-client", "anonymous"))
-            priority = int(data.get("priority", 0))
+            spec, client, priority = parse_submit(headers, body)
         except ValueError as exc:
             self._respond(writer, 400, {"error": str(exc)})
             return
@@ -149,19 +143,12 @@ class ServiceServer(BaseHttpServer):
             job, disposition = self.scheduler.submit(spec, client=client,
                                                      priority=priority)
         except DrainingError as exc:
-            self._respond(
-                writer, 503,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s,
-                 "draining": True},
-                extra_headers={"Retry-After":
-                               "%d" % max(1, round(exc.retry_after_s))})
+            self._respond_retry_after(writer, 503, str(exc),
+                                      exc.retry_after_s, draining=True)
             return
         except QueueFullError as exc:
-            self._respond(
-                writer, 429,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                extra_headers={"Retry-After":
-                               "%d" % max(1, round(exc.retry_after_s))})
+            self._respond_retry_after(writer, 429, str(exc),
+                                      exc.retry_after_s)
             return
         status = job.to_status()
         status["disposition"] = disposition

@@ -40,10 +40,10 @@ from benchmarks.e2e.golden import run_digest
 from repro.consistency.checker import check_run
 from repro.core.policies import IQ_POLICY, WB_POLICY
 from repro.harness.configs import CONFIGURATIONS, DEFAULT_PARAMS, configuration
-from repro.harness.runner import run_one, warm_hierarchy
+from repro.harness.runner import run_one
 from repro.isa.opcodes import Opcode
 from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.multicore.system import simulate_built
 from repro.pipeline.core import OutOfOrderCore, SimulationError
 from repro.workloads import Scale
