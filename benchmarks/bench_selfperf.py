@@ -4,9 +4,10 @@ Unlike the other benches, this one measures the reproduction itself rather
 than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the compiled interpreter vs the reference interpreter, and
-the workload build path), serial-vs-parallel full-matrix wall time, the
-persistent result and trace caches' cold/warm behaviour, and the crash
-sweep's cost per crash point.  The numbers land in the BENCH JSON
+the workload build path), the update and swap build times,
+serial-vs-parallel full-matrix wall time, the persistent result and
+trace caches' cold/warm behaviour, and the crash sweep's cost per crash
+point.  The numbers land in the BENCH JSON
 (``benchmark.extra_info``) and the headline ones in the
 ``BENCH_selfperf.json`` ledger (see :mod:`benchmarks.ledger`).
 
@@ -343,3 +344,27 @@ def test_selfperf_crash_sweep(benchmark, bench_ledger):
     print("  best of %d    : %.3f s  ->  %.1f us/point"
           % (timing.n, timing.best, us_per_point))
     assert points == sum(len(run.persist_log) + 1 for run in runs)
+
+
+def test_selfperf_array_kernel_builds(benchmark, bench_ledger):
+    """Build-layer time of the update and swap kernels, whose commits
+    record each transaction's write set for recovery validation."""
+    scale = bench_scale()
+
+    def run():
+        return {app: timed_rounds(
+            lambda app=app: workload_base.build(app, "ede", scale), rounds=5)
+            for app in ("update", "swap")}
+
+    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    print_header("Self-perf: update and swap trace builds (ede)")
+    for app, (timing, built) in timings.items():
+        cells = sum(len(txn) for txn in built.committed_writes)
+        benchmark.extra_info["%s_build_ms" % app] = round(timing.best * 1e3, 2)
+        benchmark.extra_info["%s_committed_cells" % app] = cells
+        bench_ledger.record("selfperf",
+                            **{"%s_build_ms" % app: round(timing.best * 1e3, 2),
+                               "%s_build_timing" % app: timing})
+        print("  %-6s : best of %d %.1f ms, median %.1f ms, %d committed cells"
+              % (app, timing.n, timing.best * 1e3, timing.median * 1e3, cells))
+        assert len(built.committed_writes) == scale.txns

@@ -75,16 +75,19 @@ class MultiBuiltWorkload(BuiltWorkload):
     the concatenated per-core instruction stream (informational — the
     driver runs ``core_traces``), ``obligations``/``line_snapshots`` are
     the union over cores (tags are globally unique via the per-core id
-    offsets), and ``committed_states`` is empty — single-core recovery
-    validation cannot express concurrent commits; use the per-core lists
-    with :func:`repro.consistency.crash_sim.validate_multicore`.
+    offsets), and at N>1 ``committed_writes``/``tracked_cells`` are empty
+    — single-core recovery validation cannot express concurrent commits;
+    use the per-core lists with
+    :func:`repro.consistency.crash_sim.validate_multicore`.
     """
 
     cores: int = 1
     core_traces: List[List[Instruction]] = dataclasses.field(
         default_factory=list)
     core_layouts: List[NvmLayout] = dataclasses.field(default_factory=list)
-    core_committed_states: List[List[Dict[int, int]]] = dataclasses.field(
+    core_committed_writes: List[List[Dict[int, int]]] = dataclasses.field(
+        default_factory=list)
+    core_tracked_cells: List[List[int]] = dataclasses.field(
         default_factory=list)
     core_txn_offsets: List[int] = dataclasses.field(default_factory=list)
 
@@ -125,6 +128,12 @@ class MulticoreBuild:
         for fw in self.frameworks:
             fw._baseline_memory = dict(self.memory)
 
+    def track_writes(self) -> None:
+        """Declare recovery validation for every core (see
+        :meth:`PersistentFramework.track_writes`)."""
+        for fw in self.frameworks:
+            fw.track_writes()
+
     def run(self, streams: Sequence[Sequence[Callable[[], None]]]) -> None:
         """Interleave the per-core unit streams under the scale's policy."""
         run_schedule(streams, self.scale)
@@ -136,6 +145,7 @@ class MulticoreBuild:
         obligations = []
         line_snapshots: Dict[str, Dict[int, int]] = {}
         core_committed: List[List[Dict[int, int]]] = []
+        core_cells: List[List[int]] = []
         ops = 0
         txns = 0
         for core, fw in enumerate(self.frameworks):
@@ -146,29 +156,33 @@ class MulticoreBuild:
             core_traces.append(trace)
             obligations.extend(fw.obligations)
             line_snapshots.update(fw.line_snapshots)
-            core_committed.append(list(fw.committed_states))
+            cells, committed = fw.write_sets()
+            core_cells.append(cells)
+            core_committed.append(committed)
             ops += fw._op_id - offsets[core]
             txns += fw._txn_id - offsets[core]
         baseline = self.frameworks[0]._baseline_memory
         # At N=1 the single-core recovery validator is fully sound, so the
-        # merged view carries the committed states; at N>1 it cannot
+        # merged view carries core 0's write sets; at N>1 it cannot
         # express concurrent commits and validate_multicore must be used.
-        merged_committed = list(core_committed[0]) if self.cores == 1 else []
+        single = self.cores == 1
         return MultiBuiltWorkload(
             trace=merge_core_traces(core_traces),
             obligations=obligations,
             line_snapshots=line_snapshots,
-            committed_states=merged_committed,
+            committed_writes=core_committed[0] if single else [],
             final_memory=dict(self.memory),
             baseline_memory=dict(
                 baseline if baseline is not None else self.memory),
             layout=self.layouts[0],
             ops=ops,
             txns=txns,
+            tracked_cells=core_cells[0] if single else [],
             cores=self.cores,
             core_traces=core_traces,
             core_layouts=list(self.layouts),
-            core_committed_states=core_committed,
+            core_committed_writes=core_committed,
+            core_tracked_cells=core_cells,
             core_txn_offsets=offsets,
         )
 

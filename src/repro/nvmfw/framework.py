@@ -15,13 +15,20 @@ Every operation does two things at once:
 
 It also produces the crash-consistency artifacts: persist-order
 *obligations*, per-persist line-content *snapshots* (the NVM image the
-crash injector replays), and per-transaction committed-state snapshots.
+crash injector replays), and — for workloads that declare recovery
+validation with :meth:`PersistentFramework.track_writes` — each
+transaction's *write set*: the ``{cell: value}`` of every store it
+made, where the last store to a cell wins.  The tracked cells are the
+cells ``write`` undo-logged; the write sets, restricted to them and
+folded over the baseline in commit order, give the state recovery must
+restore at every transaction boundary.  A commit costs the cells it
+wrote, not a copy of the tracked state.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.consistency.obligations import (
     LOG_BEFORE_STORE,
@@ -48,8 +55,12 @@ class BuiltWorkload:
     #: tag -> {word_addr: value}: functional 64B-line content at each
     #: tagged persist (program-order approximation; see DESIGN.md).
     line_snapshots: Dict[str, Dict[int, int]]
-    #: txn_id -> {tracked addr: value} at commit (for recovery validation).
-    committed_states: List[Dict[int, int]]
+    #: txn_id -> {tracked cell: value} of every store that transaction
+    #: made to a tracked cell, ``write_init`` included (the last store
+    #: wins).  Folded over ``baseline_memory`` in commit order they give
+    #: the state at each boundary.  Empty unless the workload called
+    #: :meth:`PersistentFramework.track_writes`.
+    committed_writes: List[Dict[int, int]]
     #: Final functional memory (word -> value).
     final_memory: Dict[int, int]
     #: Functional memory at the first tx_begin — the persistent baseline
@@ -58,6 +69,9 @@ class BuiltWorkload:
     layout: NvmLayout
     ops: int
     txns: int
+    #: Every cell ``write`` logged, ascending: the cells recovery
+    #: validation compares.  Empty when ``committed_writes`` is.
+    tracked_cells: List[int] = dataclasses.field(default_factory=list)
 
     def warm_lines(self, line_size: int = 64) -> List[int]:
         """Cache lines of every address the workload touches.
@@ -87,8 +101,12 @@ class PersistentFramework:
             mode, self.builder, edk_allocator)
         self.obligations: List[Obligation] = []
         self.line_snapshots: Dict[str, Dict[int, int]] = {}
-        self.committed_states: List[Dict[int, int]] = []
-        self._tracked_state_fn: Optional[Callable[[], Dict[int, int]]] = None
+        #: The open transaction's write set, then one per commit.
+        self._txn_writes: Dict[int, int] = {}
+        self._committed_writes: List[Dict[int, int]] = []
+        #: Every cell ``write`` has logged.
+        self._logged: set = set()
+        self._track_writes = False
         self._op_id = 0
         self._txn_id = 0
         self._in_txn = False
@@ -134,8 +152,9 @@ class PersistentFramework:
         """Undo-logged persistent update of one 64-bit element.
 
         Must run inside a transaction.  Emits ``log_value`` +
-        ``update_value`` with the configuration's fence discipline and
-        registers the crash-consistency obligations.
+        ``update_value`` with the configuration's fence discipline,
+        registers the crash-consistency obligations and records the
+        store in the transaction's write set.
         """
         if not self._in_txn:
             raise RuntimeError("persistent write outside a transaction")
@@ -165,7 +184,9 @@ class PersistentFramework:
         self.emitter.emit_logged_update(op_id, addr, value, slot,
                                         head_addr=head_addr)
 
-        self.memory[addr] = value & ((1 << 64) - 1)
+        value &= (1 << 64) - 1
+        self.memory[addr] = self._txn_writes[addr] = value
+        self._logged.add(addr)
         self.line_snapshots[codegen.data_tag(op_id)] = self._snapshot_line(addr)
 
         self.obligations.append(Obligation(
@@ -190,7 +211,7 @@ class PersistentFramework:
             raise RuntimeError("persistent write outside a transaction")
         addr &= ~7
         self.emitter.emit_init_store(addr, value)
-        self.memory[addr] = value & ((1 << 64) - 1)
+        self.memory[addr] = self._txn_writes[addr] = value & ((1 << 64) - 1)
 
     def flush_init(self, addr: int, size: int) -> None:
         """Persist freshly initialized lines (covered by the commit fence)."""
@@ -205,10 +226,10 @@ class PersistentFramework:
 
     # --- transactions ---------------------------------------------------------------
 
-    def track_state(self, fn: Callable[[], Dict[int, int]]) -> None:
-        """Register a callable returning the addresses/values to snapshot
-        at each commit (used by recovery validation)."""
-        self._tracked_state_fn = fn
+    def track_writes(self) -> None:
+        """Declare that this workload's recovery is validated: the build
+        then carries its tracked cells and per-transaction write sets."""
+        self._track_writes = True
 
     def tx_begin(self) -> int:
         if self._in_txn:
@@ -217,6 +238,7 @@ class PersistentFramework:
             self._baseline_memory = dict(self.memory)
         self._in_txn = True
         self._txn_tags = []
+        self._txn_writes = {}
         return self._txn_id
 
     def tx_commit(self) -> None:
@@ -236,27 +258,38 @@ class PersistentFramework:
                 op_id=-1,
                 txn_id=txn_id,
             ))
-        if self._tracked_state_fn is not None:
-            self.committed_states.append(dict(self._tracked_state_fn()))
+        self._committed_writes.append(self._txn_writes)
         self.log.reset()
         self._txn_id += 1
         self._in_txn = False
 
     # --- finalization -----------------------------------------------------------------
 
+    def write_sets(self) -> Tuple[List[int], List[Dict[int, int]]]:
+        """The tracked cells, ascending, and each committed transaction's
+        stores to them; both empty unless :meth:`track_writes` was called."""
+        if not self._track_writes:
+            return [], []
+        logged = self._logged
+        return sorted(logged), [
+            {addr: value for addr, value in writes.items() if addr in logged}
+            for writes in self._committed_writes]
+
     def finish(self) -> BuiltWorkload:
         """Terminate the trace and bundle the artifacts."""
         if self._in_txn:
             raise RuntimeError("finish() inside an open transaction")
         baseline = self._baseline_memory
+        tracked_cells, committed_writes = self.write_sets()
         return BuiltWorkload(
             trace=self.builder.finish(),
             obligations=list(self.obligations),
             line_snapshots=dict(self.line_snapshots),
-            committed_states=list(self.committed_states),
+            committed_writes=committed_writes,
             final_memory=dict(self.memory),
             baseline_memory=dict(baseline if baseline is not None else self.memory),
             layout=self.layout,
             ops=self._op_id,
             txns=self._txn_id,
+            tracked_cells=tracked_cells,
         )

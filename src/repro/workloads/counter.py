@@ -73,11 +73,7 @@ def build_counter(mode: str, scale: Scale) -> BuiltWorkload:
         cells.append(cell)
     ctx.frameworks[0].raw_store(_LOCK_ADDR, 0)
     ctx.freeze_baseline()
-
-    for core in range(cores):
-        fw = ctx.frameworks[core]
-        cell = cells[core]
-        fw.track_state(lambda fw=fw, cell=cell: {cell: fw.peek(cell)})
+    ctx.track_writes()
 
     rngs = [random.Random(per_core_rng_seed(scale.seed, core))
             for core in range(cores)]

@@ -111,7 +111,7 @@ def build_hazard(mode: str, scale: Scale) -> BuiltWorkload:
         trace=builder.finish(),
         obligations=[],
         line_snapshots={},
-        committed_states=[],
+        committed_writes=[],
         final_memory=memory,
         baseline_memory=dict(memory),
         layout=DEFAULT_LAYOUT,
@@ -241,7 +241,7 @@ def _build_hazard_multicore(mode: str, scale: Scale) -> BuiltWorkload:
         trace=merge_core_traces(core_traces),
         obligations=[],
         line_snapshots={},
-        committed_states=[],
+        committed_writes=[],
         final_memory=memory,
         baseline_memory=dict(memory),
         layout=DEFAULT_LAYOUT,
@@ -250,6 +250,6 @@ def _build_hazard_multicore(mode: str, scale: Scale) -> BuiltWorkload:
         cores=cores,
         core_traces=core_traces,
         core_layouts=[core_layout(core) for core in range(cores)],
-        core_committed_states=[[] for _ in range(cores)],
+        core_committed_writes=[[] for _ in range(cores)],
         core_txn_offsets=[0] * cores,
     )

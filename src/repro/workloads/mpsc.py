@@ -83,16 +83,7 @@ def build_mpsc(mode: str, scale: Scale) -> BuiltWorkload:
     for i in range(nproducers):
         consumer.raw_store(tail_addr[i], 0)
     ctx.freeze_baseline()
-
-    for i, core in enumerate(producer_cores):
-        fw = ctx.frameworks[core]
-        owned = [slot_base[i] + 8 * j for j in range(ring)] + [head_addr[i]]
-        fw.track_state(
-            lambda fw=fw, owned=tuple(owned):
-            {addr: fw.peek(addr) for addr in owned})
-    consumer.track_state(
-        lambda fw=consumer, owned=tuple(tail_addr):
-        {addr: fw.peek(addr) for addr in owned})
+    ctx.track_writes()
 
     def produce_unit(i: int):
         core = producer_cores[i]

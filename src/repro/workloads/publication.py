@@ -88,7 +88,7 @@ def build_publication(mode: str, scale: Scale) -> BuiltWorkload:
         trace=builder.finish(),
         obligations=[],
         line_snapshots={},
-        committed_states=[],
+        committed_writes=[],
         final_memory=memory,
         baseline_memory=dict(memory),
         layout=DEFAULT_LAYOUT,

@@ -21,13 +21,7 @@ def build_swap(mode: str, scale: Scale) -> BuiltWorkload:
     for index in range(ARRAY_ELEMENTS):
         fw.raw_store(base + 8 * index, index)
 
-    def tracked_state() -> dict:
-        return {
-            base + 8 * index: fw.peek(base + 8 * index)
-            for index in range(ARRAY_ELEMENTS)
-        }
-
-    fw.track_state(tracked_state)
+    fw.track_writes()
 
     for _ in range(scale.txns):
         fw.tx_begin()

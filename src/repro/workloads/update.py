@@ -25,13 +25,7 @@ def build_update(mode: str, scale: Scale) -> BuiltWorkload:
     for index in range(ARRAY_ELEMENTS):
         fw.raw_store(base + 8 * index, index)
 
-    def tracked_state() -> dict:
-        return {
-            base + 8 * index: fw.peek(base + 8 * index)
-            for index in range(ARRAY_ELEMENTS)
-        }
-
-    fw.track_state(tracked_state)
+    fw.track_writes()
 
     value = 1
     for _ in range(scale.txns):

@@ -23,7 +23,7 @@ def _bad_built():
         trace=trace,
         obligations=obligations,
         line_snapshots={},
-        committed_states=[],
+        committed_writes=[],
         final_memory={},
         baseline_memory={},
         layout=DEFAULT_LAYOUT,

@@ -22,6 +22,7 @@ from repro.cluster.coordinator import ThreadedCoordinator
 from repro.harness import CONFIGURATIONS, run_matrix
 from repro.service import JobSpec, ServiceClient, ThreadedServer, result_digest
 from repro.service.client import Backpressure
+from repro.service.jobs import job_id_for
 from repro.workloads import Scale
 
 SCALE = Scale(ops_per_txn=4, txns=2)
@@ -196,11 +197,20 @@ class TestShardFailure:
         # Freeze both shards so submissions stay queued at kill time.
         for server in shards:
             server.call(server.scheduler.pause)
-        specs, statuses = [], []
-        for seed in range(8):
-            spec = spec_for("update", "B", seed=2021 + seed)
-            specs.append(spec)
-            statuses.append(client.submit(spec))
+        # A job id hashes the source fingerprint, so the shard a seed
+        # lands on changes with every source edit: pick four seeds that
+        # the coordinator's ring places on each shard.
+        ring = coordinator.coordinator.ring
+        per_shard = {"shard0": [], "shard1": []}
+        seed = 2021
+        while min(len(picked) for picked in per_shard.values()) < 4:
+            spec = spec_for("update", "B", seed=seed)
+            picked = per_shard[ring.lookup(job_id_for(spec))]
+            if len(picked) < 4:
+                picked.append(spec)
+            seed += 1
+        specs = per_shard["shard0"] + per_shard["shard1"]
+        statuses = [client.submit(spec) for spec in specs]
         by_shard = {}
         for status in statuses:
             by_shard.setdefault(status["shard"], []).append(status)

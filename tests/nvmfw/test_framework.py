@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.consistency.crash_sim import CrashInjector
 from repro.consistency.obligations import LOG_BEFORE_STORE, PERSIST_BEFORE_COMMIT
+from repro.memory.persist_domain import PersistLog
 from repro.nvmfw import codegen
 from repro.nvmfw.framework import PersistentFramework
+from repro.workloads import Scale
+from repro.workloads.base import build
 
 
 def framework(mode="dsb"):
@@ -161,7 +165,7 @@ class TestFinish:
     def test_tracked_state_snapshots(self):
         fw = framework()
         fw.raw_store(0x80200000, 1)
-        fw.track_state(lambda: {0x80200000: fw.peek(0x80200000)})
+        fw.track_writes()
         fw.tx_begin()
         fw.write(0x80200000, 2)
         fw.tx_commit()
@@ -169,5 +173,88 @@ class TestFinish:
         fw.write(0x80200000, 3)
         fw.tx_commit()
         built = fw.finish()
-        assert built.committed_states[0][0x80200000] == 2
-        assert built.committed_states[1][0x80200000] == 3
+        assert built.tracked_cells == [0x80200000]
+        assert built.committed_writes == [{0x80200000: 2}, {0x80200000: 3}]
+        injector = CrashInjector(built, PersistLog())
+        assert injector.expected_state(0) == {0x80200000: 1}
+        assert injector.expected_state(1) == {0x80200000: 2}
+        assert injector.expected_state(2) == {0x80200000: 3}
+
+
+class TestWriteSets:
+    def test_undeclared_workload_records_nothing(self):
+        fw = framework()
+        fw.tx_begin()
+        fw.write(0x80200000, 2)
+        fw.tx_commit()
+        built = fw.finish()
+        assert built.tracked_cells == []
+        assert built.committed_writes == []
+        assert not CrashInjector(built, PersistLog()) \
+            .supports_recovery_validation
+
+    def test_cell_written_twice_appears_once_with_the_last_value(self):
+        fw = framework()
+        fw.raw_store(0x80200000, 1)
+        fw.track_writes()
+        fw.tx_begin()
+        fw.write(0x80200000, 2)
+        fw.write(0x80200008, 9)
+        fw.write(0x80200000, 5)
+        fw.tx_commit()
+        built = fw.finish()
+        assert built.committed_writes == [{0x80200000: 5, 0x80200008: 9}]
+        assert built.tracked_cells == [0x80200000, 0x80200008]
+
+    def test_tracked_cells_ascend(self):
+        fw = framework()
+        fw.track_writes()
+        fw.tx_begin()
+        for addr in (0x80200040, 0x80200000, 0x80200020):
+            fw.write(addr, 1)
+        fw.tx_commit()
+        assert fw.finish().tracked_cells == [0x80200000, 0x80200020,
+                                             0x80200040]
+
+    def test_write_init_value_reaches_a_later_logged_cell(self):
+        """A cell initialised in one transaction and logged in a later one
+        is tracked at every boundary, with its initial value in between."""
+        fw = framework()
+        fw.track_writes()
+        fw.tx_begin()
+        node = fw.alloc(64, align=64)
+        fw.write_init(node, 7)
+        fw.write_init(node + 8, 8)  # never logged: not tracked
+        fw.flush_init(node, 16)
+        fw.tx_commit()
+        fw.tx_begin()
+        fw.write(node, 9)
+        fw.tx_commit()
+        built = fw.finish()
+        assert built.tracked_cells == [node]
+        assert built.committed_writes == [{node: 7}, {node: 9}]
+        injector = CrashInjector(built, PersistLog())
+        assert [injector.expected_state(n) for n in range(3)] == [
+            {node: 0}, {node: 7}, {node: 9}]
+
+    def test_values_truncate_to_64_bits(self):
+        fw = framework()
+        fw.track_writes()
+        fw.tx_begin()
+        fw.write(0x80200000, (1 << 64) + 3)
+        fw.tx_commit()
+        assert fw.finish().committed_writes == [{0x80200000: 3}]
+
+
+@pytest.mark.parametrize("workload,writes_per_op", (("update", 1),
+                                                   ("swap", 2)))
+def test_array_kernels_store_one_entry_per_write_at_most(workload,
+                                                         writes_per_op):
+    """A commit records the cells it wrote, not the 16,384-cell array."""
+    scale = Scale(10, 8)
+    built = build(workload, "dsb", scale)
+    writes = scale.total_ops * writes_per_op
+    assert len(built.committed_writes) == scale.txns
+    assert sum(len(txn) for txn in built.committed_writes) <= writes
+    assert len(built.tracked_cells) <= writes
+    assert built.tracked_cells == sorted(set().union(*built.committed_writes))
