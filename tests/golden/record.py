@@ -14,7 +14,7 @@ The corpus pins the results of a fixed set of small simulations:
   re-dispatches flushed DMBs (SU builds: the DMB epochs rewind), DSBs
   (B builds) and WAITs (EDE builds).
 
-Digests come from :func:`benchmarks.e2e.golden.run_digest`, which hashes a
+Digests come from :func:`repro.harness.digest.run_digest`, which hashes a
 fixed list of fields, so adding a statistic to the program does not
 invalidate them.  Core-level cases also hash the store-visibility records
 and every instruction's completion cycle.
@@ -36,10 +36,10 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict
 
-from benchmarks.e2e.golden import run_digest
 from repro.consistency.checker import check_run
 from repro.core.policies import IQ_POLICY, WB_POLICY
 from repro.harness.configs import CONFIGURATIONS, DEFAULT_PARAMS, configuration
+from repro.harness.digest import run_digest
 from repro.harness.runner import run_one
 from repro.isa.opcodes import Opcode
 from repro.memory.controller import MemoryController
