@@ -34,7 +34,9 @@ from benchmarks.common import bench_scale, print_header
 from repro.cluster.coordinator import ThreadedCoordinator
 from repro.cluster.local import LocalCluster
 from repro.harness import CONFIGURATIONS, run_matrix
-from repro.service import ServiceClient, result_digest
+from repro.harness.digest import run_digest
+from repro.service import ServiceClient
+from tests.golden.identity import run_identity
 
 #: The measured matrix: every Table III configuration over two
 #: workloads — 10 cold simulations per pass, grouped by fence mode on
@@ -47,12 +49,20 @@ SHARD_COUNTS = (1, 2, 4)
 
 
 def _reference_digests(scale):
-    """Serial run_matrix digests: the bit-identity baseline."""
+    """Serial run_matrix results: the bit-identity baseline."""
     configs = [c for c in CONFIGURATIONS if c.name in CONFIGS]
     serial = run_matrix(list(WORKLOADS), configs, scale)
     return {(workload, config.name):
-            result_digest(serial[workload][config.name])
+            run_identity(serial[workload][config.name])
             for workload in WORKLOADS for config in configs}
+
+
+def _served(client, job_id):
+    """A served result, compared as the reference is; its JSON digest
+    must be the ``run_digest`` of the pickled result."""
+    run = client.result_pickle(job_id)
+    assert client.result(job_id)["digest"] == run_digest(run)
+    return run_identity(run)
 
 
 def _run_pass(client, scale):
@@ -68,8 +78,8 @@ def _run_pass(client, scale):
     index = 0
     for workload in WORKLOADS:
         for config in CONFIGS:
-            digests[(workload, config)] = \
-                client.result(statuses[index]["id"])["digest"]
+            digests[(workload, config)] = _served(client,
+                                                  statuses[index]["id"])
             index += 1
     return elapsed, digests
 

@@ -22,8 +22,8 @@ from benchmarks.ledger import timed_rounds
 from repro.harness.configs import DEFAULT_PARAMS, configuration
 from repro.harness.runner import run_one
 from repro.multicore.system import simulate_built
-from repro.service.jobs import result_digest
 from repro.workloads import base as workload_base
+from tests.golden.identity import run_identity
 
 #: Core counts of the scaling sweep.  The contended counter builds at any
 #: count up to the modeled maximum; 1/2/4 spans uncontended to saturated.
@@ -137,8 +137,8 @@ def test_multicore_repeat_run_bit_identity(benchmark, bench_ledger):
     def run():
         digests = {}
         for workload in workloads:
-            first = result_digest(run_one(workload, config, scale))
-            second = result_digest(run_one(workload, config, scale))
+            first = run_identity(run_one(workload, config, scale))
+            second = run_identity(run_one(workload, config, scale))
             digests[workload] = (first, second)
         return digests
 
@@ -148,7 +148,7 @@ def test_multicore_repeat_run_bit_identity(benchmark, bench_ledger):
                  % SWEEP_CONFIG)
     for workload, (first, second) in digests.items():
         print("  %-8s : %s  %s" % (
-            workload, first[:16],
+            workload, first[0],
             "== repeat" if first == second else "!= repeat"))
         assert first == second, workload
     bench_ledger.record("multicore", bit_identical_2c=all(

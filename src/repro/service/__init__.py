@@ -38,7 +38,6 @@ from repro.service.jobs import (
     JobSpec,
     JobState,
     job_id_for,
-    result_digest,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import BoundedJobQueue, QueueFullError
@@ -59,5 +58,4 @@ __all__ = [
     "ThreadedServer",
     "job_id_for",
     "parse_metrics",
-    "result_digest",
 ]

@@ -14,19 +14,16 @@ persistent :class:`~repro.harness.result_cache.ResultCache` uses, so
 
 :class:`Job` is the server-side lifecycle record (state machine
 ``queued -> running -> done | failed``, progress events for the SSE
-stream, timing for the latency histogram).  :func:`result_digest`
-renders a full :class:`~repro.harness.runner.RunResult` into a SHA-256
-over every measured field — cycles, stats, NVM counters, the complete
-persist log, the consistency verdict — which is how the end-to-end
-tests prove served results are bit-identical to serial
-:func:`~repro.harness.runner.run_matrix` output.
+stream, timing for the latency histogram).  A finished simulate job's
+JSON result carries :func:`~repro.harness.digest.run_digest` of its
+:class:`~repro.harness.runner.RunResult`, the digest the golden corpus
+pins, so a served result can be checked against the committed corpus.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import hashlib
 import json
 import time
 from typing import Dict, List, Optional, Tuple
@@ -234,48 +231,6 @@ def job_id_for(spec: JobSpec, params=DEFAULT_PARAMS) -> str:
         return "opt-" + optimize_cache_key(spec, params)
     return "ana-" + canonical_key(source_fingerprint(), spec.kind,
                                   spec.workload, spec.config, spec.scale)
-
-
-def result_digest(result) -> str:
-    """SHA-256 over every measured field of a RunResult.
-
-    Two runs digest equal iff cycles, the full pipeline statistics, the
-    NVM counters and buffer samples, the complete persist log and the
-    consistency verdict are all identical — the service's definition of
-    "bit-identical to the serial runner".
-    """
-    stats = dataclasses.asdict(result.stats)
-    stats["issue_histogram"] = sorted(stats["issue_histogram"].items())
-    payload = {
-        "workload": result.workload,
-        "config": result.config.name,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "stats": stats,
-        "nvm_pending_samples": list(result.nvm_pending_samples),
-        "nvm_media_writes": result.nvm_media_writes,
-        "nvm_coalesced_writes": result.nvm_coalesced_writes,
-        "persist_log": [
-            (rec.seq, rec.cycle, rec.line_addr, rec.kind, rec.tag,
-             rec.inst_seq)
-            for rec in result.persist_log
-        ],
-        "verdict": result.consistency.verdict,
-        "violations": [repr(v) for v in result.consistency.violations],
-        "unresolved": [repr(o) for o in result.consistency.unresolved],
-    }
-    core_stats = getattr(result, "core_stats", None)
-    if core_stats:
-        rendered = []
-        for per_core in core_stats:
-            entry = dataclasses.asdict(per_core)
-            entry["issue_histogram"] = sorted(
-                entry["issue_histogram"].items())
-            rendered.append(entry)
-        # Only multi-core results carry per-core stats; single-core
-        # digests are unchanged from every earlier release.
-        payload["core_stats"] = rendered
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 class Job:

@@ -46,13 +46,13 @@ from typing import Dict, Optional
 
 from urllib.parse import parse_qs, urlsplit
 
+from repro.harness.digest import run_digest
 from repro.service.http import (
     MAX_BODY_BYTES,
     BaseHttpServer,
     ThreadedHttpServer,
 )
-from repro.service.jobs import Job, JobState, KIND_SIMULATE, parse_submit, \
-    result_digest
+from repro.service.jobs import Job, JobState, KIND_SIMULATE, parse_submit
 from repro.service.queue import QueueFullError
 from repro.service.scheduler import DrainingError, Scheduler
 
@@ -208,7 +208,7 @@ class ServiceServer(BaseHttpServer):
             "violations": len(result.consistency.violations),
             "nvm_media_writes": result.nvm_media_writes,
             "from_cache": job.from_cache,
-            "digest": result_digest(result),
+            "digest": run_digest(result),
         })
 
     async def _stream_events(self, job: Job, headers: Dict[str, str],

@@ -20,10 +20,12 @@ import pytest
 
 from repro.cluster.coordinator import ThreadedCoordinator
 from repro.harness import CONFIGURATIONS, run_matrix
-from repro.service import JobSpec, ServiceClient, ThreadedServer, result_digest
+from repro.harness.digest import run_digest
+from repro.service import JobSpec, ServiceClient, ThreadedServer
 from repro.service.client import Backpressure
 from repro.service.jobs import job_id_for
 from repro.workloads import Scale
+from tests.golden.identity import run_identity
 
 SCALE = Scale(ops_per_txn=4, txns=2)
 
@@ -120,9 +122,9 @@ class TestBitIdentical:
             for config in configs:
                 reference = serial[workload][config]
                 summary = client.result(statuses[index]["id"])
-                assert summary["digest"] == result_digest(reference)
+                assert summary["digest"] == run_digest(reference)
                 served = client.result_pickle(statuses[index]["id"])
-                assert result_digest(served) == result_digest(reference)
+                assert run_identity(served) == run_identity(reference)
                 index += 1
 
 
@@ -242,4 +244,6 @@ class TestShardFailure:
         for spec, status in zip(specs, statuses):
             reference = run_one(spec.workload, config, spec.scale)
             summary = client.result(status["id"])
-            assert summary["digest"] == result_digest(reference)
+            assert summary["digest"] == run_digest(reference)
+            assert run_identity(client.result_pickle(status["id"])) == \
+                run_identity(reference)

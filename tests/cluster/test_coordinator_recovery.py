@@ -16,8 +16,10 @@ import pytest
 from repro.cluster.coordinator import ThreadedCoordinator
 from repro.harness import CONFIGURATIONS
 from repro.harness.runner import run_one
-from repro.service import JobSpec, ServiceClient, ThreadedServer, result_digest
+from repro.harness.digest import run_digest
+from repro.service import JobSpec, ServiceClient, ThreadedServer
 from repro.workloads import Scale
+from tests.golden.identity import run_identity
 
 SCALE = Scale(ops_per_txn=4, txns=2)
 
@@ -123,7 +125,9 @@ class TestRestartRecovery:
                 for spec, status in zip(specs, statuses):
                     reference = run_one(spec.workload, config, spec.scale)
                     summary = client.result(status["id"])
-                    assert summary["digest"] == result_digest(reference)
+                    assert summary["digest"] == run_digest(reference)
+                    assert run_identity(client.result_pickle(
+                        status["id"])) == run_identity(reference)
         finally:
             for server in replacements:
                 server.stop()

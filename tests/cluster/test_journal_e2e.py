@@ -27,8 +27,10 @@ import repro
 from repro.chaos.netproxy import NetFaultPlan, NetFaultSpec, ThreadedFaultProxy
 from repro.cluster.local import LocalCluster
 from repro.harness import CONFIGURATIONS, run_matrix
-from repro.service import JobSpec, ServiceClient, result_digest
+from repro.harness.digest import run_digest
+from repro.service import JobSpec, ServiceClient
 from repro.workloads import Scale
+from tests.golden.identity import run_identity
 
 WORKLOADS = ["update", "swap"]
 CONFIG_NAMES = ["B", "WB"]
@@ -151,9 +153,11 @@ def test_sigkill_midmatrix_restart_is_exactly_once_bitidentical(
 
         # Bit-identical to the serial reference, cell by cell.
         for (workload, config), status in zip(cells, statuses):
+            reference = serial[workload][config]
             summary = client.result(status["id"])
-            assert summary["digest"] == result_digest(
-                serial[workload][config])
+            assert summary["digest"] == run_digest(reference)
+            assert run_identity(client.result_pickle(status["id"])) == \
+                run_identity(reference)
 
         # Zero duplicate executions across the crash: four unique
         # simulations, four runs fleet-wide (replays were cache or

@@ -1,9 +1,11 @@
 """The subsystem's determinism contract.
 
-Two claims, each asserted as *bit identity* via the service's
-:func:`~repro.service.jobs.result_digest` (which covers cycles, the full
-pipeline statistics, the NVM counters and buffer samples, the complete
-persist log and the consistency verdict):
+Two claims, each asserted as *bit identity* via
+:func:`tests.golden.identity.run_identity`: the corpus digest
+:func:`~repro.harness.digest.run_digest` (cycles, the stall counters and
+issue histogram, the NVM counters and buffer samples, the complete
+persist log and the consistency verdict) plus the full pipeline and
+per-core statistics and the violation and unresolved lists:
 
 1. a (seed, core count) pair yields identical results on repeated runs;
 2. the serial and parallel matrix engines agree at ``cores=2``.
@@ -19,8 +21,8 @@ import pytest
 from repro.harness.configs import configuration
 from repro.harness.runner import run_one
 from repro.multicore.build import run_schedule
-from repro.service.jobs import result_digest
 from repro.workloads.base import Scale
+from tests.golden.identity import run_identity
 
 SAFE = ("B", "IQ", "WB")
 MULTI = ("hazard", "mpsc", "counter")
@@ -31,9 +33,9 @@ class TestRepeatRuns:
     @pytest.mark.parametrize("workload", MULTI)
     @pytest.mark.parametrize("config", SAFE)
     def test_same_seed_same_digest(self, workload, config):
-        first = result_digest(run_one(workload, configuration(config),
+        first = run_identity(run_one(workload, configuration(config),
                                       SCALE2))
-        second = result_digest(run_one(workload, configuration(config),
+        second = run_identity(run_one(workload, configuration(config),
                                        SCALE2))
         assert first == second
 
@@ -42,8 +44,8 @@ class TestRepeatRuns:
         # different seed builds observably different traces.  (counter and
         # mpsc only vary *written values* with the seed under the default
         # round-robin interleaver, and values are not timing-visible.)
-        base = result_digest(run_one("hazard", configuration("IQ"), SCALE2))
-        other = result_digest(run_one(
+        base = run_identity(run_one("hazard", configuration("IQ"), SCALE2))
+        other = run_identity(run_one(
             "hazard", configuration("IQ"),
             Scale(ops_per_txn=5, txns=3, seed=7, cores=2)))
         assert base != other
@@ -59,13 +61,13 @@ class TestRepeatRuns:
         units = [[lambda: None] * SCALE2.txns] * 2
         assert run_schedule(units, SCALE2) == [0, 1, 0, 1, 0, 1]
         assert run_schedule(units, weighted) == [1, 0, 0, 0, 1, 1]
-        base = result_digest(run_one("mpsc", configuration("IQ"), SCALE2))
-        other = result_digest(run_one("mpsc", configuration("IQ"), weighted))
+        base = run_identity(run_one("mpsc", configuration("IQ"), SCALE2))
+        other = run_identity(run_one("mpsc", configuration("IQ"), weighted))
         assert base != other
 
     def test_core_count_changes_digest(self):
-        two = result_digest(run_one("counter", configuration("IQ"), SCALE2))
-        three = result_digest(run_one(
+        two = run_identity(run_one("counter", configuration("IQ"), SCALE2))
+        three = run_identity(run_one(
             "counter", configuration("IQ"),
             Scale(ops_per_txn=5, txns=3, seed=2021, cores=3)))
         assert two != three
@@ -100,5 +102,5 @@ class TestSerialParallelEquality:
             cache=True, cache_dir=tmp_path)
         for workload in MULTI:
             for name in SAFE:
-                assert result_digest(serial[workload][name]) == \
-                    result_digest(parallel[workload][name]), (workload, name)
+                assert run_identity(serial[workload][name]) == \
+                    run_identity(parallel[workload][name]), (workload, name)

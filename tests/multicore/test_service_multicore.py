@@ -9,6 +9,7 @@ from repro.harness.result_cache import ResultCache
 from repro.harness.trace_cache import TraceCache
 from repro.service.jobs import JobSpec, job_id_for, result_cache_key
 from repro.workloads.base import Scale
+from tests.golden.identity import run_identity
 
 
 class TestJobSpecCores:
@@ -112,8 +113,6 @@ class TestCachedMulticoreResults:
         key = store.key("counter", config, scale, DEFAULT_PARAMS)
         store.store(key, result)
         loaded = store.load(key)
-        from repro.service.jobs import result_digest
-
         assert loaded is not None
-        assert result_digest(loaded) == result_digest(result)
+        assert run_identity(loaded) == run_identity(result)
         assert len(loaded.core_stats) == 2

@@ -10,9 +10,9 @@ from repro.service.jobs import (
     JobState,
     job_id_for,
     result_cache_key,
-    result_digest,
 )
 from repro.workloads import Scale
+from tests.golden.identity import run_identity
 
 SPEC = JobSpec(kind="simulate", workload="update", config="B",
                ops_per_txn=5, txns=2)
@@ -129,7 +129,7 @@ class TestResultDigest:
     def test_deterministic_across_reruns(self, runs):
         again = run_one("update", CONFIG_BY_NAME["B"],
                         Scale(ops_per_txn=5, txns=2))
-        assert result_digest(runs["B"]) == result_digest(again)
+        assert run_identity(runs["B"]) == run_identity(again)
 
     def test_distinguishes_configurations(self, runs):
-        assert result_digest(runs["B"]) != result_digest(runs["WB"])
+        assert run_identity(runs["B"]) != run_identity(runs["WB"])

@@ -19,15 +19,12 @@ import threading
 import pytest
 
 from repro.harness import CONFIGURATIONS, run_matrix
-from repro.service import (
-    JobSpec,
-    ServiceClient,
-    ThreadedServer,
-    result_digest,
-)
+from repro.harness.digest import run_digest
+from repro.service import JobSpec, ServiceClient, ThreadedServer
 from repro.service.client import Backpressure, ServiceError
 from repro.service.queue import BoundedJobQueue
 from repro.workloads import Scale
+from tests.golden.identity import run_identity
 
 SCALE = Scale(ops_per_txn=5, txns=2)
 
@@ -69,13 +66,13 @@ class TestBitIdentical:
             for config in configs:
                 reference = serial[workload][config]
                 served = client.result_pickle(statuses[index]["id"])
-                assert result_digest(served) == result_digest(reference)
+                assert run_identity(served) == run_identity(reference)
                 assert served.cycles == reference.cycles
                 assert served.stats == reference.stats
                 assert list(served.persist_log) == \
                     list(reference.persist_log)
                 summary = client.result(statuses[index]["id"])
-                assert summary["digest"] == result_digest(reference)
+                assert summary["digest"] == run_digest(reference)
                 assert summary["cycles"] == reference.cycles
                 index += 1
 
