@@ -155,7 +155,10 @@ class JobSpec:
         except TypeError as exc:
             raise ValueError("bad job spec: %s" % exc) from None
         for name in ("ops_per_txn", "txns", "seed", "budget", "cores"):
-            if not isinstance(getattr(spec, name), int):
+            value = getattr(spec, name)
+            # JSON true is a Python int, but a different job ID and cache
+            # key for the same simulation as 1.
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError("%s must be an integer" % name)
         if not isinstance(spec.conservative, bool):
             raise ValueError("conservative must be a boolean")

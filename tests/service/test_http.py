@@ -2,7 +2,8 @@
 
 The single-node server and the cluster coordinator parse ``POST /jobs``
 with one function (:func:`repro.service.jobs.parse_submit`), so a
-malformed priority is a 400 on both, never a 500.  Stopping either
+malformed priority, or a JSON boolean where a spec field needs an
+integer, is a 400 on both, never a 500 or a second job ID.  Stopping either
 server while a client is half-way through sending a request must end
 that connection's handler before the event loop closes: a handler left
 pending is destroyed with the loop and reports "coroutine ignored
@@ -87,6 +88,23 @@ def test_bad_priority_is_400(servers, kind, priority):
     status, payload = post_jobs(servers[kind].port, body)
     assert status == 400, payload
     assert "priority must be an integer" in payload["error"]
+
+
+INTEGER_FIELDS = ["ops_per_txn", "txns", "seed", "budget", "cores"]
+
+
+@pytest.mark.parametrize("kind", ["service", "coordinator"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_boolean_integer_field_is_400(servers, kind, field):
+    """JSON ``true`` would run the same simulation as ``1`` under another
+    job ID and cache key, so it is refused like any non-integer."""
+    spec = dict(SPEC, **{field: True})
+    if field == "budget":
+        spec["kind"] = "optimize"
+    body = json.dumps({"spec": spec, "client": "pytest"}).encode()
+    status, payload = post_jobs(servers[kind].port, body)
+    assert status == 400, payload
+    assert "%s must be an integer" % field in payload["error"]
 
 
 def _start(kind, tmp_path):
