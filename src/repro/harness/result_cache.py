@@ -275,10 +275,12 @@ class ResultCache(PickleStore):
 
         return RunResult
 
-    def key(self, workload: str, config, scale, params,
+    @staticmethod
+    def key(workload: str, config, scale, params,
             fingerprint: Optional[str] = None) -> str:
         """Content-addressed key for one (workload, config, scale, params)
-        simulation under the current source tree.
+        simulation under the current source tree; the service's job IDs
+        use it too (:func:`repro.service.jobs.result_cache_key`).
         """
         if fingerprint is None:
             fingerprint = source_fingerprint()

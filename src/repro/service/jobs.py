@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS, Configuration
 from repro.harness.result_cache import (
+    ResultCache,
     canonical_key,
     source_fingerprint,
 )
@@ -190,11 +191,10 @@ def parse_submit(headers: Dict[str, str], body: bytes
 
 def result_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:
     """The :class:`~repro.harness.result_cache.ResultCache` key this
-    simulate job's result lives under — identical to
-    ``ResultCache.key(workload, config, scale, params)``, so the service
-    and the batch engines share one cache population."""
-    return canonical_key(source_fingerprint(), spec.workload,
-                         spec.configuration, spec.scale, params)
+    simulate job's result lives under, so the service and the batch
+    engines share one cache population."""
+    return ResultCache.key(spec.workload, spec.configuration, spec.scale,
+                           params)
 
 
 def optimize_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:
