@@ -8,11 +8,9 @@ from repro.harness.configs import (
     configuration,
 )
 from repro.harness.parallel import (
-    RunSummary,
     last_matrix_report,
     resolve_workers,
     run_matrix_parallel,
-    summarize_matrix,
 )
 from repro.harness.result_cache import ResultCache, source_fingerprint
 from repro.harness.runner import RunResult, run_matrix, run_one
@@ -33,7 +31,6 @@ __all__ = [
     "MatrixReport",
     "ResultCache",
     "RunResult",
-    "RunSummary",
     "SupervisorConfig",
     "SupervisorError",
     "TraceCache",
@@ -44,5 +41,4 @@ __all__ = [
     "run_matrix_parallel",
     "run_one",
     "source_fingerprint",
-    "summarize_matrix",
 ]

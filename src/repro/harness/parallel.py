@@ -42,7 +42,6 @@ Environment variables:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,36 +59,6 @@ from repro.harness.supervisor import (
 )
 from repro.harness.trace_cache import TraceCache, resolve_caches
 from repro.workloads import base as workload_base
-
-
-@dataclasses.dataclass(frozen=True)
-class RunSummary:
-    """Slim, always-picklable digest of one simulation.
-
-    :class:`~repro.harness.runner.RunResult` carries the full trace,
-    functional memory and persist log; this is the light-weight form for
-    reporting and cross-process status (e.g. progress displays).
-    """
-
-    workload: str
-    config: str
-    cycles: int
-    instructions: int
-    ipc: float
-    verdict: str
-    violations: int
-
-    @classmethod
-    def from_result(cls, result) -> "RunSummary":
-        return cls(
-            workload=result.workload,
-            config=result.config.name,
-            cycles=result.cycles,
-            instructions=result.instructions,
-            ipc=result.ipc,
-            verdict=result.consistency.verdict,
-            violations=len(result.consistency.violations),
-        )
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:
@@ -243,22 +212,3 @@ def run_matrix_parallel(workloads: Sequence[str],
         for workload in workloads
     }
 
-
-def summarize_matrix(results: Dict[str, Dict[str, object]],
-                     report: Optional[MatrixReport] = None,
-                     ) -> List[RunSummary]:
-    """Flatten a result matrix into :class:`RunSummary` rows.
-
-    When ``report`` is given (a :class:`MatrixReport` from the run that
-    produced ``results``), the rows are also attached to
-    ``report.summaries`` so one object carries both the scientific
-    outcome and the execution story.
-    """
-    rows = [
-        RunSummary.from_result(run)
-        for per_config in results.values()
-        for run in per_config.values()
-    ]
-    if report is not None:
-        report.summaries = rows
-    return rows

@@ -141,8 +141,6 @@ class MatrixReport:
     wall_time_s: float = 0.0
     #: (workload, config) cells served from the result cache up front.
     resumed_from_cache: int = 0
-    #: Filled by :func:`repro.harness.parallel.summarize_matrix`.
-    summaries: List = dataclasses.field(default_factory=list)
 
     @property
     def total_retries(self) -> int:

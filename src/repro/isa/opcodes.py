@@ -112,22 +112,6 @@ CONDITIONAL_BRANCH_OPCODES = frozenset(
     {Opcode.B_EQ, Opcode.B_NE, Opcode.B_LT, Opcode.B_GE}
 )
 
-#: ALU opcodes (single-cycle integer operations except MUL).
-ALU_OPCODES = frozenset(
-    {
-        Opcode.MOV,
-        Opcode.ADD,
-        Opcode.SUB,
-        Opcode.AND,
-        Opcode.ORR,
-        Opcode.EOR,
-        Opcode.MUL,
-        Opcode.LSL,
-        Opcode.LSR,
-        Opcode.CMP,
-    }
-)
-
 #: Mapping from an EDE variant back to its plain opcode.
 PLAIN_OPCODE_OF_EDE_VARIANT = {
     Opcode.STR_EDE: Opcode.STR,
@@ -164,10 +148,6 @@ def is_barrier(opcode: Opcode) -> bool:
 
 def is_branch(opcode: Opcode) -> bool:
     return opcode in BRANCH_OPCODES
-
-
-def is_alu(opcode: Opcode) -> bool:
-    return opcode in ALU_OPCODES
 
 
 def is_ede(opcode: Opcode) -> bool:

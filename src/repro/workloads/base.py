@@ -93,11 +93,6 @@ def register(name: str,
     return wrap
 
 
-def supports_multicore(name: str) -> bool:
-    """Whether the named workload models core counts above one."""
-    return name in _MULTICORE
-
-
 def ensure_core_count(name: str, cores: int) -> None:
     """Fail loudly when ``cores`` is outside what ``name`` can model."""
     if cores < 1:

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.harness import CONFIGURATIONS, RunSummary, run_matrix
+from repro.harness import CONFIGURATIONS, run_matrix
 from repro.harness.experiments import APPLICATIONS
-from repro.harness.parallel import (
-    resolve_workers,
-    run_matrix_parallel,
-    summarize_matrix,
-)
+from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.workloads import TEST_SCALE
 
 
@@ -91,18 +87,3 @@ class TestWorkerResolution:
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         assert resolve_workers(None) >= 1
 
-
-class TestRunSummary:
-    def test_from_result(self, parallel_matrix):
-        result = parallel_matrix["update"]["WB"]
-        summary = RunSummary.from_result(result)
-        assert summary.workload == "update"
-        assert summary.config == "WB"
-        assert summary.cycles == result.cycles
-        assert summary.ipc == result.ipc
-        assert summary.verdict == result.consistency.verdict
-
-    def test_summarize_matrix(self, parallel_matrix):
-        rows = summarize_matrix(parallel_matrix)
-        assert len(rows) == len(APPLICATIONS) * len(CONFIGURATIONS)
-        assert {row.workload for row in rows} == set(APPLICATIONS)
