@@ -208,9 +208,9 @@ def _cmd_submit(args) -> int:
             else:
                 print("done %s (analysis)" % status["id"])
         else:
-            print("done %-8s %-4s cycles=%d ipc=%.3f %s"
+            print("done %-8s %-4s cycles=%d ipc=%.3f %s digest=%s"
                   % (result["workload"], result["config"], result["cycles"],
-                     result["ipc"], result["verdict"]))
+                     result["ipc"], result["verdict"], result["digest"]))
     return 1 if failed else 0
 
 
