@@ -5,8 +5,8 @@ than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the compiled interpreter vs the reference interpreter, and
 the workload build path), the update and swap build times,
-serial-vs-parallel full-matrix wall time, the persistent result and
-trace caches' cold/warm behaviour, and the crash sweep's cost per crash
+serial-vs-parallel full-matrix wall time, the persistent result
+cache's cold/warm behaviour, and the crash sweep's cost per crash
 point.  The numbers land in the BENCH JSON
 (``benchmark.extra_info``) and the headline ones in the
 ``BENCH_selfperf.json`` ledger (see :mod:`benchmarks.ledger`).
@@ -26,7 +26,6 @@ from repro.consistency.crash_sim import CrashInjector
 from repro.harness.configs import configuration
 from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.harness.runner import run_matrix, run_one
-from repro.harness.trace_cache import TraceCache
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine
 from repro.workloads import base as workload_base
@@ -190,57 +189,6 @@ def test_selfperf_alu_kernel_speedup(benchmark, bench_ledger):
     assert speedup >= 2.6, (
         "compiled interpreter below the 2.6x gate on the ALU kernel: %.2fx"
         % speedup)
-
-
-def test_selfperf_trace_cache_cold_vs_warm(benchmark, bench_ledger):
-    """Cold (build + store) vs warm (load) trace-cache timings, and the
-    zero-rebuild guarantee of a warm-trace-cache matrix run."""
-    scale = bench_scale()
-    apps = list(MATRIX_APPS)
-    configs = [configuration(name) for name in MATRIX_CONFIGS]
-    modes = list(dict.fromkeys(config.fence_mode for config in configs))
-    tmp = tempfile.mkdtemp(prefix="repro-trace-bench-")
-    try:
-        store = TraceCache(tmp + "/traces")
-
-        def build_all():
-            for app in apps:
-                for mode in modes:
-                    workload_base.build(app, mode, scale, cache=store)
-
-        def run():
-            cold, _ = timed_rounds(build_all, rounds=1)
-            warm, _ = timed_rounds(build_all, rounds=1)
-            # Warm-trace-cache matrix run: zero trace interpretation.
-            builds_before = workload_base.BUILD_COUNT
-            matrix, _ = timed_rounds(lambda: run_matrix_parallel(
-                apps, configs, scale, max_workers=1, cache=False,
-                trace_cache=True, cache_dir=tmp), rounds=1)
-            builds = workload_base.BUILD_COUNT - builds_before
-            return cold.best, warm.best, matrix.best, builds
-
-        cold_s, warm_s, matrix_s, builds = benchmark.pedantic(
-            run, rounds=1, iterations=1)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    speedup = cold_s / warm_s if warm_s else float("inf")
-    benchmark.extra_info["trace_cold_seconds"] = round(cold_s, 3)
-    benchmark.extra_info["trace_warm_seconds"] = round(warm_s, 3)
-    benchmark.extra_info["trace_cache_speedup"] = round(speedup, 2)
-    benchmark.extra_info["warm_matrix_seconds"] = round(matrix_s, 3)
-    benchmark.extra_info["warm_matrix_builds"] = builds
-    bench_ledger.record("selfperf", warm_matrix_seconds=round(matrix_s, 3))
-
-    print_header("Self-perf: trace cache, cold vs warm")
-    print("  builds cached           : %d (%d apps x %d fence modes)"
-          % (len(apps) * len(modes), len(apps), len(modes)))
-    print("  cold (build + store)    : %.3f s" % cold_s)
-    print("  warm (load)             : %.3f s  (%.2fx)" % (warm_s, speedup))
-    print("  warm matrix, sim only   : %.3f s, %d trace builds" %
-          (matrix_s, builds))
-    assert builds == 0, "warm-trace-cache matrix run rebuilt %d traces" % builds
-    assert speedup > 1.0
 
 
 def test_selfperf_matrix_serial_vs_parallel(benchmark):

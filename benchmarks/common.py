@@ -12,10 +12,8 @@ the default (25 ops/txn x 20 txns — large enough to reach NVM-buffer steady
 state while staying laptop-friendly; the paper uses 100 x 1000).  Values
 must be positive integers.  ``REPRO_PARALLEL`` sets the worker count,
 ``REPRO_RESULT_CACHE=0`` disables the persistent result cache (see
-:mod:`repro.harness.result_cache`) and ``REPRO_TRACE_CACHE=0`` the
-persistent trace cache (see :mod:`repro.harness.trace_cache`); with both
-warm, a repeated bench invocation does neither simulation nor trace
-interpretation.
+:mod:`repro.harness.result_cache`); with it warm, a repeated bench
+invocation does neither simulation nor trace interpretation.
 """
 
 from __future__ import annotations

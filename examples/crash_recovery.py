@@ -18,7 +18,7 @@ def examine(config_name: str) -> None:
     scale = Scale(ops_per_txn=6, txns=4)
     result = run_one("swap", configuration(config_name), scale)
     injector = CrashInjector(result.built, result.persist_log)
-    reports = injector.validate_many(stride=1)
+    reports = injector.validate_many()
     bad = [r for r in reports if not r.consistent]
 
     print("%s (%s):" % (config_name, result.config.description))

@@ -411,7 +411,7 @@ def autotune_workload(
         if conservative
         else config.fence_mode
     )
-    built = workload_base.build(workload, mode, scale, params=params)
+    built = workload_base.build(workload, mode, scale)
     trace = built.trace
 
     if any(inst.is_branch for inst in trace):

@@ -21,7 +21,7 @@ point      label                       where
 ``run_one`` ``<workload>/<config>``     start of one simulation
 ``build``   ``<workload>/<fence mode>`` start of a trace build
 ``store``   ``<kind>:<key>``            after a cache entry is written
-                                        (``kind`` is ``result``/``trace``)
+                                        (``kind`` is ``result``/``report``)
 ========== =========================== ====================================
 
 Actions: ``kill`` (``os._exit`` — worker processes only; in the main

@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="per-shard admission-control queue bound "
                     "(default: %(default)s)")
     up.add_argument("--cache-dir", default=None,
-                    help="shared result/trace cache directory "
+                    help="shared result cache directory "
                     "(default: scratch dir, removed on exit)")
     up.add_argument("--journal-dir", default=None,
                     help="coordinator write-ahead journal directory "

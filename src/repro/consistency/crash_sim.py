@@ -347,9 +347,9 @@ class CrashInjector:
         """Recover at one crash point; compare against the boundary state."""
         return self.validate_many([crash_point])[0]
 
-    def validate_many(self, crash_points: Optional[Sequence[int]] = None,
-                      stride: int = 1) -> List[CrashReport]:
-        """Validate a set of crash points (default: every ``stride``-th).
+    def validate_many(self, crash_points: Optional[Sequence[int]] = None
+                      ) -> List[CrashReport]:
+        """Validate a set of crash points (default: every one).
 
         One sweep over the persist log serves every point; reports come
         back in the order asked for.
@@ -361,7 +361,7 @@ class CrashInjector:
                 % self.built.cores)
         self._require_committed_states()
         if crash_points is None:
-            crash_points = range(0, len(self.persist_log) + 1, stride)
+            crash_points = range(len(self.persist_log) + 1)
         core = dict(layout=self.built.layout, txn_offset=0,
                     cells=self.built.tracked_cells,
                     writes=self.built.committed_writes, prefix="",
@@ -370,8 +370,8 @@ class CrashInjector:
 
 
 def validate_multicore(built, persist_log: PersistLog,
-                       crash_points: Optional[Sequence[int]] = None,
-                       stride: int = 1) -> List[CrashReport]:
+                       crash_points: Optional[Sequence[int]] = None
+                       ) -> List[CrashReport]:
     """Recovery validation for N-core builds.
 
     The build contract (see :mod:`repro.multicore.build`) makes this a
@@ -392,7 +392,7 @@ def validate_multicore(built, persist_log: PersistLog,
             "workload did not record per-core committed states; recovery "
             "validation does not apply")
     if crash_points is None:
-        crash_points = range(0, len(persist_log) + 1, stride)
+        crash_points = range(len(persist_log) + 1)
     cores = [dict(layout=built.core_layouts[core],
                   txn_offset=built.core_txn_offsets[core],
                   cells=built.core_tracked_cells[core],

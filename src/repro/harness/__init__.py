@@ -20,7 +20,6 @@ from repro.harness.supervisor import (
     SupervisorConfig,
     SupervisorError,
 )
-from repro.harness.trace_cache import TraceCache
 
 __all__ = [
     "A72Params",
@@ -33,7 +32,6 @@ __all__ = [
     "RunResult",
     "SupervisorConfig",
     "SupervisorError",
-    "TraceCache",
     "configuration",
     "last_matrix_report",
     "resolve_workers",

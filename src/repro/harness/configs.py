@@ -77,18 +77,23 @@ class Configuration:
         fence_mode: What ordering instructions the framework emits
             (:mod:`repro.nvmfw.codegen` modes).
         policy: The hardware enforcement policy.
-        safe_by_spec: Whether the configuration architecturally guarantees
-            crash-consistent ordering.  SU is timed like an x86 SFENCE but
-            AArch64's ``DMB ST`` does not order ``DC CVAP``, so it is
-            unsafe by specification even when no violation is observed.
         description: Table III description.
     """
 
     name: str
     fence_mode: str
     policy: EnforcementPolicy
-    safe_by_spec: bool
     description: str
+
+    @property
+    def safe_by_spec(self) -> bool:
+        """Whether the configuration architecturally guarantees
+        crash-consistent ordering: its fence mode's Table III safety
+        (:func:`repro.nvmfw.codegen.mode_safe_by_spec`).  SU is timed
+        like an x86 SFENCE but AArch64's ``DMB ST`` does not order
+        ``DC CVAP``, so it is unsafe by specification even when no
+        violation is observed."""
+        return codegen.mode_safe_by_spec(self.fence_mode)
 
 
 CONFIGURATIONS: Tuple[Configuration, ...] = (
@@ -96,14 +101,12 @@ CONFIGURATIONS: Tuple[Configuration, ...] = (
         name="B",
         fence_mode=codegen.MODE_DSB,
         policy=FENCE_POLICY,
-        safe_by_spec=True,
         description="Baseline: use DSBs to enforce ordering.",
     ),
     Configuration(
         name="SU",
         fence_mode=codegen.MODE_DMB_ST,
         policy=FENCE_POLICY,
-        safe_by_spec=False,
         description="Store Barrier Unsafe: DMB ST only (SFENCE-like); "
                     "allows unsafe reordering by specification.",
     ),
@@ -111,21 +114,18 @@ CONFIGURATIONS: Tuple[Configuration, ...] = (
         name="IQ",
         fence_mode=codegen.MODE_EDE,
         policy=IQ_POLICY,
-        safe_by_spec=True,
         description="EDE targeting the issue-queue hardware.",
     ),
     Configuration(
         name="WB",
         fence_mode=codegen.MODE_EDE,
         policy=WB_POLICY,
-        safe_by_spec=True,
         description="EDE targeting the write-buffer hardware.",
     ),
     Configuration(
         name="U",
         fence_mode=codegen.MODE_NONE,
         policy=FENCE_POLICY,
-        safe_by_spec=False,
         description="Unsafe: no fences at all.",
     ),
 )

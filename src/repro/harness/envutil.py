@@ -53,12 +53,10 @@ _KNOBS = (
             "0/1 force the in-process serial path.", minimum=0),
     EnvKnob("REPRO_RESULT_CACHE", "flag", True,
             "Persistent content-addressed result cache on/off."),
-    EnvKnob("REPRO_TRACE_CACHE", "flag", True,
-            "Persistent compiled-trace cache on/off."),
     EnvKnob("REPRO_CACHE_DIR", "str", os.path.join(".benchmarks", "cache"),
-            "Directory for result and trace caches."),
+            "Directory for the result cache."),
     EnvKnob("REPRO_PROFILE", "flag", False,
-            "Dump per-phase cProfile stats for build/load/simulate."),
+            "Dump per-phase cProfile stats for build/simulate."),
     EnvKnob("REPRO_PROFILE_DIR", "str",
             os.path.join(".benchmarks", "profile"),
             "Directory for cProfile dumps."),
@@ -102,9 +100,10 @@ _BY_NAME = {spec.name: spec for spec in _KNOBS}
 #: Knobs that were deleted; most values are now constructor arguments
 #: or CLI flags (the hazard-pointer experiment's core count is its
 #: ``cores`` argument), the interleave policy is ``Scale.interleave``,
-#: coherence is always modeled, and the build-time static check is
-#: ``python -m repro.analysis``.  A leftover export is refused rather
-#: than silently ignored.
+#: coherence is always modeled, the build-time static check is
+#: ``python -m repro.analysis``, and traces are always built in memory
+#: (there is no trace cache).  A leftover export is refused rather than
+#: silently ignored.
 _RETIRED = (
     "REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_BACKOFF",
     "REPRO_AUTOTUNE_BUDGET", "REPRO_AUTOTUNE_VALIDATE",
@@ -115,6 +114,7 @@ _RETIRED = (
     "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
     "REPRO_PROXY_TIMEOUT", "REPRO_INTERLEAVE", "REPRO_INTERLEAVE_SEED",
     "REPRO_COHERENCE", "REPRO_STATIC_CHECK", "REPRO_CORES",
+    "REPRO_TRACE_CACHE",
 )
 
 

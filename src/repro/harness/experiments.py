@@ -27,11 +27,10 @@ def _default_matrix(apps: Sequence[str], scale: Scale
     Goes through the supervised parallel + cached engine: independent
     simulations fan out over a process pool (``REPRO_PARALLEL``) under the
     fault-tolerant supervisor (see :mod:`repro.harness.supervisor`),
-    previously computed results come from the persistent result cache
-    (``REPRO_RESULT_CACHE``), and previously built traces come from the
-    persistent trace cache (``REPRO_TRACE_CACHE``) — a warm engine
-    re-runs a figure with zero simulation and zero trace interpretation,
-    and an interrupted matrix resumes from the groups already persisted.
+    and previously computed results come from the persistent result cache
+    (``REPRO_RESULT_CACHE``) — a warm engine re-runs a figure with zero
+    simulation and zero trace interpretation, and an interrupted matrix
+    resumes from the groups already persisted.
     """
     from repro.harness.parallel import run_matrix_parallel
 
@@ -270,9 +269,8 @@ def hazard_pointer_experiment(scale: Scale = BENCH_SCALE,
     ensure_core_count("hazard", cores)
     scale = dataclasses.replace(scale, cores=cores)
     # One run_matrix-style sweep instead of per-config run_one calls: the
-    # trace comes from the trace cache once per fence mode (IQ and WB
-    # share the EDE binary) and the runs go through the parallel + cached
-    # engine.
+    # trace is built once per fence mode (IQ and WB share the EDE binary)
+    # and the runs go through the parallel + cached engine.
     names = ("B", "IQ", "WB", "U")
     results = run_matrix_parallel(
         ["hazard"], [configuration(name) for name in names], scale)

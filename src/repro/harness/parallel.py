@@ -24,11 +24,9 @@ resumes from the finished groups instead of restarting.  The run's
 per-group attempts, latencies and failure causes are available afterwards
 from :func:`last_matrix_report`.
 
-Workers are additionally *zero-rebuild*: each group serves its trace from
-the persistent trace cache (:mod:`repro.harness.trace_cache`), so a warm
-matrix run loads compact serialized traces and performs no trace
-interpretation at all; a cold run builds each (workload, fence mode)
-trace exactly once across all invocations.
+Traces are never stored: each group builds its trace once, in memory, and
+a group whose results are all in the result cache builds nothing.  A
+build costs about what loading a stored trace would.
 
 Environment variables:
 
@@ -36,8 +34,6 @@ Environment variables:
   in-process serial path; unset means one worker per CPU).
 * ``REPRO_RESULT_CACHE=0`` / ``REPRO_CACHE_DIR`` — see
   :mod:`repro.harness.result_cache`.
-* ``REPRO_TRACE_CACHE=0`` — disable the trace cache (see
-  :mod:`repro.harness.trace_cache`).
 """
 
 from __future__ import annotations
@@ -48,6 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chaos import chaos_point
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
 from repro.harness.envutil import knob
+from repro.harness.profiling import maybe_profile
+from repro.harness.result_cache import resolve_store
 from repro.harness.supervisor import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
@@ -57,7 +55,6 @@ from repro.harness.supervisor import (
     SupervisorError,
     run_supervised,
 )
-from repro.harness.trace_cache import TraceCache, resolve_caches
 from repro.workloads import base as workload_base
 
 
@@ -81,33 +78,23 @@ def last_matrix_report() -> Optional[MatrixReport]:
 
 
 def simulate_group(task: Tuple[str, Sequence[Configuration],
-                               workload_base.Scale, A72Params,
-                               Optional[str]]
+                               workload_base.Scale, A72Params]
                    ) -> Dict[str, object]:
     """Worker: run every configuration of one (workload, fence mode) group.
 
-    The group's :class:`BuiltWorkload` is loaded from the trace cache
-    under the task's trace directory (built and stored only on a miss;
-    built uncached when the directory is None) and shared across the
-    group's configurations, mirroring the serial runner.  Module-level
-    so it pickles for :class:`~concurrent.futures.ProcessPoolExecutor`;
-    the service scheduler runs its simulate groups through it too.
+    The group's :class:`BuiltWorkload` is built once, in memory, and
+    shared across the group's configurations, mirroring the serial
+    runner.  Module-level so it pickles for
+    :class:`~concurrent.futures.ProcessPoolExecutor`; the service
+    scheduler runs its simulate groups through it too.
     """
     from repro.harness.runner import run_one
 
-    from repro.harness.profiling import maybe_profile
-
-    workload, configs, scale, params, trace_dir = task
+    workload, configs, scale, params = task
     mode = configs[0].fence_mode
     chaos_point("worker", "%s/%s" % (workload, mode))
-    if trace_dir is not None:
-        # load_or_build profiles its own load/build phases.
-        built = workload_base.build(workload, mode, scale,
-                                    cache=TraceCache(trace_dir),
-                                    params=params)
-    else:
-        with maybe_profile("%s-%s" % (workload, mode), "build"):
-            built = workload_base.build(workload, mode, scale, params=params)
+    with maybe_profile("%s-%s" % (workload, mode), "build"):
+        built = workload_base.build(workload, mode, scale)
     return {
         config.name: run_one(workload, config, scale, params, built=built)
         for config in configs
@@ -121,7 +108,6 @@ def run_matrix_parallel(workloads: Sequence[str],
                         max_workers: Optional[int] = None,
                         cache: Optional[bool] = None,
                         cache_dir: Optional[os.PathLike] = None,
-                        trace_cache: Optional[bool] = None,
                         timeout: Optional[float] = DEFAULT_TIMEOUT_S,
                         retries: int = DEFAULT_RETRIES,
                         backoff: float = DEFAULT_BACKOFF_S,
@@ -132,8 +118,8 @@ def run_matrix_parallel(workloads: Sequence[str],
     result-dict shape, deterministic (workload, config) ordering, equal
     results.  ``max_workers=None`` follows ``REPRO_PARALLEL`` (one worker
     per CPU by default, ``<=1`` selects the in-process serial path);
-    ``cache``, ``cache_dir`` and ``trace_cache`` pick the stores as
-    :func:`~repro.harness.trace_cache.resolve_caches` describes.
+    ``cache`` and ``cache_dir`` pick the result store as
+    :func:`~repro.harness.result_cache.resolve_store` describes.
 
     ``timeout``/``retries``/``backoff`` set the supervisor's policy for
     this call (see :mod:`repro.harness.supervisor`).  Completed groups
@@ -148,7 +134,7 @@ def run_matrix_parallel(workloads: Sequence[str],
     global _LAST_REPORT
     workloads = list(workloads)
     configs = list(configs)
-    store, trace_dir = resolve_caches(cache, cache_dir, trace_cache)
+    store = resolve_store(cache, cache_dir)
 
     results: Dict[str, Dict[str, object]] = {
         workload: {} for workload in workloads
@@ -177,7 +163,7 @@ def run_matrix_parallel(workloads: Sequence[str],
 
     tasks = [
         ("%s/%s" % (workload, mode),
-         (workload, tuple(group_configs), scale, params, trace_dir))
+         (workload, tuple(group_configs), scale, params))
         for (workload, mode), group_configs in groups.items()
     ]
 

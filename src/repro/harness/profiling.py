@@ -1,16 +1,13 @@
 """Opt-in per-phase profiling of harness runs.
 
-Setting ``REPRO_PROFILE=1`` wraps each phase of a run — trace *build*,
-trace-cache *load* (deserialization of a pre-built trace)
+Setting ``REPRO_PROFILE=1`` wraps each phase of a run — trace *build*
 and timing *simulate* — in :mod:`cProfile` and dumps the stats under
 ``.benchmarks/profile/``: one binary ``<label>.<phase>.prof`` (loadable
 with ``pstats`` or ``snakeviz``) plus a ``<label>.<phase>.txt`` rendering
 of the top functions by cumulative time.  Profiles are per (workload,
 configuration) and the latest run wins, so after a matrix run the
-directory answers "where does the time go — build, load or simulate, and
-in which function?" without any harness code changes.  ``load`` used to
-be folded into the surrounding phase, which made warm (cache-served)
-runs look build-heavy when the time was really zlib + unpickling.
+directory answers "where does the time go — build or simulate, and in
+which function?" without any harness code changes.
 
 Environment variables:
 
@@ -46,9 +43,9 @@ def _dump(profile: cProfile.Profile, label: str, phase: str) -> None:
 
 
 #: Whether a maybe_profile block is currently active in this process.
-#: cProfile refuses to nest, so an inner block (e.g. the trace cache's
-#: ``load`` phase inside a caller's ``build`` span) silently yields and
-#: its time is attributed to the enclosing phase.
+#: cProfile refuses to nest, so an inner block (e.g. ``run_one``'s own
+#: phases inside a caller's profiled block) silently yields and its
+#: time is attributed to the enclosing phase.
 _ACTIVE = False
 
 
@@ -57,7 +54,7 @@ def maybe_profile(label: str, phase: str):
     """Profile the enclosed block when ``REPRO_PROFILE=1``.
 
     ``label`` identifies the run (e.g. ``btree-WB``), ``phase`` the part
-    of it (``build`` / ``load`` / ``simulate``).  No-op — not even a
+    of it (``build`` / ``simulate``).  No-op — not even a
     profiler object — when the knob is off, or when an enclosing
     ``maybe_profile`` block is already being profiled.
     """

@@ -15,8 +15,8 @@ RunResult` objects written atomically (temp file + ``os.replace``); a
 corrupt or unreadable entry is treated as a miss and discarded.
 
 The on-disk mechanics (atomic writes, corrupt-entry discard, hit/miss
-accounting) live in :class:`PickleStore`, which the trace cache
-(:mod:`repro.harness.trace_cache`) shares.  Every entry is wrapped in an
+accounting) live in :class:`PickleStore`, which the analysis-report
+store (:class:`ReportCache`) shares.  Every entry is wrapped in an
 integrity frame — a magic tag plus a CRC-32 of the serialized payload —
 so *any* byte-level damage (truncation, bit flips, partial writes from a
 crashed pre-atomic writer) is detected deterministically on load and
@@ -285,6 +285,20 @@ class ResultCache(PickleStore):
         if fingerprint is None:
             fingerprint = source_fingerprint()
         return canonical_key(fingerprint, workload, config, scale, params)
+
+
+def resolve_store(cache: Optional[bool] = None,
+                  cache_dir: Optional[os.PathLike] = None,
+                  ) -> Optional[ResultCache]:
+    """The result store of one matrix run or service, or None when off.
+
+    ``cache=None`` follows ``REPRO_RESULT_CACHE`` (on by default),
+    ``cache=False`` turns the store off, and ``cache_dir`` moves it away
+    from the default directory.
+    """
+    if cache is None:
+        cache = knob("REPRO_RESULT_CACHE")
+    return ResultCache(cache_dir) if cache else None
 
 
 class ReportCache(PickleStore):

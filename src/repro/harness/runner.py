@@ -73,8 +73,7 @@ def run_one(workload: str, config: Configuration,
     label = "%s-%s" % (workload, config.name)
     if built is None:
         with maybe_profile(label, "build"):
-            built = workload_base.build(workload, config.fence_mode, scale,
-                                        params=params)
+            built = workload_base.build(workload, config.fence_mode, scale)
 
     multicore = getattr(built, "cores", 1) > 1
     with maybe_profile(label, "simulate"):

@@ -379,10 +379,3 @@ class Rewriter:
         return out
 
 
-def apply_edits(instructions: Sequence[Instruction],
-                drop: Iterable[int] = (),
-                key_map: Optional[Dict[int, int]] = None
-                ) -> List[Instruction]:
-    """Materialize a candidate program from an edit list (see
-    :class:`Rewriter`)."""
-    return Rewriter(instructions).apply(drop, key_map)

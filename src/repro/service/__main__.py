@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission-control queue bound (default: "
                        "%(default)s)")
     serve.add_argument("--cache-dir", default=None,
-                       help="result/trace cache directory "
+                       help="result cache directory "
                        "(default: $REPRO_CACHE_DIR)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the persistent result cache")

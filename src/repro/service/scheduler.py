@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS
 from repro.harness.parallel import resolve_workers, simulate_group
-from repro.harness.result_cache import ReportCache
+from repro.harness.result_cache import ReportCache, resolve_store
 from repro.harness.supervisor import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
@@ -46,7 +46,6 @@ from repro.harness.supervisor import (
     SupervisorConfig,
     run_supervised,
 )
-from repro.harness.trace_cache import resolve_caches
 from repro.service.jobs import (
     Job,
     JobSpec,
@@ -85,10 +84,9 @@ def _execute_task(payload: tuple):
     """Worker for one batch task; module-level so it pickles for the
     supervised process pool.
 
-    ``("simulate", workload, config_names, scale_tuple, params,
-    trace_dir)`` runs the batch engine's
-    :func:`~repro.harness.parallel.simulate_group`: the group's trace is
-    built once (served from the trace cache when possible) and every
+    ``("simulate", workload, config_names, scale_tuple, params)`` runs
+    the batch engine's :func:`~repro.harness.parallel.simulate_group`:
+    the group's trace is built once, in memory, and every
     configuration is simulated against it — exactly the serial runner's
     trace sharing, so results are bit-identical to
     :func:`repro.harness.runner.run_matrix`.
@@ -103,10 +101,10 @@ def _execute_task(payload: tuple):
     """
     kind = payload[0]
     if kind == KIND_SIMULATE:
-        _, workload, config_names, scale_tuple, params, trace_dir = payload
+        _, workload, config_names, scale_tuple, params = payload
         return simulate_group((
             workload, [CONFIG_BY_NAME[name] for name in config_names],
-            workload_base.Scale(*scale_tuple), params, trace_dir))
+            workload_base.Scale(*scale_tuple), params))
     if kind == KIND_OPTIMIZE:
         from repro.analysis.autotune import autotune_workload
 
@@ -134,7 +132,6 @@ class Scheduler:
                  max_workers: Optional[int] = None,
                  cache: Optional[bool] = None,
                  cache_dir=None,
-                 trace_cache: Optional[bool] = None,
                  params=DEFAULT_PARAMS,
                  batch_limit: Optional[int] = None,
                  timeout: Optional[float] = DEFAULT_TIMEOUT_S,
@@ -151,8 +148,7 @@ class Scheduler:
         self._supervision = dict(timeout=timeout, retries=retries,
                                  backoff=backoff)
 
-        self.store, self.trace_dir = resolve_caches(cache, cache_dir,
-                                                    trace_cache)
+        self.store = resolve_store(cache, cache_dir)
         self.report_store: Optional[ReportCache] = (
             ReportCache(cache_dir) if self.store is not None else None)
 
@@ -356,8 +352,7 @@ class Scheduler:
                                                   seed, cores)
             config_names = tuple(job.spec.config for job in jobs)
             tasks.append((task_id, (KIND_SIMULATE, workload, config_names,
-                                    (ops, txns, seed, cores), self.params,
-                                    self.trace_dir)))
+                                    (ops, txns, seed, cores), self.params)))
             jobmap[task_id] = jobs
         return tasks, jobmap
 

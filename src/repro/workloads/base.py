@@ -32,7 +32,7 @@ class Scale:
     ``interleave`` names the build-time schedule of a multi-core build
     (one of :data:`repro.multicore.interleave.POLICIES`); the weighted
     schedule draws from an RNG seeded by ``seed``.  Being a field, it
-    keys every trace, result and job cache like the sizes do.
+    keys every result and job cache like the sizes do.
     """
 
     ops_per_txn: int = 100
@@ -73,8 +73,8 @@ _MULTICORE: set = set()
 MAX_CORES = 8
 
 #: Monotonic count of full (interpreted) workload builds in this process.
-#: The trace-cache tests and the self-perf bench read it to prove that a
-#: warm-trace-cache run performs zero trace interpretation.
+#: Tests read it to prove that a resumed matrix rebuilds only the groups
+#: the result cache does not already hold.
 BUILD_COUNT = 0
 
 
@@ -108,23 +108,16 @@ def ensure_core_count(name: str, cores: int) -> None:
             % (name, cores, ", ".join(sorted(_MULTICORE)) or "none"))
 
 
-def build(name: str, mode: str, scale: Scale,
-          cache=None, params=None) -> BuiltWorkload:
+def build(name: str, mode: str, scale: Scale) -> BuiltWorkload:
     """Build the named workload's trace for the given fence mode.
 
-    With ``cache`` (a :class:`~repro.harness.trace_cache.TraceCache`) the
-    build is served from the on-disk trace cache when possible — the
-    functional workload execution is skipped entirely on a hit — and
-    stored for later processes on a miss.  ``params`` (Table I
-    architectural parameters) only contributes to the cache key.
+    A build functionally executes the workload through the framework;
+    it does not depend on the Table I architectural parameters, so one
+    trace serves every configuration of a fence mode.
     """
     global BUILD_COUNT
     ensure_core_count(name, scale.cores)
     chaos_point("build", "%s/%s" % (name, mode))
-    if cache is not None:
-        from repro.harness.trace_cache import load_or_build
-
-        return load_or_build(name, mode, scale, params, store=cache)
     try:
         fn = _REGISTRY[name]
     except KeyError:

@@ -130,9 +130,9 @@ def test_update_b_removes_only_the_final_trailing_fence():
     assert report.crash_sweep["supported"] is True
     assert report.crash_sweep["consistent"] is True
     built = build("update", report.mode, TEST_SCALE)
-    variant = dataclasses.replace(built, trace=codegen.apply_edits(
-        built.trace, drop=report.removed_sites,
-        key_map=report.key_map or None))
+    variant = dataclasses.replace(
+        built, trace=codegen.Rewriter(built.trace).apply(
+            drop=report.removed_sites, key_map=report.key_map or None))
     assert program_digest(variant.trace) == report.program_after
     run = run_one("update", configuration("B"), TEST_SCALE, built=variant)
     assert report.crash_sweep["points"] == len(run.persist_log) + 1
@@ -236,16 +236,16 @@ class TestRewriterRails:
         tagged_fence = dataclasses.replace(ops.dsb_sy(), comment="commit:0")
         trace = [tagged_fence, ops.halt()]
         with pytest.raises(codegen.RewriteError, match="persist tag"):
-            codegen.apply_edits(trace, drop=[0])
+            codegen.Rewriter(trace).apply(drop=[0])
 
     def test_drop_refuses_non_ordering_site(self):
         trace = [ops.store(2, 1), ops.dsb_sy(), ops.halt()]
         with pytest.raises(codegen.RewriteError, match="not a droppable"):
-            codegen.apply_edits(trace, drop=[0])
+            codegen.Rewriter(trace).apply(drop=[0])
 
     def test_drop_refuses_out_of_range(self):
         with pytest.raises(codegen.RewriteError, match="out of range"):
-            codegen.apply_edits([ops.halt()], drop=[5])
+            codegen.Rewriter([ops.halt()]).apply(drop=[5])
 
     def test_drop_refuses_branchy_programs(self):
         built = build("hazard", "ede", TEST_SCALE)
@@ -253,19 +253,19 @@ class TestRewriterRails:
         if not sites:
             pytest.skip("hazard build emitted no bare ordering sites")
         with pytest.raises(codegen.RewriteError, match="branches"):
-            codegen.apply_edits(built.trace, drop=[sites[0]])
+            codegen.Rewriter(built.trace).apply(drop=[sites[0]])
 
     def test_zero_key_cannot_be_remapped(self):
         trace = [ops.dc_cvap_ede(2, edk_def=1, edk_use=0), ops.halt()]
         with pytest.raises(codegen.RewriteError, match="zero key"):
-            codegen.apply_edits(trace, key_map={0: 3})
+            codegen.Rewriter(trace).apply(key_map={0: 3})
         with pytest.raises(codegen.RewriteError, match="zero key"):
-            codegen.apply_edits(trace, key_map={1: 0})
+            codegen.Rewriter(trace).apply(key_map={1: 0})
 
     def test_edits_return_fresh_list(self):
         trace = [ops.dsb_sy(), ops.dc_cvap_ede(2, edk_def=1, edk_use=0),
                  ops.halt()]
-        out = codegen.apply_edits(trace, drop=[0], key_map={1: 2})
+        out = codegen.Rewriter(trace).apply(drop=[0], key_map={1: 2})
         assert len(trace) == 3  # input untouched
         assert trace[1].edk_def == 1
         assert len(out) == 2

@@ -168,7 +168,7 @@ def walk(program, obligations, rng, steps):
         context = "drop %d after %s" % (site, dropped)
         oracle.drop(site)
         candidate = reference_state(
-            codegen.apply_edits(program, drop=dropped + [site]), obligations)
+            codegen.Rewriter(program).apply(drop=dropped + [site]), obligations)
         assert_same(oracle, candidate, context)
         if judged_safe:
             assert oracle.judge(baseline) == reference_judge(candidate, baseline), \
@@ -180,14 +180,14 @@ def walk(program, obligations, rng, steps):
         else:
             oracle.rollback()
             assert_same(oracle, reference_state(
-                codegen.apply_edits(program, drop=dropped), obligations),
+                codegen.Rewriter(program).apply(drop=dropped), obligations),
                 "rollback of " + context)
         if rng.random() < 0.2:
             fold_map = random_fold(rng, program)
             fold = StaticOracle(program, obligations, dropped=dropped,
                                 key_map=fold_map)
             expected = reference_state(
-                codegen.apply_edits(program, drop=dropped, key_map=fold_map),
+                codegen.Rewriter(program).apply(drop=dropped, key_map=fold_map),
                 obligations)
             assert_same(fold, expected, "fold %s after %s" % (fold_map, dropped))
             if judged_safe:
@@ -231,8 +231,8 @@ def _check_every_drop(program, obligations):
     assert_same(oracle, baseline, "baseline")
     for site in codegen.ordering_sites(program):
         oracle.drop(site)
-        candidate = reference_state(codegen.apply_edits(program, drop=[site]),
-                                    obligations)
+        candidate = reference_state(
+            codegen.Rewriter(program).apply(drop=[site]), obligations)
         assert_same(oracle, candidate, "drop %d" % site)
         assert oracle.judge(baseline) == reference_judge(candidate, baseline)
         oracle.rollback()

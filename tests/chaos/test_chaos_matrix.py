@@ -1,8 +1,8 @@
 """Acceptance: the supervised matrix converges under injected chaos.
 
 The seeded fault plan kills a worker mid-group, truncates a freshly
-written result-cache entry and bit-flips a trace-cache entry — all during
-one matrix run — and the run must still complete with results
+written result-cache entry and bit-flips that entry and the next one —
+all during one matrix run — and the run must still complete with results
 bit-identical to a clean serial run, with the retries and pool respawns
 recorded in the :class:`~repro.harness.supervisor.MatrixReport`.  A
 second, warm run must then self-heal the damaged cache entries.
@@ -52,7 +52,8 @@ class TestConvergenceUnderChaos:
                 FaultSpec(point="worker", action="kill", match="update/*"),
                 FaultSpec(point="store", action="truncate",
                           match="result:*"),
-                FaultSpec(point="store", action="bitflip", match="trace:*"),
+                FaultSpec(point="store", action="bitflip", match="result:*",
+                          times=2),
             ],
             state_dir=str(tmp_path / "chaos-state"),
             seed=2021)
@@ -70,7 +71,7 @@ class TestConvergenceUnderChaos:
         spent = summarize_state(plan)
         assert spent["worker[update/*]:kill"] == 1
         assert spent["store[result:*]:truncate"] == 1
-        assert spent["store[trace:*]:bitflip"] == 1
+        assert spent["store[result:*]:bitflip"] == 2
 
         # The execution story is on the record.
         report = last_matrix_report()
@@ -80,16 +81,16 @@ class TestConvergenceUnderChaos:
         killed = [g for g in report.groups if g.group.startswith("update/")]
         assert any(len(g.attempts) > 1 for g in killed)
 
-        # Warm self-heal: the truncated result entry and the bit-flipped
-        # trace entry read as misses, get recomputed, and the warm run is
-        # again bit-identical.
+        # Warm self-heal: the truncated (and flipped) first entry and the
+        # bit-flipped second one read as misses, get recomputed, and the
+        # warm run is again bit-identical.
         warm = run_matrix_parallel(
             APPS, CONFIGS, TEST_SCALE, max_workers=2,
             cache=True, cache_dir=tmp_path / "cache")
         assert_bit_identical(warm, serial_matrix)
-        # Exactly one result entry was damaged, so exactly one cell
+        # Exactly two result entries were damaged, so exactly two cells
         # re-simulated; the rest resumed from the cache.
-        assert last_matrix_report().resumed_from_cache == N_CELLS - 1
+        assert last_matrix_report().resumed_from_cache == N_CELLS - 2
 
     def test_stall_blows_the_timeout_and_retries(self, tmp_path,
                                                  serial_matrix):
@@ -125,7 +126,7 @@ class TestInterruptedMatrixResumes:
                 run_matrix_parallel(
                     APPS, CONFIGS, TEST_SCALE, max_workers=1,
                     cache=True, cache_dir=tmp_path / "cache",
-                    trace_cache=False, retries=0, backoff=0.0)
+                    retries=0, backoff=0.0)
         # The failure is precise: swap's groups, nobody else's.
         failed = {g.group for g in excinfo.value.report.failed()}
         assert failed == {"swap/%s" % m
@@ -138,8 +139,7 @@ class TestInterruptedMatrixResumes:
         between = workload_base.BUILD_COUNT
         results = run_matrix_parallel(
             APPS, CONFIGS, TEST_SCALE, max_workers=1,
-            cache=True, cache_dir=tmp_path / "cache",
-            trace_cache=False)
+            cache=True, cache_dir=tmp_path / "cache")
         assert workload_base.BUILD_COUNT - between == N_MODES
         assert last_matrix_report().resumed_from_cache == len(CONFIGS)
         assert_bit_identical(results, serial_matrix)

@@ -38,7 +38,7 @@ class TestSerialization:
         plan = plan_with(
             tmp_path,
             FaultSpec(point="worker", action="kill", match="update/*"),
-            FaultSpec(point="store", action="bitflip", match="trace:*",
+            FaultSpec(point="store", action="bitflip", match="report:*",
                       times=2),
             seed=7)
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -127,7 +127,7 @@ class TestFiring:
             plan.install({})
             victim = tmp_path / ("f%d" % attempt)
             victim.write_bytes(original)
-            plan.fire("store", "trace:k", path=victim)
+            plan.fire("store", "result:k", path=victim)
             damaged.append(victim.read_bytes())
         assert damaged[0] == damaged[1] != original
 

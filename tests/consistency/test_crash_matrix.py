@@ -46,9 +46,9 @@ class TestEveryCellRecovers:
             # only the ordering checker (test above) applies to them — and
             # the injector must say so loudly, not pass vacuously.
             with pytest.raises(ValueError, match="committed states"):
-                injector.validate_many(stride=1)
+                injector.validate_many()
             return
-        reports = injector.validate_many(stride=1)
+        reports = injector.validate_many()
         assert reports, (app, config)
         bad = [r.crash_point for r in reports if not r.consistent]
         assert bad == [], (app, config)

@@ -82,13 +82,14 @@ class TestValidateMany:
     @pytest.mark.parametrize("config", ["B", "SU", "IQ", "WB"])
     def test_safe_configs_recover_everywhere(self, config):
         _result, injector = run_with_injector(config=config)
-        reports = injector.validate_many(stride=2)
+        reports = injector.validate_many(
+            crash_points=range(0, len(injector.persist_log) + 1, 2))
         assert all(r.consistent for r in reports)
 
     @pytest.mark.parametrize("workload", ["update", "swap"])
     def test_unsafe_config_fails_somewhere(self, workload):
         _result, injector = run_with_injector(workload=workload, config="U")
-        reports = injector.validate_many(stride=1)
+        reports = injector.validate_many()
         assert any(not r.consistent for r in reports)
 
     def test_explicit_crash_points(self):

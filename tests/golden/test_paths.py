@@ -6,7 +6,6 @@ path.  Here each ``matrix/*`` case and each 2- and 4-core
 :func:`~repro.harness.digest.run_digest` through every other path:
 
 - :func:`~repro.harness.parallel.run_matrix_parallel` on a 2-worker pool;
-- a cold trace cache, then a warm one that builds nothing;
 - a result-cache hit;
 - an in-process :class:`~repro.service.ThreadedServer` job, both its
   JSON ``digest`` and the digest of its pickled result;
@@ -111,22 +110,8 @@ def test_process_pool():
     assert not any(report.degraded_to_serial for report in reports)
 
 
-def test_cold_then_warm_trace_cache(tmp_path):
-    kwargs = dict(max_workers=1, cache=False, trace_cache=True,
-                  cache_dir=tmp_path)
-    before = workload_base.BUILD_COUNT
-    cold, _ = matrix_digests(**kwargs)
-    assert_corpus(cold)
-    built = workload_base.BUILD_COUNT - before
-    assert built > 0
-    warm, _ = matrix_digests(**kwargs)
-    assert_corpus(warm)
-    assert workload_base.BUILD_COUNT - before == built
-
-
 def test_result_cache_hit(tmp_path):
-    kwargs = dict(max_workers=1, cache=True, trace_cache=False,
-                  cache_dir=tmp_path)
+    kwargs = dict(max_workers=1, cache=True, cache_dir=tmp_path)
     matrix_digests(**kwargs)
     hits, reports = matrix_digests(**kwargs)
     assert_corpus(hits)

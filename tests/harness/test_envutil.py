@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import configuration, profiling
+from repro.harness import configuration, profiling, run_one
 from repro.harness.envutil import (
     _RETIRED,
     check_env,
@@ -20,7 +20,6 @@ from repro.harness.envutil import (
 from repro.harness.parallel import run_matrix_parallel
 from repro.harness.profiling import maybe_profile
 from repro.harness.result_cache import ResultCache
-from repro.harness.trace_cache import resolve_caches
 from repro.workloads import TEST_SCALE
 
 
@@ -101,11 +100,6 @@ def cache_enabled() -> bool:
     return Scheduler(max_workers=1).store is not None
 
 
-def trace_cache_enabled() -> bool:
-    """Whether ``resolve_caches()`` hands out a trace directory."""
-    return resolve_caches()[1] is not None
-
-
 class TestHarnessKnobsShareTheParser:
     """The harness consumers of every flag reject junk, not guess."""
 
@@ -115,7 +109,6 @@ class TestHarnessKnobsShareTheParser:
 
     @pytest.mark.parametrize("name,reader", [
         ("REPRO_RESULT_CACHE", cache_enabled),
-        ("REPRO_TRACE_CACHE", trace_cache_enabled),
         ("REPRO_PROFILE", profile_enabled),
     ])
     def test_junk_rejected(self, monkeypatch, name, reader):
@@ -125,7 +118,6 @@ class TestHarnessKnobsShareTheParser:
 
     @pytest.mark.parametrize("name,reader,default", [
         ("REPRO_RESULT_CACHE", cache_enabled, True),
-        ("REPRO_TRACE_CACHE", trace_cache_enabled, True),
         ("REPRO_PROFILE", profile_enabled, False),
     ])
     def test_spellings_and_default(self, monkeypatch, name, reader, default):
@@ -135,6 +127,36 @@ class TestHarnessKnobsShareTheParser:
         assert reader() is True
         monkeypatch.setenv(name, "false")
         assert reader() is False
+
+
+class TestProfiling:
+    def test_profile_knob_validation(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path))
+
+        def profiled(label):
+            with maybe_profile(label, "build"):
+                pass
+            return (tmp_path / ("%s.build.prof" % label)).exists()
+
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        assert not profiled("unset")
+        monkeypatch.setenv("REPRO_PROFILE", "0")
+        assert not profiled("off")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        assert profiled("on")
+        monkeypatch.setenv("REPRO_PROFILE", "verbose")
+        with pytest.raises(ValueError, match="REPRO_PROFILE"):
+            profiled("junk")
+
+    def test_profile_dumps_per_phase_stats(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "prof"))
+        run_one("update", configuration("WB"), TEST_SCALE)
+        names = sorted(p.name for p in (tmp_path / "prof").iterdir())
+        assert names == [
+            "update-WB.build.prof", "update-WB.build.txt",
+            "update-WB.simulate.prof", "update-WB.simulate.txt",
+        ]
 
 
 class TestEnvStr:
@@ -350,9 +372,9 @@ class TestEnvRegistry:
             "REPRO_REQUEST_DEADLINE", "REPRO_SHM", "REPRO_HEDGE_DELAY",
             "REPRO_PROXY_TIMEOUT", "REPRO_INTERLEAVE",
             "REPRO_INTERLEAVE_SEED", "REPRO_COHERENCE", "REPRO_STATIC_CHECK",
-            "REPRO_CORES"}
+            "REPRO_CORES", "REPRO_TRACE_CACHE"}
         assert not set(_RETIRED) & {spec.name for spec in describe_env()}
-        assert len(describe_env()) == 17
+        assert len(describe_env()) == 16
 
     @pytest.mark.parametrize("name", _RETIRED)
     def test_set_retired_name_is_refused(self, monkeypatch, name):

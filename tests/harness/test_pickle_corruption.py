@@ -1,16 +1,15 @@
 """PickleStore under damage: every corruption is a miss, never an error.
 
-Satellite of the resilience work: the result cache and the trace cache
+Satellite of the resilience work: the result cache and the report cache
 share :class:`~repro.harness.result_cache.PickleStore`, so both must
 self-heal — discard and miss — for every class of on-disk damage:
-truncated entries, valid-zlib-but-invalid-pickle payloads, valid pickles
-of the wrong type, bit flips (caught by the CRC-32 frame), and writers
+truncated entries, validly framed payloads that are not pickles, valid
+pickles of the wrong type, bit flips (caught by the CRC-32 frame), and writers
 racing the atomic rename.
 """
 
 import pickle
 import threading
-import zlib
 
 import pytest
 
@@ -19,11 +18,11 @@ from repro.harness.result_cache import (
     FRAME_HEADER_BYTES,
     CorruptEntryError,
     PickleStore,
+    ReportCache,
     ResultCache,
     frame_payload,
     unframe_payload,
 )
-from repro.harness.trace_cache import TraceCache
 
 KEY = "ab" * 32
 
@@ -32,8 +31,8 @@ def result_store(tmp_path):
     return ResultCache(tmp_path / "results")
 
 
-def trace_store(tmp_path):
-    return TraceCache(tmp_path / "traces")
+def report_store(tmp_path):
+    return ReportCache(tmp_path / "reports")
 
 
 #: (factory, bytes that are valid *below* the frame but not a pickle,
@@ -42,9 +41,9 @@ CASES = [
     (result_store,
      b"definitely not a pickle",
      pickle.dumps({"wrong": "type"})),
-    (trace_store,
-     zlib.compress(b"definitely not a pickle"),
-     zlib.compress(pickle.dumps({"wrong": "type"}))),
+    (report_store,
+     b"definitely not a pickle",
+     pickle.dumps(["wrong", "type"])),
 ]
 
 
@@ -77,7 +76,7 @@ class TestFraming:
 
 
 @pytest.mark.parametrize("factory,bad_payload,wrong_type_payload", CASES,
-                         ids=["result", "trace"])
+                         ids=["result", "report"])
 class TestDamageIsAMiss:
     def test_truncated_to_partial_header(self, tmp_path, factory,
                                          bad_payload, wrong_type_payload):
@@ -119,7 +118,7 @@ class TestDamageIsAMiss:
     def test_valid_pickle_wrong_type(self, tmp_path, factory,
                                      bad_payload, wrong_type_payload):
         # A well-formed entry holding the wrong object (key collision,
-        # tampering) must not be returned as a result/trace.
+        # tampering) must not be returned as a result/report.
         store = factory(tmp_path)
         store.root.mkdir(parents=True, exist_ok=True)
         path = store._path(KEY)

@@ -11,6 +11,7 @@ from repro.harness.parallel import run_matrix_parallel
 from repro.harness.result_cache import (
     ResultCache,
     default_cache_dir,
+    resolve_store,
     source_fingerprint,
     unframe_payload,
 )
@@ -127,16 +128,27 @@ class TestEngineIntegration:
             monkeypatch.setenv("REPRO_RESULT_CACHE", env_value)
             root = tmp_path / ("cache-%s" % (env_value or "unset"))
             run_matrix_parallel(["update"], [CONFIG], TEST_SCALE,
-                                max_workers=1, cache_dir=root,
-                                trace_cache=False)
+                                max_workers=1, cache_dir=root)
             return len(ResultCache(root))
 
         assert stored("0") == 0
         assert stored("1") == 1
         assert stored("") == 1
 
+    def test_resolve_store(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        assert resolve_store(cache_dir=tmp_path).root == tmp_path
+        assert resolve_store(cache=False, cache_dir=tmp_path) is None
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+        assert resolve_store(cache_dir=tmp_path) is None
+        assert resolve_store(cache=True, cache_dir=tmp_path).root == tmp_path
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "yes")
+        with pytest.raises(ValueError, match="REPRO_RESULT_CACHE"):
+            resolve_store()
+
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
+        assert resolve_store(cache=True).root == tmp_path / "elsewhere"
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert str(default_cache_dir()) == os.path.join(".benchmarks", "cache")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.harness.configs import DEFAULT_PARAMS, configuration
 from repro.harness.result_cache import ResultCache
-from repro.harness.trace_cache import TraceCache
 from repro.service.jobs import JobSpec, job_id_for, result_cache_key
 from repro.workloads.base import Scale
 from tests.golden.identity import run_identity
@@ -61,12 +60,11 @@ class TestCacheKeys:
 
     @staticmethod
     def _keys(scale):
-        """The result, trace and job cache keys of one ``mpsc`` build."""
+        """The result and job cache keys of one ``mpsc`` build."""
         config = configuration("IQ")
         # JobSpec has no interleave field; result_cache_key reads only
         # the spec's workload, configuration and scale.
         return (ResultCache().key("mpsc", config, scale, DEFAULT_PARAMS),
-                TraceCache().key("mpsc", "ede", scale, DEFAULT_PARAMS),
                 result_cache_key(SimpleNamespace(
                     workload="mpsc", configuration=config, scale=scale)))
 
@@ -74,7 +72,7 @@ class TestCacheKeys:
         keys = [self._keys(scale) for scale in scales]
         for column in zip(*keys):
             assert len(set(column)) == len(scales)
-        for result_key, _, job_key in keys:
+        for result_key, job_key in keys:
             assert job_key == result_key
 
     def test_core_count_changes_cache_keys(self):
@@ -84,7 +82,7 @@ class TestCacheKeys:
 
     def test_interleave_knobs_change_cache_keys(self):
         # The schedule policy and the seed its weighted RNG derives from
-        # are Scale fields, so each one changes all three keys.
+        # are Scale fields, so each one changes both keys.
         self._assert_all_keys_differ(
             [Scale(ops_per_txn=5, txns=3, cores=2),
              Scale(ops_per_txn=5, txns=3, cores=2, interleave="weighted"),
