@@ -149,6 +149,12 @@ class TestEngineIntegration:
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
-        assert resolve_store(cache=True).root == tmp_path / "elsewhere"
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert str(default_cache_dir()) == os.path.join(".benchmarks", "cache")
+
+    def test_cache_dir_env_moves_store(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        assert resolve_store().root == tmp_path / "elsewhere"
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert resolve_store().root == default_cache_dir()
