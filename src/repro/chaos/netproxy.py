@@ -24,7 +24,12 @@ Determinism: faults fire by **connection index** — the Nth connection
 through the proxy sees the same faults in every run — and all
 randomness (jitter) comes from ``random.Random`` seeded with
 ``(plan seed, fault index, connection index)``.  Tests assert on exact
-firing counts via :meth:`FaultProxy.stats`.
+firing counts via :meth:`FaultProxy.stats`.  HTTP connections are
+keep-alive, so one proxied connection may carry many requests: a
+``latency`` fault delays only its first, and ``after_bytes`` counts
+bytes over the connection's whole life.  When one side closes its
+direction the proxy passes the close on, as TCP does, so a pooled
+connection whose server went away is seen as closed by its client.
 
 The plan travels in ``REPRO_NETPROXY_PLAN`` (inline JSON or a path to a
 JSON file), mirroring ``REPRO_CHAOS``: when the variable is set, the
@@ -179,7 +184,7 @@ class FaultProxy:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port)
+            self._accept, self.host, self._requested_port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -225,22 +230,26 @@ class FaultProxy:
 
     # --- the wire -----------------------------------------------------------
 
+    def _accept(self, client_reader: asyncio.StreamReader,
+                client_writer: asyncio.StreamWriter) -> None:
+        """Hold each relay task from the moment its connection arrives,
+        so :meth:`stop` reaps relays that have not started running."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(client_reader, client_writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     async def _handle_connection(self, client_reader: asyncio.StreamReader,
                                  client_writer: asyncio.StreamWriter
                                  ) -> None:
         conn_index = self.connections
         self.connections += 1
         active = self._claim_faults(conn_index)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             await self._relay(active, client_reader, client_writer)
         except (ConnectionError, OSError):
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             await _close(client_writer)
 
     async def _relay(self, active, client_reader, client_writer) -> None:
@@ -271,6 +280,7 @@ class FaultProxy:
             elif spec.action == "blackhole":
                 drop[spec.direction] = True
 
+        sinks = {"c2s": upstream_writer, "s2c": client_writer}
         pipes = {
             asyncio.ensure_future(_pipe(
                 client_reader, upstream_writer,
@@ -293,18 +303,26 @@ class FaultProxy:
                         outcome = "eof"
                     if outcome == "cut":
                         cut = cut_action[direction] or "truncate"
+                    else:
+                        # Half-close: the other peer sees this end.
+                        with contextlib.suppress(ConnectionError, OSError,
+                                                 RuntimeError):
+                            sinks[direction].write_eof()
         finally:
             for task in pipes:
                 task.cancel()
-            await asyncio.gather(*pipes, return_exceptions=True)
+            # Both sides are closed before the first await, so a relay
+            # cancelled by stop() from here on leaves no socket open.
             if cut == "reset":
                 # RST both sides: the peers see a mid-body abort.
                 upstream_writer.transport.abort()
                 client_writer.transport.abort()
             else:
                 # Clean close: a truncated flow looks *finished*.
-                await _close(upstream_writer)
-                await _close(client_writer)
+                upstream_writer.close()
+                client_writer.close()
+            await asyncio.gather(*pipes, return_exceptions=True)
+            await _close(upstream_writer)
 
 
 async def _pipe(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,

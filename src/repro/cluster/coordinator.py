@@ -23,6 +23,13 @@ talks to a cluster unchanged.  What the coordinator adds:
 * **Per-tenant token-bucket rate limiting** before any shard is
   touched: a tenant that bursts past its bucket gets ``429`` + an
   honest ``Retry-After``; other tenants are untouched.
+* **Keep-alive upstream links**: each shard has a small
+  :class:`~repro.service.http.UpstreamPool` of idle HTTP/1.1
+  connections that proxied reads, submits, metrics scrapes and health
+  probes reuse; only event streams open a connection of their own.  A
+  pooled connection the shard closed while idle is retried once on a
+  new one; every other transport failure feeds the breaker.  The pools
+  are closed on eviction and on stop.
 * **Per-shard circuit breakers**: every upstream exchange feeds the
   shard's breaker; an open breaker excludes the shard from routing (the
   ring walks to the deterministic next owner) and half-open probes
@@ -65,7 +72,7 @@ from repro.harness.configs import DEFAULT_PARAMS
 from repro.service.http import (
     BaseHttpServer,
     ThreadedHttpServer,
-    http_fetch,
+    UpstreamPool,
     render_request,
 )
 from repro.service.jobs import job_id_for, parse_submit
@@ -120,6 +127,8 @@ class ShardState:
         self.host = host
         self.port = port
         self.breaker = breaker
+        #: Idle keep-alive connections to the shard.
+        self.pool = UpstreamPool(host, port)
         self.evicted = False
         self.draining = False
         self.consecutive_failures = 0
@@ -338,6 +347,8 @@ class ClusterCoordinator(BaseHttpServer):
         if self.journal is not None:
             self._recover()
             self.journal.open()
+        for shard in self.shards.values():
+            shard.pool.open()
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop())
         if self._recovery_queue:
@@ -353,6 +364,8 @@ class ClusterCoordinator(BaseHttpServer):
                 except asyncio.CancelledError:
                     pass
         self._recovery_task = self._probe_task = None
+        for shard in self.shards.values():
+            await shard.pool.close()
         if self.journal is not None:
             self.journal.close()
 
@@ -472,16 +485,15 @@ class ClusterCoordinator(BaseHttpServer):
                         body: Optional[bytes] = None,
                         timeout: Optional[float] = None,
                         headers: Optional[Dict[str, str]] = None):
-        """One breaker-fed upstream exchange.
+        """One breaker-fed upstream exchange on the shard's pool.
 
         Transport failures count against the shard's breaker and
         re-raise; HTTP-level responses (any status) count as breaker
         successes — the shard answered, however unhappily.
         """
         try:
-            status, response_headers, data = await http_fetch(
-                shard.host, shard.port, method, path, body=body,
-                headers=headers,
+            status, response_headers, data = await shard.pool.fetch(
+                method, path, body=body, headers=headers,
                 timeout=timeout if timeout is not None
                 else self.proxy_timeout_s)
         except (OSError, asyncio.TimeoutError):
@@ -769,15 +781,17 @@ class ClusterCoordinator(BaseHttpServer):
                             job_id: str,
                             request_headers: Optional[Dict[str, str]] = None
                             ) -> None:
-        """Pipe an upstream byte stream (SSE) through verbatim.
+        """Pipe an upstream byte stream (SSE) through verbatim, then close
+        the client's connection (the stream has no ``Content-Length``).
 
         A client's ``Last-Event-ID`` resumption header is forwarded so
         a reconnecting watcher picks up exactly where its dropped
         stream left off, on whichever shard answers.
         """
-        forward: Optional[Dict[str, str]] = None
+        # A stream ends with its connection, so it gets one of its own.
+        forward = {"Connection": "close"}
         if request_headers and "last-event-id" in request_headers:
-            forward = {"Last-Event-ID": request_headers["last-event-id"]}
+            forward["Last-Event-ID"] = request_headers["last-event-id"]
         for name in candidates:
             shard = self.shards[name]
             if shard.evicted:
@@ -802,6 +816,7 @@ class ClusterCoordinator(BaseHttpServer):
                     await writer.drain()
                 if piped:
                     shard.breaker.record_success()
+                    writer.close()
                     return
             except (OSError, ConnectionError):
                 pass
@@ -858,9 +873,8 @@ class ClusterCoordinator(BaseHttpServer):
         ok = False
         draining = False
         try:
-            status, _, data = await http_fetch(
-                shard.host, shard.port, "GET", "/healthz",
-                timeout=self.probe_timeout_s)
+            status, _, data = await shard.pool.fetch(
+                "GET", "/healthz", timeout=self.probe_timeout_s)
             if status == 200:
                 ok = True
                 try:
@@ -891,6 +905,7 @@ class ClusterCoordinator(BaseHttpServer):
         """Drop a dead shard from the ring and re-route its orphans."""
         shard.evicted = True
         shard.breaker.trip()
+        await shard.pool.close()
         self.ring.remove(shard.name)
         self.metrics.evictions.inc(shard=shard.name)
         self._member_events[shard.name] = "evict"
@@ -900,6 +915,7 @@ class ClusterCoordinator(BaseHttpServer):
 
     def _rejoin(self, shard: ShardState) -> None:
         shard.evicted = False
+        shard.pool.open()
         shard.consecutive_failures = 0
         self.ring.add(shard.name)
         self.metrics.rejoins.inc(shard=shard.name)

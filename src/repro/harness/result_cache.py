@@ -45,15 +45,26 @@ import os
 import pickle
 import struct
 import tempfile
+import threading
 import zlib
+from collections import OrderedDict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.chaos import chaos_point
 from repro.harness.envutil import knob
 
 #: Memoized source fingerprint (the tree does not change mid-process).
 _SOURCE_FINGERPRINT: Optional[str] = None
+
+#: Canonical JSON of frozen dataclass instances by object identity,
+#: least recently used first: ``id(obj) -> (obj, text)``.  Holding the
+#: object keeps its id from being reused.  The memo is never keyed by
+#: value: ``Scale(10, 5)`` and ``Scale(10.0, 5)`` are equal and hash
+#: equal, yet render different keys.
+_RENDERED: "OrderedDict[int, Tuple[object, str]]" = OrderedDict()
+_RENDERED_MAX = 64
+_RENDERED_LOCK = threading.Lock()
 
 #: Integrity-frame magic: bumping it invalidates every on-disk entry.
 _FRAME_MAGIC = b"RPK1"
@@ -113,10 +124,28 @@ def source_fingerprint() -> str:
 
 
 def _canonical(obj) -> str:
-    """Stable JSON rendering of nested dataclasses / containers."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
-    return json.dumps(obj, sort_keys=True, default=repr)
+    """Stable JSON rendering of nested dataclasses / containers.
+
+    A frozen dataclass instance (the architectural params above all,
+    ~120 us to render) is rendered once per object and then served from
+    :data:`_RENDERED`.
+    """
+    if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+        return json.dumps(obj, sort_keys=True, default=repr)
+    frozen = obj.__dataclass_params__.frozen
+    if frozen:
+        with _RENDERED_LOCK:
+            hit = _RENDERED.get(id(obj))
+            if hit is not None:
+                _RENDERED.move_to_end(id(obj))
+                return hit[1]
+    text = json.dumps(dataclasses.asdict(obj), sort_keys=True, default=repr)
+    if frozen:
+        with _RENDERED_LOCK:
+            _RENDERED[id(obj)] = (obj, text)
+            while len(_RENDERED) > _RENDERED_MAX:
+                _RENDERED.popitem(last=False)
+    return text
 
 
 def canonical_key(*parts) -> str:

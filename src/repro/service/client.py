@@ -1,8 +1,15 @@
 """Blocking HTTP client for the simulation service.
 
-A thin ``http.client`` wrapper (stdlib only, one connection per
-request, matching the server's ``Connection: close``) used by the CLI,
-the CI smoke job, the benchmarks and the end-to-end tests.  Raises
+A thin ``http.client`` wrapper (stdlib only) used by the CLI, the CI
+smoke job, the benchmarks and the end-to-end tests.  Each thread keeps
+one keep-alive connection per ``(host, port)`` and every
+:class:`ServiceClient` in that thread reuses it, so a caller that
+builds a new client per request still opens no new connection; only an
+event stream (:meth:`ServiceClient.watch`) opens one of its own, since
+the server closes it when the stream ends.  A reused connection that
+fails before any byte of the response arrives (the server closed it
+while it sat idle) is retried once on a new one; nothing else is
+retried.  Raises
 :class:`ServiceError` for every non-2xx response except backpressure,
 which gets its own :class:`Backpressure` carrying the server's
 retry-after hint so callers can implement honest retry loops.
@@ -22,12 +29,16 @@ Hardening against a misbehaving wire (see ``repro.chaos.netproxy``):
 
 from __future__ import annotations
 
+import collections
 import http.client
 import json
 import pickle
 import random
+import select
+import socket
+import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.service.jobs import JobSpec, JobState
 
@@ -50,6 +61,65 @@ class Backpressure(ServiceError):
         self.retry_after_s = float(
             payload.get("retry_after_s", 1.0)
             if isinstance(payload, dict) else 1.0)
+
+
+#: Peers one thread keeps a connection to; the least recently used one
+#: beyond this is closed.
+MAX_PEERS = 8
+
+
+class _StaleConnection(Exception):
+    """A reused connection failed before any byte of the response."""
+
+
+class _ThreadConnections:
+    """One thread's keep-alive connections by ``(host, port)``.
+
+    Closed when the thread ends, so no socket is left to the garbage
+    collector.
+    """
+
+    def __init__(self):
+        #: ``(host, port)`` -> connection, least recently used first.
+        self.by_peer: Dict[Tuple[str, int], http.client.HTTPConnection] = \
+            collections.OrderedDict()
+
+    def take(self, peer: Tuple[str, int]
+             ) -> Optional[http.client.HTTPConnection]:
+        """The idle connection to ``peer``, if the server kept it open."""
+        conn = self.by_peer.pop(peer, None)
+        if conn is not None and (conn.sock is None or _readable(conn.sock)):
+            # An idle connection with something to read was closed by
+            # the server (or holds bytes nobody asked for).
+            conn.close()
+            conn = None
+        return conn
+
+    def give_back(self, peer: Tuple[str, int],
+                  conn: http.client.HTTPConnection) -> None:
+        self.by_peer[peer] = conn
+        while len(self.by_peer) > MAX_PEERS:
+            self.by_peer.popitem(last=False)[1].close()
+
+    def __del__(self):
+        for conn in self.by_peer.values():
+            conn.close()
+
+
+_LOCAL = threading.local()
+
+
+def _connections() -> _ThreadConnections:
+    conns = getattr(_LOCAL, "conns", None)
+    if conns is None:
+        conns = _LOCAL.conns = _ThreadConnections()
+    return conns
+
+
+def _readable(sock: socket.socket) -> bool:
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def parse_metrics(text: str) -> Dict[str, float]:
@@ -90,16 +160,24 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None, raw: bool = False):
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            payload = json.dumps(body).encode() if body is not None else None
-            conn.request(method, path, body=payload,
-                         headers=self._headers())
-            response = conn.getresponse()
-            data = response.read()
-        finally:
-            conn.close()
+        payload = json.dumps(body).encode() if body is not None else None
+        peer = (self.host, self.port)
+        conns = _connections()
+        conn = conns.take(peer)
+        if conn is not None:
+            conn.sock.settimeout(self.timeout)
+            try:
+                response, data = self._exchange(conn, method, path, payload,
+                                                reused=True)
+            except _StaleConnection:
+                conn = None  # closed while idle: once more, on a new one
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port,
+                                              timeout=self.timeout)
+            response, data = self._exchange(conn, method, path, payload,
+                                            reused=False)
+        if not response.will_close:
+            conns.give_back(peer, conn)
         if raw and 200 <= response.status < 300:
             return data
         try:
@@ -111,6 +189,29 @@ class ServiceClient:
         if not 200 <= response.status < 300:
             raise ServiceError(response.status, decoded)
         return decoded
+
+    def _exchange(self, conn: http.client.HTTPConnection, method: str,
+                  path: str, payload: Optional[bytes], reused: bool
+                  ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """One request and its whole response; closes ``conn`` on any
+        failure.  Raises :class:`_StaleConnection` when a ``reused``
+        connection fails before any byte of the response arrives."""
+        try:
+            try:
+                conn.request(method, path, body=payload,
+                             headers=self._headers())
+                started = bool(conn.sock.recv(1, socket.MSG_PEEK))
+            except ConnectionError:
+                if not reused:
+                    raise
+                started = False
+            if reused and not started:
+                raise _StaleConnection()
+            response = conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            conn.close()
+            raise
 
     # --- job API ------------------------------------------------------------
 

@@ -2,21 +2,26 @@
 
 The single-node service server (:mod:`repro.service.server`) and the
 cluster coordinator (:mod:`repro.cluster.coordinator`) speak the same
-deliberately small dialect of HTTP — one connection per request
-(``Connection: close``), JSON bodies, an ephemeral default port — so the
-request parser, response writer and threaded test harness live here once
-instead of twice.
+deliberately small dialect of HTTP — persistent (keep-alive)
+connections, JSON bodies framed by ``Content-Length``, an ephemeral
+default port — so the request parser, response writer, upstream
+connection pool and threaded test harness live here once instead of
+twice.
 
 * :class:`BaseHttpServer` — ``asyncio.start_server`` lifecycle, request
-  parsing, response rendering and the last-ditch 500 handler; subclasses
-  implement :meth:`BaseHttpServer._route`.
+  parsing, response rendering and the last-ditch 500 handler; each
+  connection serves requests one after another until the client sends
+  ``Connection: close``, a streamed response (SSE, no
+  ``Content-Length``) ends by closing it, or it sits idle for
+  :data:`IDLE_TIMEOUT_S`.  Subclasses implement
+  :meth:`BaseHttpServer._route`.
 * :class:`ThreadedHttpServer` — runs any :class:`BaseHttpServer` on a
   background daemon thread with a cross-thread :meth:`call` bridge; the
   harness tests, benchmarks and notebooks use to drive a server without
   blocking.
-* :func:`http_fetch` — a minimal async HTTP client (the coordinator's
-  upstream half): one request, ``Connection: close``, returns status,
-  headers and body.
+* :class:`UpstreamPool` — the coordinator's client half: a few idle
+  keep-alive connections to one upstream, reused request after request.
+  :func:`http_fetch` is a one-off request on a connection of its own.
 """
 
 from __future__ import annotations
@@ -25,10 +30,20 @@ import asyncio
 import json
 import threading
 from concurrent.futures import Future
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Largest request body accepted (a job spec is ~200 bytes).
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a server keeps an idle keep-alive connection open while it
+#: waits for the next request.
+IDLE_TIMEOUT_S = 30.0
+
+#: Idle connections an :class:`UpstreamPool` keeps for reuse.
+POOL_SIZE = 4
+
+#: One open connection: the asyncio stream pair.
+Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -40,35 +55,52 @@ _STATUS_TEXT = {
 
 
 async def read_request(reader: asyncio.StreamReader
-                       ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one request: ``(METHOD, target, headers, body)`` or None."""
+                       ) -> Optional[Tuple[str, str, Dict[str, str], bytes,
+                                           bool]]:
+    """Parse one request: ``(METHOD, target, headers, body, keep_alive)``.
+
+    None at a clean end of the connection.  ``keep_alive`` is False when
+    the client sent ``Connection: close`` or speaks HTTP/1.0.
+    """
     request_line = await reader.readline()
     if not request_line.strip():
         return None
     try:
-        method, path, _ = request_line.decode("latin-1").split(None, 2)
+        method, path, version = request_line.decode("latin-1").split(None, 2)
     except ValueError:
         return None
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    headers = await _read_headers(reader)
     length = int(headers.get("content-length", "0") or "0")
     if length > MAX_BODY_BYTES:
         raise ValueError("request body too large (%d bytes)" % length)
     body = await reader.readexactly(length) if length else b""
-    return method.upper(), path, headers, body
+    keep_alive = (version.strip().upper() == "HTTP/1.1"
+                  and "close" not in headers.get("connection", "").lower())
+    return method.upper(), path, headers, body, keep_alive
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Header lines up to the blank line; EOF before it is a truncation."""
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line.endswith(b"\n"):
+            raise asyncio.IncompleteReadError(line, None)
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 def render_response(status: int, payload,
                     content_type: str = "application/json",
                     extra_headers: Optional[Dict[str, str]] = None) -> bytes:
-    """One full HTTP/1.1 response (``Connection: close``) as bytes."""
+    """One full HTTP/1.1 response, framed by ``Content-Length``, as bytes.
+
+    Dicts and lists are sent as compact JSON.
+    """
     if isinstance(payload, (dict, list)):
-        body = (json.dumps(payload, indent=2) + "\n").encode()
+        body = (json.dumps(payload) + "\n").encode()
     elif isinstance(payload, str):
         body = payload.encode()
     else:
@@ -77,7 +109,6 @@ def render_response(status: int, payload,
         "HTTP/1.1 %d %s" % (status, _STATUS_TEXT.get(status, "Unknown")),
         "Content-Type: %s" % content_type,
         "Content-Length: %d" % len(body),
-        "Connection: close",
     ]
     for name, value in (extra_headers or {}).items():
         lines.append("%s: %s" % (name, value))
@@ -147,12 +178,28 @@ class BaseHttpServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Serve requests on one connection until it should close.
+
+        That is when the client asks for it, when a route ends its
+        response by closing the connection (an SSE stream has no
+        ``Content-Length``), after a failed request, or when no request
+        starts within :data:`IDLE_TIMEOUT_S`.
+        """
+        loop = asyncio.get_running_loop()
         try:
-            request = await read_request(reader)
-            if request is None:
-                return
-            method, path, headers, body = request
-            await self._route(method, path, headers, body, writer)
+            while True:
+                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
+                try:
+                    request = await read_request(reader)
+                finally:
+                    idle.cancel()
+                if request is None:
+                    return
+                method, path, headers, body, keep_alive = request
+                await self._route(method, path, headers, body, writer)
+                if not keep_alive or writer.is_closing():
+                    return
+                await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # last-ditch: never kill the acceptor
@@ -190,27 +237,110 @@ class BaseHttpServer:
             extra_headers={"Retry-After": "%d" % max(1, round(retry_after_s))})
 
 
-async def http_fetch(host: str, port: int, method: str, path: str,
-                     body: Optional[bytes] = None,
-                     headers: Optional[Dict[str, str]] = None,
-                     timeout: float = 30.0
-                     ) -> Tuple[int, Dict[str, str], bytes]:
-    """One upstream request; returns ``(status, headers, body)``.
+class _StaleConnection(OSError):
+    """A reused connection failed before any byte of the response."""
 
-    The coordinator's client half.  ``Connection: close`` end to end:
-    the response body is read to the content-length when one is sent,
-    to EOF otherwise (SSE streams).  ``timeout`` bounds the whole
-    exchange; connection errors propagate as ``OSError`` so callers can
-    feed circuit breakers.
+
+class UpstreamPool:
+    """Keep-alive HTTP/1.1 connections to one upstream ``(host, port)``.
+
+    :meth:`fetch` sends each request on an idle pooled connection when a
+    live one is there, on a new connection otherwise.  The rules:
+
+    * A reused connection that fails before any byte of the response
+      arrives (the peer closed it while it sat idle) is retried once, on
+      a new connection.  Nothing else is retried: not a failure on a new
+      connection, not one after part of a response arrived.
+    * A connection goes back to the pool only after a complete
+      ``Content-Length`` response that did not say ``Connection:
+      close``.  A timeout, a cancellation, a transport error or a
+      truncated body closes it.
+    * Connections are kept only while the pool is open (:meth:`open`
+      until :meth:`close`), at most :data:`POOL_SIZE` of them; a closed
+      pool closes each connection after its one exchange.
     """
 
-    async def exchange() -> Tuple[int, Dict[str, str], bytes]:
-        reader, writer = await asyncio.open_connection(host, port)
+    def __init__(self, host: str, port: int):
+        self.host = host
+        self.port = port
+        self._idle: List[Connection] = []
+        self._open = False
+
+    @property
+    def idle(self) -> int:
+        """Connections waiting for reuse."""
+        return len(self._idle)
+
+    def open(self) -> None:
+        """Start keeping connections for reuse."""
+        self._open = True
+
+    async def close(self) -> None:
+        """Stop keeping connections and close the idle ones."""
+        self._open = False
+        idle, self._idle = self._idle, []
+        for _, writer in idle:
+            writer.close()
+        for _, writer in idle:
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def fetch(self, method: str, path: str,
+                    body: Optional[bytes] = None,
+                    headers: Optional[Dict[str, str]] = None,
+                    timeout: float = 30.0
+                    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One request; returns ``(status, headers, body)``.
+
+        ``timeout`` bounds the whole exchange, a stale-connection retry
+        included.  Transport failures (a truncated body too) raise
+        ``OSError`` so callers can feed circuit breakers.
+        """
+        return await asyncio.wait_for(
+            self._fetch(render_request(method, path, body, headers)),
+            timeout)
+
+    async def _fetch(self, request: bytes
+                     ) -> Tuple[int, Dict[str, str], bytes]:
+        conn = self._checkout()
+        if conn is not None:
+            try:
+                return await self._exchange(conn, request, reused=True)
+            except _StaleConnection:
+                pass  # closed while idle: once more, on a new connection
+        conn = await asyncio.open_connection(self.host, self.port)
+        return await self._exchange(conn, request, reused=False)
+
+    def _checkout(self) -> Optional[Connection]:
+        """The most recently used idle connection the peer has not closed."""
+        while self._idle:
+            reader, writer = self._idle.pop()
+            if not (reader.at_eof() or reader.exception() is not None
+                    or writer.is_closing()):
+                return reader, writer
+            writer.close()
+        return None
+
+    async def _exchange(self, conn: Connection, request: bytes,
+                        reused: bool) -> Tuple[int, Dict[str, str], bytes]:
+        reader, writer = conn
+        reusable = False
         try:
-            writer.write(render_request(method, path, body, headers))
-            await writer.drain()
-            status, response_headers = await read_response_head(reader)
-            length = response_headers.get("content-length")
+            try:
+                writer.write(request)
+                await writer.drain()
+                first = await reader.read(1)
+            except ConnectionError:
+                if reused:
+                    raise _StaleConnection("idle connection was closed")
+                raise
+            if not first:
+                raise (_StaleConnection if reused else OSError)(
+                    "upstream closed the connection before responding")
+            status, headers = await read_response_head(reader, first)
+            length = headers.get("content-length")
             try:
                 if length is not None:
                     data = await reader.readexactly(int(length))
@@ -223,22 +353,33 @@ async def http_fetch(host: str, port: int, method: str, path: str,
                 raise OSError(
                     "truncated upstream response (%d of %s body bytes)"
                     % (len(exc.partial), length)) from exc
-            return status, response_headers, data
+            reusable = (length is not None and "close" not in
+                        headers.get("connection", "").lower())
+            return status, headers, data
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if reusable and self._open and len(self._idle) < POOL_SIZE:
+                self._idle.append(conn)
+            else:
+                writer.close()
 
-    return await asyncio.wait_for(exchange(), timeout)
+
+async def http_fetch(host: str, port: int, method: str, path: str,
+                     body: Optional[bytes] = None,
+                     headers: Optional[Dict[str, str]] = None,
+                     timeout: float = 30.0
+                     ) -> Tuple[int, Dict[str, str], bytes]:
+    """One request on a connection of its own, closed afterwards.
+
+    Same exchange and errors as :meth:`UpstreamPool.fetch`.
+    """
+    return await UpstreamPool(host, port).fetch(
+        method, path, body=body, headers=headers, timeout=timeout)
 
 
 def render_request(method: str, path: str, body: Optional[bytes] = None,
                    headers: Optional[Dict[str, str]] = None) -> bytes:
-    """One full HTTP/1.1 request (``Connection: close``) as bytes."""
-    lines = ["%s %s HTTP/1.1" % (method, path),
-             "Connection: close"]
+    """One full HTTP/1.1 request as bytes."""
+    lines = ["%s %s HTTP/1.1" % (method, path)]
     for name, value in (headers or {}).items():
         lines.append("%s: %s" % (name, value))
     if body:
@@ -247,22 +388,22 @@ def render_request(method: str, path: str, body: Optional[bytes] = None,
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + (body or b"")
 
 
-async def read_response_head(reader: asyncio.StreamReader
+async def read_response_head(reader: asyncio.StreamReader, first: bytes
                              ) -> Tuple[int, Dict[str, str]]:
-    """Parse an upstream status line + headers (body left unread)."""
-    status_line = await reader.readline()
+    """Parse an upstream status line + headers (body left unread).
+
+    ``first`` holds bytes of the status line already read.  A head cut
+    short by the peer raises ``OSError``.
+    """
+    status_line = first + await reader.readline()
     parts = status_line.decode("latin-1").split(None, 2)
     if len(parts) < 2 or not parts[1].isdigit():
         raise OSError("malformed upstream status line %r" % status_line)
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers
+    try:
+        headers = await _read_headers(reader)
+    except asyncio.IncompleteReadError as exc:
+        raise OSError("truncated upstream response head") from exc
+    return int(parts[1]), headers
 
 
 class ThreadedHttpServer:

@@ -29,6 +29,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS, Configuration
+from repro.harness.digest import run_digest
 from repro.harness.result_cache import (
     ResultCache,
     canonical_key,
@@ -255,6 +256,7 @@ class Job:
         self.finished_s: Optional[float] = None
         self.error: Optional[str] = None
         self.result = None
+        self._digest: Optional[str] = None
         self.from_cache = False
         #: How many duplicate submissions were coalesced onto this job.
         self.coalesced = 0
@@ -270,6 +272,14 @@ class Job:
         if self.finished_s is None:
             return None
         return self.finished_s - self.created_s
+
+    @property
+    def digest(self) -> str:
+        """:func:`~repro.harness.digest.run_digest` of a done simulate
+        job's result, computed on first use."""
+        if self._digest is None:
+            self._digest = run_digest(self.result)
+        return self._digest
 
     def transition(self, state: str, error: Optional[str] = None) -> None:
         """Move to ``state``, record the SSE event, wake waiters."""

@@ -1,8 +1,8 @@
 """Asyncio HTTP/JSON front end for the simulation service.
 
-A deliberately small HTTP/1.1 server — stdlib only, one connection per
-request (``Connection: close``) — built on the shared plumbing in
-:mod:`repro.service.http`.  Routes:
+A deliberately small HTTP/1.1 server — stdlib only, keep-alive
+connections that serve one request after another, compact JSON bodies —
+built on the shared plumbing in :mod:`repro.service.http`.  Routes:
 
 * ``POST /jobs`` — submit a :class:`~repro.service.jobs.JobSpec`
   (``{"spec": {...}, "client": "...", "priority": 0}``); ``202`` for
@@ -16,7 +16,8 @@ request (``Connection: close``) — built on the shared plumbing in
   :class:`~repro.harness.runner.RunResult`), the report dict for
   analysis jobs; ``409`` while the job is still in flight.
 * ``GET /jobs/<id>/events`` — Server-Sent Events progress stream
-  (replays history, then live until the job is terminal).
+  (replays history, then live until the job is terminal, then closes
+  the connection: the stream has no ``Content-Length``).
 * ``GET /metrics`` — Prometheus text exposition.
 * ``GET /healthz`` — liveness, queue/in-flight depth and drain state
   (the cluster coordinator's health probes read the detail).
@@ -46,7 +47,6 @@ from typing import Dict, Optional
 
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.digest import run_digest
 from repro.service.http import (
     MAX_BODY_BYTES,
     BaseHttpServer,
@@ -208,7 +208,7 @@ class ServiceServer(BaseHttpServer):
             "violations": len(result.consistency.violations),
             "nvm_media_writes": result.nvm_media_writes,
             "from_cache": job.from_cache,
-            "digest": run_digest(result),
+            "digest": job.digest,
         })
 
     async def _stream_events(self, job: Job, headers: Dict[str, str],
@@ -218,7 +218,7 @@ class ServiceServer(BaseHttpServer):
         Every event carries ``id: <index>``; a client reconnecting
         after a dropped stream sends ``Last-Event-ID`` (standard SSE
         resumption) and the replay starts *after* that event instead of
-        from the beginning.
+        from the beginning.  The stream ends by closing the connection.
         """
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: text/event-stream\r\n"
@@ -240,6 +240,7 @@ class ServiceServer(BaseHttpServer):
                 index += 1
             await writer.drain()
             if job.state in JobState.TERMINAL:
+                writer.close()
                 return
             await job.next_change()
 

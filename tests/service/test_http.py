@@ -1,13 +1,19 @@
-"""The HTTP layer both servers share: submit parsing and shutdown.
+"""The HTTP layer both servers share: submit parsing, keep-alive and
+shutdown.
 
 The single-node server and the cluster coordinator parse ``POST /jobs``
 with one function (:func:`repro.service.jobs.parse_submit`), so a
 malformed priority, or a JSON boolean where a spec field needs an
-integer, is a 400 on both, never a 500 or a second job ID.  Stopping either
-server while a client is half-way through sending a request must end
-that connection's handler before the event loop closes: a handler left
-pending is destroyed with the loop and reports "coroutine ignored
-GeneratorExit" through ``sys.unraisablehook``.
+integer, is a 400 on both, never a 500 or a second job ID.  Both serve
+request after request on one connection until the client sends
+``Connection: close`` or an event stream ends it, and the
+:class:`~repro.service.client.ServiceClient` reuses one connection per
+thread, retrying once only when a reused connection fails before any
+byte of the response arrives.  Stopping either server while a client is
+half-way through sending a request must end that connection's handler
+before the event loop closes: a handler left pending is destroyed with
+the loop and reports "coroutine ignored GeneratorExit" through
+``sys.unraisablehook``.
 """
 
 import gc
@@ -16,12 +22,19 @@ import json
 import logging
 import socket
 import sys
+import threading
 import time
+import warnings
 
 import pytest
 
 from repro.cluster.coordinator import ThreadedCoordinator
-from repro.service import JobSpec, ThreadedServer
+from repro.service import JobSpec, ServiceClient, ThreadedServer
+from repro.service.http import (
+    BaseHttpServer,
+    ThreadedHttpServer,
+    render_response,
+)
 from repro.service.jobs import parse_submit
 
 SPEC = JobSpec(kind="simulate", workload="update", config="B",
@@ -138,3 +151,234 @@ def test_stop_during_half_sent_request(kind, tmp_path, monkeypatch, caplog):
     assert not unraisable, [str(u.exc_value) for u in unraisable]
     assert not [r for r in caplog.records if r.name == "asyncio"], \
         [r.getMessage() for r in caplog.records]
+
+
+# --- keep-alive ---------------------------------------------------------------
+
+
+def _read_response(sock, buffered=b""):
+    """One Content-Length framed response off ``sock``: (head, body, rest)."""
+    data = buffered
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed inside a response head"
+        data += chunk
+    head, _, data = data.partition(b"\r\n\r\n")
+    length = int([line.split(b":")[1] for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length")][0])
+    while len(data) < length:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed inside a response body"
+        data += chunk
+    return head, data[:length], data[length:]
+
+
+def _read_to_eof(sock) -> bytes:
+    data = b""
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return data
+        data += chunk
+
+
+@pytest.mark.parametrize("kind", ["service", "coordinator"])
+def test_sequential_requests_share_one_socket(servers, kind):
+    threaded = servers[kind]
+    with socket.create_connection(("127.0.0.1", threaded.port),
+                                  timeout=10) as sock:
+        rest = b""
+        for _ in range(5):
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            head, body, rest = _read_response(sock, rest)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"connection: close" not in head.lower()
+            assert json.loads(body)["status"] in ("ok", "degraded")
+
+
+@pytest.mark.parametrize("kind", ["service", "coordinator"])
+def test_connection_close_is_honoured(servers, kind):
+    with socket.create_connection(("127.0.0.1", servers[kind].port),
+                                  timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        data = _read_to_eof(sock)
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(body)
+
+
+@pytest.mark.parametrize("kind", ["service", "coordinator"])
+def test_event_stream_closes_its_connection(servers, kind):
+    client = ServiceClient(port=servers[kind].port, client_id="pytest")
+    spec = dict(SPEC, seed=31)
+    job_id = client.submit(spec)["id"]
+    assert client.wait(job_id)["state"] == "done"
+    with socket.create_connection(("127.0.0.1", servers[kind].port),
+                                  timeout=10) as sock:
+        sock.sendall(("GET /jobs/%s/events HTTP/1.1\r\n\r\n"
+                      % job_id).encode())
+        data = _read_to_eof(sock)
+    head, _, stream = data.partition(b"\r\n\r\n")
+    assert b"text/event-stream" in head
+    assert b"content-length" not in head.lower()
+    assert stream.rstrip().endswith(b'"event": "done", "job": "%s"}'
+                                    % job_id.encode())
+
+
+def test_responses_are_compact_json(servers):
+    response = render_response(200, {"a": [1, 2], "b": {"c": 3}})
+    assert response.endswith(b'\r\n\r\n{"a": [1, 2], "b": {"c": 3}}\n')
+
+
+class _FlakyServer(BaseHttpServer):
+    """Answers ``/healthz``, but on the ``fail_on``-th request of each
+    connection it closes the connection after sending
+    ``response[:send_bytes]`` (0: nothing; -5: all but the last 5 bytes)."""
+
+    def __init__(self, fail_on: int, send_bytes: int = 0, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_on = fail_on
+        self.send_bytes = send_bytes
+        self.connections = 0
+        self.requests = 0
+        self._served = {}
+
+    async def _handle_connection(self, reader, writer):
+        self.connections += 1
+        await super()._handle_connection(reader, writer)
+
+    async def _route(self, method, target, headers, body, writer):
+        self.requests += 1
+        count = self._served[writer] = self._served.get(writer, 0) + 1
+        response = render_response(
+            200 if target == "/healthz" else 404,
+            {"status": "ok"} if target == "/healthz"
+            else {"error": "unknown job"})
+        if count == self.fail_on:
+            writer.write(response[:self.send_bytes])
+            await writer.drain()
+            writer.transport.abort()
+            return
+        writer.write(response)
+
+
+class ThreadedFlaky(ThreadedHttpServer):
+    thread_name = "repro-flaky"
+
+    def _build(self):
+        return _FlakyServer(**self._kwargs)
+
+    def counts(self):
+        return self.call(lambda: (self.server.connections,
+                                  self.server.requests))
+
+
+def _in_new_thread(fn):
+    """Run ``fn`` in a fresh thread (so it starts with no pooled
+    connection) and return its value or raise its exception."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(30)
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestClientKeepAlive:
+    def test_one_connection_per_thread_across_clients(self):
+        with ThreadedFlaky(fail_on=0) as flaky:
+            def calls():
+                # A new client per call, as the CLI and the benchmark do.
+                return [ServiceClient(port=flaky.port).healthz()
+                        for _ in range(5)]
+
+            assert _in_new_thread(calls) == [{"status": "ok"}] * 5
+            assert flaky.counts() == (1, 5)
+
+    def test_stale_connection_is_retried_once(self):
+        """The second request on every connection is dropped unanswered,
+        as by a server closing an idle connection: each reused call is
+        retried on a new connection, transparently."""
+        with ThreadedFlaky(fail_on=2) as flaky:
+            def calls():
+                client = ServiceClient(port=flaky.port)
+                return [client.healthz() for _ in range(3)]
+
+            assert _in_new_thread(calls) == [{"status": "ok"}] * 3
+            # 1st call: conn A.  2nd: A dropped, B.  3rd: B dropped, C.
+            assert flaky.counts() == (3, 5)
+
+    def test_new_connection_is_never_retried(self):
+        with ThreadedFlaky(fail_on=1) as flaky:
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                _in_new_thread(ServiceClient(port=flaky.port).healthz)
+            assert flaky.counts() == (1, 1)
+
+    def test_partial_response_is_never_retried(self):
+        with ThreadedFlaky(fail_on=2, send_bytes=-5) as flaky:
+            def calls():
+                client = ServiceClient(port=flaky.port)
+                client.healthz()
+                client.healthz()
+
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                _in_new_thread(calls)
+            assert flaky.counts() == (1, 2)
+
+    def test_thread_exit_closes_its_connections(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with ThreadedFlaky(fail_on=0) as flaky:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _in_new_thread(ServiceClient(port=flaky.port).healthz)
+                gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)], \
+            [str(w.message) for w in caught]
+        assert not unraisable
+
+
+def test_stop_closes_idle_keepalive_connections(tmp_path, monkeypatch):
+    """Stopping the coordinator closes its idle pooled connections to the
+    shard, and stopping the shard closes the client's idle one; nothing is
+    left for the garbage collector to warn about."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shard = ThreadedServer(max_workers=1, cache_dir=tmp_path).start()
+        coordinator = ThreadedCoordinator(
+            shards=[("127.0.0.1", shard.port)],
+            probe_interval_s=60.0).start()
+
+        def open_connections():
+            return shard.call(lambda: len(shard.server._connections))
+
+        def exercise():
+            client = ServiceClient(port=coordinator.port)
+            client.metrics()
+            with pytest.raises(Exception):
+                client.status("no-such-job")
+            ServiceClient(port=shard.port).healthz()
+
+        _in_new_thread(exercise)
+        assert open_connections() >= 1
+        coordinator.stop()
+        deadline = time.monotonic() + 10
+        while open_connections():
+            assert time.monotonic() < deadline, "pooled connection left open"
+            time.sleep(0.01)
+        shard.stop()
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)], \
+        [str(w.message) for w in caught]
+    assert not unraisable, [str(u.exc_value) for u in unraisable]
