@@ -225,7 +225,7 @@ def test_event_stream_closes_its_connection(servers, kind):
                                     % job_id.encode())
 
 
-def test_responses_are_compact_json(servers):
+def test_responses_are_compact_json():
     response = render_response(200, {"a": [1, 2], "b": {"c": 3}})
     assert response.endswith(b'\r\n\r\n{"a": [1, 2], "b": {"c": 3}}\n')
 
