@@ -73,6 +73,7 @@ from repro.service.http import (
     BaseHttpServer,
     ThreadedHttpServer,
     UpstreamPool,
+    end_connection,
     render_request,
 )
 from repro.service.jobs import job_id_for, parse_submit
@@ -816,7 +817,7 @@ class ClusterCoordinator(BaseHttpServer):
                     await writer.drain()
                 if piped:
                     shard.breaker.record_success()
-                    writer.close()
+                    end_connection(writer)
                     return
             except (OSError, ConnectionError):
                 pass

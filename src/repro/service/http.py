@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Set, Tuple
@@ -115,6 +116,25 @@ def render_response(status: int, payload,
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
 
+def end_connection(writer: asyncio.StreamWriter) -> None:
+    """Close a served connection so that its client sees it end.
+
+    A worker process forked while the connection was open (the
+    supervisor's process pool) holds a copy of its socket, and close()
+    alone sends no FIN while a copy is open: the client would keep
+    sending on a pooled connection nobody reads.  Shutting the socket's
+    write side down first ends it for every copy.
+    """
+    sock = writer.get_extra_info("socket")
+    if (sock is not None and not writer.is_closing()
+            and not writer.transport.get_write_buffer_size()):
+        try:
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+    writer.close()
+
+
 class BaseHttpServer:
     """Listener lifecycle + request/response plumbing; no routes.
 
@@ -188,7 +208,8 @@ class BaseHttpServer:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
+                idle = loop.call_later(IDLE_TIMEOUT_S, end_connection,
+                                       writer)
                 try:
                     request = await read_request(reader)
                 finally:
@@ -210,7 +231,7 @@ class BaseHttpServer:
                 pass
         finally:
             try:
-                writer.close()
+                end_connection(writer)
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass

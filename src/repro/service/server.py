@@ -51,6 +51,7 @@ from repro.service.http import (
     MAX_BODY_BYTES,
     BaseHttpServer,
     ThreadedHttpServer,
+    end_connection,
 )
 from repro.service.jobs import Job, JobState, KIND_SIMULATE, parse_submit
 from repro.service.queue import QueueFullError
@@ -240,7 +241,7 @@ class ServiceServer(BaseHttpServer):
                 index += 1
             await writer.drain()
             if job.state in JobState.TERMINAL:
-                writer.close()
+                end_connection(writer)
                 return
             await job.next_change()
 

@@ -20,6 +20,8 @@ import gc
 import http.client
 import json
 import logging
+import os
+import signal
 import socket
 import sys
 import threading
@@ -345,6 +347,35 @@ class TestClientKeepAlive:
                     if issubclass(w.category, ResourceWarning)], \
             [str(w.message) for w in caught]
         assert not unraisable
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_close_reaches_client_despite_a_forked_copy(tmp_path):
+    """A process forked while a keep-alive connection is open (the
+    supervisor's pool workers) holds a copy of its socket.  When the
+    server ends the connection, the client must still see it end and
+    reconnect, not send its next request into a socket nobody reads."""
+    with ThreadedServer(max_workers=1, cache_dir=tmp_path) as server:
+        def calls():
+            client = ServiceClient(port=server.port, timeout=5.0)
+            client.healthz()
+            child = os.fork()
+            if child == 0:
+                time.sleep(10)
+                os._exit(0)
+            try:
+                # End every idle connection, as the idle timeout does.
+                server.call(lambda: [task.cancel() for task
+                                     in server.server._connections])
+                time.sleep(0.2)
+                start = time.monotonic()
+                client.healthz()
+                return time.monotonic() - start
+            finally:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+
+        assert _in_new_thread(calls) < 2.0
 
 
 def test_stop_closes_idle_keepalive_connections(tmp_path, monkeypatch):
