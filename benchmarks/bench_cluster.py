@@ -6,8 +6,10 @@ worker *processes* are added, because the coordinator routes disjoint
 key ranges to independent processes with no shared interpreter lock.
 The bench runs the same matrix through a local cluster at 1, 2 and 4
 shards (fresh cache directory per shard count, so every pass is cold),
-then a warm pass against the running cluster (answered from the shard
-registries/cache without simulating), and verifies every served digest
+then two warm passes against the running cluster (answered from the
+shard registries/cache without simulating): one that polls job status
+and one that waits on each job's event stream, as the e2e
+``service-jobs`` clients do.  Every served digest is verified
 bit-identical to the serial :func:`repro.harness.runner.run_matrix`
 reference.
 
@@ -65,13 +67,14 @@ def _served(client, job_id):
     return run_identity(run)
 
 
-def _run_pass(client, scale):
-    """Submit the matrix, wait it out; return (seconds, digests)."""
+def _run_pass(client, scale, via_events=False):
+    """Submit the matrix, wait it out (polling, or on each job's event
+    stream); return (seconds, digests)."""
     start = time.perf_counter()
     statuses = client.submit_matrix(list(WORKLOADS), list(CONFIGS),
                                     scale.ops_per_txn, scale.txns,
                                     seed=scale.seed)
-    finals = client.wait_all(statuses, timeout=1200)
+    finals = client.wait_all(statuses, timeout=1200, via_events=via_events)
     elapsed = time.perf_counter() - start
     assert all(status["state"] == "done" for status in finals)
     digests = {}
@@ -85,7 +88,8 @@ def _run_pass(client, scale):
 
 
 def _cluster_pass(n_shards, scale, reference):
-    """One cold + one warm matrix pass through an n-shard cluster."""
+    """One cold and two warm matrix passes (polled, then waited on
+    event streams) through an n-shard cluster."""
     workdir = tempfile.mkdtemp(prefix="bench-cluster-%d-" % n_shards)
     try:
         with LocalCluster(shards=n_shards, workers_per_shard=1,
@@ -100,7 +104,10 @@ def _cluster_pass(n_shards, scale, reference):
                     "at %d shards" % n_shards
                 warm_s, warm_digests = _run_pass(client, scale)
                 assert warm_digests == reference
-        return cold_s, warm_s
+                events_s, events_digests = _run_pass(client, scale,
+                                                     via_events=True)
+                assert events_digests == reference
+        return cold_s, warm_s, events_s
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -116,24 +123,28 @@ def test_cluster_jobs_per_sec_scaling(benchmark, bench_ledger):
                  for n_shards in SHARD_COUNTS},
         rounds=1, iterations=1)
 
-    base_cold, base_warm = results[1]
+    base_cold = results[1][0]
     print_header("Cluster scaling: %d cold jobs (%dx%d), %d cores"
                  % (jobs, scale.ops_per_txn, scale.txns, cores))
     for n_shards in SHARD_COUNTS:
-        cold_s, warm_s = results[n_shards]
+        cold_s, warm_s, events_s = results[n_shards]
         cold_rate = jobs / cold_s
         warm_rate = jobs / warm_s
+        events_rate = jobs / events_s
         speedup = base_cold / cold_s
         metrics = {"cold_jobs_per_sec_%d" % n_shards: round(cold_rate, 2),
                    "warm_jobs_per_sec_%d" % n_shards: round(warm_rate, 2),
+                   "warm_events_jobs_per_sec_%d" % n_shards:
+                       round(events_rate, 2),
                    "cold_speedup_%d" % n_shards: round(speedup, 2)}
         benchmark.extra_info.update(metrics)
         benchmark.extra_info["cold_s_%d" % n_shards] = round(cold_s, 3)
         bench_ledger.record("cluster", **metrics)
         print("  %d shard%s : cold %7.3f s (%6.2f jobs/s, %.2fx)   "
-              "warm %7.3f s (%6.2f jobs/s)"
+              "warm %7.3f s (%6.2f jobs/s)   warm/events %7.3f s "
+              "(%6.2f jobs/s)"
               % (n_shards, "s" if n_shards > 1 else " ", cold_s, cold_rate,
-                 speedup, warm_s, warm_rate))
+                 speedup, warm_s, warm_rate, events_s, events_rate))
     benchmark.extra_info["cpu_count"] = cores
     benchmark.extra_info["jobs"] = jobs
     bench_ledger.record("cluster", jobs=jobs)
@@ -164,5 +175,5 @@ def test_cluster_jobs_per_sec_scaling(benchmark, bench_ledger):
             print("  (%d-core host: 4-shard speedup gate skipped)" % cores)
     # Warm passes never simulate; they must not be slower than cold.
     for n_shards in SHARD_COUNTS:
-        cold_s, warm_s = results[n_shards]
-        assert warm_s <= cold_s * 1.5
+        cold_s, warm_s, events_s = results[n_shards]
+        assert max(warm_s, events_s) <= cold_s * 1.5

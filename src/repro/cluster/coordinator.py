@@ -25,11 +25,14 @@ talks to a cluster unchanged.  What the coordinator adds:
   honest ``Retry-After``; other tenants are untouched.
 * **Keep-alive upstream links**: each shard has a small
   :class:`~repro.service.http.UpstreamPool` of idle HTTP/1.1
-  connections that proxied reads, submits, metrics scrapes and health
-  probes reuse; only event streams open a connection of their own.  A
-  pooled connection the shard closed while idle is retried once on a
-  new one; every other transport failure feeds the breaker.  The pools
-  are closed on eviction and on stop.
+  connections that proxied reads, submits, event streams, metrics
+  scrapes and health probes reuse.  An event stream is relayed chunk by
+  chunk and its connection goes back to the pool after the last chunk;
+  a stream cut upstream ends the client's connection too, and the
+  client resumes with ``Last-Event-ID``.  A pooled connection the shard
+  closed while idle is retried once on a new one; every other transport
+  failure feeds the breaker.  The pools are closed on eviction and on
+  stop.
 * **Per-shard circuit breakers**: every upstream exchange feeds the
   shard's breaker; an open breaker excludes the shard from routing (the
   ring walks to the deterministic next owner) and half-open probes
@@ -70,11 +73,13 @@ from urllib.parse import urlsplit
 
 from repro.harness.configs import DEFAULT_PARAMS
 from repro.service.http import (
+    LAST_CHUNK,
     BaseHttpServer,
     ThreadedHttpServer,
     UpstreamPool,
     end_connection,
-    render_request,
+    render_chunk,
+    render_stream_head,
 )
 from repro.service.jobs import job_id_for, parse_submit
 from repro.service.metrics import Counter, Gauge, MetricsRegistry
@@ -498,11 +503,15 @@ class ClusterCoordinator(BaseHttpServer):
                 timeout=timeout if timeout is not None
                 else self.proxy_timeout_s)
         except (OSError, asyncio.TimeoutError):
-            shard.breaker.record_failure()
-            self.metrics.proxy_errors.inc(shard=shard.name)
+            self._upstream_failed(shard)
             raise
         shard.breaker.record_success()
         return status, response_headers, data
+
+    def _upstream_failed(self, shard: ShardState) -> None:
+        """Count one transport failure against ``shard``."""
+        shard.breaker.record_failure()
+        self.metrics.proxy_errors.inc(shard=shard.name)
 
     # --- routing ------------------------------------------------------------
 
@@ -782,51 +791,64 @@ class ClusterCoordinator(BaseHttpServer):
                             job_id: str,
                             request_headers: Optional[Dict[str, str]] = None
                             ) -> None:
-        """Pipe an upstream byte stream (SSE) through verbatim, then close
-        the client's connection (the stream has no ``Content-Length``).
+        """Relay an upstream event stream to the client, chunk by chunk.
 
-        A client's ``Last-Event-ID`` resumption header is forwarded so
-        a reconnecting watcher picks up exactly where its dropped
-        stream left off, on whichever shard answers.
+        The stream runs on a connection from the shard's pool, which
+        goes back to the pool after the stream's last chunk.  A transport
+        fault before the client got a head moves on to the next
+        candidate; one after it (a cut chunk) ends the client's
+        connection as well, so the client sees the cut and resumes.  A
+        client's ``Last-Event-ID`` resumption header is forwarded so a
+        reconnecting watcher picks up exactly where its dropped stream
+        left off, on whichever shard answers.  A non-stream answer (a
+        404 for an unknown job) is passed on as it is.
         """
-        # A stream ends with its connection, so it gets one of its own.
-        forward = {"Connection": "close"}
+        forward = None
         if request_headers and "last-event-id" in request_headers:
-            forward["Last-Event-ID"] = request_headers["last-event-id"]
+            forward = {"Last-Event-ID": request_headers["last-event-id"]}
         for name in candidates:
             shard = self.shards[name]
             if shard.evicted:
                 continue
             try:
-                reader, upstream = await asyncio.open_connection(
-                    shard.host, shard.port)
-            except OSError:
-                shard.breaker.record_failure()
-                self.metrics.proxy_errors.inc(shard=name)
+                response = await asyncio.wait_for(
+                    shard.pool.request("GET", path, headers=forward),
+                    self.read_timeout_s)
+            except (OSError, asyncio.TimeoutError):
+                self._upstream_failed(shard)
                 continue
             try:
-                upstream.write(render_request("GET", path, headers=forward))
-                await upstream.drain()
-                piped = False
-                while True:
-                    chunk = await reader.read(4096)
-                    if not chunk:
-                        break
-                    piped = True
-                    writer.write(chunk)
-                    await writer.drain()
-                if piped:
+                if response.status != 200 or not response.chunked:
+                    try:
+                        data = await response.read()
+                    except OSError:
+                        self._upstream_failed(shard)
+                        continue
                     shard.breaker.record_success()
-                    end_connection(writer)
+                    self._respond(writer, response.status, data,
+                                  content_type=response.headers.get(
+                                      "content-type", "application/json"))
                     return
-            except (OSError, ConnectionError):
-                pass
+                writer.write(render_stream_head(
+                    response.headers.get("content-type",
+                                         "text/event-stream"),
+                    {"Cache-Control": "no-cache"}))
+                while True:
+                    try:
+                        piece = await response.next_chunk()
+                    except OSError:
+                        self._upstream_failed(shard)
+                        end_connection(writer)
+                        return
+                    if piece is None:
+                        break
+                    writer.write(render_chunk(piece))
+                    await writer.drain()
+                writer.write(LAST_CHUNK)
+                shard.breaker.record_success()
+                return
             finally:
-                upstream.close()
-                try:
-                    await upstream.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+                response.release()
         self._respond(writer, 502, {"error": "no shard could stream "
                                              "events for %r" % job_id})
 

@@ -4,15 +4,17 @@ A thin ``http.client`` wrapper (stdlib only) used by the CLI, the CI
 smoke job, the benchmarks and the end-to-end tests.  Each thread keeps
 one keep-alive connection per ``(host, port)`` and every
 :class:`ServiceClient` in that thread reuses it, so a caller that
-builds a new client per request still opens no new connection; only an
-event stream (:meth:`ServiceClient.watch`) opens one of its own, since
-the server closes it when the stream ends.  A reused connection that
-fails before any byte of the response arrives (the server closed it
-while it sat idle) is retried once on a new one; nothing else is
-retried.  Raises
-:class:`ServiceError` for every non-2xx response except backpressure,
-which gets its own :class:`Backpressure` carrying the server's
-retry-after hint so callers can implement honest retry loops.
+builds a new client per request still opens no new connection.  An
+event stream (:meth:`ServiceClient.watch`) runs on the same connection
+and gives it back once its last chunk is read; a watch that is
+abandoned or cut closes it instead.  A reused connection that fails
+before any byte of the response arrives (the server closed it while it
+sat idle) is retried once on a new one; nothing else is retried.  Every
+response is framed by ``Content-Length`` or chunked encoding, so one
+framed by neither was cut short and raises :class:`TruncatedResponse`.
+Raises :class:`ServiceError` for every non-2xx response except
+backpressure, which gets its own :class:`Backpressure` carrying the
+server's retry-after hint so callers can implement honest retry loops.
 
 Hardening against a misbehaving wire (see ``repro.chaos.netproxy``):
 
@@ -66,6 +68,12 @@ class Backpressure(ServiceError):
 #: Peers one thread keeps a connection to; the least recently used one
 #: beyond this is closed.
 MAX_PEERS = 8
+
+
+class TruncatedResponse(ConnectionError):
+    """A response framed by neither ``Content-Length`` nor chunked
+    encoding: the server cut it short (``http.client`` ends a head at
+    EOF, so the cut would otherwise pass for a complete response)."""
 
 
 class _StaleConnection(Exception):
@@ -122,6 +130,38 @@ def _readable(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
+def _decode(data: bytes):
+    """A response body as JSON, or as text when it is not JSON."""
+    try:
+        return json.loads(data.decode())
+    except (ValueError, UnicodeDecodeError):
+        return data.decode("latin-1")
+
+
+def _sse_events(response: http.client.HTTPResponse
+                ) -> Iterator[Tuple[Optional[int], dict]]:
+    """``(id, event)`` for each SSE event of ``response`` as it arrives;
+    ``id`` is None for an event without a numeric ``id:`` field."""
+    buffered = b""
+    while True:
+        data = response.read1(65536)
+        if not data:
+            return
+        *blocks, buffered = (buffered + data).split(b"\n\n")
+        for block in blocks:
+            fields: Dict[str, str] = {}
+            for line in block.decode("utf-8", "replace").splitlines():
+                name, _, value = line.partition(":")
+                fields[name.strip()] = value.strip()
+            if "data" not in fields:
+                continue
+            try:
+                event_id: Optional[int] = int(fields["id"])
+            except (KeyError, ValueError):
+                event_id = None
+            yield event_id, json.loads(fields["data"])
+
+
 def parse_metrics(text: str) -> Dict[str, float]:
     """Prometheus text -> ``{"name{labels}": value}`` (tests, CLI)."""
     samples: Dict[str, float] = {}
@@ -161,45 +201,54 @@ class ServiceClient:
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None, raw: bool = False):
         payload = json.dumps(body).encode() if body is not None else None
-        peer = (self.host, self.port)
-        conns = _connections()
-        conn = conns.take(peer)
-        if conn is not None:
-            conn.sock.settimeout(self.timeout)
-            try:
-                response, data = self._exchange(conn, method, path, payload,
-                                                reused=True)
-            except _StaleConnection:
-                conn = None  # closed while idle: once more, on a new one
-        if conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                              timeout=self.timeout)
-            response, data = self._exchange(conn, method, path, payload,
-                                            reused=False)
-        if not response.will_close:
-            conns.give_back(peer, conn)
+        conn, response = self._send(method, path, payload, self._headers())
+        try:
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._release(conn, response)
         if raw and 200 <= response.status < 300:
             return data
-        try:
-            decoded = json.loads(data.decode())
-        except (ValueError, UnicodeDecodeError):
-            decoded = data.decode("latin-1")
+        decoded = _decode(data)
         if response.status == 429:
             raise Backpressure(response.status, decoded)
         if not 200 <= response.status < 300:
             raise ServiceError(response.status, decoded)
         return decoded
 
-    def _exchange(self, conn: http.client.HTTPConnection, method: str,
-                  path: str, payload: Optional[bytes], reused: bool
-                  ) -> Tuple[http.client.HTTPResponse, bytes]:
-        """One request and its whole response; closes ``conn`` on any
-        failure.  Raises :class:`_StaleConnection` when a ``reused``
-        connection fails before any byte of the response arrives."""
+    def _send(self, method: str, path: str, payload: Optional[bytes],
+              headers: Dict[str, str]
+              ) -> Tuple[http.client.HTTPConnection,
+                         http.client.HTTPResponse]:
+        """Send one request on this thread's connection to the peer, or
+        on a new one; return the connection and the response, its head
+        read.  The caller reads the body, then hands the connection to
+        :meth:`_release`, or closes it if the body was not read to its
+        end."""
+        conn = _connections().take((self.host, self.port))
+        if conn is not None:
+            conn.sock.settimeout(self.timeout)
+            try:
+                return conn, self._start(conn, method, path, payload,
+                                         headers, reused=True)
+            except _StaleConnection:
+                pass  # closed while idle: once more, on a new one
+        conn = http.client.HTTPConnection(self.host, self.port,
+                                          timeout=self.timeout)
+        return conn, self._start(conn, method, path, payload, headers,
+                                 reused=False)
+
+    def _start(self, conn: http.client.HTTPConnection, method: str,
+               path: str, payload: Optional[bytes], headers: Dict[str, str],
+               reused: bool) -> http.client.HTTPResponse:
+        """Send one request and read its response head; closes ``conn``
+        on any failure.  Raises :class:`_StaleConnection` when a
+        ``reused`` connection fails before any byte of the response
+        arrives, and :class:`TruncatedResponse` for an unframed one."""
         try:
             try:
-                conn.request(method, path, body=payload,
-                             headers=self._headers())
+                conn.request(method, path, body=payload, headers=headers)
                 started = bool(conn.sock.recv(1, socket.MSG_PEEK))
             except ConnectionError:
                 if not reused:
@@ -208,10 +257,22 @@ class ServiceClient:
             if reused and not started:
                 raise _StaleConnection()
             response = conn.getresponse()
-            return response, response.read()
+            if response.length is None and not response.chunked:
+                response.close()  # it holds the socket, not conn
+                raise TruncatedResponse(
+                    "HTTP %d response from %s:%d was cut short: it is "
+                    "framed by neither Content-Length nor chunked encoding"
+                    % (response.status, self.host, self.port))
+            return response
         except BaseException:
             conn.close()
             raise
+
+    def _release(self, conn: http.client.HTTPConnection,
+                 response: http.client.HTTPResponse) -> None:
+        """Keep a connection whose response was read to its end."""
+        if not response.will_close:
+            _connections().give_back((self.host, self.port), conn)
 
     # --- job API ------------------------------------------------------------
 
@@ -288,10 +349,14 @@ class ServiceClient:
         restart, 5xx while a shard re-routes) this reconnects with the
         standard ``Last-Event-ID`` header and resumes *after* the last
         event seen — no duplicates, no raise.  Only a 4xx answer (the
-        job genuinely is unknown) or the timeout aborts the watch.
+        job genuinely is unknown) or the timeout aborts the watch.  The
+        stream runs on the thread's pooled connection, which is given
+        back once the stream's last chunk is read; a watch abandoned
+        early, or a stream cut short, closes it instead.
         """
         deadline = time.monotonic() + timeout
         last_id: Optional[int] = None
+        path = "/jobs/%s/events" % job_id
         while True:
             if time.monotonic() > deadline:
                 raise TimeoutError("job %s events still open after %gs"
@@ -299,51 +364,37 @@ class ServiceClient:
             headers = self._headers()
             if last_id is not None:
                 headers["Last-Event-ID"] = str(last_id)
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                              timeout=self.timeout)
-            dropped = False
+            conn = None
+            terminal = None
             try:
-                conn.request("GET", "/jobs/%s/events" % job_id,
-                             headers=headers)
-                response = conn.getresponse()
-                if response.status >= 500:
-                    dropped = True     # shard mid-reroute; retry
-                elif response.status != 200:
+                conn, response = self._send("GET", path, None, headers)
+                if response.status != 200:
                     data = response.read()
-                    try:
-                        decoded = json.loads(data.decode())
-                    except (ValueError, UnicodeDecodeError):
-                        decoded = data.decode("latin-1")
-                    raise ServiceError(response.status, decoded)
+                    self._release(conn, response)
+                    conn = None
+                    if response.status < 500:
+                        raise ServiceError(response.status, _decode(data))
+                    # 5xx: the shard is mid-reroute; retry.
                 else:
-                    fields: Dict[str, str] = {}
-                    for raw_line in response:
-                        line = raw_line.decode("utf-8", "replace") \
-                            .rstrip("\r\n")
-                        if line:
-                            name, _, value = line.partition(":")
-                            fields[name.strip()] = value.strip()
-                            continue
-                        if "data" in fields:
-                            if "id" in fields:
-                                try:
-                                    last_id = int(fields["id"])
-                                except ValueError:
-                                    pass
-                            event = json.loads(fields["data"])
-                            yield event
-                            if event.get("event") in JobState.TERMINAL:
-                                return
-                        fields = {}
-                    # EOF without a terminal event: the stream dropped.
-                    dropped = True
-            except (ConnectionError, OSError,
-                    http.client.HTTPException):
-                dropped = True
+                    for event_id, event in _sse_events(response):
+                        if event_id is not None:
+                            last_id = event_id
+                        if event.get("event") in JobState.TERMINAL:
+                            terminal = event
+                            response.read()  # the last chunk
+                            self._release(conn, response)
+                            conn = None
+                            break
+                        yield event
+            except (ConnectionError, OSError, http.client.HTTPException):
+                pass  # the stream dropped: resume after the last event
             finally:
-                conn.close()
-            if dropped:
-                time.sleep(reconnect_delay_s)
+                if conn is not None:
+                    conn.close()
+            if terminal is not None:
+                yield terminal
+                return
+            time.sleep(reconnect_delay_s)
 
     def wait(self, job_id: str, timeout: float = 600.0,
              poll_s: float = 0.05, via_events: bool = False) -> dict:

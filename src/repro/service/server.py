@@ -16,8 +16,9 @@ built on the shared plumbing in :mod:`repro.service.http`.  Routes:
   :class:`~repro.harness.runner.RunResult`), the report dict for
   analysis jobs; ``409`` while the job is still in flight.
 * ``GET /jobs/<id>/events`` — Server-Sent Events progress stream
-  (replays history, then live until the job is terminal, then closes
-  the connection: the stream has no ``Content-Length``).
+  (replays history, then live until the job is terminal), one chunk
+  per event; the last chunk ends it and the connection serves the next
+  request.
 * ``GET /metrics`` — Prometheus text exposition.
 * ``GET /healthz`` — liveness, queue/in-flight depth and drain state
   (the cluster coordinator's health probes read the detail).
@@ -48,10 +49,12 @@ from typing import Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.http import (
+    LAST_CHUNK,
     MAX_BODY_BYTES,
     BaseHttpServer,
     ThreadedHttpServer,
-    end_connection,
+    render_chunk,
+    render_stream_head,
 )
 from repro.service.jobs import Job, JobState, KIND_SIMULATE, parse_submit
 from repro.service.queue import QueueFullError
@@ -219,12 +222,12 @@ class ServiceServer(BaseHttpServer):
         Every event carries ``id: <index>``; a client reconnecting
         after a dropped stream sends ``Last-Event-ID`` (standard SSE
         resumption) and the replay starts *after* that event instead of
-        from the beginning.  The stream ends by closing the connection.
+        from the beginning.  Each event is one chunk; once the job is
+        terminal the last chunk ends the stream, and the connection goes
+        on serving requests.
         """
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: text/event-stream\r\n"
-                     b"Cache-Control: no-cache\r\n"
-                     b"Connection: close\r\n\r\n")
+        writer.write(render_stream_head("text/event-stream",
+                                        {"Cache-Control": "no-cache"}))
         index = 0
         last_seen = headers.get("last-event-id", "")
         if last_seen:
@@ -235,14 +238,14 @@ class ServiceServer(BaseHttpServer):
         while True:
             while index < len(job.events):
                 event = job.events[index]
-                writer.write(("id: %d\nevent: %s\ndata: %s\n\n"
-                              % (index, event["event"],
-                                 json.dumps(event))).encode())
+                writer.write(render_chunk(
+                    ("id: %d\nevent: %s\ndata: %s\n\n"
+                     % (index, event["event"], json.dumps(event))).encode()))
                 index += 1
-            await writer.drain()
             if job.state in JobState.TERMINAL:
-                end_connection(writer)
+                writer.write(LAST_CHUNK)
                 return
+            await writer.drain()
             await job.next_change()
 
 

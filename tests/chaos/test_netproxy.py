@@ -18,7 +18,7 @@ from repro.chaos.netproxy import (
     NetFaultSpec,
     ThreadedFaultProxy,
 )
-from repro.service.http import BaseHttpServer, ThreadedHttpServer, http_fetch
+from repro.service.http import BaseHttpServer, ThreadedHttpServer, UpstreamPool
 
 #: Fat payload so truncation budgets land mid-body, past the ~90-byte
 #: response head.
@@ -51,8 +51,10 @@ def _proxy(echo, *faults, seed=0):
 
 
 def _fetch(port, path="/ping", timeout=5.0):
-    return asyncio.run(
-        http_fetch("127.0.0.1", port, "GET", path, timeout=timeout))
+    # A pool that was never opened closes its connection after one
+    # exchange.
+    return asyncio.run(UpstreamPool("127.0.0.1", port).fetch(
+        "GET", path, timeout=timeout))
 
 
 class TestPassThrough:

@@ -5,8 +5,8 @@ The single-node server and the cluster coordinator parse ``POST /jobs``
 with one function (:func:`repro.service.jobs.parse_submit`), so a
 malformed priority, or a JSON boolean where a spec field needs an
 integer, is a 400 on both, never a 500 or a second job ID.  Both serve
-request after request on one connection until the client sends
-``Connection: close`` or an event stream ends it, and the
+request after request on one connection, event streams included, until
+the client sends ``Connection: close``, and the
 :class:`~repro.service.client.ServiceClient` reuses one connection per
 thread, retrying once only when a reused connection fails before any
 byte of the response arrives.  Stopping either server while a client is
@@ -32,6 +32,7 @@ import pytest
 
 from repro.cluster.coordinator import ThreadedCoordinator
 from repro.service import JobSpec, ServiceClient, ThreadedServer
+from repro.service.client import TruncatedResponse
 from repro.service.http import (
     BaseHttpServer,
     ThreadedHttpServer,
@@ -209,8 +210,40 @@ def test_connection_close_is_honoured(servers, kind):
     assert json.loads(body)
 
 
+def _read_chunked(sock, buffered=b""):
+    """One chunked response off ``sock``: (head, chunks, wire body, rest).
+
+    The wire body is the chunked body as sent, last chunk included."""
+    data = buffered
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed inside a response head"
+        data += chunk
+    head, _, data = data.partition(b"\r\n\r\n")
+    chunks, offset = [], 0
+    while True:
+        while b"\r\n" not in data[offset:]:
+            more = sock.recv(4096)
+            assert more, "connection closed inside a chunk size line"
+            data += more
+        line_end = data.index(b"\r\n", offset)
+        size = int(data[offset:line_end], 16)
+        end = line_end + 2 + size + 2
+        while len(data) < end:
+            more = sock.recv(4096)
+            assert more, "connection closed inside a chunk"
+            data += more
+        assert data[end - 2:end] == b"\r\n"
+        offset = end
+        if not size:
+            return head, chunks, data[:end], data[end:]
+        chunks.append(data[line_end + 2:end - 2])
+
+
 @pytest.mark.parametrize("kind", ["service", "coordinator"])
-def test_event_stream_closes_its_connection(servers, kind):
+def test_event_stream_keeps_its_connection(servers, kind):
+    """The stream is chunked, one event per chunk, ends with the last
+    chunk, and the same socket then answers the next request."""
     client = ServiceClient(port=servers[kind].port, client_id="pytest")
     spec = dict(SPEC, seed=31)
     job_id = client.submit(spec)["id"]
@@ -219,12 +252,21 @@ def test_event_stream_closes_its_connection(servers, kind):
                                   timeout=10) as sock:
         sock.sendall(("GET /jobs/%s/events HTTP/1.1\r\n\r\n"
                       % job_id).encode())
-        data = _read_to_eof(sock)
-    head, _, stream = data.partition(b"\r\n\r\n")
-    assert b"text/event-stream" in head
-    assert b"content-length" not in head.lower()
-    assert stream.rstrip().endswith(b'"event": "done", "job": "%s"}'
-                                    % job_id.encode())
+        head, chunks, body, rest = _read_chunked(sock)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"text/event-stream" in head
+        assert b"transfer-encoding: chunked" in head.lower()
+        assert b"content-length" not in head.lower()
+        assert b"connection: close" not in head.lower()
+        assert body.endswith(b"\r\n0\r\n\r\n")
+        assert chunks[-1].endswith(b'"event": "done", "job": "%s"}\n\n'
+                                   % job_id.encode())
+        assert all(chunk.startswith(b"id: %d\n" % index)
+                   for index, chunk in enumerate(chunks))
+        sock.sendall(("GET /jobs/%s HTTP/1.1\r\n\r\n" % job_id).encode())
+        head, status, _ = _read_response(sock, rest)
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(status)["state"] == "done"
 
 
 def test_responses_are_compact_json():
@@ -334,6 +376,23 @@ class TestClientKeepAlive:
             with pytest.raises((ConnectionError, http.client.HTTPException)):
                 _in_new_thread(calls)
             assert flaky.counts() == (1, 2)
+
+    @pytest.mark.parametrize("fail_on", [1, 2])
+    def test_cut_response_head_is_a_transport_error(self, fail_on):
+        """A 200 cut 30 bytes in, inside its head, on a new connection
+        and on a reused one: ``http.client`` ends the head at EOF and
+        would hand back an empty payload.  The response is framed by
+        neither Content-Length nor chunks, so it is a truncation, and
+        its bytes arrived, so it is not retried."""
+        with ThreadedFlaky(fail_on=fail_on, send_bytes=30) as flaky:
+            def calls():
+                client = ServiceClient(port=flaky.port)
+                for _ in range(fail_on):
+                    client.healthz()
+
+            with pytest.raises(TruncatedResponse, match="cut short"):
+                _in_new_thread(calls)
+            assert flaky.counts() == (1, fail_on)
 
     def test_thread_exit_closes_its_connections(self, monkeypatch):
         unraisable = []

@@ -10,11 +10,13 @@ reconnect, never a duplicate or a lost event.
 
 import http.client
 import json
+import threading
 
 import pytest
 
 from repro.chaos.netproxy import NetFaultPlan, NetFaultSpec, ThreadedFaultProxy
 from repro.service import JobSpec, ServiceClient, ThreadedServer
+from repro.service.client import _connections
 from repro.workloads import Scale
 
 SCALE = Scale(ops_per_txn=4, txns=2)
@@ -114,8 +116,11 @@ class TestClientWatch:
             len(("%s: %s\r\n" % (k, v)).encode())
             for k, v in resp.getheaders()) + 2
         conn.close()
+        # The first event is the first chunk: its size line, the event
+        # and the chunk's closing CRLF.
         first_event_len = raw.index(b"\n\n") + 2
-        cut_at = header_bytes + first_event_len
+        cut_at = (header_bytes + len(b"%x\r\n" % first_event_len)
+                  + first_event_len + 2)
 
         plan = NetFaultPlan(faults=[NetFaultSpec(
             action="truncate", times=1, after_bytes=cut_at,
@@ -135,3 +140,35 @@ class TestClientWatch:
                   for line in raw.decode().splitlines()
                   if line.startswith("data:")]
         assert [e["event"] for e in events] == [e["event"] for e in replay]
+
+
+def test_abandoned_watch_closes_its_connection(server):
+    """A watch given up after its first event, on a job still queued,
+    closes its connection instead of pooling one with the rest of the
+    stream unread; the next call on that thread opens a new one."""
+    server.call(server.scheduler.pause)
+    try:
+        with ThreadedFaultProxy(upstream_host="127.0.0.1",
+                                upstream_port=server.port) as proxy:
+            outcome = {}
+
+            def abandon():
+                client = ServiceClient(port=proxy.port, client_id="pytest")
+                job_id = client.submit(spec_for("update", "IQ"))["id"]
+                events = client.watch(job_id)
+                outcome["first"] = next(events)["event"]
+                events.close()
+                outcome["pooled"] = ("127.0.0.1", proxy.port) \
+                    in _connections().by_peer
+                outcome["state"] = client.status(job_id)["state"]
+
+            worker = threading.Thread(target=abandon)
+            worker.start()
+            worker.join(30)
+            assert not worker.is_alive()
+            stats = proxy.stats()
+    finally:
+        server.call(server.scheduler.resume)
+    assert outcome == {"first": "queued", "pooled": False,
+                       "state": "queued"}
+    assert stats["connections"] == 2
