@@ -58,7 +58,80 @@ _EXTRA_SRC = {op: (FLAGS_REG,) for op in CONDITIONAL_BRANCH_OPCODES}
 _EXTRA_DST = {Opcode.CMP: (FLAGS_REG,), Opcode.BL: (30,)}
 
 
-@dataclasses.dataclass(frozen=True)
+class InstructionShape:
+    """The facts an instruction's shape determines, shared by every
+    instruction of that shape.
+
+    The shape is ``(opcode, dst, src, edk_def, edk_use, edk_use2, size)``:
+    everything but the immediate, the resolved address and the
+    annotations.  A trace of hundreds of thousands of instructions has
+    only a few dozen distinct shapes, so the operand validation and the
+    timing model's register and consumer-key views are computed once per
+    shape (:func:`shape_of`) instead of once per instruction.  Shapes are
+    interned: equal shapes are the same object, also after unpickling, so
+    later passes (the replay prepass) can memoise their own per-shape
+    facts keyed by it.
+    """
+
+    __slots__ = ("key", "consumer_keys", "timing_src_regs", "timing_dst_regs")
+
+    def __reduce__(self):
+        return (shape_of, (self.key,))
+
+
+#: Every valid shape seen so far, by key.  A shape that fails validation
+#: is never stored, so each construction of it raises again.
+_SHAPES: dict = {}
+
+
+def _same_operands(known: tuple, key: tuple) -> bool:
+    """Whether ``key`` has the very opcode and EDK objects of the stored
+    ``known``: an operand that only compares equal to a valid one (True
+    for EDK 1, a plain int for an Opcode) must be validated on its own."""
+    return (known[0] is key[0] and known[3] is key[3]
+            and known[4] is key[4] and known[5] is key[5])
+
+
+def shape_of(key: tuple) -> InstructionShape:
+    """The interned :class:`InstructionShape` for ``key``; raises
+    ``ValueError`` (and stores nothing) when the shape is invalid."""
+    shape = _SHAPES.get(key)
+    if shape is not None and _same_operands(shape.key, key):
+        return shape
+    opcode, dst, src, edk_def, edk_use, edk_use2, size = key
+    if edk_def or edk_use or edk_use2:
+        validate_edk(edk_def)
+        validate_edk(edk_use)
+        validate_edk(edk_use2)
+        if not CLASSIFICATION_BY_OPCODE[opcode][7]:
+            raise ValueError(
+                "non-EDE opcode %s cannot carry EDK operands" % opcode.name
+            )
+        if edk_use2 and opcode is not Opcode.JOIN:
+            raise ValueError("edk_use2 is only valid on JOIN")
+        consumer_keys = tuple(k for k in (edk_use, edk_use2)
+                              if k != ZERO_KEY)
+    else:
+        # All-zero keys (the common case) are always valid.
+        consumer_keys = ()
+    if size not in (1, 2, 4, 8, 16):
+        raise ValueError("invalid access size: %r" % (size,))
+    shape = InstructionShape()
+    shape.key = key
+    shape.consumer_keys = consumer_keys
+    used = tuple(r for r in src if r != 31) if 31 in src else src
+    extra = _EXTRA_SRC.get(opcode)
+    shape.timing_src_regs = used + extra if extra else used
+    defined = tuple(r for r in dst if r != 31) if 31 in dst else dst
+    extra = _EXTRA_DST.get(opcode)
+    shape.timing_dst_regs = defined + extra if extra else defined
+    # Intern the first valid spelling of a key; an equal one with other
+    # operand objects keeps a shape of its own.
+    _SHAPES.setdefault(key, shape)
+    return shape
+
+
+@dataclasses.dataclass(frozen=True, init=False)
 class Instruction:
     """A single static instruction.
 
@@ -89,51 +162,57 @@ class Instruction:
     target: Optional[str] = None
     comment: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        # Precompute the timing model's register views and consumer keys
-        # once per static instruction.  Per-opcode classification lives in
-        # CLASSIFICATION_BY_OPCODE instead of per-instance attributes: the
-        # pipeline unpacks it once per dynamic instruction, so copying nine
-        # flags into every one of the hundreds of thousands of trace
-        # instructions would only slow the build.  Frozen dataclasses store
-        # fields in the instance __dict__, so the precomputed attributes can
-        # be installed the same way without tripping the frozen __setattr__.
-        opcode = self.opcode
-        d = self.__dict__
-
-        edk_def = d["edk_def"]
-        edk_use = d["edk_use"]
-        edk_use2 = d["edk_use2"]
-        if edk_def or edk_use or edk_use2:
-            validate_edk(edk_def)
-            validate_edk(edk_use)
-            validate_edk(edk_use2)
-            if not CLASSIFICATION_BY_OPCODE[opcode][7]:
-                raise ValueError(
-                    "non-EDE opcode %s cannot carry EDK operands" % opcode.name
-                )
-            if edk_use2 and opcode is not Opcode.JOIN:
-                raise ValueError("edk_use2 is only valid on JOIN")
-            keys = []
-            if edk_use != ZERO_KEY:
-                keys.append(edk_use)
-            if edk_use2 != ZERO_KEY:
-                keys.append(edk_use2)
-            d["_consumer_keys"] = tuple(keys)
+    def __init__(self, opcode: Opcode, dst: Tuple[int, ...] = (),
+                 src: Tuple[int, ...] = (), imm: int = 0,
+                 edk_def: int = ZERO_KEY, edk_use: int = ZERO_KEY,
+                 edk_use2: int = ZERO_KEY, addr: Optional[int] = None,
+                 size: int = 8, target: Optional[str] = None,
+                 comment: Optional[str] = None) -> None:
+        # Trace builders construct one instruction per dynamic instruction,
+        # so this is a hot path: the fields go straight into the instance
+        # __dict__ (a frozen dataclass's own __init__ pays one
+        # object.__setattr__ call per field), and validation plus the
+        # derived views come from the interned shape (the identity test
+        # is _same_operands, inlined).
+        key = (opcode, dst, src, edk_def, edk_use, edk_use2, size)
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = shape_of(key)
         else:
-            # All-zero keys (the common case) are always valid.
-            d["_consumer_keys"] = ()
-        if d["size"] not in (1, 2, 4, 8, 16):
-            raise ValueError("invalid access size: %r" % (self.size,))
+            known = shape.key
+            if (known[0] is not opcode or known[3] is not edk_def
+                    or known[4] is not edk_use or known[5] is not edk_use2):
+                shape = shape_of(key)
+        d = self.__dict__
+        d["opcode"] = opcode
+        d["dst"] = dst
+        d["src"] = src
+        d["imm"] = imm
+        d["edk_def"] = edk_def
+        d["edk_use"] = edk_use
+        d["edk_use2"] = edk_use2
+        d["addr"] = addr
+        d["size"] = size
+        d["target"] = target
+        d["comment"] = comment
+        d["_shape"] = shape
 
-        src = d["src"]
-        used = tuple(r for r in src if r != 31) if 31 in src else src
-        extra = _EXTRA_SRC.get(opcode)
-        d["timing_src_regs"] = used + extra if extra else used
-        dst = d["dst"]
-        defined = tuple(r for r in dst if r != 31) if 31 in dst else dst
-        extra = _EXTRA_DST.get(opcode)
-        d["timing_dst_regs"] = defined + extra if extra else defined
+    # --- shape views ----------------------------------------------------------
+    # Per-opcode classification lives in CLASSIFICATION_BY_OPCODE, and
+    # everything else that depends only on the shape in InstructionShape;
+    # the replay prepass reads both once per shape, not per instruction.
+
+    @property
+    def timing_src_regs(self) -> Tuple[int, ...]:
+        """Registers the timing scoreboard waits on (XZR dropped, NZCV
+        added for conditional branches)."""
+        return self._shape.timing_src_regs
+
+    @property
+    def timing_dst_regs(self) -> Tuple[int, ...]:
+        """Registers the timing scoreboard marks written (XZR dropped,
+        NZCV for CMP, X30 for BL)."""
+        return self._shape.timing_dst_regs
 
     # --- classification helpers -------------------------------------------
     # Backed by CLASSIFICATION_BY_OPCODE; hot pipeline code indexes the
@@ -188,7 +267,7 @@ class Instruction:
 
     def consumer_keys(self) -> Tuple[int, ...]:
         """Non-zero consumer keys, in operand order."""
-        return self._consumer_keys
+        return self._shape.consumer_keys
 
     # --- pretty printing ----------------------------------------------------
 

@@ -149,14 +149,15 @@ def _with_addr(inst: Instruction, addr: int) -> Instruction:
     """A copy of ``inst`` with ``addr`` swapped in.
 
     Equivalent to ``dataclasses.replace(inst, addr=addr)`` but without
-    re-running ``__post_init__``: the address does not feed any of the
-    precomputed operand views, so the instance ``__dict__`` can be copied
-    wholesale.  This is the dominant per-memory-op cost in the interpreter.
+    the constructor's shape lookup: the address is not part of the
+    instruction's shape, so the instance ``__dict__`` (fields and shape)
+    is copied wholesale, straight into the new instance's own dict.  This
+    is the dominant per-memory-op cost in the interpreter.
     """
     new = object.__new__(Instruction)
-    d = dict(inst.__dict__)
+    d = new.__dict__
+    d.update(inst.__dict__)
     d["addr"] = addr
-    new.__dict__.update(d)
     return new
 
 

@@ -979,8 +979,8 @@ class OutOfOrderCore:
                             sq_used = self._sq_used
                             rob_len = iq_len = 0
                             spec_entries = edm.spec._entries
-                            epoch_bias += (rows[squashed_from][19]
-                                           - rows[fetch_index][19])
+                            epoch_bias += (rows[squashed_from][3]
+                                           - rows[fetch_index][3])
                             squash_progress = True
                             wb_dirty = True
                             break
@@ -988,15 +988,15 @@ class OutOfOrderCore:
                             stats.dispatch_stall_rob += 1
                             break
                         row = rows[fetch_index]
-                        needs_iq = row[10]
+                        needs_iq = row[13]
                         if needs_iq and iq_len >= iq_entries:
                             stats.dispatch_stall_iq += 1
                             break
-                        is_load = row[2]
+                        is_load = row[5]
                         if is_load and lq_used >= lq_entries:
                             stats.dispatch_stall_lsq += 1
                             break
-                        is_store_class = row[5]
+                        is_store_class = row[8]
                         if is_store_class and sq_used >= sq_entries:
                             stats.dispatch_stall_lsq += 1
                             break
@@ -1006,15 +1006,17 @@ class OutOfOrderCore:
                         # work and call frame (this runs per instruction).
                         dyn = dyn_new(DynInst)
                         dyn.seq = seq
-                        (dyn.inst, dyn.opcode,
+                        (dyn.inst, dyn.addr, dyn.words, epoch, dyn.opcode,
                          dyn.is_load, dyn.is_store, dyn.is_writeback,
                          dyn.is_store_class, dyn.is_memory, dyn.is_barrier,
                          dyn.is_branch, dyn.is_ede,
                          _ign, dyn.needs_write_buffer, dyn.is_wait,
-                         dyn.retire_class, dyn.addr, dyn.size, dyn.words,
-                         dyn.producer_keys, dyn.exec_kind,
-                         dyn.store_epoch, dyn.mem_epoch, dyn.result_regs,
+                         dyn.retire_class, dyn.size,
+                         dyn.producer_keys, dyn.exec_kind, dyn.result_regs,
                          _ign, _ign, _ign, _ign, _ign, dyn.ede_keys) = row
+                        if epoch_bias:
+                            epoch += epoch_bias
+                        dyn.store_epoch = dyn.mem_epoch = epoch
                         dyn.regs_outstanding = 0
                         dyn.e_deps_outstanding = None
                         dyn.src_ids = ()
@@ -1029,13 +1031,10 @@ class OutOfOrderCore:
                         dyn.completed = False
                         dyn.squashed = False
                         dyn.barrier_ready_cycle = -1
-                        if epoch_bias:
-                            dyn.store_epoch += epoch_bias
-                            dyn.mem_epoch += epoch_bias
                         next_seq += 1
                         fetch_index += 1
                         dispatched += 1
-                        if row[9]:  # is_ede: EDM decode
+                        if row[12]:  # is_ede: EDM decode
                             if dyn.retire_class == RETIRE_WAIT_ALL:
                                 # WAIT_ALL_KEYS produces every key so later
                                 # consumers chain behind it.
@@ -1046,7 +1045,7 @@ class OutOfOrderCore:
                                 # define the producer key; keep producers
                                 # still in flight, deduped in operand order.
                                 prods = None
-                                for key in row[26]:  # consumer_keys
+                                for key in row[25]:  # consumer_keys
                                     p = spec_entries.get(key)
                                     if (p is not None and p in incomplete
                                             and (prods is None
@@ -1075,7 +1074,7 @@ class OutOfOrderCore:
                                                 bucket.append(dyn)
                             if on_ede_dispatch is not None:
                                 on_ede_dispatch(dyn)
-                        for reg in row[22]:  # timing_src_regs
+                        for reg in row[21]:  # timing_src_regs
                             writer = scoreboard.get(reg)
                             if (writer is not None and not writer.executed
                                     and not writer.squashed):
@@ -1085,14 +1084,12 @@ class OutOfOrderCore:
                                     reg_waiters[writer.seq] = [dyn]
                                 else:
                                     bucket.append(dyn)
-                        for reg in row[23]:  # timing_dst_regs
+                        for reg in row[22]:  # timing_dst_regs
                             scoreboard[reg] = dyn
                         if is_store_class:
-                            epoch = dyn.store_epoch
                             store_epoch_outstanding[epoch] = (
                                 store_epoch_outstanding.get(epoch, 0) + 1)
-                        if row[6]:  # is_memory
-                            epoch = dyn.mem_epoch
+                        if row[9]:  # is_memory
                             mem_epoch_outstanding[epoch] = (
                                 mem_epoch_outstanding.get(epoch, 0) + 1)
                         incomplete[seq] = dyn
@@ -1104,7 +1101,7 @@ class OutOfOrderCore:
                             lq_used += 1
                         if is_store_class:
                             sq_used += 1
-                            if row[3]:  # is_store
+                            if row[6]:  # is_store
                                 index_store(dyn)
                         if needs_iq:
                             iq.append(dyn)
@@ -1112,9 +1109,9 @@ class OutOfOrderCore:
                         else:
                             dyn.executed = True
                             dyn.execute_done_cycle = now
-                            if row[24]:  # is_dsb
+                            if row[23]:  # is_dsb
                                 active_dsbs.append(seq)
-                            elif row[25]:  # is_halt
+                            elif row[24]:  # is_halt
                                 halt_dyn = dyn
                                 break
                     dispatched_total += dispatched

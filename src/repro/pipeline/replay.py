@@ -18,16 +18,27 @@ squash refetch re-dispatches the flushed DMBs, so the core adds the
 count of barriers re-dispatched so far to the row epochs of refetched
 instructions.
 
+Only four fields of a row depend on where the instruction sits in the
+trace: the instruction itself, its resolved address, the words it
+touches and its DMB epoch.  Every other field is a function of the
+instruction's shape (:class:`~repro.isa.instructions.InstructionShape`),
+so the prepass computes those once per shape and a row is the dynamic
+four concatenated with the shape's static tail.
+
 Row layout (index constants below)::
 
-    (inst, opcode,
+    (inst, addr, words, epoch,
+     opcode,
      is_load, is_store, is_writeback, is_store_class,
      is_memory, is_barrier, is_branch, is_ede,
      enters_iq, needs_write_buffer, is_wait, retire_class,
-     addr, size, words, producer_keys, exec_kind,
-     store_epoch, mem_epoch, result_regs,
+     size, producer_keys, exec_kind, result_regs,
      timing_src_regs, timing_dst_regs, is_dsb, is_halt,
      consumer_keys, ede_keys)
+
+``epoch`` feeds both the store and the memory DMB epoch of a
+:class:`~repro.pipeline.dyninst.DynInst`: every DMB, of either flavour,
+bumps both, so they are equal in every row.
 """
 
 from __future__ import annotations
@@ -46,85 +57,90 @@ from repro.pipeline.dyninst import (
 
 # Row field indices (keep in sync with the row unpack in OutOfOrderCore._loop).
 R_INST = 0
-R_OPCODE = 1
-R_IS_LOAD = 2
-R_IS_STORE = 3
-R_IS_WRITEBACK = 4
-R_IS_STORE_CLASS = 5
-R_IS_MEMORY = 6
-R_IS_BARRIER = 7
-R_IS_BRANCH = 8
-R_IS_EDE = 9
-R_ENTERS_IQ = 10
-R_NEEDS_WB = 11
-R_IS_WAIT = 12
-R_RETIRE_CLASS = 13
-R_ADDR = 14
-R_SIZE = 15
-R_WORDS = 16
-R_PRODUCER_KEYS = 17
-R_EXEC_KIND = 18
-R_STORE_EPOCH = 19
-R_MEM_EPOCH = 20
-R_RESULT_REGS = 21
-R_SRC_REGS = 22
-R_DST_REGS = 23
-R_IS_DSB = 24
-R_IS_HALT = 25
-R_CONSUMER_KEYS = 26
-R_EDE_KEYS = 27
+R_ADDR = 1
+R_WORDS = 2
+R_EPOCH = 3
+R_OPCODE = 4
+R_IS_LOAD = 5
+R_IS_STORE = 6
+R_IS_WRITEBACK = 7
+R_IS_STORE_CLASS = 8
+R_IS_MEMORY = 9
+R_IS_BARRIER = 10
+R_IS_BRANCH = 11
+R_IS_EDE = 12
+R_ENTERS_IQ = 13
+R_NEEDS_WB = 14
+R_IS_WAIT = 15
+R_RETIRE_CLASS = 16
+R_SIZE = 17
+R_PRODUCER_KEYS = 18
+R_EXEC_KIND = 19
+R_RESULT_REGS = 20
+R_SRC_REGS = 21
+R_DST_REGS = 22
+R_IS_DSB = 23
+R_IS_HALT = 24
+R_CONSUMER_KEYS = 25
+R_EDE_KEYS = 26
+
+#: The static tail of a row (fields ``R_OPCODE`` on), by instruction
+#: shape.  Shapes are interned and few (tens per workload), so this stays
+#: small and is shared by every trace in the process.
+_STATIC_BY_SHAPE: dict = {}
+
+
+def _static_tail(inst: Instruction) -> tuple:
+    """The row fields that depend only on ``inst``'s shape; memoised."""
+    opcode = inst.opcode
+    (is_load, is_store, is_writeback, is_store_class, is_memory,
+     is_barrier, is_branch, is_ede, enters_iq) = CLASSIFICATION_BY_OPCODE[opcode]
+    tail = (
+        opcode,
+        is_load, is_store, is_writeback, is_store_class,
+        is_memory, is_barrier, is_branch, is_ede,
+        enters_iq,
+        is_store_class or opcode is Opcode.JOIN,
+        opcode is Opcode.WAIT_KEY or opcode is Opcode.WAIT_ALL_KEYS,
+        retire_class_of(opcode),
+        inst.size, producer_keys_of(inst), exec_kind_of(opcode), inst.dst,
+        inst.timing_src_regs, inst.timing_dst_regs,
+        opcode is Opcode.DSB_SY, opcode is Opcode.HALT,
+        inst.consumer_keys(),
+        ede_keys_of(inst) if is_ede else (),
+    )
+    _STATIC_BY_SHAPE[inst._shape] = tail
+    return tail
 
 
 def build_rows(trace: Sequence[Instruction]) -> List[tuple]:
     """One packed metadata row per trace index (see module docstring)."""
     rows: List[tuple] = []
     append = rows.append
-    classify = CLASSIFICATION_BY_OPCODE
-    join_op = Opcode.JOIN
-    wait_key_op = Opcode.WAIT_KEY
-    wait_all_op = Opcode.WAIT_ALL_KEYS
+    static_by_shape = _STATIC_BY_SHAPE
     dmb_st = Opcode.DMB_ST
     dmb_sy = Opcode.DMB_SY
-    dsb_sy = Opcode.DSB_SY
-    halt_op = Opcode.HALT
-    store_epoch = 0
-    mem_epoch = 0
+    epoch = 0
     for inst in trace:
-        opcode = inst.opcode
-        (is_load, is_store, is_writeback, is_store_class, is_memory,
-         is_barrier, is_branch, is_ede, enters_iq) = classify[opcode]
+        tail = static_by_shape.get(inst._shape)
+        if tail is None:
+            tail = _static_tail(inst)
         addr = inst.addr
-        size = inst.size
         if addr is None:
             words: Tuple[int, ...] = ()
         else:
             base = addr & ~7
-            end = addr + size - 1
+            end = addr + inst.size - 1
             if base + 8 > end:
                 words = (base,)
             else:
                 words = tuple(range(base, end + 1, 8))
-        append((
-            inst, opcode,
-            is_load, is_store, is_writeback, is_store_class,
-            is_memory, is_barrier, is_branch, is_ede,
-            enters_iq,
-            is_store_class or opcode is join_op,
-            opcode is wait_key_op or opcode is wait_all_op,
-            retire_class_of(opcode),
-            addr, size, words,
-            producer_keys_of(inst), exec_kind_of(opcode),
-            store_epoch, mem_epoch, inst.dst,
-            inst.timing_src_regs, inst.timing_dst_regs,
-            opcode is dsb_sy, opcode is halt_op,
-            inst.consumer_keys(),
-            ede_keys_of(inst) if is_ede else (),
-        ))
+        append((inst, addr, words, epoch) + tail)
         # The dispatch stage bumps both epochs after a DMB of either
         # flavour dispatches (the barrier itself belongs to the old epoch).
-        if not enters_iq and (opcode is dmb_st or opcode is dmb_sy):
-            store_epoch += 1
-            mem_epoch += 1
+        opcode = inst.opcode
+        if opcode is dmb_st or opcode is dmb_sy:
+            epoch += 1
     return rows
 
 
