@@ -40,7 +40,11 @@ class CoherenceDirectory:
                  invalidate_penalty: int = INVALIDATE_PENALTY) -> None:
         self.demote_penalty = demote_penalty
         self.invalidate_penalty = invalidate_penalty
-        self._hierarchies: Dict[int, "CoherentHierarchy"] = {}
+        #: Per core: its cache levels (L1D first) and its controller.  The
+        #: directory keeps these rather than the hierarchy, which points
+        #: back at the directory: without a reference cycle a finished
+        #: machine is freed by refcount, not left to the cyclic GC.
+        self._caches: Dict[int, tuple] = {}
         self._order: List[int] = []
         # Observability counters (deterministic, but not part of digests).
         self.demotions = 0
@@ -48,10 +52,10 @@ class CoherenceDirectory:
         self.dirty_writebacks = 0
 
     def attach(self, core_id: int, hierarchy: "CoherentHierarchy") -> None:
-        if core_id in self._hierarchies:
+        if core_id in self._caches:
             raise ValueError("core %d already attached" % core_id)
-        self._hierarchies[core_id] = hierarchy
-        self._order = sorted(self._hierarchies)
+        self._caches[core_id] = (hierarchy._levels, hierarchy.controller)
+        self._order = sorted(self._caches)
 
     def on_load(self, core_id: int, addr: int, cycle: int) -> int:
         """Demote remote dirty copies of ``addr``'s line; return penalty."""
@@ -61,16 +65,16 @@ class CoherenceDirectory:
         for other_id in self._order:
             if other_id == core_id:
                 continue
-            other = self._hierarchies[other_id]
-            line = other.l1d.line_addr(addr)
+            levels, controller = self._caches[other_id]
+            line = levels[0].line_addr(addr)
             was_dirty = False
-            for cache in other._levels:
+            for cache in levels:
                 if cache.clean(line):
                     was_dirty = True
             if was_dirty:
                 self.demotions += 1
                 self.dirty_writebacks += 1
-                other.controller.write(line, cycle, is_eviction=True)
+                controller.write(line, cycle, is_eviction=True)
                 penalty = self.demote_penalty
         return penalty
 
@@ -82,18 +86,18 @@ class CoherenceDirectory:
         for other_id in self._order:
             if other_id == core_id:
                 continue
-            other = self._hierarchies[other_id]
-            line = other.l1d.line_addr(addr)
+            levels, controller = self._caches[other_id]
+            line = levels[0].line_addr(addr)
             present = False
             dirty = False
-            for cache in other._levels:
+            for cache in levels:
                 bit = cache.invalidate(line)
                 if bit is not None:
                     present = True
                     dirty = dirty or bit
             if dirty:
                 self.dirty_writebacks += 1
-                other.controller.write(line, cycle, is_eviction=True)
+                controller.write(line, cycle, is_eviction=True)
             if present:
                 self.invalidations += 1
                 penalty = self.invalidate_penalty

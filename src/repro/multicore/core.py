@@ -39,17 +39,14 @@ class CoherentCore(OutOfOrderCore):
         #: producers published before the watermark are drained, which
         #: keeps the cross-core blocking relation acyclic.
         self._wait_watermarks: Dict[int, int] = {}
-        self.on_complete = self._notify_bus
-        self.on_ede_dispatch = self._publish
-        self.wait_blocked = self._remote_wait
 
-    # -- bus plumbing ---------------------------------------------------
+    # -- bus plumbing: the pipeline's hooks, defined as methods --------
 
-    def _notify_bus(self, dyn: DynInst) -> None:
+    def on_complete(self, dyn: DynInst) -> None:
         if dyn.is_ede:
             self.bus.complete(self.core_id, dyn)
 
-    def _publish(self, dyn: DynInst) -> None:
+    def on_ede_dispatch(self, dyn: DynInst) -> None:
         """Dispatch hook: after the local EDM decode of ``dyn``."""
         bus = self.bus
         if dyn.is_wait:
@@ -77,7 +74,7 @@ class CoherentCore(OutOfOrderCore):
                 deps.add(token)
                 bus.add_waiter(ident, dyn)
 
-    def _remote_wait(self, dyn: DynInst) -> bool:
+    def wait_blocked(self, dyn: DynInst) -> bool:
         """Retire hook: hold a WAIT while a matching remote producer
         published before its watermark is in flight."""
         key = dyn.inst.edk_use if dyn.retire_class == RETIRE_WAIT_KEY else 0

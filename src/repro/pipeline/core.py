@@ -92,6 +92,26 @@ class _Stuck(Exception):
 class OutOfOrderCore:
     """The A72-like out-of-order core model."""
 
+    # Hooks, read once when a run starts.  They are class attributes so a
+    # subclass can define them as methods (no bound method stored on the
+    # instance, so no reference cycle through the core); any instance can
+    # still set its own.
+
+    #: Optional observer called with each DynInst as it completes
+    #: (``complete_cycle`` already set).  Completion is inlined at
+    #: several sites of the run loop for speed, so instrumentation must
+    #: use this hook rather than wrapping ``_mark_complete``.
+    on_complete: Optional[Callable[[DynInst], None]] = None
+    #: Optional hook called with each EDE instruction at dispatch, right
+    #: after its local EDM decode (a multi-core machine publishes
+    #: producers and links remote dependences here).
+    on_ede_dispatch: Optional[Callable[[DynInst], None]] = None
+    #: Optional extra retire gate for WAIT_KEY / WAIT_ALL_KEYS, asked
+    #: once the local write buffer holds no matching older EDE entry;
+    #: returning True keeps the WAIT at the ROB head this cycle (a
+    #: ``retire_stall_wait`` cycle).
+    wait_blocked: Optional[Callable[[DynInst], bool]] = None
+
     def __init__(self,
                  trace: Sequence[Instruction],
                  hierarchy: CacheHierarchy,
@@ -182,21 +202,6 @@ class OutOfOrderCore:
         #: (cycle, seq, tag, addr) for every tagged store becoming visible —
         #: consumed by the crash-consistency checker.
         self.store_visibility: List[tuple] = []
-
-        #: Optional observer called with each DynInst as it completes
-        #: (``complete_cycle`` already set).  Completion is inlined at
-        #: several sites of the run loop for speed, so instrumentation must
-        #: use this hook rather than wrapping ``_mark_complete``.
-        self.on_complete: Optional[Callable[[DynInst], None]] = None
-        #: Optional hook called with each EDE instruction at dispatch, right
-        #: after its local EDM decode (a multi-core machine publishes
-        #: producers and links remote dependences here).
-        self.on_ede_dispatch: Optional[Callable[[DynInst], None]] = None
-        #: Optional extra retire gate for WAIT_KEY / WAIT_ALL_KEYS, asked
-        #: once the local write buffer holds no matching older EDE entry;
-        #: returning True keeps the WAIT at the ROB head this cycle (a
-        #: ``retire_stall_wait`` cycle).
-        self.wait_blocked: Optional[Callable[[DynInst], bool]] = None
 
     # ------------------------------------------------------------------
     # Completion and the store forwarding index

@@ -199,3 +199,66 @@ class TestMergeStats:
     def test_merging_one_core_is_identity(self):
         stats = self._stats(7)
         assert merge_stats([stats]) == stats
+
+
+class TestMachineLifetime:
+    """A finished N-core machine is freed by refcount: neither the cores'
+    bus hooks nor the coherence directory close a reference cycle, so
+    nothing of it is left for the cyclic GC."""
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_run_one_leaves_no_cyclic_garbage(self, cores):
+        import gc
+
+        from repro.harness.configs import configuration
+        from repro.harness.runner import run_one
+        from repro.workloads import Scale
+
+        # With automatic collection off, whatever cycles the run leaves
+        # are still there for the explicit collect to count.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_one("mpsc", configuration("WB"),
+                             Scale(4, 3, cores=cores))
+            assert len(result.core_stats) == cores
+            del result
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_coherence_counters_outlive_the_cores(self):
+        from repro.harness.configs import DEFAULT_PARAMS, configuration
+        from repro.multicore.system import simulate_built
+        from repro.workloads import Scale
+        from repro.workloads import base as workload_base
+
+        config = configuration("WB")
+        built = workload_base.build("counter", config.fence_mode,
+                                    Scale(4, 3, cores=2))
+        sim = simulate_built(built, config, DEFAULT_PARAMS)
+        directory = sim.coherence
+        assert directory.invalidations + directory.demotions > 0
+        assert directory.dirty_writebacks >= 0
+
+    def test_hooks_stay_settable_per_core(self):
+        from repro.harness.configs import DEFAULT_PARAMS, configuration
+        from repro.isa.instructions import halt
+        from repro.memory.controller import MemoryController
+        from repro.multicore.core import CoherentCore
+
+        params = DEFAULT_PARAMS
+        controller = MemoryController(address_map=params.address_map,
+                                      dram_params=params.dram,
+                                      nvm_params=params.nvm)
+        hierarchy = CoherentHierarchy(controller, params.hierarchy,
+                                      CoherenceDirectory(), 0)
+        core = CoherentCore(0, SharedEdmBus(), [halt()], hierarchy,
+                            configuration("WB").policy, params.core)
+        assert core.on_complete.__func__ is CoherentCore.on_complete
+        seen = []
+        core.on_complete = seen.append
+        assert core.on_complete == seen.append
+        assert "on_ede_dispatch" not in vars(core)
