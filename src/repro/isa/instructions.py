@@ -197,7 +197,7 @@ class Instruction:
         d["comment"] = comment
         d["_shape"] = shape
 
-    # --- shape views ----------------------------------------------------------
+    # --- shape views ------------------------------------------------------
     # Per-opcode classification lives in CLASSIFICATION_BY_OPCODE, and
     # everything else that depends only on the shape in InstructionShape;
     # the replay prepass reads both once per shape, not per instruction.

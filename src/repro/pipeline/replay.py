@@ -94,7 +94,8 @@ def _static_tail(inst: Instruction) -> tuple:
     """The row fields that depend only on ``inst``'s shape; memoised."""
     opcode = inst.opcode
     (is_load, is_store, is_writeback, is_store_class, is_memory,
-     is_barrier, is_branch, is_ede, enters_iq) = CLASSIFICATION_BY_OPCODE[opcode]
+     is_barrier, is_branch, is_ede,
+     enters_iq) = CLASSIFICATION_BY_OPCODE[opcode]
     tail = (
         opcode,
         is_load, is_store, is_writeback, is_store_class,
