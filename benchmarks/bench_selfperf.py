@@ -4,10 +4,10 @@ Unlike the other benches, this one measures the reproduction itself rather
 than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the compiled interpreter vs the reference interpreter, and
-the workload build path), the update and swap build times,
-serial-vs-parallel full-matrix wall time, the persistent result
-cache's cold/warm behaviour, and the crash sweep's cost per crash
-point.  The numbers land in the BENCH JSON
+the workload build path), the replay row prepass time, the update and
+swap build times, serial-vs-parallel full-matrix wall time, the
+persistent result cache's cold/warm behaviour, and the crash sweep's
+cost per crash point.  The numbers land in the BENCH JSON
 (``benchmark.extra_info``) and the headline ones in the
 ``BENCH_selfperf.json`` ledger (see :mod:`benchmarks.ledger`).
 
@@ -28,6 +28,7 @@ from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.harness.runner import run_matrix, run_one
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine
+from repro.pipeline.replay import build_rows
 from repro.workloads import base as workload_base
 
 #: Matrix used by the serial-vs-parallel and cache measurements — small
@@ -110,15 +111,17 @@ def _print_kernel(title, ref, compiled, trace_len):
 
 def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     """Trace-build throughput: compiled vs reference interpreter, plus
-    the workload (framework) build path, in built kIPS."""
+    the workload (framework) build path, in built kIPS, and the replay
+    row prepass over the built trace."""
     scale = bench_scale()
 
     def run():
         build, built = timed_rounds(
             lambda: workload_base.build("btree", "ede", scale))
-        return _time_kernel(_BUILD_KERNEL) + (build, len(built.trace))
+        rows, _ = timed_rounds(lambda: build_rows(built.trace))
+        return _time_kernel(_BUILD_KERNEL) + (build, len(built.trace), rows)
 
-    ref, compiled, trace_len, build, wl_trace_len = benchmark.pedantic(
+    ref, compiled, trace_len, build, wl_trace_len, rows = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
     speedup, run_kips = _print_kernel(
@@ -127,6 +130,8 @@ def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     build_kips = wl_trace_len / build.best / 1e3
     print("  workload build    : %.3f s  ->  %.1f kIPS (btree/ede, framework)"
           % (build.best, build_kips))
+    print("  replay rows       : %.2f ms (btree/ede prepass)"
+          % (rows.best * 1e3))
     benchmark.extra_info["interp_trace_len"] = trace_len
     benchmark.extra_info["interp_reference_kips"] = round(
         trace_len / ref.best / 1e3, 1)
@@ -134,10 +139,15 @@ def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     benchmark.extra_info["interp_speedup"] = round(speedup, 2)
     benchmark.extra_info["workload_build_kips"] = round(build_kips, 1)
     benchmark.extra_info["workload_trace_len"] = wl_trace_len
+    benchmark.extra_info["replay_rows_ms"] = round(rows.best * 1e3, 2)
     bench_ledger.record("selfperf", trace_build_kips=round(run_kips, 1),
                         trace_build_timing=compiled,
                         interp_speedup=round(speedup, 2),
-                        trace_build_reference_timing=ref)
+                        trace_build_reference_timing=ref,
+                        workload_build_kips=round(build_kips, 1),
+                        workload_build_timing=build,
+                        replay_rows_ms=round(rows.best * 1e3, 2),
+                        replay_rows_timing=rows)
     assert speedup >= 2.0, (
         "compiled interpreter below the 2x trace-build target: %.2fx"
         % speedup)
