@@ -158,7 +158,7 @@ def _run_cluster_matrix(scale, config_names, cache_dir, proxy_plan=None):
             statuses = client.submit_matrix(list(APPS), list(config_names),
                                             scale.ops_per_txn, scale.txns,
                                             seed=scale.seed)
-            finals = client.wait_all(statuses, timeout=600)
+            finals = client.wait_all(statuses, timeout=600, via_events=True)
             elapsed = time.perf_counter() - start
             assert all(status["state"] == "done" for status in finals)
             digests = [client.result(status["id"])["digest"]
