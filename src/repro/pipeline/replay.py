@@ -13,10 +13,12 @@ every simulation of that trace (typically five configurations).
 rows, filling each :class:`~repro.pipeline.dyninst.DynInst` with one
 tuple unpack.
 
-A row's DMB epoch is the number of DMBs before it in the trace.  A
-squash refetch re-dispatches the flushed DMBs, so the core adds the
-count of barriers re-dispatched so far to the row epochs of refetched
-instructions.
+A row's DMB epoch is the number of DMBs before it in the trace.  It
+feeds both the store and the memory epoch of a
+:class:`~repro.pipeline.dyninst.DynInst`: every DMB, of either flavour,
+bumps both, so they are always equal.  A squash refetch re-dispatches
+the flushed DMBs, so the core adds the count of barriers re-dispatched
+so far to the row epochs of refetched instructions.
 
 Only four fields of a row depend on where the instruction sits in the
 trace: the instruction itself, its resolved address, the words it
@@ -35,10 +37,6 @@ Row layout (index constants below)::
      size, producer_keys, exec_kind, result_regs,
      timing_src_regs, timing_dst_regs, is_dsb, is_halt,
      consumer_keys, ede_keys)
-
-``epoch`` feeds both the store and the memory DMB epoch of a
-:class:`~repro.pipeline.dyninst.DynInst`: every DMB, of either flavour,
-bumps both, so they are equal in every row.
 """
 
 from __future__ import annotations
