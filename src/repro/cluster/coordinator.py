@@ -26,12 +26,15 @@ talks to a cluster unchanged.  What the coordinator adds:
 * **Keep-alive upstream links**: each shard has a small
   :class:`~repro.service.http.UpstreamPool` of idle HTTP/1.1
   connections that proxied reads, submits, event streams, metrics
-  scrapes and health probes reuse.  An event stream is relayed chunk by
-  chunk and its connection goes back to the pool after the last chunk;
-  a stream cut upstream ends the client's connection too, and the
-  client resumes with ``Last-Event-ID``.  A pooled connection the shard
-  closed while idle is retried once on a new one; every other transport
-  failure feeds the breaker.  The pools are closed on eviction and on
+  scrapes and health probes reuse; it reads the shard's answers with
+  the same codec the client and the servers use.  An event stream is
+  relayed chunk by chunk and its connection goes back to the pool after
+  the last chunk; a stream cut upstream ends the client's connection
+  too, and the client resumes with ``Last-Event-ID``.  The codec's reuse
+  rule holds: a pooled connection that ends before any byte of the
+  answer (the shard closed it while idle) is retried once on a new one;
+  every other transport failure, a malformed or truncated answer
+  included, feeds the breaker.  The pools are closed on eviction and on
   stop.
 * **Per-shard circuit breakers**: every upstream exchange feeds the
   shard's breaker; an open breaker excludes the shard from routing (the

@@ -169,12 +169,8 @@ def _cmd_submit(args) -> int:
     if args.analyze and args.optimize:
         raise SystemExit("--analyze and --optimize are mutually exclusive")
     names = [n.strip() for n in args.configs.split(",") if n.strip()]
-    if args.optimize:
-        kind = "optimize"
-    elif args.analyze:
-        kind = "analyze"
-    else:
-        kind = "simulate"
+    kind = ("optimize" if args.optimize else
+            "analyze" if args.analyze else "simulate")
     statuses = []
     for workload in args.workloads:
         for name in names:

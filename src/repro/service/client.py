@@ -1,20 +1,17 @@
 """Blocking HTTP client for the simulation service.
 
-A thin ``http.client`` wrapper (stdlib only) used by the CLI, the CI
-smoke job, the benchmarks and the end-to-end tests.  Each thread keeps
-one keep-alive connection per ``(host, port)`` and every
-:class:`ServiceClient` in that thread reuses it, so a caller that
-builds a new client per request still opens no new connection.  An
-event stream (:meth:`ServiceClient.watch`) runs on the same connection
-and gives it back once its last chunk is read; a watch that is
-abandoned or cut closes it instead.  A reused connection that fails
-before any byte of the response arrives (the server closed it while it
-sat idle) is retried once on a new one; nothing else is retried.  Every
-response is framed by ``Content-Length`` or chunked encoding, so one
-framed by neither was cut short and raises :class:`TruncatedResponse`.
-Raises :class:`ServiceError` for every non-2xx response except
-backpressure, which gets its own :class:`Backpressure` carrying the
-server's retry-after hint so callers can implement honest retry loops.
+Used by the CLI, the CI smoke job, the benchmarks and the end-to-end
+tests.  It feeds a plain socket into the service path's one HTTP/1.1
+codec (:mod:`repro.service.http`), the parser the coordinator and the
+servers use too.  Each thread keeps one keep-alive connection per
+``(host, port)`` that every :class:`ServiceClient` in it reuses, event
+streams included; a watch abandoned or cut closes it.  The codec's
+reuse rule holds: a reused connection that ends before any byte of the
+response is retried once on a new one, nothing else is retried, and a
+response cut short raises :class:`TruncatedResponse`.  Raises
+:class:`ServiceError` for every non-2xx response except backpressure,
+which gets its own :class:`Backpressure` carrying the server's
+retry-after hint so callers can implement honest retry loops.
 
 Hardening against a misbehaving wire (see ``repro.chaos.netproxy``):
 
@@ -32,17 +29,29 @@ Hardening against a misbehaving wire (see ``repro.chaos.netproxy``):
 from __future__ import annotations
 
 import collections
-import http.client
 import json
 import pickle
 import random
-import select
 import socket
 import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.service.http import (
+    END,
+    NEED_DATA,
+    READ_SIZE,
+    Head,
+    HttpParser,
+    TruncatedResponse,
+    _StaleConnection,
+    render_request,
+    split_events,
+)
 from repro.service.jobs import JobSpec, JobState
+
+__all__ = ["Backpressure", "MAX_PEERS", "ServiceClient", "ServiceError",
+           "TruncatedResponse", "parse_metrics"]
 
 
 class ServiceError(RuntimeError):
@@ -70,16 +79,6 @@ class Backpressure(ServiceError):
 MAX_PEERS = 8
 
 
-class TruncatedResponse(ConnectionError):
-    """A response framed by neither ``Content-Length`` nor chunked
-    encoding: the server cut it short (``http.client`` ends a head at
-    EOF, so the cut would otherwise pass for a complete response)."""
-
-
-class _StaleConnection(Exception):
-    """A reused connection failed before any byte of the response."""
-
-
 class _ThreadConnections:
     """One thread's keep-alive connections by ``(host, port)``.
 
@@ -88,30 +87,18 @@ class _ThreadConnections:
     """
 
     def __init__(self):
-        #: ``(host, port)`` -> connection, least recently used first.
-        self.by_peer: Dict[Tuple[str, int], http.client.HTTPConnection] = \
+        #: ``(host, port)`` -> socket, least recently used first.
+        self.by_peer: Dict[Tuple[str, int], socket.socket] = \
             collections.OrderedDict()
 
-    def take(self, peer: Tuple[str, int]
-             ) -> Optional[http.client.HTTPConnection]:
-        """The idle connection to ``peer``, if the server kept it open."""
-        conn = self.by_peer.pop(peer, None)
-        if conn is not None and (conn.sock is None or _readable(conn.sock)):
-            # An idle connection with something to read was closed by
-            # the server (or holds bytes nobody asked for).
-            conn.close()
-            conn = None
-        return conn
-
-    def give_back(self, peer: Tuple[str, int],
-                  conn: http.client.HTTPConnection) -> None:
-        self.by_peer[peer] = conn
+    def give_back(self, peer: Tuple[str, int], sock: socket.socket) -> None:
+        self.by_peer[peer] = sock
         while len(self.by_peer) > MAX_PEERS:
             self.by_peer.popitem(last=False)[1].close()
 
     def __del__(self):
-        for conn in self.by_peer.values():
-            conn.close()
+        for sock in self.by_peer.values():
+            sock.close()
 
 
 _LOCAL = threading.local()
@@ -124,10 +111,32 @@ def _connections() -> _ThreadConnections:
     return conns
 
 
-def _readable(sock: socket.socket) -> bool:
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
+def _events(sock: socket.socket, parser: HttpParser) -> Iterator:
+    """The rest of the response as its bytes arrive off ``sock``: its
+    head if that is still to come, then its body pieces."""
+    while True:
+        event = parser.next_event()
+        if event is END:
+            return
+        if event is not NEED_DATA:
+            yield event
+            continue
+        try:
+            data = sock.recv(READ_SIZE)
+        except ConnectionError:
+            data = b""
+        parser.feed(data)
+
+
+def _stream_events(sock: socket.socket, parser: HttpParser
+                   ) -> Iterator[Tuple[Optional[int], dict]]:
+    """``(id, event)`` for each SSE event of the body as it arrives;
+    ``id`` is None for an event without a numeric ``id:`` field."""
+    rest = b""
+    for piece in _events(sock, parser):
+        events, rest = split_events(rest + piece)
+        for event in events:
+            yield event.id, json.loads(event.data)
 
 
 def _decode(data: bytes):
@@ -136,30 +145,6 @@ def _decode(data: bytes):
         return json.loads(data.decode())
     except (ValueError, UnicodeDecodeError):
         return data.decode("latin-1")
-
-
-def _sse_events(response: http.client.HTTPResponse
-                ) -> Iterator[Tuple[Optional[int], dict]]:
-    """``(id, event)`` for each SSE event of ``response`` as it arrives;
-    ``id`` is None for an event without a numeric ``id:`` field."""
-    buffered = b""
-    while True:
-        data = response.read1(65536)
-        if not data:
-            return
-        *blocks, buffered = (buffered + data).split(b"\n\n")
-        for block in blocks:
-            fields: Dict[str, str] = {}
-            for line in block.decode("utf-8", "replace").splitlines():
-                name, _, value = line.partition(":")
-                fields[name.strip()] = value.strip()
-            if "data" not in fields:
-                continue
-            try:
-                event_id: Optional[int] = int(fields["id"])
-            except (KeyError, ValueError):
-                event_id = None
-            yield event_id, json.loads(fields["data"])
 
 
 def parse_metrics(text: str) -> Dict[str, float]:
@@ -192,8 +177,7 @@ class ServiceClient:
     # --- low-level ----------------------------------------------------------
 
     def _headers(self) -> Dict[str, str]:
-        headers = {"Content-Type": "application/json",
-                   "X-Client": self.client_id}
+        headers = {"X-Client": self.client_id}
         if self.deadline_s is not None:
             headers["X-Deadline"] = "%g" % self.deadline_s
         return headers
@@ -201,78 +185,63 @@ class ServiceClient:
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None, raw: bool = False):
         payload = json.dumps(body).encode() if body is not None else None
-        conn, response = self._send(method, path, payload, self._headers())
-        try:
-            data = response.read()
-        except BaseException:
-            conn.close()
-            raise
-        self._release(conn, response)
-        if raw and 200 <= response.status < 300:
+        sock, parser, head = self._send(method, path, payload,
+                                        self._headers())
+        data = self._finish(sock, parser)
+        if raw and 200 <= head.status < 300:
             return data
         decoded = _decode(data)
-        if response.status == 429:
-            raise Backpressure(response.status, decoded)
-        if not 200 <= response.status < 300:
-            raise ServiceError(response.status, decoded)
+        if head.status == 429:
+            raise Backpressure(head.status, decoded)
+        if not 200 <= head.status < 300:
+            raise ServiceError(head.status, decoded)
         return decoded
 
     def _send(self, method: str, path: str, payload: Optional[bytes],
               headers: Dict[str, str]
-              ) -> Tuple[http.client.HTTPConnection,
-                         http.client.HTTPResponse]:
+              ) -> Tuple[socket.socket, HttpParser, Head]:
         """Send one request on this thread's connection to the peer, or
-        on a new one; return the connection and the response, its head
-        read.  The caller reads the body, then hands the connection to
-        :meth:`_release`, or closes it if the body was not read to its
-        end."""
-        conn = _connections().take((self.host, self.port))
-        if conn is not None:
-            conn.sock.settimeout(self.timeout)
+        on a new one; return the connection, its parser and the response
+        head.  The caller reads the body with :meth:`_finish`, or closes
+        the connection."""
+        request = render_request(method, path, payload, headers)
+        sock = _connections().by_peer.pop((self.host, self.port), None)
+        if sock is not None:
+            sock.settimeout(self.timeout)
             try:
-                return conn, self._start(conn, method, path, payload,
-                                         headers, reused=True)
+                return self._start(sock, request, reused=True)
             except _StaleConnection:
                 pass  # closed while idle: once more, on a new one
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        return conn, self._start(conn, method, path, payload, headers,
-                                 reused=False)
+        sock = socket.create_connection((self.host, self.port),
+                                        self.timeout)
+        return self._start(sock, request, reused=False)
 
-    def _start(self, conn: http.client.HTTPConnection, method: str,
-               path: str, payload: Optional[bytes], headers: Dict[str, str],
-               reused: bool) -> http.client.HTTPResponse:
-        """Send one request and read its response head; closes ``conn``
-        on any failure.  Raises :class:`_StaleConnection` when a
-        ``reused`` connection fails before any byte of the response
-        arrives, and :class:`TruncatedResponse` for an unframed one."""
+    @staticmethod
+    def _start(sock: socket.socket, request: bytes, reused: bool
+               ) -> Tuple[socket.socket, HttpParser, Head]:
+        """Send ``request`` and read the response head; closes ``sock``
+        on any failure."""
+        parser = HttpParser(reused=reused)
         try:
             try:
-                conn.request(method, path, body=payload, headers=headers)
-                started = bool(conn.sock.recv(1, socket.MSG_PEEK))
+                sock.sendall(request)
             except ConnectionError:
-                if not reused:
-                    raise
-                started = False
-            if reused and not started:
-                raise _StaleConnection()
-            response = conn.getresponse()
-            if response.length is None and not response.chunked:
-                response.close()  # it holds the socket, not conn
-                raise TruncatedResponse(
-                    "HTTP %d response from %s:%d was cut short: it is "
-                    "framed by neither Content-Length nor chunked encoding"
-                    % (response.status, self.host, self.port))
-            return response
+                pass  # the parser tells a stale connection from a cut one
+            return sock, parser, next(_events(sock, parser))
         except BaseException:
-            conn.close()
+            sock.close()
             raise
 
-    def _release(self, conn: http.client.HTTPConnection,
-                 response: http.client.HTTPResponse) -> None:
-        """Keep a connection whose response was read to its end."""
-        if not response.will_close:
-            _connections().give_back((self.host, self.port), conn)
+    def _finish(self, sock: socket.socket, parser: HttpParser) -> bytes:
+        """The rest of the body; then the connection is kept if it may
+        carry the next request, and closed otherwise."""
+        try:
+            return b"".join(_events(sock, parser))
+        finally:
+            if parser.reusable:
+                _connections().give_back((self.host, self.port), sock)
+            else:
+                sock.close()
 
     # --- job API ------------------------------------------------------------
 
@@ -344,15 +313,12 @@ class ServiceClient:
               reconnect_delay_s: float = 0.2) -> Iterator[dict]:
         """Yield the job's SSE progress events until it is terminal.
 
-        The server stamps every event with ``id: <index>``; when the
-        stream drops mid-flight (proxy reset, truncation, coordinator
-        restart, 5xx while a shard re-routes) this reconnects with the
-        standard ``Last-Event-ID`` header and resumes *after* the last
-        event seen — no duplicates, no raise.  Only a 4xx answer (the
-        job genuinely is unknown) or the timeout aborts the watch.  The
-        stream runs on the thread's pooled connection, which is given
-        back once the stream's last chunk is read; a watch abandoned
-        early, or a stream cut short, closes it instead.
+        When the stream drops mid-flight (proxy reset, truncation,
+        coordinator restart, 5xx while a shard re-routes) this
+        reconnects with ``Last-Event-ID`` and resumes after the last
+        event seen: no duplicates, no raise.  Only a 4xx answer or the
+        timeout aborts the watch.  The stream runs on the thread's
+        pooled connection, given back after its last chunk.
         """
         deadline = time.monotonic() + timeout
         last_id: Optional[int] = None
@@ -364,33 +330,31 @@ class ServiceClient:
             headers = self._headers()
             if last_id is not None:
                 headers["Last-Event-ID"] = str(last_id)
-            conn = None
+            sock = None
             terminal = None
             try:
-                conn, response = self._send("GET", path, None, headers)
-                if response.status != 200:
-                    data = response.read()
-                    self._release(conn, response)
-                    conn = None
-                    if response.status < 500:
-                        raise ServiceError(response.status, _decode(data))
+                sock, parser, head = self._send("GET", path, None, headers)
+                if head.status != 200:
+                    data = self._finish(sock, parser)
+                    sock = None
+                    if head.status < 500:
+                        raise ServiceError(head.status, _decode(data))
                     # 5xx: the shard is mid-reroute; retry.
                 else:
-                    for event_id, event in _sse_events(response):
+                    for event_id, event in _stream_events(sock, parser):
                         if event_id is not None:
                             last_id = event_id
                         if event.get("event") in JobState.TERMINAL:
                             terminal = event
-                            response.read()  # the last chunk
-                            self._release(conn, response)
-                            conn = None
+                            self._finish(sock, parser)  # the last chunk
+                            sock = None
                             break
                         yield event
-            except (ConnectionError, OSError, http.client.HTTPException):
+            except OSError:
                 pass  # the stream dropped: resume after the last event
             finally:
-                if conn is not None:
-                    conn.close()
+                if sock is not None:
+                    sock.close()
             if terminal is not None:
                 yield terminal
                 return

@@ -1,37 +1,38 @@
-"""Shared asyncio HTTP/1.1 plumbing for the service and cluster layers.
+"""The service path's one HTTP/1.1 codec, and the servers and pool on it.
 
-The single-node service server (:mod:`repro.service.server`) and the
-cluster coordinator (:mod:`repro.cluster.coordinator`) speak the same
-deliberately small dialect of HTTP — persistent (keep-alive)
-connections, JSON bodies framed by ``Content-Length``, event streams
-framed by ``Transfer-Encoding: chunked``, an ephemeral default port —
-so the request parser, response writer, upstream connection pool and
-threaded test harness live here once instead of twice.
+The service server (:mod:`repro.service.server`), the cluster
+coordinator (:mod:`repro.cluster.coordinator`) and the blocking
+:class:`~repro.service.client.ServiceClient` speak one small dialect:
+keep-alive connections, JSON bodies framed by ``Content-Length``, event
+streams framed as chunks, one server-sent event per chunk.
 
-* :class:`BaseHttpServer` — ``asyncio.start_server`` lifecycle, request
-  parsing, response rendering and the last-ditch 500 handler; each
-  connection serves requests one after another until the client sends
-  ``Connection: close``, a route ends it (a relayed stream whose
-  upstream was cut), or it sits idle for :data:`IDLE_TIMEOUT_S`.
-  Subclasses implement :meth:`BaseHttpServer._route`.
-* :class:`ThreadedHttpServer` — runs any :class:`BaseHttpServer` on a
-  background daemon thread with a cross-thread :meth:`call` bridge; the
-  harness tests, benchmarks and notebooks use to drive a server without
-  blocking.
-* :class:`UpstreamPool` — the coordinator's client half: a few idle
-  keep-alive connections to one upstream, reused request after request,
-  whole responses (:meth:`UpstreamPool.fetch`) and streams
-  (:meth:`UpstreamPool.request`) alike.
+* The codec is sans-IO: :class:`HttpParser` turns the bytes a hop
+  received into heads, body pieces and :data:`END`, and the ``render_*``
+  functions, :func:`split_events` and :data:`LAST_CHUNK` do the rest; no
+  socket is touched.  The parser rules on an end of stream: no byte of
+  a response on a reused connection is :class:`_StaleConnection`, which
+  both client transports retry once on a new connection; any other end
+  before the message is complete is a :class:`TruncatedResponse`.  A
+  message that breaks the framing rules is a :class:`BadMessage`, which
+  a server answers with its ``status`` (400 or 413) before it closes.
+* :class:`BaseHttpServer` feeds each connection into a parser and routes
+  one request after another until the client sends ``Connection:
+  close``, a route ends it, or it sits idle for :data:`IDLE_TIMEOUT_S`.
+* :class:`ThreadedHttpServer` runs one on a background thread, with a
+  cross-thread :meth:`~ThreadedHttpServer.call` bridge for tests.
+* :class:`UpstreamPool` is the coordinator's client half: a few idle
+  keep-alive connections to one upstream.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import socket
 import threading
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 #: Largest request body accepted (a job spec is ~200 bytes).
 MAX_BODY_BYTES = 1 << 20
@@ -46,6 +47,12 @@ POOL_SIZE = 4
 #: One open connection: the asyncio stream pair.
 Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
+#: Bytes a transport asks its socket or stream for at a time.
+READ_SIZE = 65536
+
+#: Longest head the parser waits for.
+_MAX_HEAD_BYTES = 65536
+
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
@@ -55,42 +62,254 @@ _STATUS_TEXT = {
 }
 
 
-async def read_request(reader: asyncio.StreamReader
-                       ) -> Optional[Tuple[str, str, Dict[str, str], bytes,
-                                           bool]]:
-    """Parse one request: ``(METHOD, target, headers, body, keep_alive)``.
+class TruncatedResponse(ConnectionError):
+    """A message cut short: the stream ended inside it (or, on a new
+    connection, before a response began)."""
 
-    None at a clean end of the connection.  ``keep_alive`` is False when
-    the client sent ``Connection: close`` or speaks HTTP/1.0.
+
+class _StaleConnection(ConnectionError):
+    """A reused connection ended before any byte of the response."""
+
+
+class BadMessage(OSError):
+    """A message that breaks the framing rules; ``status`` is a server's
+    answer to such a request."""
+
+    def __init__(self, reason: str, status: int = 400):
+        super().__init__(reason)
+        self.status = status
+
+
+class Head(NamedTuple):
+    """A parsed head; ``method``/``target`` are empty in a response and
+    ``status`` is 0 in a request.  Header names are lower-case."""
+
+    method: str
+    target: str
+    status: int
+    headers: Dict[str, str]
+    keep_alive: bool
+    chunked: bool
+
+
+#: :meth:`HttpParser.next_event`: feed more bytes first.
+NEED_DATA = object()
+#: :meth:`HttpParser.next_event`: the message is complete.
+END = object()
+
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_DIGITS = re.compile(r"[0-9]+")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+_HEAD, _LENGTH, _CHUNK, _DONE = range(4)
+
+
+class HttpParser:
+    """Requests (``request=True``) or responses, from bytes as they arrive.
+
+    :meth:`feed` takes every byte the peer sends, ``b""`` at the end of
+    the stream; :meth:`next_event` returns what they complete: a
+    :class:`Head`, a body piece (the whole ``Content-Length`` body, or
+    one chunk), :data:`END` or :data:`NEED_DATA`.  A request parser then
+    reads the next request, and returns None if the stream ends before
+    one begins.  A request body over :data:`MAX_BODY_BYTES` (413) or
+    framed by ``Transfer-Encoding`` is a :class:`BadMessage`, as is a
+    response framed by neither length nor chunks.
     """
-    request_line = await reader.readline()
-    if not request_line.strip():
-        return None
-    try:
-        method, path, version = request_line.decode("latin-1").split(None, 2)
-    except ValueError:
-        return None
-    headers = await _read_headers(reader)
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
-        raise ValueError("request body too large (%d bytes)" % length)
-    body = await reader.readexactly(length) if length else b""
-    keep_alive = (version.strip().upper() == "HTTP/1.1"
-                  and "close" not in headers.get("connection", "").lower())
-    return method.upper(), path, headers, body, keep_alive
+
+    def __init__(self, request: bool = False, reused: bool = False):
+        self._request = request
+        self._kind = "request" if request else "response"
+        self._reused = reused
+        self._buffer = bytearray()
+        self._eof = False
+        self._state = _HEAD
+        self._length = 0
+        #: A byte of the current message arrived.
+        self._started = False
+        self._keep_alive = False
+        self._complete = False
+
+    @property
+    def reusable(self) -> bool:
+        """The message ended, its connection may carry the next one and
+        no byte beyond it arrived."""
+        return self._complete and self._keep_alive and not self._buffer
+
+    def feed(self, data: bytes) -> None:
+        if data:
+            self._buffer += data
+            self._started = True
+        else:
+            self._eof = True
+
+    def next_event(self):
+        buf = self._buffer
+        if self._state == _HEAD:
+            end = _HEAD_END.search(buf)
+            if end is None:
+                if len(buf) > _MAX_HEAD_BYTES:
+                    raise BadMessage("head over %d bytes" % _MAX_HEAD_BYTES)
+                return self._starved("head")
+            head = self._parse_head(bytes(buf[:end.start()]))
+            del buf[:end.end()]
+            return head
+        if self._state == _LENGTH:
+            if len(buf) < self._length:
+                return self._starved("body")
+            piece = bytes(buf[:self._length])
+            del buf[:self._length]
+            self._state = _DONE
+            return piece
+        if self._state == _CHUNK:
+            line_end = buf.find(b"\r\n")
+            if line_end < 0:
+                return self._starved("chunk")
+            size = bytes(buf[:line_end]).split(b";", 1)[0].strip()
+            if not _HEX.fullmatch(size):
+                raise BadMessage("malformed chunk size %r" % size)
+            start = line_end + 2
+            end = start + int(size, 16)
+            if len(buf) < end + 2:
+                return self._starved("chunk")
+            if buf[end:end + 2] != b"\r\n":
+                raise BadMessage("chunk not followed by CRLF")
+            piece = bytes(buf[start:end])
+            del buf[:end + 2]
+            if piece:
+                return piece
+        # The last chunk, or the end of a Content-Length body.
+        self._state = _HEAD
+        self._started = bool(buf)
+        self._complete = True
+        return END
+
+    def _starved(self, part: str):
+        if not self._eof:
+            return NEED_DATA
+        if self._started:
+            raise TruncatedResponse("truncated %s: cut short inside its %s"
+                                    % (self._kind, part))
+        if self._request:
+            return None
+        if self._reused:
+            raise _StaleConnection("the peer closed an idle connection")
+        raise TruncatedResponse("the peer closed the connection before "
+                                "responding")
+
+    def _parse_head(self, raw: bytes) -> Head:
+        start, *lines = raw.decode("latin-1").split("\n")
+        parts = start.split()
+        if self._request:
+            if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+                raise BadMessage("malformed request line %r" % start)
+            method, target, version = parts
+            status = 0
+        elif (len(parts) < 2 or not parts[0].startswith("HTTP/")
+              or not (len(parts[1]) == 3 and _DIGITS.fullmatch(parts[1]))):
+            raise BadMessage("malformed status line %r" % start)
+        else:
+            method = target = ""
+            version, status = parts[0], int(parts[1])
+        headers: Dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon or not name.strip():
+                raise BadMessage("malformed header line %r" % line)
+            headers[name.strip().lower()] = value.strip()
+        self._keep_alive = (version == "HTTP/1.1" and "close" not in
+                            headers.get("connection", "").lower())
+        self._complete = False
+        coding = headers.get("transfer-encoding")
+        length = headers.get("content-length", "0" if self._request else None)
+        if coding is not None:
+            if self._request or coding.lower() != "chunked":
+                raise BadMessage("%s framed by Transfer-Encoding %r"
+                                 % (self._kind, coding))
+            self._state = _CHUNK
+        elif length is None:
+            raise BadMessage("response framed by neither Content-Length "
+                             "nor chunked encoding")
+        elif not _DIGITS.fullmatch(length):
+            raise BadMessage("%s Content-Length %r is not a byte count"
+                             % (self._kind, length))
+        elif self._request and int(length) > MAX_BODY_BYTES:
+            raise BadMessage("request body too large (%s bytes)" % length,
+                             status=413)
+        else:
+            self._length = int(length)
+            self._state = _LENGTH if self._length else _DONE
+        return Head(method.upper(), target, status, headers,
+                    self._keep_alive, coding is not None)
 
 
-async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
-    """Header lines up to the blank line; EOF before it is a truncation."""
-    headers: Dict[str, str] = {}
+class SseEvent(NamedTuple):
+    """One server-sent event; ``id`` is None without a numeric ``id:``."""
+
+    id: Optional[int]
+    event: Optional[str]
+    data: str
+
+
+def split_events(data: bytes) -> Tuple[List[SseEvent], bytes]:
+    """The complete events in an event-stream ``data``, and the bytes
+    after the last of them (feed those back with the next piece).  A
+    block without a ``data:`` field is not an event."""
+    *blocks, rest = data.split(b"\n\n")
+    events = []
+    for block in blocks:
+        fields: Dict[str, str] = {}
+        for line in block.decode("utf-8", "replace").split("\n"):
+            name, _, value = line.partition(":")
+            fields[name.strip()] = value.strip()
+        if "data" in fields:
+            events.append(SseEvent(parse_event_id(fields.get("id", "")),
+                                   fields.get("event"), fields["data"]))
+    return events, rest
+
+
+def parse_event_id(text: str) -> Optional[int]:
+    """An event ID (``id:`` or ``Last-Event-ID``) if it is a number."""
+    return int(text) if _DIGITS.fullmatch(text) else None
+
+
+async def next_event(reader: asyncio.StreamReader, parser: HttpParser):
+    """``parser``'s next event other than :data:`NEED_DATA`, reading
+    ``reader`` as it needs bytes."""
     while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n"):
-            return headers
-        if not line.endswith(b"\n"):
-            raise asyncio.IncompleteReadError(line, None)
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        event = parser.next_event()
+        if event is not NEED_DATA:
+            return event
+        try:
+            data = await reader.read(READ_SIZE)
+        except ConnectionError:
+            data = b""
+        parser.feed(data)
+
+
+async def read_body(reader: asyncio.StreamReader, parser: HttpParser
+                    ) -> bytes:
+    """The rest of the current message's body."""
+    pieces = []
+    while True:
+        event = await next_event(reader, parser)
+        if event is END:
+            return b"".join(pieces)
+        pieces.append(event)
+
+
+def _render(start: str, headers: Dict[str, str], body: bytes = b"") -> bytes:
+    lines = [start] + ["%s: %s" % header for header in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def render_request(method: str, path: str, body: Optional[bytes] = None,
+                   headers: Optional[Dict[str, str]] = None) -> bytes:
+    """One full HTTP/1.1 request as bytes; a body is sent as JSON."""
+    headers = dict(headers or {})
+    if body:
+        headers.update({"Content-Type": "application/json",
+                        "Content-Length": len(body)})
+    return _render("%s %s HTTP/1.1" % (method, path), headers, body or b"")
 
 
 def render_response(status: int, payload,
@@ -107,19 +326,15 @@ def render_response(status: int, payload,
     else:
         body = payload
     return _render_head(status, content_type,
-                        "Content-Length: %d" % len(body),
-                        extra_headers) + body
+                        {"Content-Length": len(body)}, extra_headers, body)
 
 
 def render_stream_head(content_type: str,
                        extra_headers: Optional[Dict[str, str]] = None
                        ) -> bytes:
-    """The head of a 200 response whose body follows in chunks.
-
-    Send each piece of the body as :func:`render_chunk` and end it with
-    :data:`LAST_CHUNK`; the connection then serves the next request.
-    """
-    return _render_head(200, content_type, "Transfer-Encoding: chunked",
+    """The head of a 200 response whose body follows as
+    :func:`render_chunk` pieces ended by :data:`LAST_CHUNK`."""
+    return _render_head(200, content_type, {"Transfer-Encoding": "chunked"},
                         extra_headers)
 
 
@@ -132,16 +347,20 @@ def render_chunk(data: bytes) -> bytes:
 LAST_CHUNK = b"0\r\n\r\n"
 
 
-def _render_head(status: int, content_type: str, framing: str,
-                 extra_headers: Optional[Dict[str, str]]) -> bytes:
-    lines = [
+def render_sse(event_id: int, event: str, data: str) -> bytes:
+    """One server-sent event: its ``id:``, ``event:`` and one-line
+    ``data:`` fields."""
+    return ("id: %d\nevent: %s\ndata: %s\n\n"
+            % (event_id, event, data)).encode()
+
+
+def _render_head(status: int, content_type: str, framing: Dict[str, object],
+                 extra_headers: Optional[Dict[str, str]],
+                 body: bytes = b"") -> bytes:
+    return _render(
         "HTTP/1.1 %d %s" % (status, _STATUS_TEXT.get(status, "Unknown")),
-        "Content-Type: %s" % content_type,
-        framing,
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append("%s: %s" % (name, value))
-    return ("\r\n".join(lines) + "\r\n\r\n").encode()
+        {"Content-Type": content_type, **framing, **(extra_headers or {})},
+        body)
 
 
 def end_connection(writer: asyncio.StreamWriter) -> None:
@@ -209,11 +428,6 @@ class BaseHttpServer:
             await self._server.wait_closed()
         await self.on_stop()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     # --- plumbing -----------------------------------------------------------
 
     def _accept(self, reader: asyncio.StreamReader,
@@ -226,32 +440,33 @@ class BaseHttpServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        """Serve requests on one connection until it should close.
-
-        That is when the client asks for it, when a route closes the
-        connection (the coordinator does when the upstream half of an
-        event stream it relays is cut), after a failed request, or when
-        no request starts within :data:`IDLE_TIMEOUT_S`.  Every response
-        is framed, by ``Content-Length`` or as chunks, so a finished
-        event stream leaves the connection ready for the next request.
-        """
+        """Serve requests on one connection until the client asks to
+        close, a route closes it (the coordinator does when the upstream
+        half of a relayed event stream is cut), a request fails or is
+        malformed, or none starts within :data:`IDLE_TIMEOUT_S`."""
         loop = asyncio.get_running_loop()
+        parser = HttpParser(request=True)
         try:
             while True:
                 idle = loop.call_later(IDLE_TIMEOUT_S, end_connection,
                                        writer)
                 try:
-                    request = await read_request(reader)
+                    head = await next_event(reader, parser)
+                    body = b"" if head is None else await read_body(reader,
+                                                                    parser)
+                except BadMessage as exc:
+                    self._respond(writer, exc.status, {"error": str(exc)})
+                    return
                 finally:
                     idle.cancel()
-                if request is None:
+                if head is None:
                     return
-                method, path, headers, body, keep_alive = request
-                await self._route(method, path, headers, body, writer)
-                if not keep_alive or writer.is_closing():
+                await self._route(head.method, head.target, head.headers,
+                                  body, writer)
+                if not head.keep_alive or writer.is_closing():
                     return
                 await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         except Exception as exc:  # last-ditch: never kill the acceptor
             try:
@@ -288,29 +503,18 @@ class BaseHttpServer:
             extra_headers={"Retry-After": "%d" % max(1, round(retry_after_s))})
 
 
-class _StaleConnection(OSError):
-    """A reused connection failed before any byte of the response."""
-
-
 class UpstreamPool:
     """Keep-alive HTTP/1.1 connections to one upstream ``(host, port)``.
 
     :meth:`fetch` (a whole response) and :meth:`request` (a response
     read as it arrives, such as an event stream) send each request on an
-    idle pooled connection when a live one is there, on a new connection
-    otherwise.  The rules:
-
-    * A reused connection that fails before any byte of the response
-      arrives (the peer closed it while it sat idle) is retried once, on
-      a new connection.  Nothing else is retried: not a failure on a new
-      connection, not one after part of a response arrived.
-    * A connection goes back to the pool only after its response was
-      read to the end, all ``Content-Length`` bytes or the last chunk,
-      and did not say ``Connection: close``.  A timeout, a cancellation,
-      a transport error, a truncated body or a cut chunk closes it.
-    * Connections are kept only while the pool is open (:meth:`open`
-      until :meth:`close`), at most :data:`POOL_SIZE` of them; a closed
-      pool closes each connection after its one exchange.
+    idle pooled connection when a live one is there, on a new one
+    otherwise; a reused connection that ends before any byte of the
+    response is retried once, and nothing else is.  A connection goes
+    back to the pool only when its response was read to the end and did
+    not say ``Connection: close`` (a timeout, a cancellation or a cut
+    closes it), and only while the pool is open (:meth:`open` until
+    :meth:`close`), at most :data:`POOL_SIZE` of them.
     """
 
     def __init__(self, host: str, port: int):
@@ -345,12 +549,9 @@ class UpstreamPool:
                     headers: Optional[Dict[str, str]] = None,
                     timeout: float = 30.0
                     ) -> Tuple[int, Dict[str, str], bytes]:
-        """One request; returns ``(status, headers, body)``.
-
-        ``timeout`` bounds the whole exchange, a stale-connection retry
-        included.  Transport failures (a truncated body too) raise
-        ``OSError`` so callers can feed circuit breakers.
-        """
+        """One request; returns ``(status, headers, body)``.  ``timeout``
+        bounds the whole exchange, a stale-connection retry included;
+        transport failures raise ``OSError`` (breakers count them)."""
         return await asyncio.wait_for(
             self._fetch(method, path, body, headers), timeout)
 
@@ -368,11 +569,8 @@ class UpstreamPool:
                       headers: Optional[Dict[str, str]] = None
                       ) -> "UpstreamResponse":
         """Send one request; return its response once the head arrived.
-
-        The caller reads the body and then calls
-        :meth:`UpstreamResponse.release`, in a ``finally``.  Transport
-        failures raise ``OSError``; nothing bounds the wait.
-        """
+        The caller reads the body, then calls
+        :meth:`UpstreamResponse.release` in a ``finally``."""
         request = render_request(method, path, body, headers)
         conn = self._checkout()
         if conn is not None:
@@ -398,23 +596,18 @@ class UpstreamPool:
         """Send ``request`` on ``conn`` and read the response head;
         closes ``conn`` on any failure."""
         reader, writer = conn
+        parser = HttpParser(reused=reused)
         try:
+            writer.write(request)
             try:
-                writer.write(request)
                 await writer.drain()
-                first = await reader.read(1)
             except ConnectionError:
-                if reused:
-                    raise _StaleConnection("idle connection was closed")
-                raise
-            if not first:
-                raise (_StaleConnection if reused else OSError)(
-                    "upstream closed the connection before responding")
-            status, headers = await read_response_head(reader, first)
+                pass  # the parser tells a stale connection from a cut one
+            head = await next_event(reader, parser)
         except BaseException:
             writer.close()
             raise
-        return UpstreamResponse(self, conn, status, headers)
+        return UpstreamResponse(self, conn, parser, head)
 
     def _release(self, conn: Connection, reusable: bool) -> None:
         if reusable and self._open and len(self._idle) < POOL_SIZE:
@@ -424,102 +617,34 @@ class UpstreamPool:
 
 
 class UpstreamResponse:
-    """A response from an :class:`UpstreamPool` whose head has arrived.
+    """A response from an :class:`UpstreamPool` whose head has arrived;
+    its body is read whole (:meth:`read`) or piece by piece
+    (:meth:`next_chunk`), and a cut or malformed one raises ``OSError``."""
 
-    The body is read on demand, whole (:meth:`read`) or chunk by chunk
-    (:meth:`next_chunk`).  A cut or malformed chunk, a short body, or a
-    body framed by neither ``Content-Length`` nor chunked encoding raises
-    ``OSError`` (a transport fault, so breaker-feeding callers catch it).
-    """
-
-    def __init__(self, pool: UpstreamPool, conn: Connection, status: int,
-                 headers: Dict[str, str]):
-        self.status = status
-        self.headers = headers
-        self.chunked = "chunked" in headers.get("transfer-encoding",
-                                                "").lower()
-        #: True once the body was read to its end.
-        self.complete = False
+    def __init__(self, pool: UpstreamPool, conn: Connection,
+                 parser: HttpParser, head: Head):
+        self.status = head.status
+        self.headers = head.headers
+        self.chunked = head.chunked
         self._pool = pool
         self._conn = conn
+        self._parser = parser
 
     async def next_chunk(self) -> Optional[bytes]:
-        """The next chunk of a chunked body; None after the last one."""
-        reader = self._conn[0]
-        try:
-            line = await reader.readline()
-            if not line.endswith(b"\n"):
-                raise ValueError("cut chunk size line")
-            size = int(line.split(b";", 1)[0], 16)
-            data = await reader.readexactly(size + 2)
-        except (ValueError, asyncio.IncompleteReadError) as exc:
-            raise OSError("cut chunk in upstream response") from exc
-        if not data.endswith(b"\r\n"):
-            raise OSError("malformed chunk in upstream response")
-        if not size:
-            self.complete = True
-            return None
-        return data[:-2]
+        """The next chunk of a chunked body (a ``Content-Length`` body
+        is one piece); None after the last one."""
+        piece = await next_event(self._conn[0], self._parser)
+        return None if piece is END else piece
 
     async def read(self) -> bytes:
         """The rest of the body."""
-        if self.chunked:
-            pieces = []
-            piece = await self.next_chunk()
-            while piece is not None:
-                pieces.append(piece)
-                piece = await self.next_chunk()
-            return b"".join(pieces)
-        length = self.headers.get("content-length")
-        if length is None:
-            raise OSError("upstream response is framed by neither "
-                          "Content-Length nor chunked encoding")
-        try:
-            data = await self._conn[0].readexactly(int(length))
-        except asyncio.IncompleteReadError as exc:
-            # IncompleteReadError is an EOFError, not an OSError.
-            raise OSError(
-                "truncated upstream response (%d of %s body bytes)"
-                % (len(exc.partial), length)) from exc
-        self.complete = True
-        return data
+        return await read_body(self._conn[0], self._parser)
 
     def release(self) -> None:
         """Give the connection back to the pool if the body was read to
         its end and the upstream did not ask to close; close it
         otherwise."""
-        self._pool._release(self._conn, self.complete and "close" not in
-                            self.headers.get("connection", "").lower())
-
-
-def render_request(method: str, path: str, body: Optional[bytes] = None,
-                   headers: Optional[Dict[str, str]] = None) -> bytes:
-    """One full HTTP/1.1 request as bytes."""
-    lines = ["%s %s HTTP/1.1" % (method, path)]
-    for name, value in (headers or {}).items():
-        lines.append("%s: %s" % (name, value))
-    if body:
-        lines.append("Content-Type: application/json")
-        lines.append("Content-Length: %d" % len(body))
-    return ("\r\n".join(lines) + "\r\n\r\n").encode() + (body or b"")
-
-
-async def read_response_head(reader: asyncio.StreamReader, first: bytes
-                             ) -> Tuple[int, Dict[str, str]]:
-    """Parse an upstream status line + headers (body left unread).
-
-    ``first`` holds bytes of the status line already read.  A head cut
-    short by the peer raises ``OSError``.
-    """
-    status_line = first + await reader.readline()
-    parts = status_line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise OSError("malformed upstream status line %r" % status_line)
-    try:
-        headers = await _read_headers(reader)
-    except asyncio.IncompleteReadError as exc:
-        raise OSError("truncated upstream response head") from exc
-    return int(parts[1]), headers
+        self._pool._release(self._conn, self._parser.reusable)
 
 
 class ThreadedHttpServer:

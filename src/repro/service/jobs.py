@@ -1,23 +1,14 @@
 """Job model for the simulation service.
 
-A :class:`JobSpec` names one unit of servable work — a single
-(workload, configuration) simulation or a (workload, fence mode) static
-analysis — at an explicit scale.  Specs are frozen and content-addressed:
-:func:`job_id_for` derives the job ID from the same key scheme the
-persistent :class:`~repro.harness.result_cache.ResultCache` uses, so
-
-* two clients submitting the same work get the *same* job (the
-  scheduler coalesces them, single-flight), and
-* a simulation job whose result already sits in the on-disk cache is
-  served instantly without simulating — the job ID *is* the cache
-  address.
-
-:class:`Job` is the server-side lifecycle record (state machine
-``queued -> running -> done | failed``, progress events for the SSE
-stream, timing for the latency histogram).  A finished simulate job's
-JSON result carries :func:`~repro.harness.digest.run_digest` of its
-:class:`~repro.harness.runner.RunResult`, the digest the golden corpus
-pins, so a served result can be checked against the committed corpus.
+A :class:`JobSpec` names one unit of servable work (a simulation, a
+static analysis or an autotune) at an explicit scale.  Specs are frozen
+and content-addressed: :func:`job_id_for` uses the persistent result
+cache's key scheme, so the same work from two clients is one job, and
+a job whose result is on disk is served without simulating.
+:class:`Job` is the server-side lifecycle record (``queued -> running
+-> done | failed``, progress events for the SSE stream, latency).  A
+finished simulate job's JSON result carries the
+:func:`~repro.harness.digest.run_digest` the golden corpus pins.
 """
 
 from __future__ import annotations
@@ -252,7 +243,6 @@ class Job:
         self.priority = priority
         self.state = JobState.QUEUED
         self.created_s = time.monotonic()
-        self.started_s: Optional[float] = None
         self.finished_s: Optional[float] = None
         self.error: Optional[str] = None
         self.result = None
@@ -284,8 +274,6 @@ class Job:
     def transition(self, state: str, error: Optional[str] = None) -> None:
         """Move to ``state``, record the SSE event, wake waiters."""
         self.state = state
-        if state == JobState.RUNNING:
-            self.started_s = time.monotonic()
         if state in JobState.TERMINAL:
             self.finished_s = time.monotonic()
             self.error = error

@@ -45,69 +45,58 @@ class Metric:
         self.name = name
         self.help = help_text
 
-    def header(self) -> List[str]:
-        return ["# HELP %s %s" % (self.name, self.help),
-                "# TYPE %s %s" % (self.name, self.type_name)]
-
     def samples(self) -> List[str]:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def render(self) -> List[str]:
-        return self.header() + self.samples()
+        return ["# HELP %s %s" % (self.name, self.help),
+                "# TYPE %s %s" % (self.name, self.type_name)] + self.samples()
 
 
-class Counter(Metric):
+class _Labelled(Metric):
+    """One value per label set."""
+
+    def __init__(self, name: str, help_text: str):
+        super().__init__(name, help_text)
+        self._values: Dict[LabelValues, float] = {}
+
+    def value(self, **labels: str) -> float:
+        return self._values.get(_labelkey(labels), 0.0)
+
+    def _add(self, delta: float, **labels: str) -> None:
+        key = _labelkey(labels)
+        self._values[key] = self._values.get(key, 0.0) + delta
+
+    def samples(self) -> List[str]:
+        if not self._values:
+            return ["%s 0" % self.name]
+        return ["%s%s %g" % (self.name, _render_labels(key), value)
+                for key, value in sorted(self._values.items())]
+
+
+class Counter(_Labelled):
     """Monotonic counter, optionally labelled."""
 
     type_name = "counter"
 
-    def __init__(self, name: str, help_text: str):
-        super().__init__(name, help_text)
-        self._values: Dict[LabelValues, float] = {}
-
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError("counters only go up, got %g" % amount)
-        key = _labelkey(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        return self._values.get(_labelkey(labels), 0.0)
+        self._add(amount, **labels)
 
     def total(self) -> float:
         return sum(self._values.values())
 
-    def samples(self) -> List[str]:
-        if not self._values:
-            return ["%s 0" % self.name]
-        return ["%s%s %g" % (self.name, _render_labels(key), value)
-                for key, value in sorted(self._values.items())]
 
-
-class Gauge(Metric):
+class Gauge(_Labelled):
     """Settable point-in-time value."""
 
     type_name = "gauge"
 
-    def __init__(self, name: str, help_text: str):
-        super().__init__(name, help_text)
-        self._values: Dict[LabelValues, float] = {}
+    add = _Labelled._add
 
     def set(self, value: float, **labels: str) -> None:
         self._values[_labelkey(labels)] = float(value)
-
-    def add(self, delta: float, **labels: str) -> None:
-        key = _labelkey(labels)
-        self._values[key] = self._values.get(key, 0.0) + delta
-
-    def value(self, **labels: str) -> float:
-        return self._values.get(_labelkey(labels), 0.0)
-
-    def samples(self) -> List[str]:
-        if not self._values:
-            return ["%s 0" % self.name]
-        return ["%s%s %g" % (self.name, _render_labels(key), value)
-                for key, value in sorted(self._values.items())]
 
 
 class Histogram(Metric):
@@ -166,9 +155,6 @@ class MetricsRegistry:
             raise ValueError("duplicate metric %r" % metric.name)
         self._metrics[metric.name] = metric
         return metric
-
-    def get(self, name: str) -> Metric:
-        return self._metrics[name]
 
     def render(self) -> str:
         lines: List[str] = []

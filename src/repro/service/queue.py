@@ -1,21 +1,12 @@
 """Bounded, client-fair admission queue for the simulation service.
 
-An unbounded queue converts overload into unbounded memory growth and
-unbounded latency; this queue makes overload explicit instead.  It has
-
-* a **hard depth bound** — :meth:`BoundedJobQueue.put` on a full queue
-  raises :class:`QueueFullError` carrying a ``retry_after_s`` hint
-  derived from the observed service rate, which the HTTP layer turns
-  into ``429 Too Many Requests`` + ``Retry-After``;
-* **per-client fairness** — jobs are popped round-robin across the
-  clients that currently have queued work, so one client bulk-loading a
-  thousand-cell sweep cannot starve another client's single job;
-* **priority within a client** — lower numbers pop first, FIFO within
-  a priority.
-
-The queue is a plain single-threaded data structure: the scheduler owns
-it and only touches it from the event-loop thread, so there are no
-locks to get wrong.
+Overload is made explicit: :meth:`BoundedJobQueue.put` on a full queue
+raises :class:`QueueFullError` with a ``retry_after_s`` hint from the
+observed service rate (the server's ``429`` + ``Retry-After``).  Jobs
+pop round-robin across the clients with queued work, so a bulk sweep
+cannot starve another client's single job, and by priority (lower
+first, FIFO within one) within a client.  Only the scheduler touches
+it, on the event-loop thread, so it takes no locks.
 """
 
 from __future__ import annotations

@@ -4,30 +4,19 @@ supervised execution.
 The scheduler owns the job registry and the bounded queue and runs one
 dispatch loop on the event loop:
 
-1. **Admission** (:meth:`Scheduler.submit`): a spec's content-addressed
-   ID is looked up first — an identical job already queued or running
-   absorbs the submission (*single-flight*: the duplicate caller waits
-   on the same :class:`~repro.service.jobs.Job`, the simulation runs
-   once); a simulate job whose result is already in the persistent
-   :class:`~repro.harness.result_cache.ResultCache` completes instantly
-   without queueing.  Only genuinely new work reaches the queue, where
-   admission control may reject it (backpressure).
-
-2. **Batching**: each dispatch cycle drains the queue (in client-fair
-   order) and groups simulate jobs by (workload, fence mode, scale) —
-   the same trace-sharing grouping
-   :func:`~repro.harness.parallel.run_matrix_parallel` uses — so five
-   configurations of one workload cost one trace build.  Jobs arriving
-   while a batch executes form the next batch.
-
-3. **Execution**: batches run through the fault-tolerant
-   :func:`~repro.harness.supervisor.run_supervised` pool (wall-clock
-   timeouts, retry budgets, pool respawn on worker death, degrade to
-   serial), in a dedicated dispatch thread so the event loop keeps
-   serving HTTP while simulations run.  Group results are persisted to
-   the result cache the moment they complete, so everything the service
-   computes is reusable by later jobs *and* by the offline bench/
-   experiment entry points — one shared cache population.
+1. **Admission** (:meth:`Scheduler.submit`): an identical job already
+   queued or running absorbs the submission (*single-flight*), and a
+   job whose result is in the persistent cache completes without
+   queueing.  Only new work reaches the queue, which may refuse it
+   (backpressure).
+2. **Batching**: each cycle drains the queue in client-fair order and
+   groups simulate jobs by (workload, fence mode, scale), the grouping
+   :func:`~repro.harness.parallel.run_matrix_parallel` uses, so the
+   configurations of one workload share one trace build.
+3. **Execution**: batches run through the supervised pool
+   (:func:`~repro.harness.supervisor.run_supervised`) on a dispatch
+   thread, so the loop keeps serving HTTP; each group's results are
+   persisted to the shared result cache as it completes.
 """
 
 from __future__ import annotations
@@ -84,20 +73,10 @@ def _execute_task(payload: tuple):
     """Worker for one batch task; module-level so it pickles for the
     supervised process pool.
 
-    ``("simulate", workload, config_names, scale_tuple, params)`` runs
-    the batch engine's :func:`~repro.harness.parallel.simulate_group`:
-    the group's trace is built once, in memory, and every
-    configuration is simulated against it — exactly the serial runner's
-    trace sharing, so results are bit-identical to
-    :func:`repro.harness.runner.run_matrix`.
-
-    ``("analyze", workload, mode, scale_tuple)`` runs the static
-    analyzer and returns the report as a JSON-ready dict.
-
-    ``("optimize", workload, config_name, scale_tuple, conservative,
-    budget, params)`` runs the proof-guided fence autotuner (static
-    search plus the dynamic crash-sweep oracle) and returns the
-    optimization report as a JSON-ready dict.
+    A simulate task runs :func:`~repro.harness.parallel.simulate_group`
+    (one trace for every configuration, bit-identical to
+    :func:`repro.harness.runner.run_matrix`); analyze and optimize tasks
+    return the analyzer's or the autotuner's report as a JSON-ready dict.
     """
     kind = payload[0]
     if kind == KIND_SIMULATE:

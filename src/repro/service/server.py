@@ -23,20 +23,12 @@ built on the shared plumbing in :mod:`repro.service.http`.  Routes:
 * ``GET /healthz`` — liveness, queue/in-flight depth and drain state
   (the cluster coordinator's health probes read the detail).
 
-The default bind is ``127.0.0.1:0`` — an ephemeral kernel-assigned
-port — so concurrent test runs never collide; the bound port is
-reported via :attr:`ServiceServer.port` (and ``--port-file`` in the
-CLI).  :class:`ThreadedServer` runs the whole service on a background
-thread for tests, benchmarks and notebook use.
-
-**Graceful drain**: :meth:`ServiceServer.drain_and_stop` (wired to
-SIGTERM by the CLI) flips the scheduler into drain mode — new
-submissions are refused with ``503`` + ``Retry-After`` while status,
-result and metrics queries keep working — waits for every admitted job
-to finish (each group's results are persisted to the result cache the
-moment it completes), then stops.  A drained worker therefore exits
-with zero lost work, which is what lets the cluster coordinator
-re-route around it safely.
+The default bind is ``127.0.0.1:0``, an ephemeral port
+(:attr:`ServiceServer.port`, ``--port-file`` in the CLI).
+:class:`ThreadedServer` runs the service on a background thread.
+:meth:`ServiceServer.drain_and_stop` (SIGTERM in the CLI) refuses new
+submissions with ``503`` while queries keep working and every admitted
+job finishes and is persisted, so a drained shard loses no work.
 """
 
 from __future__ import annotations
@@ -53,7 +45,9 @@ from repro.service.http import (
     MAX_BODY_BYTES,
     BaseHttpServer,
     ThreadedHttpServer,
+    parse_event_id,
     render_chunk,
+    render_sse,
     render_stream_head,
 )
 from repro.service.jobs import Job, JobState, KIND_SIMULATE, parse_submit
@@ -228,19 +222,13 @@ class ServiceServer(BaseHttpServer):
         """
         writer.write(render_stream_head("text/event-stream",
                                         {"Cache-Control": "no-cache"}))
-        index = 0
-        last_seen = headers.get("last-event-id", "")
-        if last_seen:
-            try:
-                index = int(last_seen) + 1
-            except ValueError:
-                pass
+        last_seen = parse_event_id(headers.get("last-event-id", ""))
+        index = 0 if last_seen is None else last_seen + 1
         while True:
             while index < len(job.events):
                 event = job.events[index]
-                writer.write(render_chunk(
-                    ("id: %d\nevent: %s\ndata: %s\n\n"
-                     % (index, event["event"], json.dumps(event))).encode()))
+                writer.write(render_chunk(render_sse(
+                    index, event["event"], json.dumps(event))))
                 index += 1
             if job.state in JobState.TERMINAL:
                 writer.write(LAST_CHUNK)
@@ -250,14 +238,8 @@ class ServiceServer(BaseHttpServer):
 
 
 class ThreadedServer(ThreadedHttpServer):
-    """Run a :class:`ServiceServer` on a background thread.
-
-    The harness for tests, benchmarks and in-process embedding: the
-    event loop lives on a daemon thread, the caller gets the bound port
-    and a :meth:`call` bridge that executes a function *on the loop
-    thread* (how tests pause the scheduler or read metrics without
-    races).
-    """
+    """Run a :class:`ServiceServer` on a background thread (tests,
+    benchmarks, in-process embedding)."""
 
     thread_name = "repro-service"
 

@@ -240,6 +240,39 @@ def _read_chunked(sock, buffered=b""):
         chunks.append(data[line_end + 2:end - 2])
 
 
+CHUNKED_SPEC = json.dumps({"spec": SPEC}).encode()
+
+MALFORMED_FRAMING = {
+    "oversized": (b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+                  413, "too large"),
+    "negative-length": (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                        400, "Content-Length"),
+    "non-numeric-length": (b"POST /jobs HTTP/1.1\r\nContent-Length: abc"
+                           b"\r\n\r\n", 400, "Content-Length"),
+    # A valid spec in one chunk, then a request pipelined behind it.
+    "chunked": (b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%s\r\n0\r\n\r\n" % (len(CHUNKED_SPEC), CHUNKED_SPEC)
+                + b"GET /healthz HTTP/1.1\r\n\r\n", 400, "Transfer-Encoding"),
+}
+
+
+@pytest.mark.parametrize("kind", ["service", "coordinator"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FRAMING))
+def test_malformed_request_framing_is_refused_and_closed(servers, kind, case):
+    """A request whose framing the server cannot trust gets one error
+    answer and the connection closes: nothing after it on the wire is
+    read as a request."""
+    request, expected, reason = MALFORMED_FRAMING[case]
+    with socket.create_connection(("127.0.0.1", servers[kind].port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        head, body, rest = _read_response(sock)
+        rest += _read_to_eof(sock)
+    assert head.startswith(b"HTTP/1.1 %d " % expected), head
+    assert reason in json.loads(body)["error"]
+    assert rest == b""
+
+
 @pytest.mark.parametrize("kind", ["service", "coordinator"])
 def test_event_stream_keeps_its_connection(servers, kind):
     """The stream is chunked, one event per chunk, ends with the last
