@@ -177,7 +177,8 @@ class ServiceClient:
     # --- low-level ----------------------------------------------------------
 
     def _headers(self) -> Dict[str, str]:
-        headers = {"X-Client": self.client_id}
+        headers = {"Host": "%s:%d" % (self.host, self.port),
+                   "X-Client": self.client_id}
         if self.deadline_s is not None:
             headers["X-Deadline"] = "%g" % self.deadline_s
         return headers

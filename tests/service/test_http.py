@@ -350,6 +350,30 @@ class ThreadedFlaky(ThreadedHttpServer):
                                   self.server.requests))
 
 
+class _HeaderEcho(BaseHttpServer):
+    """Answers every request with the headers it received."""
+
+    async def _route(self, method, target, headers, body, writer):
+        self._respond(writer, 200, headers)
+
+
+class ThreadedHeaderEcho(ThreadedHttpServer):
+    thread_name = "repro-header-echo"
+
+    def _build(self):
+        return _HeaderEcho(**self._kwargs)
+
+
+def test_client_request_names_its_host_and_client():
+    """HTTP/1.1 requires ``Host``; the client sends it on every request,
+    with its ``X-Client`` id."""
+    with ThreadedHeaderEcho() as echo:
+        client = ServiceClient(port=echo.port, client_id="pytest")
+        headers = _in_new_thread(client.healthz)
+    assert headers["host"] == "127.0.0.1:%d" % echo.port
+    assert headers["x-client"] == "pytest"
+
+
 def _in_new_thread(fn):
     """Run ``fn`` in a fresh thread (so it starts with no pooled
     connection) and return its value or raise its exception."""
