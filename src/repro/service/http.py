@@ -98,8 +98,9 @@ NEED_DATA = object()
 END = object()
 
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
-_DIGITS = re.compile(r"[0-9]+")
-_HEX = re.compile(rb"[0-9A-Fa-f]+")
+# Bounded, so no number a peer sends can take long to convert.
+_DIGITS = re.compile(r"[0-9]{1,18}")
+_HEX = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _HEAD, _LENGTH, _CHUNK, _DONE = range(4)
 
 

@@ -200,6 +200,7 @@ BAD_REQUESTS = {
     "oversized": (b"Content-Length: %d\r\n" % (2 << 20), 413),
     "negative-length": (b"Content-Length: -5\r\n", 400),
     "non-numeric-length": (b"Content-Length: abc\r\n", 400),
+    "huge-length": (b"Content-Length: %s\r\n" % (b"9" * 5000), 400),
     "chunked": (b"Transfer-Encoding: chunked\r\n", 400),
     "header-without-colon": (b"X-Client pytest\r\n", 400),
 }
@@ -232,6 +233,8 @@ def test_malformed_request_line_is_400(line):
     b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n"
+    % (b"f" * 17),
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabc\r\n",
 ])
 def test_malformed_response_is_a_transport_error(response):
