@@ -10,9 +10,11 @@ shard registries/cache without simulating).  Each shard count runs
 :data:`ROUNDS` rounds, each on a fresh cluster and cache directory so
 every cold pass is cold; the best round gives the headline rate and the
 ``<name>_timing`` metric beside it keeps the spread of the pass times.
-Every pass waits on each job's event stream, as the e2e
-``service-jobs`` clients do, so its time is the jobs' own rather than
-the phase of a status poll.  Every served digest is verified
+Every pass waits with ``wait(via_events=True)``, as the e2e
+``service-jobs`` clients do: a job still running is followed on its
+event stream, so its time is the job's own rather than the phase of a
+status poll, and a finished one (every job of a warm pass) is returned
+from its first status read.  Every served digest is verified
 bit-identical to the serial :func:`repro.harness.runner.run_matrix`
 reference.
 
@@ -75,8 +77,8 @@ def _served(client, job_id):
 
 
 def _run_pass(client, scale):
-    """Submit the matrix, wait it out on each job's event stream; return
-    (seconds, digests)."""
+    """Submit the matrix, wait it out (on the event stream of each job
+    still running); return (seconds, digests)."""
     start = time.perf_counter()
     statuses = client.submit_matrix(list(WORKLOADS), list(CONFIGS),
                                     scale.ops_per_txn, scale.txns,

@@ -286,8 +286,9 @@ class ServiceClient:
         for a first-try admission.
 
         ``rng`` and ``sleep`` are injectable for deterministic tests.
+        Without an ``rng``, one is built at the first rejection: seeding
+        it reads ``os.urandom``, which a first-try admission need not pay.
         """
-        rng = rng if rng is not None else random.Random()
         deadline = time.monotonic() + give_up_after_s
         waited = 0.0
         rejections = 0
@@ -298,6 +299,8 @@ class ServiceClient:
                 status["queue_full_retries"] = rejections
                 return status
             except Backpressure as exc:
+                if rng is None:
+                    rng = random.Random()
                 delay = min(max(0.0, exc.retry_after_s), max_sleep_s)
                 delay = min(delay * (1.0 + jitter * rng.random()),
                             max_sleep_s)
@@ -365,23 +368,27 @@ class ServiceClient:
              poll_s: float = 0.05, via_events: bool = False) -> dict:
         """Block until the job is terminal; return its final status.
 
-        ``via_events=True`` follows the SSE stream (with automatic
-        ``Last-Event-ID`` reconnects) instead of polling.
+        The status is read first, and a terminal one is returned as it
+        is.  Only a job still queued or running is then followed:
+        ``via_events=True`` on its SSE stream (with automatic
+        ``Last-Event-ID`` reconnects), otherwise by polling every
+        ``poll_s``; either way its final status is read again at the end.
         """
-        if via_events:
-            for _ in self.watch(job_id, timeout=timeout):
-                pass
-            return self.status(job_id)
         deadline = time.monotonic() + timeout
         while True:
             status = self.status(job_id)
             if status["state"] in JobState.TERMINAL:
                 return status
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining < 0:
                 raise TimeoutError(
                     "job %s still %r after %gs"
                     % (job_id, status["state"], timeout))
-            time.sleep(poll_s)
+            if via_events:
+                for _ in self.watch(job_id, timeout=remaining):
+                    pass
+            else:
+                time.sleep(poll_s)
 
     def result(self, job_id: str) -> dict:
         """The JSON result view (summary + digest for simulate jobs)."""

@@ -125,7 +125,13 @@ class JobSpec:
         return CONFIG_BY_NAME[self.config]
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in declaration order, as ``dataclasses.asdict``
+        gives them (every field is a scalar, so nothing to deep-copy)."""
+        return {"kind": self.kind, "workload": self.workload,
+                "config": self.config, "ops_per_txn": self.ops_per_txn,
+                "txns": self.txns, "seed": self.seed,
+                "conservative": self.conservative, "budget": self.budget,
+                "cores": self.cores}
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":

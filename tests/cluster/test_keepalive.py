@@ -14,7 +14,10 @@ server on the link:
   one breaker failure; the client resumes with ``Last-Event-ID``;
 * the loser of a hedged read is closed, never pooled (its response is
   still on the wire);
-* warm requests open no connection on either link.
+* warm requests open no connection on either link, and each carries
+  the submit, one status read and the result on each link, with no
+  event stream; a request for a job still running follows its stream on
+  the pooled connections.
 """
 
 import asyncio
@@ -34,6 +37,11 @@ from tests.service.test_http import (
     ThreadedFlaky,
     _in_new_thread,
     _read_chunked,
+)
+from tests.service.test_sse_resume import (
+    cold_request_lines,
+    follow_paused_job,
+    record_requests,
 )
 
 SCALE = dict(ops_per_txn=4, txns=2)
@@ -157,10 +165,8 @@ def test_cancelled_hedged_read_is_never_pooled(shard):
 
 def test_warm_requests_open_no_connections(shard):
     """client -> proxy -> coordinator -> proxy -> shard.  A warm request
-    (submit, event stream, status, result) reuses the pooled connection
-    on both hops, its event stream included; with ``Connection: close``
-    it opened 4 per hop, and with streams that closed their connection,
-    1 per hop."""
+    (submit, status, result) reuses the pooled connection on both hops;
+    with ``Connection: close`` it opened one per request."""
     warm = 8
     with ThreadedFaultProxy(upstream_host="127.0.0.1",
                             upstream_port=shard.port) as shard_link, \
@@ -189,6 +195,46 @@ def test_warm_requests_open_no_connections(shard):
         assert digests == [cold] * warm
         assert after == before
         assert proxy_errors(threaded) == 0
+
+
+def test_warm_request_is_three_requests_on_each_hop(shard):
+    """A warm request asks for a job the shard has finished, so ``wait``
+    finds it done on its first status read: each hop carries the submit,
+    that read and the result, and no event stream."""
+    with ThreadedCoordinator(shards=[("127.0.0.1", shard.port)],
+                             probe_interval_s=60.0) as threaded:
+        spec = spec_for(47)
+        client = ServiceClient(port=threaded.port, client_id="pytest")
+        job_id = client.submit(spec)["id"]
+        assert client.wait(job_id)["state"] == "done"
+        hops = record_requests(threaded), record_requests(shard)
+        assert client.submit(spec)["state"] == "done"
+        assert client.wait(job_id, via_events=True)["state"] == "done"
+        client.result(job_id)
+    expected = ["POST /jobs", "GET /jobs/%s" % job_id,
+                "GET /jobs/%s/result" % job_id]
+    assert hops == (expected, expected)
+
+
+def test_running_job_is_followed_on_its_stream(shard):
+    """client -> proxy -> coordinator -> proxy -> shard, with the shard's
+    dispatch held until the event stream reached it: the wait follows
+    the relayed stream, each hop carries the same five requests, and all
+    of them share one connection per link, the stream's included."""
+    with ThreadedFaultProxy(upstream_host="127.0.0.1",
+                            upstream_port=shard.port) as shard_link, \
+            ThreadedCoordinator(shards=[("127.0.0.1", shard_link.port)],
+                                probe_interval_s=60.0) as threaded, \
+            ThreadedFaultProxy(upstream_host="127.0.0.1",
+                               upstream_port=threaded.port) as client_link:
+        front = record_requests(threaded)
+        job_id, state, lines = follow_paused_job(shard, client_link.port,
+                                                 spec_for(49))
+        links = (client_link.stats()["connections"],
+                 shard_link.stats()["connections"])
+    assert state == "done"
+    assert front == lines == cold_request_lines(job_id)
+    assert links == (1, 1)
 
 
 def _stream_wire(port, job_id):

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,32 @@ class TestSubmitRetrying:
                                       sleep=lambda _s: None)
         assert status["queue_wait_s"] == 0
         assert status["queue_full_retries"] == 0
+
+    def test_rng_is_built_only_when_a_429_arrives(self, monkeypatch):
+        """Seeding a ``random.Random`` reads ``os.urandom``: a first-try
+        admission builds none, and a run of rejections builds one."""
+        built = []
+
+        def fake_random():
+            built.append(self.FakeRng([0.0, 1.0]))
+            return built[-1]
+
+        monkeypatch.setattr("repro.service.client.random",
+                            types.SimpleNamespace(Random=fake_random))
+        stub = self.StubClient([{"id": "sim-a", "state": "queued"}])
+        stub.submit_retrying(spec_for("update", "B"), sleep=lambda _s: None)
+        assert built == []
+
+        stub = self.StubClient([
+            self.backpressure(2.0),
+            self.backpressure(2.0),
+            {"id": "sim-b", "state": "queued"},
+        ])
+        sleeps = []
+        stub.submit_retrying(spec_for("update", "B"), jitter=0.25,
+                             sleep=sleeps.append)
+        assert len(built) == 1
+        assert sleeps == [pytest.approx(2.0), pytest.approx(2.5)]
 
     def test_gives_up_past_deadline(self):
         from repro.service.client import Backpressure

@@ -37,6 +37,21 @@ class TestJobSpec:
     def test_dict_roundtrip(self):
         assert JobSpec.from_dict(SPEC.to_dict()) == SPEC
 
+    @pytest.mark.parametrize("spec", [
+        JobSpec(kind="simulate", workload="mpsc", config="WB",
+                ops_per_txn=4, txns=3, seed=7, cores=2),
+        JobSpec(kind="analyze", workload="swap", config="dmb_st+cons"),
+        JobSpec(kind="optimize", workload="update", config="IQ",
+                conservative=True, budget=12),
+    ], ids=["simulate", "analyze", "optimize"])
+    def test_to_dict_is_asdict_in_field_order(self, spec):
+        """The submit body and the status JSON are built from this dict,
+        so its keys and their order are part of the wire format."""
+        rendered = spec.to_dict()
+        assert list(rendered.items()) == \
+            list(dataclasses.asdict(spec).items())
+        assert JobSpec.from_dict(rendered) == spec
+
     @pytest.mark.parametrize("mutation,message", [
         ({"kind": "frobnicate"}, "unknown job kind"),
         ({"workload": "nope"}, "unknown workload"),

@@ -11,6 +11,7 @@ reconnect, never a duplicate or a lost event.
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -42,6 +43,68 @@ def finished_job(server):
     status = client.submit(spec_for("update", "B"))
     client.wait(status["id"])
     return status["id"]
+
+
+def record_requests(threaded):
+    """``"METHOD target"`` of every request the server of ``threaded``
+    routes from now on, in the order they arrive."""
+    lines = []
+    server = threaded.server
+    route = server._route
+
+    async def recording(method, target, headers, body, writer):
+        lines.append("%s %s" % (method, target))
+        await route(method, target, headers, body, writer)
+
+    server._route = recording
+    return lines
+
+
+def follow_paused_job(shard, port, spec):
+    """Submit ``spec`` to the server on ``port`` and wait for it with
+    ``wait(via_events=True)``, then read its result, all in a fresh
+    thread, while ``shard`` (which runs the job) holds dispatch.  Dispatch
+    resumes only once the shard was asked for the job's event stream, so
+    the wait cannot find the job done on its first status read.  Returns
+    the job ID, its final state and the request lines the shard got."""
+    lines = record_requests(shard)
+    outcome = {}
+
+    def request():
+        try:
+            client = ServiceClient(port=port, client_id="pytest")
+            outcome["id"] = client.submit(spec)["id"]
+            outcome["state"] = client.wait(outcome["id"], timeout=60,
+                                           via_events=True)["state"]
+            client.result(outcome["id"])
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    shard.call(shard.scheduler.pause)
+    worker = threading.Thread(target=request)
+    worker.start()
+    try:
+        deadline = time.monotonic() + 30
+        while not any(line.endswith("/events") for line in lines):
+            assert worker.is_alive(), outcome
+            assert time.monotonic() < deadline, "no event stream opened"
+            time.sleep(0.01)
+    finally:
+        shard.call(shard.scheduler.resume)
+        worker.join(60)
+    assert not worker.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["id"], outcome["state"], lines
+
+
+def cold_request_lines(job_id):
+    """What a request for a job not yet done sends: the submit, a status
+    read that finds it not done, its event stream, the final status and
+    the result."""
+    return ["POST /jobs", "GET /jobs/%s" % job_id,
+            "GET /jobs/%s/events" % job_id, "GET /jobs/%s" % job_id,
+            "GET /jobs/%s/result" % job_id]
 
 
 def _raw_stream(port, job_id, last_event_id=None):
@@ -98,6 +161,20 @@ class TestClientWatch:
         status = client.submit(spec_for("swap", "WB"))
         final = client.wait(status["id"], via_events=True)
         assert final["state"] == "done"
+
+    def test_wait_follows_the_stream_of_a_running_job(self, server):
+        job_id, state, lines = follow_paused_job(
+            server, server.port, spec_for("swap", "IQ"))
+        assert state == "done"
+        assert lines == cold_request_lines(job_id)
+
+    def test_wait_reads_a_finished_job_once(self, server, finished_job):
+        """A job already done is returned from the first status read;
+        no event stream is opened."""
+        lines = record_requests(server)
+        client = ServiceClient(port=server.port, client_id="pytest")
+        assert client.wait(finished_job, via_events=True)["state"] == "done"
+        assert lines == ["GET /jobs/%s" % finished_job]
 
     def test_watch_resumes_across_a_truncated_stream(self, server,
                                                      finished_job):
