@@ -5,7 +5,8 @@ than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the compiled interpreter vs the reference interpreter, and
 the workload build path), the replay row prepass time, the update and
-swap build times, serial-vs-parallel full-matrix wall time, the
+swap build times, one paper-matrix pass with the cyclic-GC time and
+collections inside it, serial-vs-parallel full-matrix wall time, the
 persistent result cache's cold/warm behaviour, and the crash sweep's
 cost per crash point.  The numbers land in the BENCH JSON
 (``benchmark.extra_info``) and the headline ones in the
@@ -17,13 +18,17 @@ Scale control: ``REPRO_BENCH_OPS`` / ``REPRO_BENCH_TXNS`` as in
 
 from __future__ import annotations
 
+import gc
 import shutil
+import statistics
 import tempfile
+import time
 
 from benchmarks.common import bench_scale, print_header, simulate
-from benchmarks.ledger import timed_rounds
+from benchmarks.ledger import Timing, timed_rounds
 from repro.consistency.crash_sim import CrashInjector
 from repro.harness.configs import configuration
+from repro.harness.experiments import APPLICATIONS
 from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.harness.runner import run_matrix, run_one
 from repro.isa.assembler import assemble
@@ -35,6 +40,81 @@ from repro.workloads import base as workload_base
 #: enough to run twice in one bench, large enough to dominate overheads.
 MATRIX_APPS = ("btree", "update")
 MATRIX_CONFIGS = ("B", "SU", "IQ", "WB", "U")
+
+
+class GcClock:
+    """A ``gc.callbacks`` hook: seconds spent in cyclic collections and
+    the collections started, per generation."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self.collections[info["generation"]] += 1
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+
+
+#: Timed paper-matrix passes; odd, so each median is one pass's value.
+MATRIX_PASSES = 5
+
+
+def _paper_matrix_pass(scale):
+    """Fig. 9 as the e2e ``paper-matrix`` workload runs it: every app
+    under every configuration, one trace per fence mode, no caches."""
+    for app in APPLICATIONS:
+        built = {}
+        for name in MATRIX_CONFIGS:
+            config = configuration(name)
+            trace = built.get(config.fence_mode)
+            if trace is None:
+                trace = built[config.fence_mode] = workload_base.build(
+                    app, config.fence_mode, scale)
+            run_one(app, config, scale, built=trace)
+
+
+def test_selfperf_paper_matrix_pass(benchmark, bench_ledger):
+    """Wall time of one paper-matrix pass, and the cyclic GC's share."""
+    scale = bench_scale()
+    _paper_matrix_pass(scale)  # warm the per-shape memos
+    clocks = []
+
+    def one_pass():
+        clock = GcClock()
+        gc.collect()
+        gc.callbacks.append(clock)
+        try:
+            start = time.perf_counter()
+            _paper_matrix_pass(scale)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.callbacks.remove(clock)
+        clocks.append(clock)
+        return elapsed
+
+    timing = benchmark.pedantic(
+        lambda: Timing.of([one_pass() for _ in range(MATRIX_PASSES)]),
+        rounds=1, iterations=1)
+    gc_s = statistics.median(clock.seconds for clock in clocks)
+    collections = {"gen%d" % gen: statistics.median(
+        clock.collections[gen] for clock in clocks) for gen in range(3)}
+    benchmark.extra_info["matrix_pass_s"] = round(timing.best, 4)
+    benchmark.extra_info["matrix_pass_gc_s"] = round(gc_s, 4)
+    benchmark.extra_info["matrix_pass_collections"] = collections
+    bench_ledger.record("selfperf", matrix_pass_s=round(timing.best, 4),
+                        matrix_pass_timing=timing,
+                        matrix_pass_gc_s=round(gc_s, 4),
+                        matrix_pass_collections=collections)
+
+    print_header("Self-perf: one paper-matrix pass (%d apps x %d configs)"
+                 % (len(APPLICATIONS), len(MATRIX_CONFIGS)))
+    print("  median of %d   : %.3f s (best %.3f s)"
+          % (timing.n, timing.median, timing.best))
+    print("  cyclic GC      : %.3f s, collections %s" % (gc_s, collections))
 
 
 def test_selfperf_single_run_kips(benchmark, bench_ledger):

@@ -57,12 +57,16 @@ from repro.harness.envutil import knob
 #: Memoized source fingerprint (the tree does not change mid-process).
 _SOURCE_FINGERPRINT: Optional[str] = None
 
-#: Canonical JSON of frozen dataclass instances by object identity,
-#: least recently used first: ``id(obj) -> (obj, text)``.  Holding the
-#: object keeps its id from being reused.  The memo is never keyed by
-#: value: ``Scale(10, 5)`` and ``Scale(10.0, 5)`` are equal and hash
-#: equal, yet render different keys.
-_RENDERED: "OrderedDict[int, Tuple[object, str]]" = OrderedDict()
+#: Canonical JSON of frozen dataclass instances, least recently used
+#: first.  Every instance is memoised by identity, ``id(obj) -> (obj,
+#: text)``; holding the object keeps its id from being reused.  A flat
+#: one (every field a str, int, bool or None) is also memoised by value,
+#: ``(class, (type, value), ...) -> (None, text)``, so a fresh but equal
+#: instance (each parsed ``JobSpec``'s ``Scale``) hits too.  The value
+#: key holds each field's exact type: ``Scale(10, 5)``, ``Scale(10.0,
+#: 5)`` and ``Scale(True, 5)`` are equal and hash equal, yet render
+#: different keys; a float field keeps an instance out of the value memo.
+_RENDERED: "OrderedDict[object, Tuple[object, str]]" = OrderedDict()
 _RENDERED_MAX = 64
 _RENDERED_LOCK = threading.Lock()
 
@@ -123,26 +127,51 @@ def source_fingerprint() -> str:
     return _SOURCE_FINGERPRINT
 
 
+#: Field types whose values compare equal only when they render alike.
+_FLAT_TYPES = (str, int, bool, type(None))
+
+
+def _value_key(obj) -> Optional[tuple]:
+    """The value memo key of a flat frozen dataclass, else None."""
+    key = [type(obj)]
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if type(value) not in _FLAT_TYPES:
+            return None
+        key.append((type(value), value))
+    return tuple(key)
+
+
 def _canonical(obj) -> str:
     """Stable JSON rendering of nested dataclasses / containers.
 
     A frozen dataclass instance (the architectural params above all,
-    ~120 us to render) is rendered once per object and then served from
-    :data:`_RENDERED`.
+    ~120 us to render) is rendered once per object, or once per value
+    for a flat one, and then served from :data:`_RENDERED`.
     """
     if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
         return json.dumps(obj, sort_keys=True, default=repr)
     frozen = obj.__dataclass_params__.frozen
+    value_key = None
     if frozen:
         with _RENDERED_LOCK:
             hit = _RENDERED.get(id(obj))
             if hit is not None:
                 _RENDERED.move_to_end(id(obj))
                 return hit[1]
+        value_key = _value_key(obj)
+        if value_key is not None:
+            with _RENDERED_LOCK:
+                hit = _RENDERED.get(value_key)
+                if hit is not None:
+                    _RENDERED.move_to_end(value_key)
+                    return hit[1]
     text = json.dumps(dataclasses.asdict(obj), sort_keys=True, default=repr)
     if frozen:
         with _RENDERED_LOCK:
             _RENDERED[id(obj)] = (obj, text)
+            if value_key is not None:
+                _RENDERED[value_key] = (None, text)
             while len(_RENDERED) > _RENDERED_MAX:
                 _RENDERED.popitem(last=False)
     return text

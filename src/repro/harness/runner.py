@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.chaos import chaos_point
 from repro.consistency.checker import CheckResult, check_run
+from repro.gcpause import paused
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
 from repro.harness.profiling import maybe_profile
 from repro.memory.controller import MemoryController
@@ -67,62 +68,65 @@ def run_one(workload: str, config: Configuration,
     :mod:`repro.harness.profiling`).
 
     Builds with ``cores > 1`` are routed through the lockstep multi-core
-    driver (:mod:`repro.multicore.system`) automatically.
+    driver (:mod:`repro.multicore.system`) automatically.  Everything
+    from the build to the consistency check runs with the cyclic GC
+    paused (:mod:`repro.gcpause`).
     """
     chaos_point("run_one", "%s/%s" % (workload, config.name))
-    label = "%s-%s" % (workload, config.name)
-    if built is None:
-        with maybe_profile(label, "build"):
-            built = workload_base.build(workload, config.fence_mode, scale)
+    with paused():
+        label = "%s-%s" % (workload, config.name)
+        if built is None:
+            with maybe_profile(label, "build"):
+                built = workload_base.build(workload, config.fence_mode, scale)
 
-    multicore = getattr(built, "cores", 1) > 1
-    with maybe_profile(label, "simulate"):
-        if multicore:
-            from repro.multicore.system import simulate_built
+        multicore = getattr(built, "cores", 1) > 1
+        with maybe_profile(label, "simulate"):
+            if multicore:
+                from repro.multicore.system import simulate_built
 
-            sim = simulate_built(built, config, params, warm=warm)
-            stats = sim.stats
-            controller = sim.controller
-            store_visibility = sim.store_visibility
-            core_stats = sim.core_stats
-        else:
-            controller = MemoryController(
-                address_map=params.address_map,
-                dram_params=params.dram,
-                nvm_params=params.nvm,
-            )
-            hierarchy = CacheHierarchy(controller, params.hierarchy)
-            if warm:
-                warm_hierarchy(hierarchy, built)
-            core = OutOfOrderCore(built.trace, hierarchy, config.policy,
-                                  params.core, replay=meta_for(built))
-            stats = core.run()
-            store_visibility = core.store_visibility
-            core_stats = None
-        # Drain outstanding NVM writes so buffer-occupancy samples (Fig. 10)
-        # cover the whole run even at small scales.
-        controller.nvm.drain_all(stats.cycles)
+                sim = simulate_built(built, config, params, warm=warm)
+                stats = sim.stats
+                controller = sim.controller
+                store_visibility = sim.store_visibility
+                core_stats = sim.core_stats
+            else:
+                controller = MemoryController(
+                    address_map=params.address_map,
+                    dram_params=params.dram,
+                    nvm_params=params.nvm,
+                )
+                hierarchy = CacheHierarchy(controller, params.hierarchy)
+                if warm:
+                    warm_hierarchy(hierarchy, built)
+                core = OutOfOrderCore(built.trace, hierarchy, config.policy,
+                                      params.core, replay=meta_for(built))
+                stats = core.run()
+                store_visibility = core.store_visibility
+                core_stats = None
+            # Drain outstanding NVM writes so buffer-occupancy samples
+            # (Fig. 10) cover the whole run even at small scales.
+            controller.nvm.drain_all(stats.cycles)
 
-    consistency = check_run(
-        obligations=built.obligations,
-        persist_log=controller.persist_log,
-        store_visibility=store_visibility,
-        safe_by_spec=config.safe_by_spec,
-    )
+        consistency = check_run(
+            obligations=built.obligations,
+            persist_log=controller.persist_log,
+            store_visibility=store_visibility,
+            safe_by_spec=config.safe_by_spec,
+        )
 
-    return RunResult(
-        workload=workload,
-        config=config,
-        cycles=stats.cycles,
-        stats=stats,
-        nvm_pending_samples=list(controller.nvm.pending_samples),
-        nvm_media_writes=controller.nvm.stats.media_writes,
-        nvm_coalesced_writes=controller.nvm.stats.coalesced_writes,
-        persist_log=controller.persist_log,
-        consistency=consistency,
-        built=built,
-        core_stats=core_stats,
-    )
+        return RunResult(
+            workload=workload,
+            config=config,
+            cycles=stats.cycles,
+            stats=stats,
+            nvm_pending_samples=list(controller.nvm.pending_samples),
+            nvm_media_writes=controller.nvm.stats.media_writes,
+            nvm_coalesced_writes=controller.nvm.stats.coalesced_writes,
+            persist_log=controller.persist_log,
+            consistency=consistency,
+            built=built,
+            core_stats=core_stats,
+        )
 
 
 def run_matrix(workloads: List[str], configs: List[Configuration],

@@ -20,9 +20,9 @@ single-core pipeline's (the golden corpus pins both).
 from __future__ import annotations
 
 import dataclasses
-import gc
 from typing import List, Optional
 
+from repro.gcpause import paused
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.multicore.coherence import CoherenceDirectory, CoherentHierarchy
@@ -93,49 +93,44 @@ def drive(cores: List[OutOfOrderCore],
     now = 0
     last_retire = 0
     live = [(core, core.lockstep()) for core in cores]
-    # Pause the cyclic GC once for the whole machine, as the single-core
-    # loop does for its run.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while live:
-            if now > max_cycles:
-                _stuck(live, "exceeded the %d-cycle budget" % max_cycles)
-            retired = 0
-            target = None
-            running = []
-            for core, loop in live:
-                core.now = now
-                try:
-                    core_retired, wake = next(loop)
-                except StopIteration:
-                    # HALT retired: progress, and the core leaves the
-                    # machine.
-                    retired += 1
-                    target = now + 1
-                    continue
-                running.append((core, loop))
-                retired += core_retired
-                if wake is not None and (target is None or wake < target):
-                    target = wake
-            if retired:
-                last_retire = now
-            elif no_retire_limit and now - last_retire > no_retire_limit:
-                _stuck(live, "no instruction retired for %d cycles "
-                             "(watchdog limit %d)"
-                       % (now - last_retire, no_retire_limit))
-            live = running
-            if not live:
-                return
-            if target is None:
-                _stuck(live, "machine deadlock (no core progressed, "
-                             "nothing scheduled)")
-            now = target
-    finally:
-        for _, loop in live:
-            loop.close()
-        if gc_was_enabled:
-            gc.enable()
+    with paused():
+        try:
+            while live:
+                if now > max_cycles:
+                    _stuck(live, "exceeded the %d-cycle budget" % max_cycles)
+                retired = 0
+                target = None
+                running = []
+                for core, loop in live:
+                    core.now = now
+                    try:
+                        core_retired, wake = next(loop)
+                    except StopIteration:
+                        # HALT retired: progress, and the core leaves the
+                        # machine.
+                        retired += 1
+                        target = now + 1
+                        continue
+                    running.append((core, loop))
+                    retired += core_retired
+                    if wake is not None and (target is None or wake < target):
+                        target = wake
+                if retired:
+                    last_retire = now
+                elif no_retire_limit and now - last_retire > no_retire_limit:
+                    _stuck(live, "no instruction retired for %d cycles "
+                                 "(watchdog limit %d)"
+                           % (now - last_retire, no_retire_limit))
+                live = running
+                if not live:
+                    return
+                if target is None:
+                    _stuck(live, "machine deadlock (no core progressed, "
+                                 "nothing scheduled)")
+                now = target
+        finally:
+            for _, loop in live:
+                loop.close()
 
 
 def simulate_built(built, config, params, warm: bool = True,

@@ -33,7 +33,6 @@ runs it one cycle per step under a clock owned by a multi-core driver.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import sys
 from collections import deque
@@ -51,6 +50,7 @@ from typing import (
 
 from repro.core.edm import CheckpointedEdm
 from repro.core.policies import EnforcementPolicy, FENCE_POLICY
+from repro.gcpause import paused
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.memory.hierarchy import CacheHierarchy
@@ -484,690 +484,693 @@ class OutOfOrderCore:
         last_retire = now
         halted = False
         wb_dirty = True
-        # Pause the cyclic GC for the run: the loop allocates heavily
-        # (DynInst, events, rows) but forms no reference cycles, and young
-        # -generation collections were a measurable share of the run.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while True:
-                now_next = now + 1
-                if now > max_cycles:
-                    raise _Stuck("exceeded the %d-cycle budget" % max_cycles)
+        # The loop allocates heavily (DynInst, events, rows) but forms no
+        # reference cycles.
+        with paused():
+            try:
+                while True:
+                    now_next = now + 1
+                    if now > max_cycles:
+                        raise _Stuck("exceeded the %d-cycle budget"
+                                     % max_cycles)
 
-                # --- events --------------------------------------------
-                # The handlers are inlined: these events fire once or
-                # twice per instruction, and handler call frames were the
-                # largest share of the run.  Events of instructions a
-                # squash flushed fire as no-ops.  A WAKE has no effect
-                # beyond counting as progress.
-                # Swap the delta-1 double buffer: events parked on
-                # ``due_next`` during the previous cycle fire now, after
-                # any dict bucket (which only holds older schedules).
-                due, due_next = due_next, due
-                if event_heap and event_heap[0] == now:
-                    batch = events.pop(heappop(event_heap))
-                    if due:
-                        batch += due
-                        del due[:]
-                else:
-                    batch = due
-                if batch:
-                    events_any = True
-                    for kind, dyn in batch:
-                        if kind == EXECUTE_DONE:
-                            if dyn.squashed:
-                                continue
-                            dyn.executed = True
-                            dyn.execute_done_cycle = now
-                            seq = dyn.seq
-                            waiters = reg_waiters.pop(seq, None)
-                            if waiters is not None:
-                                for waiter in waiters:
-                                    waiter.regs_outstanding -= 1
-                            if dyn.is_store:
-                                parked = store_exec_waiters.pop(seq, None)
-                                if parked is not None:
+                    # --- events --------------------------------------------
+                    # The handlers are inlined: these events fire once or
+                    # twice per instruction, and handler call frames were the
+                    # largest share of the run.  Events of instructions a
+                    # squash flushed fire as no-ops.  A WAKE has no effect
+                    # beyond counting as progress.
+                    # Swap the delta-1 double buffer: events parked on
+                    # ``due_next`` during the previous cycle fire now, after
+                    # any dict bucket (which only holds older schedules).
+                    due, due_next = due_next, due
+                    if event_heap and event_heap[0] == now:
+                        batch = events.pop(heappop(event_heap))
+                        if due:
+                            batch += due
+                            del due[:]
+                    else:
+                        batch = due
+                    if batch:
+                        events_any = True
+                        for kind, dyn in batch:
+                            if kind == EXECUTE_DONE:
+                                if dyn.squashed:
+                                    continue
+                                dyn.executed = True
+                                dyn.execute_done_cycle = now
+                                seq = dyn.seq
+                                waiters = reg_waiters.pop(seq, None)
+                                if waiters is not None:
+                                    for waiter in waiters:
+                                        waiter.regs_outstanding -= 1
+                                if dyn.is_store:
+                                    parked = store_exec_waiters.pop(seq, None)
+                                    if parked is not None:
+                                        done = now + forward_latency
+                                        if done <= now_next:
+                                            bucket = due_next
+                                        else:
+                                            bucket = events.get(done)
+                                            if bucket is None:
+                                                bucket = events[done] = []
+                                                heappush(event_heap, done)
+                                        for load in parked:
+                                            bucket.append(
+                                                (LOAD_DATA_RETURN, load))
+                                if dyn.needs_write_buffer or dyn.completed:
+                                    continue
+                                dyn.completed = True
+                                dyn.complete_cycle = now
+                                incomplete.pop(seq, None)
+                                if dyn.is_ede:
+                                    for key in dyn.producer_keys:
+                                        edm_complete(key, seq)
+                                    for waiter in ede_waiters.pop(seq, ()):
+                                        waiter.e_deps_outstanding.discard(seq)
+                                if dyn.is_store_class:
+                                    store_epoch_outstanding[
+                                        dyn.store_epoch] -= 1
+                                if dyn.is_memory:
+                                    mem_epoch_outstanding[dyn.mem_epoch] -= 1
+                                if dyn.is_store:
+                                    unindex_store(dyn)
+                                if on_complete is not None:
+                                    on_complete(dyn)
+                            elif kind == FINISH_PUSH:
+                                entry = dyn
+                                dyn = entry.dyn
+                                seq = entry.seq
+                                wb_dirty = True
+                                wb_entries.remove(entry)
+                                wb_resident.discard(seq)
+                                wb.pushing -= 1
+                                if dyn.is_ede:
+                                    wb.total_ede -= 1
+                                    for key in entry.ede_keys:
+                                        wb_key_counters[key] -= 1
+                                dependents = wb_dependents.pop(seq, None)
+                                if dependents is not None:
+                                    for other in dependents:
+                                        other.src_ids.discard(seq)
+                                if (dyn.is_store
+                                        and dyn.inst.comment is not None):
+                                    visibility_append(
+                                        (now, seq, dyn.inst.comment, dyn.addr))
+                                if dyn.completed:
+                                    continue
+                                dyn.completed = True
+                                dyn.complete_cycle = now
+                                incomplete.pop(seq, None)
+                                if dyn.is_ede:
+                                    for key in dyn.producer_keys:
+                                        edm_complete(key, seq)
+                                    for waiter in ede_waiters.pop(seq, ()):
+                                        waiter.e_deps_outstanding.discard(seq)
+                                if dyn.is_store_class:
+                                    store_epoch_outstanding[
+                                        dyn.store_epoch] -= 1
+                                if dyn.is_memory:
+                                    mem_epoch_outstanding[dyn.mem_epoch] -= 1
+                                if dyn.is_store:
+                                    unindex_store(dyn)
+                                if on_complete is not None:
+                                    on_complete(dyn)
+                            elif kind == LOAD_AGU_DONE:
+                                if dyn.squashed:
+                                    continue
+                                store = forwarding_store(dyn)
+                                if store is None:
+                                    done = hier_load(dyn.addr, now)
+                                elif store.executed:
                                     done = now + forward_latency
-                                    if done <= now_next:
-                                        bucket = due_next
+                                else:
+                                    # Forwarding store not executed yet: park
+                                    # the load; the store's execute-done event
+                                    # wakes it (see the is_store branch above).
+                                    bucket = store_exec_waiters.get(store.seq)
+                                    if bucket is None:
+                                        store_exec_waiters[store.seq] = [dyn]
                                     else:
-                                        bucket = events.get(done)
-                                        if bucket is None:
-                                            bucket = events[done] = []
-                                            heappush(event_heap, done)
-                                    for load in parked:
-                                        bucket.append(
-                                            (LOAD_DATA_RETURN, load))
-                            if dyn.needs_write_buffer or dyn.completed:
-                                continue
-                            dyn.completed = True
-                            dyn.complete_cycle = now
-                            incomplete.pop(seq, None)
-                            if dyn.is_ede:
-                                for key in dyn.producer_keys:
-                                    edm_complete(key, seq)
-                                for waiter in ede_waiters.pop(seq, ()):
-                                    waiter.e_deps_outstanding.discard(seq)
-                            if dyn.is_store_class:
-                                store_epoch_outstanding[
-                                    dyn.store_epoch] -= 1
-                            if dyn.is_memory:
-                                mem_epoch_outstanding[dyn.mem_epoch] -= 1
-                            if dyn.is_store:
-                                unindex_store(dyn)
-                            if on_complete is not None:
-                                on_complete(dyn)
-                        elif kind == FINISH_PUSH:
-                            entry = dyn
-                            dyn = entry.dyn
-                            seq = entry.seq
-                            wb_dirty = True
-                            wb_entries.remove(entry)
-                            wb_resident.discard(seq)
-                            wb.pushing -= 1
-                            if dyn.is_ede:
-                                wb.total_ede -= 1
-                                for key in entry.ede_keys:
-                                    wb_key_counters[key] -= 1
-                            dependents = wb_dependents.pop(seq, None)
-                            if dependents is not None:
-                                for other in dependents:
-                                    other.src_ids.discard(seq)
-                            if dyn.is_store and dyn.inst.comment is not None:
-                                visibility_append(
-                                    (now, seq, dyn.inst.comment, dyn.addr))
-                            if dyn.completed:
-                                continue
-                            dyn.completed = True
-                            dyn.complete_cycle = now
-                            incomplete.pop(seq, None)
-                            if dyn.is_ede:
-                                for key in dyn.producer_keys:
-                                    edm_complete(key, seq)
-                                for waiter in ede_waiters.pop(seq, ()):
-                                    waiter.e_deps_outstanding.discard(seq)
-                            if dyn.is_store_class:
-                                store_epoch_outstanding[
-                                    dyn.store_epoch] -= 1
-                            if dyn.is_memory:
-                                mem_epoch_outstanding[dyn.mem_epoch] -= 1
-                            if dyn.is_store:
-                                unindex_store(dyn)
-                            if on_complete is not None:
-                                on_complete(dyn)
-                        elif kind == LOAD_AGU_DONE:
-                            if dyn.squashed:
-                                continue
-                            store = forwarding_store(dyn)
-                            if store is None:
-                                done = hier_load(dyn.addr, now)
-                            elif store.executed:
-                                done = now + forward_latency
-                            else:
-                                # Forwarding store not executed yet: park
-                                # the load; the store's execute-done event
-                                # wakes it (see the is_store branch above).
-                                bucket = store_exec_waiters.get(store.seq)
-                                if bucket is None:
-                                    store_exec_waiters[store.seq] = [dyn]
+                                        bucket.append(dyn)
+                                    continue
+                                if done <= now_next:
+                                    due_next.append((LOAD_DATA_RETURN, dyn))
                                 else:
-                                    bucket.append(dyn)
-                                continue
-                            if done <= now_next:
-                                due_next.append((LOAD_DATA_RETURN, dyn))
-                            else:
-                                bucket = events.get(done)
-                                if bucket is None:
-                                    events[done] = [(LOAD_DATA_RETURN, dyn)]
-                                    heappush(event_heap, done)
-                                else:
-                                    bucket.append((LOAD_DATA_RETURN, dyn))
-                        elif kind == LOAD_DATA_RETURN:
-                            if dyn.squashed:
-                                continue
-                            dyn.executed = True
-                            dyn.execute_done_cycle = now
-                            lq_used -= 1
-                            seq = dyn.seq
-                            waiters = reg_waiters.pop(seq, None)
-                            if waiters is not None:
-                                for waiter in waiters:
-                                    waiter.regs_outstanding -= 1
-                            # Loads are never store-class, always memory,
-                            # and only complete through this event.
-                            dyn.completed = True
-                            dyn.complete_cycle = now
-                            incomplete.pop(seq, None)
-                            if dyn.is_ede:
-                                for key in dyn.producer_keys:
-                                    edm_complete(key, seq)
-                                for waiter in ede_waiters.pop(seq, ()):
-                                    waiter.e_deps_outstanding.discard(seq)
-                            mem_epoch_outstanding[dyn.mem_epoch] -= 1
-                            if on_complete is not None:
-                                on_complete(dyn)
-                    del batch[:]
-                else:
-                    events_any = False
+                                    bucket = events.get(done)
+                                    if bucket is None:
+                                        events[done] = [
+                                            (LOAD_DATA_RETURN, dyn)]
+                                        heappush(event_heap, done)
+                                    else:
+                                        bucket.append((LOAD_DATA_RETURN, dyn))
+                            elif kind == LOAD_DATA_RETURN:
+                                if dyn.squashed:
+                                    continue
+                                dyn.executed = True
+                                dyn.execute_done_cycle = now
+                                lq_used -= 1
+                                seq = dyn.seq
+                                waiters = reg_waiters.pop(seq, None)
+                                if waiters is not None:
+                                    for waiter in waiters:
+                                        waiter.regs_outstanding -= 1
+                                # Loads are never store-class, always memory,
+                                # and only complete through this event.
+                                dyn.completed = True
+                                dyn.complete_cycle = now
+                                incomplete.pop(seq, None)
+                                if dyn.is_ede:
+                                    for key in dyn.producer_keys:
+                                        edm_complete(key, seq)
+                                    for waiter in ede_waiters.pop(seq, ()):
+                                        waiter.e_deps_outstanding.discard(seq)
+                                mem_epoch_outstanding[dyn.mem_epoch] -= 1
+                                if on_complete is not None:
+                                    on_complete(dyn)
+                        del batch[:]
+                    else:
+                        events_any = False
 
-                # --- retire --------------------------------------------
-                retired = 0
-                while retired < retire_width and rob:
-                    dyn = rob[0]
-                    rc = dyn.retire_class
-                    if rc == RETIRE_NORMAL:
-                        if not dyn.executed:
-                            break
-                        if (dyn.needs_write_buffer
-                                and len(wb_entries) >= wb_capacity):
-                            stats.retire_stall_wb_full += 1
-                            break
-                    elif rc == RETIRE_DSB:
-                        while (incomplete_heap
-                               and incomplete_heap[0] not in incomplete):
-                            heappop(incomplete_heap)
-                        if (not incomplete_heap
-                                or incomplete_heap[0] >= dyn.seq):
-                            if dyn.barrier_ready_cycle < 0:
-                                dyn.barrier_ready_cycle = now
-                                done = now + dsb_wake
-                                bucket = events.get(done)
-                                if bucket is None:
-                                    events[done] = [(WAKE, None)]
-                                    heappush(event_heap, done)
-                                else:
-                                    bucket.append((WAKE, None))
-                            if now < dyn.barrier_ready_cycle + dsb_penalty:
-                                stats.retire_stall_dsb += 1
+                    # --- retire --------------------------------------------
+                    retired = 0
+                    while retired < retire_width and rob:
+                        dyn = rob[0]
+                        rc = dyn.retire_class
+                        if rc == RETIRE_NORMAL:
+                            if not dyn.executed:
                                 break
-                        else:
-                            stats.retire_stall_dsb += 1
-                            break
-                    elif rc == RETIRE_WAIT_KEY:
-                        if (wb.older_ede_with_key(dyn.inst.edk_use, dyn.seq)
-                                or (wait_blocked is not None
-                                    and wait_blocked(dyn))):
-                            stats.retire_stall_wait += 1
-                            break
-                    elif rc == RETIRE_WAIT_ALL:
-                        if (wb.older_ede_any(dyn.seq)
-                                or (wait_blocked is not None
-                                    and wait_blocked(dyn))):
-                            stats.retire_stall_wait += 1
-                            break
-                    else:  # RETIRE_HALT
-                        if track_incomplete:
+                            if (dyn.needs_write_buffer
+                                    and len(wb_entries) >= wb_capacity):
+                                stats.retire_stall_wb_full += 1
+                                break
+                        elif rc == RETIRE_DSB:
                             while (incomplete_heap
                                    and incomplete_heap[0] not in incomplete):
                                 heappop(incomplete_heap)
-                            if (incomplete_heap
-                                    and incomplete_heap[0] < dyn.seq):
+                            if (not incomplete_heap
+                                    or incomplete_heap[0] >= dyn.seq):
+                                if dyn.barrier_ready_cycle < 0:
+                                    dyn.barrier_ready_cycle = now
+                                    done = now + dsb_wake
+                                    bucket = events.get(done)
+                                    if bucket is None:
+                                        events[done] = [(WAKE, None)]
+                                        heappush(event_heap, done)
+                                    else:
+                                        bucket.append((WAKE, None))
+                                if now < dyn.barrier_ready_cycle + dsb_penalty:
+                                    stats.retire_stall_dsb += 1
+                                    break
+                            else:
+                                stats.retire_stall_dsb += 1
                                 break
-                        elif len(incomplete) > 1:
-                            # HALT is the last dispatch, so anything else
-                            # still in flight is older than it.
-                            break
-                    rob.popleft()
-                    rob_len -= 1
-                    dyn.retired = True
-                    dyn.retire_cycle = now
-                    retired += 1
-                    if dyn.is_ede:
-                        for key in dyn.producer_keys:
-                            edm.retire(key, dyn.seq)
-                    if dyn.needs_write_buffer:
-                        sq_used -= 1
-                        # Inlined wb.deposit (space was checked above),
-                        # including the WbEntry constructor.
-                        addr = dyn.addr
-                        if enforce_wb and dyn.src_ids:
-                            src_ids = {s for s in dyn.src_ids
-                                       if s in wb_resident}
-                        else:
-                            src_ids = set()
-                        entry = wb_entry_new(WbEntry)
-                        entry.dyn = dyn
-                        entry.seq = dyn.seq
-                        entry.line = (
-                            (addr & line_mask) if addr is not None else -1)
-                        entry.src_ids = src_ids
-                        entry.state = PENDING
-                        entry.deposit_cycle = now
-                        entry.ede_keys = dyn.ede_keys
-                        wb_entries.append(entry)
-                        wb_resident.add(dyn.seq)
-                        wb_dirty = True
-                        if src_ids:
-                            for producer in src_ids:
-                                bucket = wb_dependents.get(producer)
-                                if bucket is None:
-                                    wb_dependents[producer] = [entry]
-                                else:
-                                    bucket.append(entry)
+                        elif rc == RETIRE_WAIT_KEY:
+                            if (wb.older_ede_with_key(dyn.inst.edk_use,
+                                                      dyn.seq)
+                                    or (wait_blocked is not None
+                                        and wait_blocked(dyn))):
+                                stats.retire_stall_wait += 1
+                                break
+                        elif rc == RETIRE_WAIT_ALL:
+                            if (wb.older_ede_any(dyn.seq)
+                                    or (wait_blocked is not None
+                                        and wait_blocked(dyn))):
+                                stats.retire_stall_wait += 1
+                                break
+                        else:  # RETIRE_HALT
+                            if track_incomplete:
+                                while (incomplete_heap
+                                       and incomplete_heap[0]
+                                       not in incomplete):
+                                    heappop(incomplete_heap)
+                                if (incomplete_heap
+                                        and incomplete_heap[0] < dyn.seq):
+                                    break
+                            elif len(incomplete) > 1:
+                                # HALT is the last dispatch, so anything else
+                                # still in flight is older than it.
+                                break
+                        rob.popleft()
+                        rob_len -= 1
+                        dyn.retired = True
+                        dyn.retire_cycle = now
+                        retired += 1
                         if dyn.is_ede:
-                            wb.total_ede += 1
-                            for key in entry.ede_keys:
-                                wb_key_counters[key] += 1
-                    elif rc == RETIRE_NORMAL:
-                        if not dyn.completed:
-                            mark_complete(dyn)
-                    elif rc == RETIRE_HALT:
-                        mark_complete(dyn)
-                        halted = True
-                        break
-                    else:
-                        dyn.executed = True
-                        dyn.execute_done_cycle = now
-                        mark_complete(dyn)
-                if retired:
-                    retired_total += retired
-                    last_retire = now
-                elif no_retire_limit and now - last_retire > no_retire_limit:
-                    raise _Stuck(
-                        "no instruction retired for %d cycles "
-                        "(watchdog limit %d)" % (now - last_retire,
-                                                 no_retire_limit))
-                if halted:
-                    hist[0] += 1
-                    cycles_total += 1
-                    break
-
-                # --- write-buffer push ---------------------------------
-                # The eligibility scan is pure (no side effects besides
-                # starting pushes), so a scan that started none stays
-                # empty until the buffer changes: skip it while clean.
-                # Deposits, push starts and push completions (removal /
-                # srcID clear / epoch drain) raise ``wb_dirty``; dispatch
-                # only ever adds younger epochs, which block more.
-                pushes = 0
-                if wb_entries and wb_dirty:
-                    wb_dirty = False
-                    in_flight = wb.pushing
-                    if (in_flight < wb_outstanding
-                            and in_flight != len(wb_entries)):
-                        budget = wb_outstanding - in_flight
-                        if budget > wb_push_width:
-                            budget = wb_push_width
-                        lines_seen = set()
-                        seen_add = lines_seen.add
-                        for entry in wb_entries:
-                            line = entry.line
-                            if line >= 0:
-                                blocked = line in lines_seen
-                                seen_add(line)
-                                if (blocked or entry.state != PENDING
-                                        or entry.src_ids):
-                                    continue
-                            elif entry.state != PENDING or entry.src_ids:
-                                continue
-                            epoch = entry.dyn.store_epoch
-                            pointer = min_live_store
-                            while (pointer < epoch
-                                   and store_epoch_outstanding.get(
-                                       pointer, 0) == 0):
-                                pointer += 1
-                            min_live_store = pointer
-                            if pointer < epoch:
-                                # Entries are in program order, so store
-                                # epochs are non-decreasing: every later
-                                # entry is epoch-blocked too.
-                                break
-                            wb.mark_pushing(entry)
-                            dyn = entry.dyn
-                            if dyn.is_store:
-                                done = store_commit(dyn.addr, now_next)
-                            elif dyn.is_writeback:
-                                done = clean_to_pop(
-                                    dyn.addr, now_next,
-                                    tag=dyn.inst.comment, inst_seq=dyn.seq)
-                            else:  # JOIN
-                                done = now_next
-                            if done <= now_next:
-                                due_next.append((FINISH_PUSH, entry))
+                            for key in dyn.producer_keys:
+                                edm.retire(key, dyn.seq)
+                        if dyn.needs_write_buffer:
+                            sq_used -= 1
+                            # Inlined wb.deposit (space was checked above),
+                            # including the WbEntry constructor.
+                            addr = dyn.addr
+                            if enforce_wb and dyn.src_ids:
+                                src_ids = {s for s in dyn.src_ids
+                                           if s in wb_resident}
                             else:
-                                bucket = events.get(done)
-                                if bucket is None:
-                                    events[done] = [(FINISH_PUSH, entry)]
-                                    heappush(event_heap, done)
-                                else:
-                                    bucket.append((FINISH_PUSH, entry))
-                            pushes += 1
-                            if pushes >= budget:
-                                break
-                        if pushes:
-                            # Entries went PUSHING; budget-limited
-                            # eligibles may push next cycle.
+                                src_ids = set()
+                            entry = wb_entry_new(WbEntry)
+                            entry.dyn = dyn
+                            entry.seq = dyn.seq
+                            entry.line = (
+                                (addr & line_mask) if addr is not None else -1)
+                            entry.src_ids = src_ids
+                            entry.state = PENDING
+                            entry.deposit_cycle = now
+                            entry.ede_keys = dyn.ede_keys
+                            wb_entries.append(entry)
+                            wb_resident.add(dyn.seq)
                             wb_dirty = True
-
-                # --- issue ---------------------------------------------
-                issued = 0
-                if iq:
-                    if active_dsbs:
-                        while (active_dsbs
-                               and active_dsbs[0] not in incomplete):
-                            active_dsbs.pop(0)
-                        dsb_barrier = (active_dsbs[0] if active_dsbs
-                                       else None)
-                    else:
-                        dsb_barrier = None
-                    int_free = int_alus
-                    branch_free = branch_units
-                    load_free = load_ports
-                    store_free = store_ports
-                    # ``remaining`` (the post-issue IQ) is materialized
-                    # lazily on the first successful issue: a fully blocked
-                    # cycle — the common case under heavy fencing — walks
-                    # the IQ without allocating anything.
-                    remaining = None
-                    index = 0
-                    for dyn in iq:
-                        if issued >= issue_width:
+                            if src_ids:
+                                for producer in src_ids:
+                                    bucket = wb_dependents.get(producer)
+                                    if bucket is None:
+                                        wb_dependents[producer] = [entry]
+                                    else:
+                                        bucket.append(entry)
+                            if dyn.is_ede:
+                                wb.total_ede += 1
+                                for key in entry.ede_keys:
+                                    wb_key_counters[key] += 1
+                        elif rc == RETIRE_NORMAL:
+                            if not dyn.completed:
+                                mark_complete(dyn)
+                        elif rc == RETIRE_HALT:
+                            mark_complete(dyn)
+                            halted = True
                             break
-                        if dsb_barrier is not None and dyn.seq > dsb_barrier:
-                            break
-                        if dyn.regs_outstanding or dyn.e_deps_outstanding:
-                            if remaining is not None:
-                                remaining.append(dyn)
-                            index += 1
-                            continue
-                        if dyn.is_memory:
-                            epoch = dyn.mem_epoch
-                            pointer = min_live_mem
-                            while (pointer < epoch
-                                   and mem_epoch_outstanding.get(
-                                       pointer, 0) == 0):
-                                pointer += 1
-                            min_live_mem = pointer
-                            if pointer < epoch:
-                                if remaining is not None:
-                                    remaining.append(dyn)
-                                index += 1
-                                continue
-                        kind = dyn.exec_kind
-                        if kind == EXEC_LOAD:
-                            if not load_free:
-                                if remaining is not None:
-                                    remaining.append(dyn)
-                                index += 1
-                                continue
-                            load_free -= 1
-                            dyn.issued = True
-                            dyn.issue_cycle = now
-                            done = now + agu_latency
-                            if done <= now_next:
-                                due_next.append((LOAD_AGU_DONE, dyn))
-                            else:
-                                bucket = events.get(done)
-                                if bucket is None:
-                                    events[done] = [(LOAD_AGU_DONE, dyn)]
-                                    heappush(event_heap, done)
-                                else:
-                                    bucket.append((LOAD_AGU_DONE, dyn))
                         else:
-                            if kind == EXEC_AGU:
-                                epoch = dyn.store_epoch
+                            dyn.executed = True
+                            dyn.execute_done_cycle = now
+                            mark_complete(dyn)
+                    if retired:
+                        retired_total += retired
+                        last_retire = now
+                    elif (no_retire_limit
+                          and now - last_retire > no_retire_limit):
+                        raise _Stuck(
+                            "no instruction retired for %d cycles "
+                            "(watchdog limit %d)" % (now - last_retire,
+                                                     no_retire_limit))
+                    if halted:
+                        hist[0] += 1
+                        cycles_total += 1
+                        break
+
+                    # --- write-buffer push ---------------------------------
+                    # The eligibility scan is pure (no side effects besides
+                    # starting pushes), so a scan that started none stays
+                    # empty until the buffer changes: skip it while clean.
+                    # Deposits, push starts and push completions (removal /
+                    # srcID clear / epoch drain) raise ``wb_dirty``; dispatch
+                    # only ever adds younger epochs, which block more.
+                    pushes = 0
+                    if wb_entries and wb_dirty:
+                        wb_dirty = False
+                        in_flight = wb.pushing
+                        if (in_flight < wb_outstanding
+                                and in_flight != len(wb_entries)):
+                            budget = wb_outstanding - in_flight
+                            if budget > wb_push_width:
+                                budget = wb_push_width
+                            lines_seen = set()
+                            seen_add = lines_seen.add
+                            for entry in wb_entries:
+                                line = entry.line
+                                if line >= 0:
+                                    blocked = line in lines_seen
+                                    seen_add(line)
+                                    if (blocked or entry.state != PENDING
+                                            or entry.src_ids):
+                                        continue
+                                elif entry.state != PENDING or entry.src_ids:
+                                    continue
+                                epoch = entry.dyn.store_epoch
                                 pointer = min_live_store
                                 while (pointer < epoch
                                        and store_epoch_outstanding.get(
                                            pointer, 0) == 0):
                                     pointer += 1
                                 min_live_store = pointer
-                                if pointer < epoch or not store_free:
-                                    if remaining is not None:
-                                        remaining.append(dyn)
-                                    index += 1
-                                    continue
-                                store_free -= 1
-                                done = now + agu_latency
-                            elif kind == EXEC_BRANCH:
-                                if not branch_free:
-                                    if remaining is not None:
-                                        remaining.append(dyn)
-                                    index += 1
-                                    continue
-                                branch_free -= 1
-                                done = now + branch_latency
-                            elif kind == EXEC_MUL:
-                                if not int_free:
-                                    if remaining is not None:
-                                        remaining.append(dyn)
-                                    index += 1
-                                    continue
-                                int_free -= 1
-                                done = now + mul_latency
-                            else:  # EXEC_ALU
-                                if not int_free:
-                                    if remaining is not None:
-                                        remaining.append(dyn)
-                                    index += 1
-                                    continue
-                                int_free -= 1
-                                done = now + alu_latency
-                            dyn.issued = True
-                            dyn.issue_cycle = now
-                            if done <= now_next:
-                                due_next.append((EXECUTE_DONE, dyn))
-                            else:
-                                bucket = events.get(done)
-                                if bucket is None:
-                                    events[done] = [(EXECUTE_DONE, dyn)]
-                                    heappush(event_heap, done)
+                                if pointer < epoch:
+                                    # Entries are in program order, so store
+                                    # epochs are non-decreasing: every later
+                                    # entry is epoch-blocked too.
+                                    break
+                                wb.mark_pushing(entry)
+                                dyn = entry.dyn
+                                if dyn.is_store:
+                                    done = store_commit(dyn.addr, now_next)
+                                elif dyn.is_writeback:
+                                    done = clean_to_pop(
+                                        dyn.addr, now_next,
+                                        tag=dyn.inst.comment, inst_seq=dyn.seq)
+                                else:  # JOIN
+                                    done = now_next
+                                if done <= now_next:
+                                    due_next.append((FINISH_PUSH, entry))
                                 else:
-                                    bucket.append((EXECUTE_DONE, dyn))
-                        if remaining is None:
-                            remaining = iq[:index]
-                        issued += 1
-                        index += 1
-                    if issued:
-                        if index < len(iq):
-                            remaining.extend(iq[index:])
-                        iq = remaining
-                        self._iq = remaining
-                        iq_len -= issued
+                                    bucket = events.get(done)
+                                    if bucket is None:
+                                        events[done] = [(FINISH_PUSH, entry)]
+                                        heappush(event_heap, done)
+                                    else:
+                                        bucket.append((FINISH_PUSH, entry))
+                                pushes += 1
+                                if pushes >= budget:
+                                    break
+                            if pushes:
+                                # Entries went PUSHING; budget-limited
+                                # eligibles may push next cycle.
+                                wb_dirty = True
 
-                # --- dispatch ------------------------------------------
-                dispatched = 0
-                if fetch_index < trace_len and halt_dyn is None:
-                    while (dispatched < decode_width
-                           and fetch_index < trace_len):
-                        if squash_at and fetch_index in squash_at:
-                            squash_at.discard(fetch_index)
-                            squashed_from = fetch_index
-                            self._fetch_index = fetch_index
-                            self._lq_used = lq_used
-                            self._sq_used = sq_used
-                            self._inject_squash()
-                            fetch_index = self._fetch_index
-                            lq_used = self._lq_used
-                            sq_used = self._sq_used
-                            rob_len = iq_len = 0
-                            spec_entries = edm.spec._entries
-                            epoch_bias += (rows[squashed_from][3]
-                                           - rows[fetch_index][3])
-                            squash_progress = True
-                            wb_dirty = True
-                            break
-                        if rob_len >= rob_entries:
-                            stats.dispatch_stall_rob += 1
-                            break
-                        row = rows[fetch_index]
-                        needs_iq = row[13]
-                        if needs_iq and iq_len >= iq_entries:
-                            stats.dispatch_stall_iq += 1
-                            break
-                        is_load = row[5]
-                        if is_load and lq_used >= lq_entries:
-                            stats.dispatch_stall_lsq += 1
-                            break
-                        is_store_class = row[8]
-                        if is_store_class and sq_used >= sq_entries:
-                            stats.dispatch_stall_lsq += 1
-                            break
-                        seq = next_seq
-                        # Fill the DynInst straight from the row: the slots
-                        # DynInst.__init__ sets, minus its classification
-                        # work and call frame (this runs per instruction).
-                        dyn = dyn_new(DynInst)
-                        dyn.seq = seq
-                        (dyn.inst, dyn.addr, dyn.words, epoch, dyn.opcode,
-                         dyn.is_load, dyn.is_store, dyn.is_writeback,
-                         dyn.is_store_class, dyn.is_memory, dyn.is_barrier,
-                         dyn.is_branch, dyn.is_ede,
-                         _ign, dyn.needs_write_buffer, dyn.is_wait,
-                         dyn.retire_class, dyn.size,
-                         dyn.producer_keys, dyn.exec_kind, dyn.result_regs,
-                         _ign, _ign, _ign, _ign, _ign, dyn.ede_keys) = row
-                        if epoch_bias:
-                            epoch += epoch_bias
-                        dyn.store_epoch = dyn.mem_epoch = epoch
-                        dyn.regs_outstanding = 0
-                        dyn.e_deps_outstanding = None
-                        dyn.src_ids = ()
-                        dyn.dispatch_cycle = now
-                        dyn.issue_cycle = -1
-                        dyn.execute_done_cycle = -1
-                        dyn.retire_cycle = -1
-                        dyn.complete_cycle = -1
-                        dyn.issued = False
-                        dyn.executed = False
-                        dyn.retired = False
-                        dyn.completed = False
-                        dyn.squashed = False
-                        dyn.barrier_ready_cycle = -1
-                        next_seq += 1
-                        fetch_index += 1
-                        dispatched += 1
-                        if row[12]:  # is_ede: EDM decode
-                            if dyn.retire_class == RETIRE_WAIT_ALL:
-                                # WAIT_ALL_KEYS produces every key so later
-                                # consumers chain behind it.
-                                for key in dyn.producer_keys:
-                                    spec_entries[key] = seq
-                            else:
-                                # EDM decode: look up consumer keys, then
-                                # define the producer key; keep producers
-                                # still in flight, deduped in operand order.
-                                prods = None
-                                for key in row[25]:  # consumer_keys
-                                    p = spec_entries.get(key)
-                                    if (p is not None and p in incomplete
-                                            and (prods is None
-                                                 or p not in prods)):
-                                        if prods is None:
-                                            prods = [p]
-                                        else:
-                                            prods.append(p)
-                                pk = dyn.producer_keys
-                                if pk:
-                                    spec_entries[pk[0]] = seq
-                                if prods is not None:
-                                    producers = tuple(prods)
-                                    dyn.src_ids = producers
-                                    if (not dyn.is_wait
-                                            and (enforce_at_issue
-                                                 or (is_load
-                                                     and enforces_ede))):
-                                        dyn.e_deps_outstanding = set(prods)
-                                        for producer in prods:
-                                            bucket = ede_waiters.get(
-                                                producer)
-                                            if bucket is None:
-                                                ede_waiters[producer] = [dyn]
-                                            else:
-                                                bucket.append(dyn)
-                            if on_ede_dispatch is not None:
-                                on_ede_dispatch(dyn)
-                        for reg in row[21]:  # timing_src_regs
-                            writer = scoreboard.get(reg)
-                            if (writer is not None and not writer.executed
-                                    and not writer.squashed):
-                                dyn.regs_outstanding += 1
-                                bucket = reg_waiters.get(writer.seq)
-                                if bucket is None:
-                                    reg_waiters[writer.seq] = [dyn]
-                                else:
-                                    bucket.append(dyn)
-                        for reg in row[22]:  # timing_dst_regs
-                            scoreboard[reg] = dyn
-                        if is_store_class:
-                            store_epoch_outstanding[epoch] = (
-                                store_epoch_outstanding.get(epoch, 0) + 1)
-                        if row[9]:  # is_memory
-                            mem_epoch_outstanding[epoch] = (
-                                mem_epoch_outstanding.get(epoch, 0) + 1)
-                        incomplete[seq] = dyn
-                        if track_incomplete:
-                            heappush(incomplete_heap, seq)
-                        rob.append(dyn)
-                        rob_len += 1
-                        if is_load:
-                            lq_used += 1
-                        if is_store_class:
-                            sq_used += 1
-                            if row[6]:  # is_store
-                                index_store(dyn)
-                        if needs_iq:
-                            iq.append(dyn)
-                            iq_len += 1
+                    # --- issue ---------------------------------------------
+                    issued = 0
+                    if iq:
+                        if active_dsbs:
+                            while (active_dsbs
+                                   and active_dsbs[0] not in incomplete):
+                                active_dsbs.pop(0)
+                            dsb_barrier = (active_dsbs[0] if active_dsbs
+                                           else None)
                         else:
-                            dyn.executed = True
-                            dyn.execute_done_cycle = now
-                            if row[23]:  # is_dsb
-                                active_dsbs.append(seq)
-                            elif row[24]:  # is_halt
-                                halt_dyn = dyn
+                            dsb_barrier = None
+                        int_free = int_alus
+                        branch_free = branch_units
+                        load_free = load_ports
+                        store_free = store_ports
+                        # ``remaining`` (the post-issue IQ) is materialized
+                        # lazily on the first successful issue: a fully
+                        # blocked cycle — the common case under heavy
+                        # fencing — walks the IQ without allocating anything.
+                        remaining = None
+                        index = 0
+                        for dyn in iq:
+                            if issued >= issue_width:
                                 break
-                    dispatched_total += dispatched
+                            if (dsb_barrier is not None
+                                    and dyn.seq > dsb_barrier):
+                                break
+                            if dyn.regs_outstanding or dyn.e_deps_outstanding:
+                                if remaining is not None:
+                                    remaining.append(dyn)
+                                index += 1
+                                continue
+                            if dyn.is_memory:
+                                epoch = dyn.mem_epoch
+                                pointer = min_live_mem
+                                while (pointer < epoch
+                                       and mem_epoch_outstanding.get(
+                                           pointer, 0) == 0):
+                                    pointer += 1
+                                min_live_mem = pointer
+                                if pointer < epoch:
+                                    if remaining is not None:
+                                        remaining.append(dyn)
+                                    index += 1
+                                    continue
+                            kind = dyn.exec_kind
+                            if kind == EXEC_LOAD:
+                                if not load_free:
+                                    if remaining is not None:
+                                        remaining.append(dyn)
+                                    index += 1
+                                    continue
+                                load_free -= 1
+                                dyn.issued = True
+                                dyn.issue_cycle = now
+                                done = now + agu_latency
+                                if done <= now_next:
+                                    due_next.append((LOAD_AGU_DONE, dyn))
+                                else:
+                                    bucket = events.get(done)
+                                    if bucket is None:
+                                        events[done] = [(LOAD_AGU_DONE, dyn)]
+                                        heappush(event_heap, done)
+                                    else:
+                                        bucket.append((LOAD_AGU_DONE, dyn))
+                            else:
+                                if kind == EXEC_AGU:
+                                    epoch = dyn.store_epoch
+                                    pointer = min_live_store
+                                    while (pointer < epoch
+                                           and store_epoch_outstanding.get(
+                                               pointer, 0) == 0):
+                                        pointer += 1
+                                    min_live_store = pointer
+                                    if pointer < epoch or not store_free:
+                                        if remaining is not None:
+                                            remaining.append(dyn)
+                                        index += 1
+                                        continue
+                                    store_free -= 1
+                                    done = now + agu_latency
+                                elif kind == EXEC_BRANCH:
+                                    if not branch_free:
+                                        if remaining is not None:
+                                            remaining.append(dyn)
+                                        index += 1
+                                        continue
+                                    branch_free -= 1
+                                    done = now + branch_latency
+                                elif kind == EXEC_MUL:
+                                    if not int_free:
+                                        if remaining is not None:
+                                            remaining.append(dyn)
+                                        index += 1
+                                        continue
+                                    int_free -= 1
+                                    done = now + mul_latency
+                                else:  # EXEC_ALU
+                                    if not int_free:
+                                        if remaining is not None:
+                                            remaining.append(dyn)
+                                        index += 1
+                                        continue
+                                    int_free -= 1
+                                    done = now + alu_latency
+                                dyn.issued = True
+                                dyn.issue_cycle = now
+                                if done <= now_next:
+                                    due_next.append((EXECUTE_DONE, dyn))
+                                else:
+                                    bucket = events.get(done)
+                                    if bucket is None:
+                                        events[done] = [(EXECUTE_DONE, dyn)]
+                                        heappush(event_heap, done)
+                                    else:
+                                        bucket.append((EXECUTE_DONE, dyn))
+                            if remaining is None:
+                                remaining = iq[:index]
+                            issued += 1
+                            index += 1
+                        if issued:
+                            if index < len(iq):
+                                remaining.extend(iq[index:])
+                            iq = remaining
+                            self._iq = remaining
+                            iq_len -= issued
 
-                hist[issued] += 1
-                cycles_total += 1
-                issued_total += issued
+                    # --- dispatch ------------------------------------------
+                    dispatched = 0
+                    if fetch_index < trace_len and halt_dyn is None:
+                        while (dispatched < decode_width
+                               and fetch_index < trace_len):
+                            if squash_at and fetch_index in squash_at:
+                                squash_at.discard(fetch_index)
+                                squashed_from = fetch_index
+                                self._fetch_index = fetch_index
+                                self._lq_used = lq_used
+                                self._sq_used = sq_used
+                                self._inject_squash()
+                                fetch_index = self._fetch_index
+                                lq_used = self._lq_used
+                                sq_used = self._sq_used
+                                rob_len = iq_len = 0
+                                spec_entries = edm.spec._entries
+                                epoch_bias += (rows[squashed_from][3]
+                                               - rows[fetch_index][3])
+                                squash_progress = True
+                                wb_dirty = True
+                                break
+                            if rob_len >= rob_entries:
+                                stats.dispatch_stall_rob += 1
+                                break
+                            row = rows[fetch_index]
+                            needs_iq = row[13]
+                            if needs_iq and iq_len >= iq_entries:
+                                stats.dispatch_stall_iq += 1
+                                break
+                            is_load = row[5]
+                            if is_load and lq_used >= lq_entries:
+                                stats.dispatch_stall_lsq += 1
+                                break
+                            is_store_class = row[8]
+                            if is_store_class and sq_used >= sq_entries:
+                                stats.dispatch_stall_lsq += 1
+                                break
+                            seq = next_seq
+                            # Fill the DynInst straight from the row: the slots
+                            # DynInst.__init__ sets, minus its classification
+                            # work and call frame (this runs per instruction).
+                            dyn = dyn_new(DynInst)
+                            dyn.seq = seq
+                            (dyn.inst, dyn.addr, dyn.words, epoch, dyn.opcode,
+                             dyn.is_load, dyn.is_store, dyn.is_writeback,
+                             dyn.is_store_class, dyn.is_memory, dyn.is_barrier,
+                             dyn.is_branch, dyn.is_ede,
+                             _ign, dyn.needs_write_buffer, dyn.is_wait,
+                             dyn.retire_class, dyn.size,
+                             dyn.producer_keys, dyn.exec_kind, dyn.result_regs,
+                             _ign, _ign, _ign, _ign, _ign, dyn.ede_keys) = row
+                            if epoch_bias:
+                                epoch += epoch_bias
+                            dyn.store_epoch = dyn.mem_epoch = epoch
+                            dyn.regs_outstanding = 0
+                            dyn.e_deps_outstanding = None
+                            dyn.src_ids = ()
+                            dyn.dispatch_cycle = now
+                            dyn.issue_cycle = -1
+                            dyn.execute_done_cycle = -1
+                            dyn.retire_cycle = -1
+                            dyn.complete_cycle = -1
+                            dyn.issued = False
+                            dyn.executed = False
+                            dyn.retired = False
+                            dyn.completed = False
+                            dyn.squashed = False
+                            dyn.barrier_ready_cycle = -1
+                            next_seq += 1
+                            fetch_index += 1
+                            dispatched += 1
+                            if row[12]:  # is_ede: EDM decode
+                                if dyn.retire_class == RETIRE_WAIT_ALL:
+                                    # WAIT_ALL_KEYS produces every key so later
+                                    # consumers chain behind it.
+                                    for key in dyn.producer_keys:
+                                        spec_entries[key] = seq
+                                else:
+                                    # EDM decode: look up consumer keys,
+                                    # then define the producer key; keep
+                                    # producers still in flight, deduped in
+                                    # operand order.
+                                    prods = None
+                                    for key in row[25]:  # consumer_keys
+                                        p = spec_entries.get(key)
+                                        if (p is not None and p in incomplete
+                                                and (prods is None
+                                                     or p not in prods)):
+                                            if prods is None:
+                                                prods = [p]
+                                            else:
+                                                prods.append(p)
+                                    pk = dyn.producer_keys
+                                    if pk:
+                                        spec_entries[pk[0]] = seq
+                                    if prods is not None:
+                                        producers = tuple(prods)
+                                        dyn.src_ids = producers
+                                        if (not dyn.is_wait
+                                                and (enforce_at_issue
+                                                     or (is_load
+                                                         and enforces_ede))):
+                                            dyn.e_deps_outstanding = set(prods)
+                                            for producer in prods:
+                                                bucket = ede_waiters.get(
+                                                    producer)
+                                                if bucket is None:
+                                                    ede_waiters[producer] = [dyn]
+                                                else:
+                                                    bucket.append(dyn)
+                                if on_ede_dispatch is not None:
+                                    on_ede_dispatch(dyn)
+                            for reg in row[21]:  # timing_src_regs
+                                writer = scoreboard.get(reg)
+                                if (writer is not None and not writer.executed
+                                        and not writer.squashed):
+                                    dyn.regs_outstanding += 1
+                                    bucket = reg_waiters.get(writer.seq)
+                                    if bucket is None:
+                                        reg_waiters[writer.seq] = [dyn]
+                                    else:
+                                        bucket.append(dyn)
+                            for reg in row[22]:  # timing_dst_regs
+                                scoreboard[reg] = dyn
+                            if is_store_class:
+                                store_epoch_outstanding[epoch] = (
+                                    store_epoch_outstanding.get(epoch, 0) + 1)
+                            if row[9]:  # is_memory
+                                mem_epoch_outstanding[epoch] = (
+                                    mem_epoch_outstanding.get(epoch, 0) + 1)
+                            incomplete[seq] = dyn
+                            if track_incomplete:
+                                heappush(incomplete_heap, seq)
+                            rob.append(dyn)
+                            rob_len += 1
+                            if is_load:
+                                lq_used += 1
+                            if is_store_class:
+                                sq_used += 1
+                                if row[6]:  # is_store
+                                    index_store(dyn)
+                            if needs_iq:
+                                iq.append(dyn)
+                                iq_len += 1
+                            else:
+                                dyn.executed = True
+                                dyn.execute_done_cycle = now
+                                if row[23]:  # is_dsb
+                                    active_dsbs.append(seq)
+                                elif row[24]:  # is_halt
+                                    halt_dyn = dyn
+                                    break
+                        dispatched_total += dispatched
 
-                # A cycle that progressed runs the next one (only such a
-                # cycle can have filled the delta-1 lane); otherwise the
-                # clock may jump to the next scheduled event.
-                if (retired or pushes or issued or dispatched or events_any
-                        or squash_progress):
-                    squash_progress = False
-                    wake = now_next
-                elif event_heap:
-                    wake = event_heap[0]
-                elif lockstep:
-                    wake = None
-                else:
-                    raise _Stuck("pipeline deadlock (no stage progressed, "
-                                 "nothing scheduled)")
-                if lockstep:
-                    yield retired, wake
-                    wake = self.now
-                else:
-                    self.now = wake
-                if wake > now_next:
-                    # Fast-forward: the skipped cycles issued nothing.
-                    skipped = wake - now_next
-                    hist[0] += skipped
-                    cycles_total += skipped
-                now = wake
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._fetch_index = fetch_index
-            self._next_seq = next_seq
-            self._lq_used = lq_used
-            self._sq_used = sq_used
-            self._halt_dyn = halt_dyn
-            stats.retired += retired_total
-            stats.dispatched += dispatched_total
-            stats.issued += issued_total
-            stats.cycles += cycles_total
-            shist = stats.issue_histogram
-            for count, cycles in enumerate(hist):
-                if cycles:
-                    shist[count] = shist.get(count, 0) + cycles
-            self._min_live_store_epoch = min_live_store
-            self._min_live_mem_epoch = min_live_mem
+                    hist[issued] += 1
+                    cycles_total += 1
+                    issued_total += issued
+
+                    # A cycle that progressed runs the next one (only such a
+                    # cycle can have filled the delta-1 lane); otherwise the
+                    # clock may jump to the next scheduled event.
+                    if (retired or pushes or issued or dispatched or events_any
+                            or squash_progress):
+                        squash_progress = False
+                        wake = now_next
+                    elif event_heap:
+                        wake = event_heap[0]
+                    elif lockstep:
+                        wake = None
+                    else:
+                        raise _Stuck("pipeline deadlock (no stage progressed, "
+                                     "nothing scheduled)")
+                    if lockstep:
+                        yield retired, wake
+                        wake = self.now
+                    else:
+                        self.now = wake
+                    if wake > now_next:
+                        # Fast-forward: the skipped cycles issued nothing.
+                        skipped = wake - now_next
+                        hist[0] += skipped
+                        cycles_total += skipped
+                    now = wake
+            finally:
+                self._fetch_index = fetch_index
+                self._next_seq = next_seq
+                self._lq_used = lq_used
+                self._sq_used = sq_used
+                self._halt_dyn = halt_dyn
+                stats.retired += retired_total
+                stats.dispatched += dispatched_total
+                stats.issued += issued_total
+                stats.cycles += cycles_total
+                shist = stats.issue_histogram
+                for count, cycles in enumerate(hist):
+                    if cycles:
+                        shist[count] = shist.get(count, 0) + cycles
+                self._min_live_store_epoch = min_live_store
+                self._min_live_mem_epoch = min_live_mem
 
     def _stuck_report(self, reason: str) -> str:
         """Rich pipeline-state dump for any stuck-simulation error."""

@@ -15,6 +15,7 @@ import random
 from typing import Callable, Dict
 
 from repro.chaos import chaos_point
+from repro.gcpause import paused
 from repro.multicore.interleave import POLICIES
 from repro.nvmfw.framework import BuiltWorkload, PersistentFramework
 
@@ -113,7 +114,8 @@ def build(name: str, mode: str, scale: Scale) -> BuiltWorkload:
 
     A build functionally executes the workload through the framework;
     it does not depend on the Table I architectural parameters, so one
-    trace serves every configuration of a fence mode.
+    trace serves every configuration of a fence mode.  It runs with the
+    cyclic GC paused (:mod:`repro.gcpause`).
     """
     global BUILD_COUNT
     ensure_core_count(name, scale.cores)
@@ -125,7 +127,8 @@ def build(name: str, mode: str, scale: Scale) -> BuiltWorkload:
             "unknown workload %r (have: %s)"
             % (name, ", ".join(sorted(_REGISTRY)))) from None
     BUILD_COUNT += 1
-    return fn(mode, scale)
+    with paused():
+        return fn(mode, scale)
 
 
 def workload_names() -> tuple:

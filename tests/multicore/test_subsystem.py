@@ -201,33 +201,64 @@ class TestMergeStats:
         assert merge_stats([stats]) == stats
 
 
+def _cyclic_garbage_left_by(run) -> int:
+    """Objects ``gc.collect()`` finds after ``run()``, with automatic
+    collection off so whatever cycles it left are still there to count;
+    ``run`` returns what it made, which is dropped first."""
+    import gc
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        made = run()
+        del made
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class TestMachineLifetime:
-    """A finished N-core machine is freed by refcount: neither the cores'
-    bus hooks nor the coherence directory close a reference cycle, so
-    nothing of it is left for the cyclic GC."""
+    """A finished machine is freed by refcount: neither the cores' bus
+    hooks nor the coherence directory close a reference cycle, and trace
+    build, the replay prepass and the pipeline loop make none, so
+    nothing is left for the cyclic GC.  This is what makes pausing it
+    over them (:mod:`repro.gcpause`) defer no garbage."""
 
     @pytest.mark.parametrize("cores", [2, 4])
     def test_run_one_leaves_no_cyclic_garbage(self, cores):
-        import gc
-
         from repro.harness.configs import configuration
         from repro.harness.runner import run_one
         from repro.workloads import Scale
 
-        # With automatic collection off, whatever cycles the run leaves
-        # are still there for the explicit collect to count.
-        was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            result = run_one("mpsc", configuration("WB"),
-                             Scale(4, 3, cores=cores))
-            assert len(result.core_stats) == cores
-            del result
-            assert gc.collect() == 0
-        finally:
-            if was_enabled:
-                gc.enable()
+        for workload in ("mpsc", "counter", "hazard"):
+            def run():
+                result = run_one(workload, configuration("WB"),
+                                 Scale(4, 3, cores=cores))
+                assert len(result.core_stats) == cores
+                return result
+
+            assert _cyclic_garbage_left_by(run) == 0, workload
+
+    @pytest.mark.parametrize("config", ["B", "WB"])  # dsb, ede
+    @pytest.mark.parametrize("workload", ["update", "swap", "btree", "ctree",
+                                          "rbtree", "rtree"])
+    def test_build_and_run_one_leave_no_cyclic_garbage(self, workload,
+                                                       config):
+        from repro.harness.configs import configuration
+        from repro.harness.runner import run_one
+        from repro.workloads import base as workload_base
+
+        config = configuration(config)
+        scale = workload_base.TEST_SCALE
+        built = []
+        assert _cyclic_garbage_left_by(lambda: built.append(
+            workload_base.build(workload, config.fence_mode, scale))) == 0
+        assert _cyclic_garbage_left_by(
+            lambda: run_one(workload, config, scale, built=built[0])) == 0
+        built.clear()
+        assert _cyclic_garbage_left_by(lambda: None) == 0
 
     def test_coherence_counters_outlive_the_cores(self):
         from repro.harness.configs import DEFAULT_PARAMS, configuration

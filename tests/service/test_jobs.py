@@ -136,8 +136,9 @@ PINNED_IDS = [
 
 
 class TestKeysAreStable:
-    """The params' canonical JSON is memoized by object identity; keys
-    must be byte-identical with the memo cold, warm and turned off."""
+    """Canonical JSON is memoized by object identity, and a flat one
+    (``Scale``) by value too; keys must be byte-identical with the memo
+    cold, warm and turned off."""
 
     @pytest.fixture(autouse=True)
     def fixed_fingerprint(self, monkeypatch):
@@ -168,6 +169,29 @@ class TestKeysAreStable:
                 == PINNED_IDS[0][1][len("sim-"):]
             assert ResultCache.key("update", config, floats, DEFAULT_PARAMS) \
                 == "f84337daad6282f1c3da722fd4bc96c51a97b78ba46b1b7132808587c9620422"
+
+    @pytest.mark.parametrize("order", [(1, True, 1.0), (True, 1.0, 1),
+                                       (1.0, 1, True)])
+    def test_value_memo_tells_bool_int_and_float_apart(self, monkeypatch,
+                                                      order):
+        """A fresh ``Scale`` is served from the value memo, and ``True``,
+        ``1`` and ``1.0`` (equal, hash equal) keep their own keys."""
+        def key(ops):
+            return ResultCache.key("update", CONFIG_BY_NAME["B"],
+                                   Scale(ops, 5), DEFAULT_PARAMS)
+
+        monkeypatch.setattr(result_cache, "_RENDERED_MAX", 0)
+        expected = {type(ops): key(ops) for ops in order}
+        assert len(set(expected.values())) == 3
+        monkeypatch.setattr(result_cache, "_RENDERED_MAX", 64)
+        for _ in range(2):
+            for ops in order:
+                assert key(ops) == expected[type(ops)]
+        for ops in (1, True):
+            assert result_cache._value_key(Scale(ops, 5)) in \
+                result_cache._RENDERED
+        assert result_cache._value_key(Scale(1.0, 5)) is None
+        assert result_cache._value_key(DEFAULT_PARAMS) is None
 
     def test_memo_is_bounded(self):
         for ops in range(1, 3 * result_cache._RENDERED_MAX):
