@@ -30,8 +30,9 @@ searches the (fence placement x EDK allocation) space:
    producer-overwrite check, and is rejected.
 4. **The dynamic oracle** simulates the surviving variant and accepts
    it only if the consistency checker stays clean, the crash-injection
-   sweep recovers at every crash point, and the recovered-state
-   digest is bit-identical to the unoptimized serial run.  A variant
+   sweep recovers at every crash point, and the recovered image equals
+   the unoptimized serial run's (so its recovered-state digest is
+   bit-identical; the baseline's is the only one computed).  A variant
    that fails falls back (drop the key map, then revert entirely).
 
 Everything is wrapped in a machine-readable
@@ -292,32 +293,37 @@ def used_keys(instructions: Sequence[Instruction]) -> List[int]:
 
 def program_digest(instructions: Sequence[Instruction]) -> str:
     """Content hash of an instruction stream (the program fingerprint)."""
-    hasher = hashlib.sha256()
-    for inst in instructions:
-        hasher.update(repr(inst).encode("utf-8"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
+    text = "".join([repr(inst) + "\n" for inst in instructions])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def state_digest(built, persist_log) -> str:
-    """Digest of the recovered NVM state plus the architectural result.
-
-    Replays the full persist log, runs undo recovery, and hashes the
-    recovered image together with the workload's final memory and
-    transaction count.  Deliberately timing-independent: an optimized
-    variant must produce a digest bit-identical to the serial baseline,
-    however differently its persists were scheduled.
-    """
+def recovered_image(built, persist_log) -> Dict[int, int]:
+    """The NVM image after every persist event, undo recovery applied."""
     from repro.consistency.crash_sim import CrashInjector
 
     injector = CrashInjector(built, persist_log)
-    image = injector.recover(injector.image_at(len(persist_log)))
-    payload = (
-        sorted(image.items()),
-        sorted(built.final_memory.items()),
-        built.txns,
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return injector.recover(injector.image_at(len(persist_log)))
+
+
+def _cells_text(memory: Dict[int, int]) -> str:
+    # repr(sorted(memory.items())) without the list of item tuples.
+    return "[%s]" % ", ".join(["(%r, %r)" % (addr, memory[addr])
+                               for addr in sorted(memory)])
+
+
+def state_digest(built, image: Dict[int, int]) -> str:
+    """Digest of a recovered NVM image plus the architectural result.
+
+    Hashes ``image`` (see :func:`recovered_image`) together with the
+    workload's final memory and transaction count, as the text of
+    ``repr((sorted(image.items()), sorted(final.items()), txns))``.
+    Deliberately timing-independent: an optimized variant must produce
+    a digest bit-identical to the serial baseline, however differently
+    its persists were scheduled.
+    """
+    text = "(%s, %s, %r)" % (_cells_text(image),
+                              _cells_text(built.final_memory), built.txns)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _metrics(run, digest: Optional[str]) -> RunMetrics:
@@ -520,7 +526,8 @@ def autotune_workload(
         from repro.harness.runner import run_one
 
         base_run = run_one(workload, config, scale, params=params, built=built)
-        base_digest = state_digest(built, base_run.persist_log)
+        base_image = recovered_image(built, base_run.persist_log)
+        base_digest = state_digest(built, base_image)
         baseline_metrics = _metrics(base_run, base_digest)
 
         chosen = None
@@ -530,7 +537,11 @@ def autotune_workload(
             opt_trace = rewriter.apply(drop=drops, key_map=kmap or None)
             variant = dataclasses.replace(built, trace=opt_trace)
             opt_run = run_one(workload, config, scale, params=params, built=variant)
-            opt_digest = state_digest(variant, opt_run.persist_log)
+            # The variant shares final_memory and txns with the baseline,
+            # so its state digest is base_digest exactly when the two
+            # recovered images are equal.
+            same_state = (
+                recovered_image(variant, opt_run.persist_log) == base_image)
             sweep = {"supported": False, "points": 0, "consistent": None}
             injector = CrashInjector(variant, opt_run.persist_log)
             sweep_ok = True
@@ -548,14 +559,13 @@ def autotune_workload(
                 else len(opt_run.consistency.violations)
                 <= len(base_run.consistency.violations)
             )
-            if opt_digest == base_digest and sweep_ok and ordering_ok:
-                chosen = (drops, kmap, opt_trace, opt_run, opt_digest, sweep)
+            if same_state and sweep_ok and ordering_ok:
+                chosen = (drops, kmap, opt_trace, opt_run, sweep)
                 break
 
         if chosen is not None:
-            (final_drops, final_map, final_trace, opt_run, opt_digest,
-             crash_sweep) = chosen
-            optimized_metrics = _metrics(opt_run, opt_digest)
+            final_drops, final_map, final_trace, opt_run, crash_sweep = chosen
+            optimized_metrics = _metrics(opt_run, base_digest)
             digest_match = True
             reverted = (final_drops, final_map) != (accepted, key_map)
         else:

@@ -19,7 +19,7 @@ from repro.harness.configs import DEFAULT_PARAMS, configuration
 from repro.isa import instructions as ops
 from repro.isa.program import TraceBuilder
 from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.nvmfw.framework import PersistentFramework
 from repro.pipeline.core import OutOfOrderCore
 
@@ -102,9 +102,7 @@ def three_update_timeline(config_name: str) -> TimelineResult:
 
     controller = MemoryController()
     hierarchy = CacheHierarchy(controller, DEFAULT_PARAMS.hierarchy)
-    for line in built.warm_lines():
-        for cache in (hierarchy.l3, hierarchy.l2, hierarchy.l1d):
-            cache.insert(line)
+    warm_hierarchy(hierarchy, built)
     core = OutOfOrderCore(built.trace, hierarchy, config.policy,
                           DEFAULT_PARAMS.core)
 

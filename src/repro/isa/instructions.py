@@ -70,10 +70,14 @@ class InstructionShape:
     shape (:func:`shape_of`) instead of once per instruction.  Shapes are
     interned: equal shapes are the same object, also after unpickling, so
     later passes (the replay prepass) can memoise their own per-shape
-    facts keyed by it.
+    facts keyed by it.  ``repr_format`` is the dataclass repr with the
+    opcode and EDK operands already rendered; the other fields are
+    filled in per instance (an operand that only compares equal, such as
+    ``size=8.0``, still renders as given).
     """
 
-    __slots__ = ("key", "consumer_keys", "timing_src_regs", "timing_dst_regs")
+    __slots__ = ("key", "consumer_keys", "timing_src_regs", "timing_dst_regs",
+                 "repr_format")
 
     def __reduce__(self):
         return (shape_of, (self.key,))
@@ -125,13 +129,17 @@ def shape_of(key: tuple) -> InstructionShape:
     defined = tuple(r for r in dst if r != 31) if 31 in dst else dst
     extra = _EXTRA_DST.get(opcode)
     shape.timing_dst_regs = defined + extra if extra else defined
+    shape.repr_format = (
+        "Instruction(opcode=%r, dst=%%r, src=%%r, imm=%%r, edk_def=%r, "
+        "edk_use=%r, edk_use2=%r, addr=%%r, size=%%r, target=%%r, "
+        "comment=%%r)" % (opcode, edk_def, edk_use, edk_use2))
     # Intern the first valid spelling of a key; an equal one with other
     # operand objects keeps a shape of its own.
     _SHAPES.setdefault(key, shape)
     return shape
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, init=False, repr=False)
 class Instruction:
     """A single static instruction.
 
@@ -270,6 +278,13 @@ class Instruction:
         return self._shape.consumer_keys
 
     # --- pretty printing ----------------------------------------------------
+
+    def __repr__(self) -> str:
+        # The dataclass repr, byte for byte, from the shape's template.
+        d = self.__dict__
+        return d["_shape"].repr_format % (
+            d["dst"], d["src"], d["imm"], d["addr"], d["size"], d["target"],
+            d["comment"])
 
     def _edk_prefix(self) -> str:
         if self.opcode is Opcode.JOIN:

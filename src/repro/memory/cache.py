@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 
 @dataclasses.dataclass
@@ -134,6 +134,36 @@ class Cache:
             victim = Eviction(victim_addr, victim_dirty)
         ways[tag] = dirty
         return victim
+
+    def fill_clean(self, lines: Iterable[int]) -> None:
+        """``insert(addr)`` (clean) for each address in order, victims
+        dropped: the same LRU order and stats, without an
+        :class:`Eviction` per victim."""
+        sets = self._sets
+        assoc = self.assoc
+        shift = self._line_shift
+        mask = self._set_mask
+        set_shift = self._set_shift
+        num_sets = self.num_sets
+        evictions = dirty_evictions = 0
+        for addr in lines:
+            line = addr >> shift
+            if mask >= 0:
+                ways = sets[line & mask]
+                tag = line >> set_shift
+            else:
+                ways = sets[line % num_sets]
+                tag = line // num_sets
+            if tag in ways:
+                ways.move_to_end(tag)
+                continue
+            if len(ways) >= assoc:
+                evictions += 1
+                if ways.popitem(last=False)[1]:
+                    dirty_evictions += 1
+            ways[tag] = False
+        self.stats.evictions += evictions
+        self.stats.dirty_evictions += dirty_evictions
 
     def mark_dirty(self, addr: int) -> bool:
         """Mark the line dirty if present; return whether it was present."""

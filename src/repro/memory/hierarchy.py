@@ -159,6 +159,6 @@ def warm_hierarchy(hierarchy: CacheHierarchy, built) -> None:
     :class:`~repro.nvmfw.framework.BuiltWorkload` (anything with
     ``warm_lines(line_size)``).
     """
-    for line in built.warm_lines(hierarchy.params.line_size):
-        for cache in (hierarchy.l3, hierarchy.l2, hierarchy.l1d):
-            cache.insert(line)
+    lines = built.warm_lines(hierarchy.params.line_size)
+    for cache in (hierarchy.l3, hierarchy.l2, hierarchy.l1d):
+        cache.fill_clean(lines)

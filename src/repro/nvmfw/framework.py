@@ -28,7 +28,7 @@ wrote, not a copy of the tracked state.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.consistency.obligations import (
     LOG_BEFORE_STORE,
@@ -118,6 +118,14 @@ class PersistentFramework:
     def raw_store(self, addr: int, value: int) -> None:
         """Initialization-time store: functional effect only, no trace."""
         self.memory[addr & ~7] = value & ((1 << 64) - 1)
+
+    def raw_store_words(self, base: int, values: Sequence[int]) -> None:
+        """``raw_store(base + 8 * i, values[i])`` for every ``i``, in one
+        bulk update (array initialisation)."""
+        base &= ~7
+        mask = (1 << 64) - 1
+        self.memory.update(zip(range(base, base + 8 * len(values), 8),
+                               [value & mask for value in values]))
 
     def peek(self, addr: int) -> int:
         """Functional read without trace emission."""

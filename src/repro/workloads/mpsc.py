@@ -73,9 +73,7 @@ def build_mpsc(mode: str, scale: Scale) -> BuiltWorkload:
         region = fw.alloc((bytes_needed + 63) & ~63, 64)
         slot_base.append(region)
         head_addr.append(region + ring * 8)
-        for j in range(ring):
-            fw.raw_store(region + 8 * j, 0)
-        fw.raw_store(head_addr[i], 0)
+        fw.raw_store_words(region, [0] * (ring + 1))  # slots, then head
         fw.raw_store(_flag_addr(i), 0)
     # Per-producer tails, on consumer-owned lines.
     tails_region = consumer.alloc((nproducers * 8 + 63) & ~63, 64)

@@ -22,8 +22,7 @@ def build_update(mode: str, scale: Scale) -> BuiltWorkload:
     rng = make_rng(scale)
 
     base = fw.alloc(ARRAY_ELEMENTS * 8, align=64)
-    for index in range(ARRAY_ELEMENTS):
-        fw.raw_store(base + 8 * index, index)
+    fw.raw_store_words(base, range(ARRAY_ELEMENTS))
 
     fw.track_writes()
 

@@ -15,19 +15,24 @@ Covers the acceptance claims end to end at test scale:
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro.analysis import autotune
 from repro.analysis.autotune import (
     COMMIT_BEFORE_NEXT_TXN,
     INIT_BEFORE_PUBLISH,
     OPTIMIZED,
     PROVEN_MINIMAL,
+    REVERTED,
     SKIPPED,
     autotune_workload,
     derive_search_obligations,
     ordering_breakdown,
     program_digest,
+    recovered_image,
+    state_digest,
     to_findings,
     used_keys,
 )
@@ -98,6 +103,106 @@ def test_program_digest_tracks_content():
     b = [ops.dmb_sy(), ops.halt()]
     assert program_digest(a) != program_digest(b)
     assert program_digest(a) == program_digest(list(a))
+
+
+def test_program_digest_hashes_one_repr_line_per_instruction():
+    trace = build("update", "ede", TEST_SCALE).trace
+    hasher = hashlib.sha256()
+    for inst in trace:
+        hasher.update(repr(inst).encode("utf-8") + b"\n")
+    assert program_digest(trace) == hasher.hexdigest()
+    assert program_digest([]) == hashlib.sha256(b"").hexdigest()
+
+
+# --- the recovered-state digest -----------------------------------------------
+
+
+def reference_state_digest(built, image):
+    payload = (sorted(image.items()), sorted(built.final_memory.items()),
+               built.txns)
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("workload,cores", [
+    ("update", 1), ("swap", 1), ("mpsc", 2)])
+def test_state_digest_hashes_the_repr_of_the_sorted_payload(workload, cores):
+    scale = dataclasses.replace(TEST_SCALE, cores=cores)
+    built = build(workload, "ede", scale)
+    run = run_one(workload, configuration("WB"), scale, built=built)
+    image = recovered_image(built, run.persist_log)
+    assert len(image) > 10
+    assert state_digest(built, image) == reference_state_digest(built, image)
+    # Text-level corner cases: an empty image, a negative value.
+    assert (state_digest(built, {}) ==
+            reference_state_digest(built, {}))
+    odd = dict(image)
+    odd[min(odd)] = -1
+    assert state_digest(built, odd) == reference_state_digest(built, odd)
+    assert state_digest(built, odd) != state_digest(built, image)
+
+
+def corrupt_variant_images(monkeypatch, calls_to_corrupt):
+    """Flip one tracked cell in the images ``recovered_image`` returns on
+    the listed calls (call 0 is the baseline's, then one per variant
+    attempt); returns the list of calls made."""
+    real = autotune.recovered_image
+    calls = []
+
+    def patched(built, persist_log):
+        image = real(built, persist_log)
+        if len(calls) in calls_to_corrupt:
+            cell = built.tracked_cells[0]
+            image = dict(image)
+            image[cell] = image.get(cell, 0) + 1
+        calls.append(len(image))
+        return image
+
+    monkeypatch.setattr(autotune, "recovered_image", patched)
+    return calls
+
+
+def test_variant_whose_image_differs_in_one_cell_is_never_chosen(monkeypatch):
+    clean = autotune_workload("update", "B", scale=TEST_SCALE)
+    assert clean.status == OPTIMIZED and clean.removed_sites
+    calls = corrupt_variant_images(monkeypatch, range(1, 10))
+    report = autotune_workload("update", "B", scale=TEST_SCALE)
+    assert len(calls) == 2  # the baseline, then the one variant
+    assert report.status == REVERTED
+    assert report.digest_match is False
+    assert report.optimized is None and report.removed_sites == []
+    assert report.program_after == report.program_before
+    assert report.baseline.digest == clean.baseline.digest
+
+
+def test_fallback_variant_reports_the_baseline_digest(monkeypatch):
+    clean = autotune_workload("update", "IQ", scale=TEST_SCALE)
+    assert clean.key_map and clean.removed_sites
+    corrupt_variant_images(monkeypatch, {1})  # only the key-folded variant
+    report = autotune_workload("update", "IQ", scale=TEST_SCALE)
+    assert report.status == OPTIMIZED
+    assert report.key_map == {}
+    assert report.removed_sites == clean.removed_sites
+    assert "wider variant failed" in report.reason
+    assert report.digest_match is True
+    assert report.optimized.digest == report.baseline.digest
+
+
+@pytest.mark.parametrize("workload,config,conservative", [
+    ("update", "B", False), ("update", "IQ", True), ("swap", "WB", True)])
+def test_chosen_variant_digest_is_its_own_state_digest(
+        workload, config, conservative):
+    report = autotune_workload(workload, config, scale=TEST_SCALE,
+                               conservative=conservative)
+    assert report.status == OPTIMIZED and report.digest_match is True
+    assert report.optimized.digest == report.baseline.digest
+    # Recompute the variant's digest from its own run, the long way.
+    built = build(workload, report.mode, TEST_SCALE)
+    variant = dataclasses.replace(
+        built, trace=codegen.Rewriter(built.trace).apply(
+            drop=report.removed_sites, key_map=report.key_map or None))
+    run = run_one(workload, configuration(config), TEST_SCALE, built=variant)
+    image = recovered_image(variant, run.persist_log)
+    assert reference_state_digest(variant, image) == report.optimized.digest
 
 
 # --- the acceptance matrix ----------------------------------------------------

@@ -6,7 +6,8 @@ consumer keys) come from an interned
 the memo never lets an invalid instruction through, and that every way of
 making an instruction (constructor, ``dataclasses.replace``, pickle, the
 interpreter's address copy) gives the fields and views the per-instance
-computation gave.
+computation gave, and that the per-shape repr template renders exactly
+the dataclass repr.
 """
 
 import copy
@@ -20,7 +21,7 @@ from repro.isa import instructions as ops
 from repro.isa.instructions import FLAGS_REG, Instruction, shape_of
 from repro.isa.machine import _with_addr
 from repro.isa.opcodes import CONDITIONAL_BRANCH_OPCODES, Opcode
-from repro.nvmfw.codegen import ALL_MODES
+from repro.nvmfw.codegen import ALL_MODES, conservative_mode
 from repro.workloads import Scale
 from repro.workloads import base as workload_base
 
@@ -184,3 +185,93 @@ class TestCopies:
         assert moved == dataclasses.replace(inst, addr=4096)
         assert views(moved) == views(inst)
         assert moved._shape is inst._shape
+
+
+# --- repr from the per-shape template ----------------------------------------
+
+
+def dataclass_repr(inst):
+    """The field-by-field format of a dataclass repr."""
+    return "%s(%s)" % (type(inst).__qualname__, ", ".join(
+        "%s=%r" % (f.name, getattr(inst, f.name))
+        for f in dataclasses.fields(inst)))
+
+
+REPR_MODES = ("ede", "dsb") + tuple(conservative_mode(m) for m in ALL_MODES)
+
+
+@pytest.mark.parametrize("mode", REPR_MODES)
+def test_trace_repr_matches_dataclass_format(mode):
+    checked = 0
+    for workload in workload_base.workload_names():
+        traces = [workload_base.build(workload, mode, TEST_SCALE).trace]
+        if workload in workload_base._MULTICORE:
+            built = workload_base.build(
+                workload, mode, dataclasses.replace(TEST_SCALE, cores=2))
+            traces.append(built.trace)
+            traces.extend(built.core_traces)
+        for trace in traces:
+            for inst in trace:
+                assert repr(inst) == dataclass_repr(inst)
+            checked += len(trace)
+    assert checked > 1000
+
+
+ODD_SPELLINGS = {
+    "percent_in_comment": ops.store(1, 2, addr=64, comment="100% %s %r %%"),
+    "branch_target": ops.branch("loop"),
+    "cond_branch_target": ops.branch_cond(Opcode.B_EQ, "done%d"),
+    "size_16": ops.stp_ede(0, 1, 2, edk_def=4, edk_use=0, addr=16),
+    "size_given_as_float": Instruction(Opcode.LDR, dst=(1,), src=(2,),
+                                       size=8.0),
+    "edk_given_as_false": Instruction(Opcode.STR_EDE, src=(1, 2),
+                                      edk_def=False),
+    "opcode_given_as_int": Instruction(int(Opcode.NOP)),
+    "register_given_as_bool": Instruction(Opcode.MOV, dst=(True,), imm=-3),
+    "join_three_keys": ops.join(3, 1, 2),
+    "wait_key": ops.wait_key(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_SPELLINGS))
+def test_odd_spellings_repr_as_the_dataclass(name):
+    inst = ODD_SPELLINGS[name]
+    assert repr(inst) == dataclass_repr(inst)
+    for copy_ in (pickle.loads(pickle.dumps(inst)), _with_addr(inst, 4096),
+                  dataclasses.replace(inst, comment="50%")):
+        assert repr(copy_) == dataclass_repr(copy_)
+
+
+@pytest.mark.parametrize("plain_first", [True, False])
+def test_equal_spellings_keep_their_own_repr(plain_first):
+    # An operand that compares equal to the interned spelling must not
+    # borrow its rendering, whichever spelling was interned first.  The
+    # source registers keep these shapes out of every other test.
+    src = (17, 18) if plain_first else (19, 20)
+
+    def plain():
+        return Instruction(Opcode.LDR_EDE, dst=(1,), src=src, edk_def=0,
+                           size=8)
+
+    def odd():
+        return Instruction(Opcode.LDR_EDE, dst=(True,), src=src, edk_def=0,
+                           size=8.0)
+
+    first, second = (plain(), odd()) if plain_first else (odd(), plain())
+    assert first._shape is second._shape
+    for inst in (first, second):
+        assert repr(inst) == dataclass_repr(inst)
+    assert "dst=(1,)" in repr(plain()) and "dst=(True,)" in repr(odd())
+    assert "size=8," in repr(plain()) and "size=8.0," in repr(odd())
+    # An EDK spelled False is a shape of its own (operands are
+    # identity-checked), so its template renders it as given.
+    false_key = Instruction(Opcode.LDR_EDE, dst=(1,), src=src,
+                            edk_def=False)
+    assert false_key._shape is not first._shape
+    assert "edk_def=False," in repr(false_key)
+
+
+def test_edk_given_as_true_is_rejected():
+    # True equals key 1, but an EDK must be an int: nothing to render.
+    with pytest.raises(ValueError, match="EDK must be an int"):
+        Instruction(Opcode.STR_EDE, src=(1, 2), edk_def=True)

@@ -36,6 +36,27 @@ class TestFunctionalMemory:
         fw.raw_store(0x80001000, 1 << 70)
         assert fw.peek(0x80001000) == 0
 
+    @pytest.mark.parametrize("base", [0x80001000, 0x80001004])
+    def test_raw_store_words_equals_a_raw_store_loop(self, base):
+        values = [5, -1, 1 << 70, (1 << 64) - 1, 0, 7]
+        loop, bulk = framework(), framework()
+        for fw in (loop, bulk):
+            fw.raw_store(0x80001008, 99)  # overwritten, keeps its position
+        for index, value in enumerate(values):
+            loop.raw_store(base + 8 * index, value)
+        bulk.raw_store_words(base, values)
+        assert list(bulk.memory.items()) == list(loop.memory.items())
+        bulk.raw_store_words(base, [])
+        assert list(bulk.memory.items()) == list(loop.memory.items())
+
+    @pytest.mark.parametrize("workload", ["update", "swap"])
+    def test_array_kernels_start_from_the_initialised_array(self, workload):
+        built = build(workload, "dsb", Scale(ops_per_txn=2, txns=1))
+        baseline = built.baseline_memory
+        base = min(baseline)
+        assert list(baseline.items()) == [
+            (base + 8 * index, index) for index in range(16384)]
+
 
 class TestTransactions:
     def test_write_outside_txn_rejected(self):
