@@ -4,8 +4,8 @@ Unlike the other benches, this one measures the reproduction itself rather
 than the paper's claims: simulator throughput in retired kilo-instructions
 per second (kIPS), trace-build throughput in built kilo-instructions per
 second (the compiled interpreter vs the reference interpreter, and
-the workload build path), the replay row prepass time, the update and
-swap build times, one paper-matrix pass with the cyclic-GC time and
+the workload build path), the replay prepass time, a built trace's
+bytes per instruction, the update and swap build times, one paper-matrix pass with the cyclic-GC time and
 collections inside it, serial-vs-parallel full-matrix wall time, the
 persistent result cache's cold/warm behaviour, and the crash sweep's
 cost per crash point.  The numbers land in the BENCH JSON
@@ -23,6 +23,7 @@ import shutil
 import statistics
 import tempfile
 import time
+import tracemalloc
 
 from benchmarks.common import bench_scale, print_header, simulate
 from benchmarks.ledger import Timing, timed_rounds
@@ -33,7 +34,7 @@ from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.harness.runner import run_matrix, run_one
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine
-from repro.pipeline.replay import build_rows
+from repro.pipeline.replay import TraceMeta
 from repro.workloads import base as workload_base
 
 #: Matrix used by the serial-vs-parallel and cache measurements — small
@@ -189,20 +190,43 @@ def _print_kernel(title, ref, compiled, trace_len):
     return speedup, trace_len / compiled.best / 1e3
 
 
+def _trace_bytes_per_inst(scale):
+    """Bytes a built btree/ede trace plus its replay metadata hold per
+    instruction (tracemalloc, after the per-shape memos are warm)."""
+    TraceMeta(workload_base.build("btree", "ede", scale).trace)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = workload_base.build("btree", "ede", scale)
+        meta = TraceMeta(built.trace)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(meta.tails) == len(built.trace)
+    return held / len(built.trace)
+
+
 def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     """Trace-build throughput: compiled vs reference interpreter, plus
-    the workload (framework) build path, in built kIPS, and the replay
-    row prepass over the built trace."""
+    the workload (framework) build path, in built kIPS, the replay
+    prepass over the built trace, and the bytes a built trace and its
+    replay metadata hold per instruction."""
     scale = bench_scale()
 
     def run():
+        # Seven rounds: a build takes tens of milliseconds, and the best
+        # of three moved by 15% between sessions on a shared host.
         build, built = timed_rounds(
-            lambda: workload_base.build("btree", "ede", scale))
-        rows, _ = timed_rounds(lambda: build_rows(built.trace))
-        return _time_kernel(_BUILD_KERNEL) + (build, len(built.trace), rows)
+            lambda: workload_base.build("btree", "ede", scale), rounds=7)
+        prepass, _ = timed_rounds(lambda: TraceMeta(built.trace), rounds=7)
+        return _time_kernel(_BUILD_KERNEL) + (build, len(built.trace),
+                                              prepass)
 
-    ref, compiled, trace_len, build, wl_trace_len, rows = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    ref, compiled, trace_len, build, wl_trace_len, prepass = (
+        benchmark.pedantic(run, rounds=1, iterations=1))
+    bytes_per_inst = _trace_bytes_per_inst(scale)
 
     speedup, run_kips = _print_kernel(
         "Self-perf: trace-build throughput (compiled interpreter)",
@@ -210,8 +234,9 @@ def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     build_kips = wl_trace_len / build.best / 1e3
     print("  workload build    : %.3f s  ->  %.1f kIPS (btree/ede, framework)"
           % (build.best, build_kips))
-    print("  replay rows       : %.2f ms (btree/ede prepass)"
-          % (rows.best * 1e3))
+    print("  replay prepass    : %.2f ms (btree/ede)" % (prepass.best * 1e3))
+    print("  trace footprint   : %.0f B/inst (btree/ede build + replay "
+          "metadata)" % bytes_per_inst)
     benchmark.extra_info["interp_trace_len"] = trace_len
     benchmark.extra_info["interp_reference_kips"] = round(
         trace_len / ref.best / 1e3, 1)
@@ -219,15 +244,17 @@ def test_selfperf_trace_build_kips(benchmark, bench_ledger):
     benchmark.extra_info["interp_speedup"] = round(speedup, 2)
     benchmark.extra_info["workload_build_kips"] = round(build_kips, 1)
     benchmark.extra_info["workload_trace_len"] = wl_trace_len
-    benchmark.extra_info["replay_rows_ms"] = round(rows.best * 1e3, 2)
+    benchmark.extra_info["replay_rows_ms"] = round(prepass.best * 1e3, 2)
+    benchmark.extra_info["trace_bytes_per_inst"] = round(bytes_per_inst, 1)
     bench_ledger.record("selfperf", trace_build_kips=round(run_kips, 1),
                         trace_build_timing=compiled,
                         interp_speedup=round(speedup, 2),
                         trace_build_reference_timing=ref,
                         workload_build_kips=round(build_kips, 1),
                         workload_build_timing=build,
-                        replay_rows_ms=round(rows.best * 1e3, 2),
-                        replay_rows_timing=rows)
+                        replay_rows_ms=round(prepass.best * 1e3, 2),
+                        replay_rows_timing=prepass,
+                        trace_bytes_per_inst=round(bytes_per_inst, 1))
     assert speedup >= 2.0, (
         "compiled interpreter below the 2x trace-build target: %.2fx"
         % speedup)

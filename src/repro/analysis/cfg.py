@@ -105,9 +105,6 @@ class CFG:
             self.blocks[succ].start for succ in block.successors if succ != EXIT
         ]
 
-    def entry_block(self) -> Optional[BasicBlock]:
-        return self.blocks[0] if self.blocks else None
-
     # --- dominators and loops ----------------------------------------------
 
     def dominators(self) -> List[Set[int]]:

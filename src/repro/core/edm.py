@@ -21,7 +21,7 @@ checkpoints for multi-checkpoint designs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.edk import ZERO_KEY, validate_edk
 
@@ -80,13 +80,6 @@ class ExecutionDependenceMap:
         for key in cleared:
             del self._entries[key]
         return cleared
-
-    def drop_ids(self, ids: Iterable[int]) -> None:
-        """Remove all entries whose producer is in ``ids`` (used on squash
-        when no checkpoint is available)."""
-        doomed = frozenset(ids)
-        for key in [k for k, v in self._entries.items() if v in doomed]:
-            del self._entries[key]
 
     # --- state management -----------------------------------------------------
 

@@ -1,10 +1,10 @@
 """The one owner of the process-wide cyclic-GC pause.
 
-Trace build, the replay prepass and the pipeline loop allocate hundreds
-of thousands of tracked objects (instructions, their ``__dict__``\\ s,
-replay rows, in-flight instructions) and form no reference cycles, so
-collections during them find nothing and walk an ever larger heap.
-They run inside :func:`paused`.
+Trace build and the pipeline loop allocate hundreds of thousands of
+tracked objects (instructions, in-flight instructions, events) and form
+no reference cycles, so collections during them find nothing and walk an
+ever larger heap.  They, and the replay prepass between them, run inside
+:func:`paused`.
 
 ``gc.disable()`` is process-wide, so the pause is counted rather than
 toggled: the first entrant (in any thread) records whether the GC was on

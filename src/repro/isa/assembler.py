@@ -55,10 +55,6 @@ def _split_comment(line: str) -> Tuple[str, Optional[str]]:
     return line[:index].strip(), line[index + width:].strip()
 
 
-def _strip_comment(line: str) -> str:
-    return _split_comment(line)[0]
-
-
 def _split_operands(text: str) -> List[str]:
     """Split an operand string on commas that are not inside () or []."""
     parts: List[str] = []

@@ -15,6 +15,7 @@ machine in :mod:`repro.isa.machine` resolves these dynamically instead.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Optional, Tuple
 
 from repro.core.edk import ZERO_KEY, validate_edk
@@ -76,8 +77,8 @@ class InstructionShape:
     ``size=8.0``, still renders as given).
     """
 
-    __slots__ = ("key", "consumer_keys", "timing_src_regs", "timing_dst_regs",
-                 "repr_format")
+    __slots__ = ("key", "edk_def", "edk_use", "edk_use2", "consumer_keys",
+                 "timing_src_regs", "timing_dst_regs", "repr_format")
 
     def __reduce__(self):
         return (shape_of, (self.key,))
@@ -122,6 +123,7 @@ def shape_of(key: tuple) -> InstructionShape:
         raise ValueError("invalid access size: %r" % (size,))
     shape = InstructionShape()
     shape.key = key
+    shape.edk_def, shape.edk_use, shape.edk_use2 = edk_def, edk_use, edk_use2
     shape.consumer_keys = consumer_keys
     used = tuple(r for r in src if r != 31) if 31 in src else src
     extra = _EXTRA_SRC.get(opcode)
@@ -139,8 +141,24 @@ def shape_of(key: tuple) -> InstructionShape:
     return shape
 
 
+class _Filling:
+    """An :class:`Instruction`'s per-instance fields as slots, without the
+    frozen ``__setattr__``: a new instruction is filled in as one of these
+    with plain slot stores (a frozen dataclass pays a call per field),
+    then becomes an :class:`Instruction` by ``__class__`` assignment.  The
+    EDK operands are read from the interned shape, which holds the very
+    objects given; ``dst``, ``src`` and ``size`` stay per instance, as a
+    spelling that only compares equal (``size=8.0``) shares the shape."""
+
+    __slots__ = ("_shape", "opcode", "dst", "src", "imm", "addr", "size",
+                 "target", "comment")
+
+
+_new_filling = object.__new__
+
+
 @dataclasses.dataclass(frozen=True, init=False, repr=False)
-class Instruction:
+class Instruction(_Filling):
     """A single static instruction.
 
     Attributes:
@@ -158,30 +176,30 @@ class Instruction:
             (used by the consistency checker to tag persist obligations).
     """
 
-    opcode: Opcode
-    dst: Tuple[int, ...] = ()
-    src: Tuple[int, ...] = ()
-    imm: int = 0
-    edk_def: int = ZERO_KEY
-    edk_use: int = ZERO_KEY
-    edk_use2: int = ZERO_KEY
-    addr: Optional[int] = None
-    size: int = 8
-    target: Optional[str] = None
-    comment: Optional[str] = None
+    __slots__ = ()
 
-    def __init__(self, opcode: Opcode, dst: Tuple[int, ...] = (),
-                 src: Tuple[int, ...] = (), imm: int = 0,
-                 edk_def: int = ZERO_KEY, edk_use: int = ZERO_KEY,
-                 edk_use2: int = ZERO_KEY, addr: Optional[int] = None,
-                 size: int = 8, target: Optional[str] = None,
-                 comment: Optional[str] = None) -> None:
+    opcode: Opcode
+    dst: Tuple[int, ...]
+    src: Tuple[int, ...]
+    imm: int
+    edk_def: int
+    edk_use: int
+    edk_use2: int
+    addr: Optional[int]
+    size: int
+    target: Optional[str]
+    comment: Optional[str]
+
+    def __new__(cls, opcode: Opcode, dst: Tuple[int, ...] = (),
+                src: Tuple[int, ...] = (), imm: int = 0,
+                edk_def: int = ZERO_KEY, edk_use: int = ZERO_KEY,
+                edk_use2: int = ZERO_KEY, addr: Optional[int] = None,
+                size: int = 8, target: Optional[str] = None,
+                comment: Optional[str] = None) -> "Instruction":
         # Trace builders construct one instruction per dynamic instruction,
-        # so this is a hot path: the fields go straight into the instance
-        # __dict__ (a frozen dataclass's own __init__ pays one
-        # object.__setattr__ call per field), and validation plus the
-        # derived views come from the interned shape (the identity test
-        # is _same_operands, inlined).
+        # so this is a hot path: validation plus the derived views come
+        # from the interned shape (the identity test is _same_operands,
+        # inlined).
         key = (opcode, dst, src, edk_def, edk_use, edk_use2, size)
         shape = _SHAPES.get(key)
         if shape is None:
@@ -191,19 +209,40 @@ class Instruction:
             if (known[0] is not opcode or known[3] is not edk_def
                     or known[4] is not edk_use or known[5] is not edk_use2):
                 shape = shape_of(key)
-        d = self.__dict__
-        d["opcode"] = opcode
-        d["dst"] = dst
-        d["src"] = src
-        d["imm"] = imm
-        d["edk_def"] = edk_def
-        d["edk_use"] = edk_use
-        d["edk_use2"] = edk_use2
-        d["addr"] = addr
-        d["size"] = size
-        d["target"] = target
-        d["comment"] = comment
-        d["_shape"] = shape
+        self = _new_filling(_Filling)
+        self._shape = shape
+        self.opcode = opcode
+        self.dst = dst
+        self.src = src
+        self.imm = imm
+        self.addr = addr
+        self.size = size
+        self.target = target
+        self.comment = comment
+        self.__class__ = cls
+        return self
+
+    def __reduce__(self):
+        return (self.__class__, (
+            self.opcode, self.dst, self.src, self.imm, self.edk_def,
+            self.edk_use, self.edk_use2, self.addr, self.size, self.target,
+            self.comment))
+
+    def with_addr(self, addr: Optional[int]) -> "Instruction":
+        """``dataclasses.replace(self, addr=addr)`` without the shape
+        lookup: the address is not part of the shape."""
+        new = _new_filling(_Filling)
+        new._shape = self._shape
+        new.opcode = self.opcode
+        new.dst = self.dst
+        new.src = self.src
+        new.imm = self.imm
+        new.addr = addr
+        new.size = self.size
+        new.target = self.target
+        new.comment = self.comment
+        new.__class__ = self.__class__
+        return new
 
     # --- shape views ------------------------------------------------------
     # Per-opcode classification lives in CLASSIFICATION_BY_OPCODE, and
@@ -281,10 +320,9 @@ class Instruction:
 
     def __repr__(self) -> str:
         # The dataclass repr, byte for byte, from the shape's template.
-        d = self.__dict__
-        return d["_shape"].repr_format % (
-            d["dst"], d["src"], d["imm"], d["addr"], d["size"], d["target"],
-            d["comment"])
+        return self._shape.repr_format % (
+            self.dst, self.src, self.imm, self.addr, self.size, self.target,
+            self.comment)
 
     def _edk_prefix(self) -> str:
         if self.opcode is Opcode.JOIN:
@@ -364,6 +402,12 @@ class Instruction:
         if self.comment:
             return "%s ; %s" % (text, self.comment)
         return text
+
+
+# The EDK operands, read from the shape (see _Filling).
+Instruction.edk_def = property(operator.attrgetter("_shape.edk_def"))
+Instruction.edk_use = property(operator.attrgetter("_shape.edk_use"))
+Instruction.edk_use2 = property(operator.attrgetter("_shape.edk_use2"))
 
 
 # ---------------------------------------------------------------------------

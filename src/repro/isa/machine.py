@@ -145,20 +145,9 @@ _CONDITIONS: Dict[Opcode, Tuple[str, bool]] = {
 }
 
 
-def _with_addr(inst: Instruction, addr: int) -> Instruction:
-    """A copy of ``inst`` with ``addr`` swapped in.
-
-    Equivalent to ``dataclasses.replace(inst, addr=addr)`` but without
-    the constructor's shape lookup: the address is not part of the
-    instruction's shape, so the instance ``__dict__`` (fields and shape)
-    is copied wholesale, straight into the new instance's own dict.  This
-    is the dominant per-memory-op cost in the interpreter.
-    """
-    new = object.__new__(Instruction)
-    d = new.__dict__
-    d.update(inst.__dict__)
-    d["addr"] = addr
-    return new
+#: ``dataclasses.replace(inst, addr=addr)`` without the constructor's
+#: shape lookup; the dominant per-memory-op cost in the interpreter.
+_with_addr = Instruction.with_addr
 
 
 def _resolve_static_target(inst: Instruction,

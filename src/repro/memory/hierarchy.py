@@ -144,11 +144,6 @@ class CacheHierarchy:
         return self.controller.write(
             addr, issue_cycle, is_eviction=False, tag=tag, inst_seq=inst_seq)
 
-    # --- instruction-side (kept simple: fixed L1I latency) -----------------------
-
-    def fetch_latency(self) -> int:
-        return self.params.l1i_latency
-
 
 def warm_hierarchy(hierarchy: CacheHierarchy, built) -> None:
     """Install a built workload's data (clean) before timing.

@@ -72,16 +72,24 @@ class BuiltWorkload:
     #: Every cell ``write`` logged, ascending: the cells recovery
     #: validation compares.  Empty when ``committed_writes`` is.
     tracked_cells: List[int] = dataclasses.field(default_factory=list)
+    #: ``warm_lines`` by line size, with the memory it was computed from;
+    #: ``dataclasses.replace`` copies (autotune variants) share it.
+    _warm_lines: Dict[int, tuple] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False)
 
     def warm_lines(self, line_size: int = 64) -> List[int]:
-        """Cache lines of every address the workload touches.
+        """Cache lines of every address the workload touches, ascending.
 
         The paper simulates 100 000 operations, far past cold start; the
         harness installs these lines (clean) before timing so the scaled
-        runs measure the same steady state.
+        runs measure the same steady state.  Computed once per final
+        memory and line size; the list is shared, so do not modify it.
         """
-        lines = {word & ~(line_size - 1) for word in self.final_memory}
-        return sorted(lines)
+        memo = self._warm_lines.get(line_size)
+        if memo is None or memo[0] is not self.final_memory:
+            memo = self._warm_lines[line_size] = (self.final_memory, sorted(
+                {word & ~(line_size - 1) for word in self.final_memory}))
+        return memo[1]
 
 
 class PersistentFramework:

@@ -26,7 +26,7 @@ event, attributing the skipped cycles to the zero-issue bucket of the
 Fig. 11 histogram.
 
 All five stages run in one loop, :meth:`OutOfOrderCore._loop`, driven by
-the packed per-instruction rows of :mod:`repro.pipeline.replay`.
+the per-instruction replay columns of :mod:`repro.pipeline.replay`.
 :meth:`OutOfOrderCore.run` runs it to HALT; :meth:`OutOfOrderCore.lockstep`
 runs it one cycle per step under a clock owned by a multi-core driver.
 """
@@ -171,9 +171,9 @@ class OutOfOrderCore:
 
         # DMB epochs: every DMB (ST or SY) starts a new epoch; younger
         # memory operations wait at issue, and younger store-class entries
-        # in the write buffer, until the older epochs drain.  Rows carry
-        # each instruction's static epoch; per-epoch counts of in-flight
-        # instructions live here.
+        # in the write buffer, until the older epochs drain.  The replay
+        # metadata carries each instruction's static epoch; per-epoch
+        # counts of in-flight instructions live here.
         self._store_epoch_outstanding: Dict[int, int] = {}
         self._min_live_store_epoch = 0
         self._mem_epoch_outstanding: Dict[int, int] = {}
@@ -195,8 +195,8 @@ class OutOfOrderCore:
             if not replay.matches(self.trace):
                 raise ValueError(
                     "replay metadata does not match the trace "
-                    "(%d rows vs %d instructions)"
-                    % (replay.length, len(self.trace)))
+                    "(%d entries vs %d instructions)"
+                    % (len(replay.trace), len(self.trace)))
         self._replay = replay
 
         #: (cycle, seq, tag, addr) for every tagged store becoming visible —
@@ -358,7 +358,7 @@ class OutOfOrderCore:
               lockstep: bool) -> Iterator[Tuple[int, Optional[int]]]:
         """The simulator: every stage inlined into one frame.
 
-        Dispatch is driven by the packed replay rows, the DMB-epoch checks
+        Dispatch is driven by the replay columns, the DMB-epoch checks
         and write-buffer eligibility scan are unrolled inline, and the
         issue histogram is accumulated in a local list flushed on exit.
         Without ``lockstep`` the loop owns the clock and runs to HALT
@@ -378,8 +378,11 @@ class OutOfOrderCore:
         hierarchy = self.hierarchy
         store_commit = hierarchy.store_commit
         clean_to_pop = hierarchy.clean_to_pop
-        rows = meta.rows
-        trace_len = meta.length
+        insts = meta.trace
+        tails = meta.tails
+        words_col = meta.words
+        epochs = meta.epochs
+        trace_len = len(insts)
         rob = self._rob
         events = self._events
         event_heap = self._event_heap
@@ -476,7 +479,7 @@ class OutOfOrderCore:
         min_live_store = self._min_live_store_epoch
         min_live_mem = self._min_live_mem_epoch
         #: Squashes re-dispatch the flushed DMBs, so a refetched
-        #: instruction's dynamic DMB epoch is its row's static epoch plus
+        #: instruction's dynamic DMB epoch is its column epoch plus
         #: the barriers re-dispatched so far.
         epoch_bias = 0
         squash_progress = False
@@ -484,7 +487,7 @@ class OutOfOrderCore:
         last_retire = now
         halted = False
         wb_dirty = True
-        # The loop allocates heavily (DynInst, events, rows) but forms no
+        # The loop allocates heavily (DynInst, events) but forms no
         # reference cycles.
         with paused():
             try:
@@ -988,41 +991,45 @@ class OutOfOrderCore:
                                 sq_used = self._sq_used
                                 rob_len = iq_len = 0
                                 spec_entries = edm.spec._entries
-                                epoch_bias += (rows[squashed_from][3]
-                                               - rows[fetch_index][3])
+                                epoch_bias += (epochs[squashed_from]
+                                               - epochs[fetch_index])
                                 squash_progress = True
                                 wb_dirty = True
                                 break
                             if rob_len >= rob_entries:
                                 stats.dispatch_stall_rob += 1
                                 break
-                            row = rows[fetch_index]
-                            needs_iq = row[13]
+                            tail = tails[fetch_index]
+                            needs_iq = tail[9]
                             if needs_iq and iq_len >= iq_entries:
                                 stats.dispatch_stall_iq += 1
                                 break
-                            is_load = row[5]
+                            is_load = tail[1]
                             if is_load and lq_used >= lq_entries:
                                 stats.dispatch_stall_lsq += 1
                                 break
-                            is_store_class = row[8]
+                            is_store_class = tail[4]
                             if is_store_class and sq_used >= sq_entries:
                                 stats.dispatch_stall_lsq += 1
                                 break
                             seq = next_seq
-                            # Fill the DynInst straight from the row: the slots
+                            # Fill the DynInst from the columns: the slots
                             # DynInst.__init__ sets, minus its classification
                             # work and call frame (this runs per instruction).
                             dyn = dyn_new(DynInst)
                             dyn.seq = seq
-                            (dyn.inst, dyn.addr, dyn.words, epoch, dyn.opcode,
+                            dyn.inst = inst = insts[fetch_index]
+                            dyn.addr = inst.addr
+                            dyn.words = words_col[fetch_index]
+                            epoch = epochs[fetch_index]
+                            (dyn.opcode,
                              dyn.is_load, dyn.is_store, dyn.is_writeback,
                              dyn.is_store_class, dyn.is_memory, dyn.is_barrier,
                              dyn.is_branch, dyn.is_ede,
                              _ign, dyn.needs_write_buffer, dyn.is_wait,
                              dyn.retire_class, dyn.size,
                              dyn.producer_keys, dyn.exec_kind, dyn.result_regs,
-                             _ign, _ign, _ign, _ign, _ign, dyn.ede_keys) = row
+                             _ign, _ign, _ign, _ign, _ign, dyn.ede_keys) = tail
                             if epoch_bias:
                                 epoch += epoch_bias
                             dyn.store_epoch = dyn.mem_epoch = epoch
@@ -1043,7 +1050,7 @@ class OutOfOrderCore:
                             next_seq += 1
                             fetch_index += 1
                             dispatched += 1
-                            if row[12]:  # is_ede: EDM decode
+                            if tail[8]:  # is_ede: EDM decode
                                 if dyn.retire_class == RETIRE_WAIT_ALL:
                                     # WAIT_ALL_KEYS produces every key so later
                                     # consumers chain behind it.
@@ -1055,7 +1062,7 @@ class OutOfOrderCore:
                                     # producers still in flight, deduped in
                                     # operand order.
                                     prods = None
-                                    for key in row[25]:  # consumer_keys
+                                    for key in tail[21]:  # consumer_keys
                                         p = spec_entries.get(key)
                                         if (p is not None and p in incomplete
                                                 and (prods is None
@@ -1084,7 +1091,7 @@ class OutOfOrderCore:
                                                     bucket.append(dyn)
                                 if on_ede_dispatch is not None:
                                     on_ede_dispatch(dyn)
-                            for reg in row[21]:  # timing_src_regs
+                            for reg in tail[17]:  # timing_src_regs
                                 writer = scoreboard.get(reg)
                                 if (writer is not None and not writer.executed
                                         and not writer.squashed):
@@ -1094,12 +1101,12 @@ class OutOfOrderCore:
                                         reg_waiters[writer.seq] = [dyn]
                                     else:
                                         bucket.append(dyn)
-                            for reg in row[22]:  # timing_dst_regs
+                            for reg in tail[18]:  # timing_dst_regs
                                 scoreboard[reg] = dyn
                             if is_store_class:
                                 store_epoch_outstanding[epoch] = (
                                     store_epoch_outstanding.get(epoch, 0) + 1)
-                            if row[9]:  # is_memory
+                            if tail[5]:  # is_memory
                                 mem_epoch_outstanding[epoch] = (
                                     mem_epoch_outstanding.get(epoch, 0) + 1)
                             incomplete[seq] = dyn
@@ -1111,7 +1118,7 @@ class OutOfOrderCore:
                                 lq_used += 1
                             if is_store_class:
                                 sq_used += 1
-                                if row[6]:  # is_store
+                                if tail[2]:  # is_store
                                     index_store(dyn)
                             if needs_iq:
                                 iq.append(dyn)
@@ -1119,9 +1126,9 @@ class OutOfOrderCore:
                             else:
                                 dyn.executed = True
                                 dyn.execute_done_cycle = now
-                                if row[23]:  # is_dsb
+                                if tail[19]:  # is_dsb
                                     active_dsbs.append(seq)
-                                elif row[24]:  # is_halt
+                                elif tail[20]:  # is_halt
                                     halt_dyn = dyn
                                     break
                         dispatched_total += dispatched

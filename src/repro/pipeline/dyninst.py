@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.core.edk import NUM_KEYS, ZERO_KEY
 from repro.isa.instructions import CLASSIFICATION_BY_OPCODE, Instruction
@@ -80,7 +80,7 @@ class DynInst:
     completion — for store-class instructions it happens *after* retirement
     when the write buffer push finishes (value visible / line persisted).
 
-    The run loop fills the slots straight from a replay row (see
+    The run loop fills the slots straight from the replay columns (see
     :mod:`repro.pipeline.replay`); this constructor classifies a single
     instruction directly.
     """
@@ -160,10 +160,6 @@ class DynInst:
         #: Unique EDKs carried into the write buffer (Section V-D counters).
         self.ede_keys: Tuple[int, ...] = (
             ede_keys_of(inst) if self.is_ede else ())
-
-    def touched_words(self) -> List[int]:
-        """8-byte-aligned words this memory op touches (for forwarding)."""
-        return list(self.words)
 
     def __repr__(self) -> str:
         return "DynInst(#%d %s)" % (self.seq, self.inst)

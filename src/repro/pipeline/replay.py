@@ -1,36 +1,33 @@
-"""Packed per-instruction replay metadata for the pipeline's run loop.
+"""Columnar per-instruction replay metadata for the pipeline's run loop.
 
 The timing core is trace-driven: the functional front end has already
 resolved every effective address, so every *static* per-instruction fact
 — classification flags, retire class, touched words, producer EDKs, DMB
 epoch tags — is a function of the trace alone, not of the simulation.
 
-:class:`TraceMeta` computes those facts in a single prepass: one packed
-row (a plain tuple — tuple indexing beats attribute lookups in the hot
-loop) per trace index, computed once per built workload and shared by
-every simulation of that trace (typically five configurations).
+:class:`TraceMeta` computes those facts in one prepass per built
+workload, shared by every simulation of that trace (typically five
+configurations).  It is four parallel columns indexed by trace position:
+the trace itself, each instruction's static tail, the words it touches
+and its DMB epoch (the address is read off the instruction).  The tail
+holds every fact that depends only on the instruction's shape
+(:class:`~repro.isa.instructions.InstructionShape`), computed once per
+shape; tails, epochs and words tuples (one per distinct address and
+size) are shared, so no column holds an object per instruction.
 :class:`~repro.pipeline.core.OutOfOrderCore` dispatches straight off the
-rows, filling each :class:`~repro.pipeline.dyninst.DynInst` with one
-tuple unpack.
+columns, filling each :class:`~repro.pipeline.dyninst.DynInst` with one
+unpack of the shared tail.
 
-A row's DMB epoch is the number of DMBs before it in the trace.  It
-feeds both the store and the memory epoch of a
+An instruction's DMB epoch is the number of DMBs before it in the trace.
+It feeds both the store and the memory epoch of a
 :class:`~repro.pipeline.dyninst.DynInst`: every DMB, of either flavour,
 bumps both, so they are always equal.  A squash refetch re-dispatches
 the flushed DMBs, so the core adds the count of barriers re-dispatched
-so far to the row epochs of refetched instructions.
+so far to the column epochs of refetched instructions.
 
-Only four fields of a row depend on where the instruction sits in the
-trace: the instruction itself, its resolved address, the words it
-touches and its DMB epoch.  Every other field is a function of the
-instruction's shape (:class:`~repro.isa.instructions.InstructionShape`),
-so the prepass computes those once per shape and a row is the dynamic
-four concatenated with the shape's static tail.
+Static tail layout (indices as the run loop reads them)::
 
-Row layout (index constants below)::
-
-    (inst, addr, words, epoch,
-     opcode,
+    (opcode,
      is_load, is_store, is_writeback, is_store_class,
      is_memory, is_barrier, is_branch, is_ede,
      enters_iq, needs_write_buffer, is_wait, retire_class,
@@ -53,43 +50,14 @@ from repro.pipeline.dyninst import (
     retire_class_of,
 )
 
-# Row field indices (keep in sync with the row unpack in OutOfOrderCore._loop).
-R_INST = 0
-R_ADDR = 1
-R_WORDS = 2
-R_EPOCH = 3
-R_OPCODE = 4
-R_IS_LOAD = 5
-R_IS_STORE = 6
-R_IS_WRITEBACK = 7
-R_IS_STORE_CLASS = 8
-R_IS_MEMORY = 9
-R_IS_BARRIER = 10
-R_IS_BRANCH = 11
-R_IS_EDE = 12
-R_ENTERS_IQ = 13
-R_NEEDS_WB = 14
-R_IS_WAIT = 15
-R_RETIRE_CLASS = 16
-R_SIZE = 17
-R_PRODUCER_KEYS = 18
-R_EXEC_KIND = 19
-R_RESULT_REGS = 20
-R_SRC_REGS = 21
-R_DST_REGS = 22
-R_IS_DSB = 23
-R_IS_HALT = 24
-R_CONSUMER_KEYS = 25
-R_EDE_KEYS = 26
-
-#: The static tail of a row (fields ``R_OPCODE`` on), by instruction
-#: shape.  Shapes are interned and few (tens per workload), so this stays
-#: small and is shared by every trace in the process.
+#: The static tail of every instruction, by instruction shape.  Shapes are
+#: interned and few (tens per workload), so this stays small and is
+#: shared by every trace in the process.
 _STATIC_BY_SHAPE: dict = {}
 
 
 def _static_tail(inst: Instruction) -> tuple:
-    """The row fields that depend only on ``inst``'s shape; memoised."""
+    """The facts that depend only on ``inst``'s shape; memoised."""
     opcode = inst.opcode
     (is_load, is_store, is_writeback, is_store_class, is_memory,
      is_barrier, is_branch, is_ede,
@@ -112,64 +80,74 @@ def _static_tail(inst: Instruction) -> tuple:
     return tail
 
 
-def build_rows(trace: Sequence[Instruction]) -> List[tuple]:
-    """One packed metadata row per trace index (see module docstring)."""
-    rows: List[tuple] = []
-    append = rows.append
-    static_by_shape = _STATIC_BY_SHAPE
-    dmb_st = Opcode.DMB_ST
-    dmb_sy = Opcode.DMB_SY
-    epoch = 0
-    for inst in trace:
-        tail = static_by_shape.get(inst._shape)
-        if tail is None:
-            tail = _static_tail(inst)
-        addr = inst.addr
-        if addr is None:
-            words: Tuple[int, ...] = ()
-        else:
-            base = addr & ~7
-            end = addr + inst.size - 1
-            if base + 8 > end:
-                words = (base,)
-            else:
-                words = tuple(range(base, end + 1, 8))
-        append((inst, addr, words, epoch) + tail)
-        # The dispatch stage bumps both epochs after a DMB of either
-        # flavour dispatches (the barrier itself belongs to the old epoch).
-        opcode = inst.opcode
-        if opcode is dmb_st or opcode is dmb_sy:
-            epoch += 1
-    return rows
-
-
 class TraceMeta:
-    """Precomputed replay metadata for one dynamic instruction trace."""
+    """Precomputed replay metadata for one dynamic instruction trace:
+    parallel columns indexed by trace position (see module docstring)."""
 
-    __slots__ = ("rows", "length", "has_dsb")
+    __slots__ = ("trace", "tails", "words", "epochs", "has_dsb")
 
     def __init__(self, trace: Sequence[Instruction]):
-        self.rows = build_rows(trace)
-        self.length = len(self.rows)
-        #: Whether any DSB SY is in the trace.  Only the DSB retire gate
-        #: reads the oldest-incomplete heap before the final HALT, so a
-        #: DSB-free replay skips maintaining it entirely.
-        self.has_dsb = any(row[R_IS_DSB] for row in self.rows)
+        self.trace = trace
+        self.tails: List[tuple] = []
+        #: The 8-byte-aligned words each instruction touches.
+        self.words: List[Tuple[int, ...]] = []
+        self.epochs: List[int] = []
+        tails_append = self.tails.append
+        words_append = self.words.append
+        epochs_append = self.epochs.append
+        static_by_shape = _STATIC_BY_SHAPE
+        #: A trace revisits few addresses: one tuple per (addr, size).
+        words_by_access: dict = {}
+        dmb_st = Opcode.DMB_ST
+        dmb_sy = Opcode.DMB_SY
+        dsb = Opcode.DSB_SY
+        epoch = 0
+        #: Whether any DSB SY is in the trace: only the DSB retire gate reads
+        #: the oldest-incomplete heap early, so a DSB-free replay skips it.
+        self.has_dsb = False
+        for inst in trace:
+            tail = static_by_shape.get(inst._shape)
+            if tail is None:
+                tail = _static_tail(inst)
+            tails_append(tail)
+            addr = inst.addr
+            if addr is None:
+                words_append(())
+            else:
+                size = inst.size
+                words = words_by_access.get((addr, size))
+                if words is None:
+                    base = addr & ~7
+                    end = addr + size - 1
+                    if base + 8 > end:
+                        words = (base,)
+                    else:
+                        words = tuple(range(base, end + 1, 8))
+                    words_by_access[addr, size] = words
+                words_append(words)
+            epochs_append(epoch)
+            # The dispatch stage bumps both epochs after a DMB of either
+            # flavour dispatches (the barrier itself belongs to the old
+            # epoch).
+            opcode = tail[0]
+            if opcode is dmb_st or opcode is dmb_sy:
+                epoch += 1
+            elif opcode is dsb:
+                self.has_dsb = True
 
     def matches(self, trace: Sequence[Instruction]) -> bool:
         """Cheap sanity check that this metadata was built for ``trace``."""
-        rows = self.rows
-        if self.length != len(trace):
+        own = self.trace
+        if len(own) != len(trace):
             return False
-        if not rows:
+        if not own:
             return True
-        return (rows[0][R_INST] is trace[0]
-                and rows[-1][R_INST] is trace[-1])
+        return own[0] is trace[0] and own[-1] is trace[-1]
 
 
 # Per-BuiltWorkload memoization.  BuiltWorkload is an eq=True dataclass and
 # therefore unhashable, so the cache is keyed by id() with a weakref
-# validity check (a dead or recycled id can never serve stale rows) and a
+# validity check (a dead or recycled id can never serve stale metadata) and a
 # finalizer that evicts the entry when the workload is collected.
 _META_BY_ID: dict = {}
 
@@ -183,7 +161,7 @@ def meta_for(built) -> TraceMeta:
 
     The prepass runs once per built workload per process; every
     configuration replaying the same trace (five per fence mode in the
-    paper matrix) shares the rows.
+    paper matrix) shares the columns.
     """
     key = id(built)
     cached = _META_BY_ID.get(key)

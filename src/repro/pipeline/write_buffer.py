@@ -75,9 +75,6 @@ class WriteBuffer:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def contains_seq(self, seq: int) -> bool:
-        return seq in self._resident
-
     # --- deposit / remove -----------------------------------------------------
 
     def deposit(self, dyn: DynInst, cycle: int,

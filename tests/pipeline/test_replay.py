@@ -1,4 +1,4 @@
-"""Replay metadata: the packed per-instruction rows the run loop reads.
+"""Replay metadata: the per-instruction columns the run loop reads.
 
 End-to-end results of the loop are pinned by the golden digest corpus
 (``tests/golden``); these are unit tests of :mod:`repro.pipeline.replay`.
@@ -15,7 +15,6 @@ from repro.isa.opcodes import Opcode
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
 from repro.nvmfw.codegen import ALL_MODES, CONS_SUFFIX
-from repro.pipeline import replay
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.dyninst import (
     ede_keys_of,
@@ -23,13 +22,7 @@ from repro.pipeline.dyninst import (
     producer_keys_of,
     retire_class_of,
 )
-from repro.pipeline.replay import (
-    R_EPOCH,
-    R_INST,
-    TraceMeta,
-    build_rows,
-    meta_for,
-)
+from repro.pipeline.replay import TraceMeta, meta_for
 from repro.workloads import Scale
 from repro.workloads import base as workload_base
 
@@ -55,10 +48,10 @@ class TestTraceMeta:
 
     def test_rows_parallel_the_trace(self):
         built = self._built()
-        rows = build_rows(built.trace)
-        assert len(rows) == len(built.trace)
-        assert all(row[R_INST] is inst
-                   for row, inst in zip(rows, built.trace))
+        meta = TraceMeta(built.trace)
+        assert meta.trace is built.trace
+        for column in (meta.tails, meta.words, meta.epochs):
+            assert len(column) == len(built.trace)
 
     def test_matches_rejects_other_traces(self):
         built = self._built()
@@ -89,20 +82,20 @@ class TestTraceMeta:
 
     def test_row_epochs_count_earlier_dmbs(self):
         built = workload_base.build("update", "dmb_st", TEST_SCALE)
-        rows = build_rows(built.trace)
+        meta = TraceMeta(built.trace)
         dmbs = 0
-        for row, inst in zip(rows, built.trace):
-            assert row[R_EPOCH] == dmbs
+        for epoch, inst in zip(meta.epochs, built.trace):
+            assert epoch == dmbs
             if inst.opcode.name in ("DMB_ST", "DMB_SY"):
                 dmbs += 1
         assert dmbs > 0
 
 
 # --- reference prepass ------------------------------------------------------
-# The row prepass as it was before rows took their static fields from a
-# per-shape memo: every fact recomputed per instruction, in the old
-# 28-field layout.  The rows of build_rows must carry the same value
-# under every one of these names.
+# The prepass as it was before the metadata took its static fields from a
+# per-shape memo and became columns: one row per instruction, every fact
+# recomputed per instruction, in the old 28-field layout.  The columns of
+# TraceMeta must carry the same value under every one of these names.
 
 REFERENCE_FIELDS = (
     "inst", "opcode",
@@ -115,12 +108,33 @@ REFERENCE_FIELDS = (
     "consumer_keys", "ede_keys",
 )
 
-#: Where each reference field lives in a build_rows row; the two DMB
-#: epochs, always equal, share one field.
-ROW_INDEX = {name: getattr(replay, "R_" + name.upper())
-             for name in REFERENCE_FIELDS
-             if name not in ("store_epoch", "mem_epoch")}
-ROW_INDEX["store_epoch"] = ROW_INDEX["mem_epoch"] = R_EPOCH
+#: The static tail layout the run loop unpacks (see repro.pipeline.replay).
+TAIL_FIELDS = (
+    "opcode",
+    "is_load", "is_store", "is_writeback", "is_store_class",
+    "is_memory", "is_barrier", "is_branch", "is_ede",
+    "enters_iq", "needs_wb", "is_wait", "retire_class",
+    "size", "producer_keys", "exec_kind", "result_regs",
+    "src_regs", "dst_regs", "is_dsb", "is_halt",
+    "consumer_keys", "ede_keys",
+)
+
+#: The fields each instruction's position in the trace determines: the
+#: instruction (trace column), its address (read off the instruction),
+#: its words (words column) and its DMB epoch (epoch column; the two
+#: epochs, always equal, share it).
+DYNAMIC_FIELDS = ("inst", "addr", "words", "store_epoch", "mem_epoch")
+
+
+def meta_row(meta, index) -> dict:
+    """Every reference field of trace index ``index``, read off the
+    columns."""
+    inst = meta.trace[index]
+    epoch = meta.epochs[index]
+    row = dict(zip(TAIL_FIELDS, meta.tails[index]))
+    row.update(inst=inst, addr=inst.addr, words=meta.words[index],
+               store_epoch=epoch, mem_epoch=epoch)
+    return row
 
 
 def reference_rows(trace) -> List[tuple]:
@@ -168,22 +182,27 @@ def reference_rows(trace) -> List[tuple]:
 
 
 def assert_rows_match_reference(trace):
-    rows = build_rows(trace)
+    meta = TraceMeta(trace)
     expected = reference_rows(trace)
-    assert len(rows) == len(expected) == len(trace)
-    assert len(rows[0]) == len(set(ROW_INDEX.values()))
-    for index, (row, ref) in enumerate(zip(rows, expected)):
+    assert len(meta.tails) == len(expected) == len(trace)
+    assert len(meta.tails[0]) == len(TAIL_FIELDS)
+    for index, ref in enumerate(expected):
+        row = meta_row(meta, index)
         for name, value in zip(REFERENCE_FIELDS, ref):
-            got = row[ROW_INDEX[name]]
+            got = row[name]
             assert got == value and type(got) is type(value), (
                 "row %d field %s: %r != %r" % (index, name, got, value))
-        assert row[R_INST] is trace[index]
+        assert row["inst"] is trace[index]
 
 
 class TestRowsMatchReference:
     def test_every_field_has_its_own_index(self):
-        assert sorted(set(ROW_INDEX.values())) == list(
-            range(len(ROW_INDEX) - 1))
+        # Each reference field is read from exactly one place: a column
+        # or one index of the static tail.
+        assert len(set(TAIL_FIELDS)) == len(TAIL_FIELDS)
+        assert not set(TAIL_FIELDS) & set(DYNAMIC_FIELDS)
+        assert (sorted(TAIL_FIELDS + DYNAMIC_FIELDS)
+                == sorted(REFERENCE_FIELDS))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("workload", workload_base.workload_names())
