@@ -3,8 +3,10 @@
 Like :mod:`benchmarks.bench_selfperf` this measures the reproduction
 itself rather than the paper's claims: the lockstep N-core driver's
 throughput in retired kilo-instructions per second on the contended
-lock-protected counter at 1, 2 and 4 cores, and the N=1 overhead of the
-lockstep driver against ``OutOfOrderCore.run`` (both step the same loop).  The
+lock-protected counter at 1, 2 and 4 cores, with the core steps the driver
+made per retired instruction (a host-independent cost count), and the N=1
+overhead of the lockstep driver against ``OutOfOrderCore.run`` (both step
+the same loop).  The
 numbers land in the BENCH JSON (``benchmark.extra_info``) and the
 headline ones in the ``BENCH_multicore.json`` ledger (see
 :mod:`benchmarks.ledger`).
@@ -68,16 +70,21 @@ def test_multicore_scaling_kips(benchmark, bench_ledger):
     for cores in CORE_COUNTS:
         timing, sim = results[cores]
         kips = sim.stats.retired / timing.best / 1e3
+        steps_per_retired = round(sim.core_steps / sim.stats.retired, 4)
         benchmark.extra_info["kips_%dc" % cores] = round(kips, 1)
+        benchmark.extra_info["core_steps_per_retired_%dc" % cores] = (
+            steps_per_retired)
         benchmark.extra_info["retired_%dc" % cores] = sim.stats.retired
         benchmark.extra_info["cycles_%dc" % cores] = sim.stats.cycles
         ledger["multicore_kips_%dc" % cores] = round(kips, 1)
         ledger["multicore_%dc_timing" % cores] = timing
+        ledger["core_steps_per_retired_%dc" % cores] = steps_per_retired
         coh = sim.coherence
         print("  %d core%s : %7d retired, %8d cycles, %.3f s  ->  %7.1f kIPS"
-              "%s" % (
+              ", %.3f steps/inst%s" % (
                   cores, " " if cores == 1 else "s",
                   sim.stats.retired, sim.stats.cycles, timing.best, kips,
+                  steps_per_retired,
                   ""
                   if coh is None else
                   "  (%d inval, %d demote)" % (coh.invalidations,

@@ -9,9 +9,10 @@ writes into a TraceBuilder while the workload executes functionally.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.isa.instructions import Instruction, halt
+from repro.isa.opcodes import MEMORY_OPCODES
 
 
 class Program:
@@ -84,7 +85,7 @@ class TraceBuilder:
 
     def emit(self, inst: Instruction) -> int:
         """Append a dynamic instruction; return its sequence number."""
-        if inst.is_memory and inst.addr is None:
+        if inst.addr is None and inst.opcode in MEMORY_OPCODES:
             raise ValueError(
                 "memory instruction in a trace must carry an address: %s" % inst
             )
@@ -112,13 +113,3 @@ class TraceBuilder:
         """Current position; useful for delimiting regions of interest."""
         return len(self._trace)
 
-
-def disassemble(instructions: List[Instruction],
-                start: int = 0,
-                count: Optional[int] = None) -> str:
-    """Render a slice of an instruction sequence as numbered assembly."""
-    end = len(instructions) if count is None else min(len(instructions), start + count)
-    lines = [
-        "%6d: %s" % (index, instructions[index]) for index in range(start, end)
-    ]
-    return "\n".join(lines)

@@ -131,15 +131,14 @@ class CacheHierarchy:
         lookup_latency = 0
         found_dirty = False
         for cache in self._levels:
-            lookup_latency += cache.latency
-            if cache.contains(addr):
-                if cache.clean(addr):
-                    found_dirty = True
-                if found_dirty:
-                    break
-        # Clean deeper copies too (no additional latency modelled).
-        for cache in self._levels:
-            cache.clean(addr)
+            # The lookup stops at the first dirty copy; deeper ones clean free.
+            if not found_dirty:
+                lookup_latency += cache.latency
+            set_index, way_tag = cache._locate(addr)
+            ways = cache._sets[set_index]
+            if ways.get(way_tag):
+                ways[way_tag] = False
+                found_dirty = True
         issue_cycle = cycle + lookup_latency
         return self.controller.write(
             addr, issue_cycle, is_eviction=False, tag=tag, inst_seq=inst_seq)

@@ -40,8 +40,8 @@ class CoherenceDirectory:
                  invalidate_penalty: int = INVALIDATE_PENALTY) -> None:
         self.demote_penalty = demote_penalty
         self.invalidate_penalty = invalidate_penalty
-        #: Per core: its cache levels (L1D first) and its controller.  The
-        #: directory keeps these rather than the hierarchy, which points
+        #: Per core: its levels' probes (L1D first), line mask, controller.
+        #: The directory keeps these rather than the hierarchy, which points
         #: back at the directory: without a reference cycle a finished
         #: machine is freed by refcount, not left to the cyclic GC.
         self._caches: Dict[int, tuple] = {}
@@ -54,7 +54,11 @@ class CoherenceDirectory:
     def attach(self, core_id: int, hierarchy: "CoherentHierarchy") -> None:
         if core_id in self._caches:
             raise ValueError("core %d already attached" % core_id)
-        self._caches[core_id] = (hierarchy._levels, hierarchy.controller)
+        # Per level, what ``Cache._locate`` reads: the probes run inline.
+        probes = tuple((cache._sets, cache._line_shift, cache.num_sets)
+                       for cache in hierarchy._levels)
+        self._caches[core_id] = (probes, ~(hierarchy.l1d.line_size - 1),
+                                 hierarchy.controller)
         self._order = sorted(self._caches)
 
     def on_load(self, core_id: int, addr: int, cycle: int) -> int:
@@ -65,16 +69,18 @@ class CoherenceDirectory:
         for other_id in self._order:
             if other_id == core_id:
                 continue
-            levels, controller = self._caches[other_id]
-            line = levels[0].line_addr(addr)
+            probes, line_mask, controller = self._caches[other_id]
             was_dirty = False
-            for cache in levels:
-                if cache.clean(line):
+            for sets, shift, num_sets in probes:
+                tag, set_index = divmod(addr >> shift, num_sets)
+                ways = sets[set_index]
+                if ways.get(tag):
+                    ways[tag] = False
                     was_dirty = True
             if was_dirty:
                 self.demotions += 1
                 self.dirty_writebacks += 1
-                controller.write(line, cycle, is_eviction=True)
+                controller.write(addr & line_mask, cycle, is_eviction=True)
                 penalty = self.demote_penalty
         return penalty
 
@@ -86,18 +92,19 @@ class CoherenceDirectory:
         for other_id in self._order:
             if other_id == core_id:
                 continue
-            levels, controller = self._caches[other_id]
-            line = levels[0].line_addr(addr)
+            probes, line_mask, controller = self._caches[other_id]
             present = False
             dirty = False
-            for cache in levels:
-                bit = cache.invalidate(line)
+            for sets, shift, num_sets in probes:
+                tag, set_index = divmod(addr >> shift, num_sets)
+                ways = sets[set_index]
+                bit = ways.pop(tag, None)
                 if bit is not None:
                     present = True
                     dirty = dirty or bit
             if dirty:
                 self.dirty_writebacks += 1
-                controller.write(line, cycle, is_eviction=True)
+                controller.write(addr & line_mask, cycle, is_eviction=True)
             if present:
                 self.invalidations += 1
                 penalty = self.invalidate_penalty

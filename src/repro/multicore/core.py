@@ -72,15 +72,19 @@ class CoherentCore(OutOfOrderCore):
             token = remote_token(*ident)
             if token not in deps:
                 deps.add(token)
-                bus.add_waiter(ident, dyn)
+                bus.add_waiter(ident, self.core_id, dyn)
 
     def wait_blocked(self, dyn: DynInst) -> bool:
         """Retire hook: hold a WAIT while a matching remote producer
-        published before its watermark is in flight."""
+        published before its watermark is in flight (meanwhile every
+        completion wakes this core)."""
         key = dyn.inst.edk_use if dyn.retire_class == RETIRE_WAIT_KEY else 0
         watermark = self._wait_watermarks.get(dyn.seq, 0)
+        blocked_waits = self.bus.blocked_waits
         if self.bus.remote_inflight(self.core_id, key, watermark):
+            blocked_waits.add(self.core_id)
             return True
+        blocked_waits.discard(self.core_id)
         self._wait_watermarks.pop(dyn.seq, None)
         return False
 

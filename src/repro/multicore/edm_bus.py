@@ -50,23 +50,23 @@ class SharedEdmBus:
     def __init__(self) -> None:
         #: key -> (core_id, seq) of the globally latest producer.
         self.latest_producer: Dict[int, Tuple[int, int]] = {}
-        #: (core_id, seq) pairs of published, not-yet-complete producers.
-        self.incomplete: Set[Tuple[int, int]] = set()
         #: (core_id, seq) -> (ticket, producer keys) for in-flight producers.
         self.inflight: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
-        #: (core_id, seq) -> remote consumer DynInsts holding a token on it.
-        self.waiters: Dict[Tuple[int, int], List[DynInst]] = {}
+        #: (core_id, seq) -> (core id, remote consumer) holding a token on it.
+        self.waiters: Dict[Tuple[int, int], List[Tuple[int, DynInst]]] = {}
+        #: Cores whose WAIT a remote in-flight producer holds.
+        self.blocked_waits: Set[int] = set()
+        #: Cores a completion may have unblocked (no other cross-core event
+        #: can unblock an idle core); the driver steps them and clears it.
+        self.woken: Set[int] = set()
         #: Monotonic publish counter (the wait watermark source).
         self.ticket = 0
-        #: Total cross-core consumer links created (observability).
-        self.remote_links = 0
 
     def publish(self, core_id: int, dyn: DynInst,
                 keys: Tuple[int, ...]) -> None:
         """Record ``dyn`` (dispatching on ``core_id``) producing ``keys``."""
         ident = (core_id, dyn.seq)
         self.ticket += 1
-        self.incomplete.add(ident)
         self.inflight[ident] = (self.ticket, keys)
         for key in keys:
             self.latest_producer[key] = ident
@@ -76,27 +76,26 @@ class SharedEdmBus:
         ident = self.latest_producer.get(key)
         if ident is None or ident[0] == core_id:
             return None
-        if ident not in self.incomplete:
-            return None
-        return ident
+        return ident if ident in self.inflight else None
 
-    def add_waiter(self, ident: Tuple[int, int], dyn: DynInst) -> None:
-        """Register ``dyn`` as holding a remote token on producer ``ident``."""
-        self.waiters.setdefault(ident, []).append(dyn)
-        self.remote_links += 1
+    def add_waiter(self, ident: Tuple[int, int], core_id: int,
+                   dyn: DynInst) -> None:
+        """Register ``dyn`` on ``core_id`` as holding a token on ``ident``."""
+        self.waiters.setdefault(ident, []).append((core_id, dyn))
 
     def complete(self, core_id: int, dyn: DynInst) -> None:
         """A published producer completed on its home core."""
         ident = (core_id, dyn.seq)
-        if ident not in self.incomplete:
+        if self.inflight.pop(ident, None) is None:
             return
-        self.incomplete.discard(ident)
-        self.inflight.pop(ident, None)
         token = remote_token(core_id, dyn.seq)
-        for waiter in self.waiters.pop(ident, ()):
+        for waiter_core, waiter in self.waiters.pop(ident, ()):
             deps = waiter.e_deps_outstanding
             if deps is not None:
                 deps.discard(token)
+            self.woken.add(waiter_core)
+        if self.blocked_waits:
+            self.woken.update(self.blocked_waits)
 
     def remote_inflight(self, core_id: int, key: int,
                         watermark: int) -> bool:

@@ -1,14 +1,14 @@
 """Lockstep N-core driver: one global clock over N pipelines.
 
-The driver owns the clock.  Every cycle it sets each live core's ``now``
-and advances the core's :meth:`~repro.pipeline.core.OutOfOrderCore.lockstep`
-loop by one cycle, in ascending core-id order — the deterministic total
-order underneath every cross-core interaction (bus publishes, coherence
-probes, controller traffic).  When no core makes progress, time
-fast-forwards to the earliest wake cycle across all live cores, and each
-core charges the skipped cycles to its zero-issue histogram bucket exactly
-as the single-core loop does.  Both single-core watchdogs (cycle budget,
-no-retire limit) apply to the whole machine.
+The driver owns the clock.  Each machine cycle is the earliest wake cycle
+of the live cores; in it the driver steps the cores that are due or that
+the shared EDM bus woke (a completion wakes higher core ids that cycle,
+lower ones the next) through :meth:`~repro.pipeline.core.OutOfOrderCore.lockstep`,
+in ascending core-id order — the deterministic total order underneath
+every cross-core interaction.  A skipped core would only have repeated its
+idle last step: on resume it charges the skipped cycles to its zero-issue
+histogram bucket, as the single-core loop does, and the skipped steps'
+stalls to its counters.  Both watchdogs apply to the whole machine.
 
 At N=1 the driver runs a plain :class:`~repro.pipeline.core.OutOfOrderCore`
 on a plain :class:`~repro.memory.hierarchy.CacheHierarchy` — no bus, no
@@ -44,6 +44,7 @@ class MulticoreResult:
     controller: MemoryController
     coherence: Optional[CoherenceDirectory]
     bus: Optional[SharedEdmBus]
+    core_steps: int = 0                # lockstep resumptions ``drive`` made
 
 
 def merge_stats(core_stats: List[PipelineStats]) -> PipelineStats:
@@ -78,21 +79,25 @@ def _merge_visibility(cores: List[OutOfOrderCore]) -> List[tuple]:
 
 def _stuck(live, reason: str) -> None:
     """Raise with every live core's pipeline-state report."""
-    for _, loop in live:
-        loop.close()  # syncs the core's frame state for the report
+    for entry in live:
+        entry[2].close()  # syncs the core's frame state for the report
     raise SimulationError("\n".join(
-        core._stuck_report(reason) for core, _ in live))
+        entry[1]._stuck_report(reason) for entry in live))
 
 
 def drive(cores: List[OutOfOrderCore],
           max_cycles: int = 500_000_000,
-          no_retire_limit: Optional[int] = None) -> None:
-    """Lockstep the cores under one clock until every core halts."""
+          no_retire_limit: Optional[int] = None) -> int:
+    """Lockstep the cores under one clock until every core halts; return
+    the number of core steps made."""
     if no_retire_limit is None:
         no_retire_limit = cores[0].params.watchdog_no_retire
-    now = 0
-    last_retire = 0
-    live = [(core, core.lockstep()) for core in cores]
+    bus = getattr(cores[0], "bus", None)
+    woken = set() if bus is None else bus.woken
+    now = cycle = steps = last_retire = 0
+    # Per live core: [core id, core, loop, wake, machine cycle last stepped]
+    live = [[getattr(core, "core_id", index), core, core.lockstep(), 0, -1]
+            for index, core in enumerate(cores)]
     with paused():
         try:
             while live:
@@ -101,20 +106,34 @@ def drive(cores: List[OutOfOrderCore],
                 retired = 0
                 target = None
                 running = []
-                for core, loop in live:
-                    core.now = now
-                    try:
-                        core_retired, wake = next(loop)
-                    except StopIteration:
-                        # HALT retired: progress, and the core leaves the
-                        # machine.
-                        retired += 1
-                        target = now + 1
-                        continue
-                    running.append((core, loop))
-                    retired += core_retired
+                for entry in live:
+                    core_id, core, loop, wake, last = entry
+                    if (wake is not None and now >= wake
+                            or woken and core_id in woken):
+                        woken.discard(core_id)
+                        core.now = now
+                        entry[4] = cycle
+                        steps += 1
+                        try:
+                            core_retired, wake = loop.send(
+                                cycle - last - 1 or None)
+                        except StopIteration:
+                            # HALT retired: progress; the core leaves.
+                            retired += 1
+                            target = now + 1
+                            continue
+                        entry[3] = wake
+                        retired += core_retired
+                    running.append(entry)
                     if wake is not None and (target is None or wake < target):
                         target = wake
+                if woken:
+                    # Woken by a later core's completion; it progressed, so target <= now+1.
+                    for entry in running:
+                        if entry[0] in woken:
+                            entry[3] = now + 1
+                    woken.clear()
+                cycle += 1
                 if retired:
                     last_retire = now
                 elif no_retire_limit and now - last_retire > no_retire_limit:
@@ -122,15 +141,14 @@ def drive(cores: List[OutOfOrderCore],
                                  "(watchdog limit %d)"
                            % (now - last_retire, no_retire_limit))
                 live = running
-                if not live:
-                    return
-                if target is None:
+                if live and target is None:
                     _stuck(live, "machine deadlock (no core progressed, "
                                  "nothing scheduled)")
                 now = target
         finally:
-            for _, loop in live:
-                loop.close()
+            for entry in live:
+                entry[2].close()
+    return steps
 
 
 def simulate_built(built, config, params, warm: bool = True,
@@ -148,7 +166,7 @@ def simulate_built(built, config, params, warm: bool = True,
             warm_hierarchy(hierarchy, built)
         core = OutOfOrderCore(built.trace, hierarchy, config.policy,
                               params.core, replay=meta_for(built))
-        drive([core], max_cycles=max_cycles)
+        core_steps = drive([core], max_cycles=max_cycles)
         return MulticoreResult(
             cores=1,
             stats=core.stats,
@@ -157,6 +175,7 @@ def simulate_built(built, config, params, warm: bool = True,
             controller=controller,
             coherence=None,
             bus=None,
+            core_steps=core_steps,
         )
     directory = CoherenceDirectory()
     bus = SharedEdmBus()
@@ -168,7 +187,7 @@ def simulate_built(built, config, params, warm: bool = True,
             warm_hierarchy(hierarchy, built)
         cores.append(CoherentCore(core_id, bus, built.core_traces[core_id],
                                   hierarchy, config.policy, params.core))
-    drive(cores, max_cycles=max_cycles)
+    core_steps = drive(cores, max_cycles=max_cycles)
     core_stats = [core.stats for core in cores]
     return MulticoreResult(
         cores=cores_n,
@@ -178,4 +197,5 @@ def simulate_built(built, config, params, warm: bool = True,
         controller=controller,
         coherence=directory,
         bus=bus,
+        core_steps=core_steps,
     )

@@ -340,17 +340,20 @@ class OutOfOrderCore:
     def lockstep(self) -> Iterator[Tuple[int, Optional[int]]]:
         """Run as one core of a lockstep machine, one cycle per step.
 
-        The caller owns the clock.  Before each ``next()`` it sets ``now``
-        to the cycle to simulate: the current cycle on the first step, and
+        The caller owns the clock.  Before each step it sets ``now`` to the
+        cycle to simulate: the current cycle on the first step, and
         afterwards any cycle past the previous one and no later than the
         wake cycle that step yielded.  Each step yields ``(retired, wake)``:
         the instructions retired that cycle, and the cycle the core next
         needs — the following cycle after any progress, else its earliest
         scheduled event, else ``None`` (nothing will ever happen).  Cycles
-        the caller skips count as zero-issue cycles, as in :meth:`run`.
-        The generator finishes in the cycle HALT retires, and closing it
-        early syncs the core's attributes and statistics.  Watchdogs and
-        deadlock detection are the caller's.
+        the caller skips count as zero-issue cycles, as in :meth:`run`.  A
+        step is ``send(k)`` (``next()`` means 0): ``k`` machine steps went
+        by without this core, each of which would have repeated its idle
+        last step, so that step's retire and dispatch stalls are charged
+        ``k`` more times.  The generator finishes in the cycle HALT
+        retires, and closing it early syncs the core's attributes and
+        statistics.  Watchdogs and deadlock detection are the caller's.
         """
         return self._loop(sys.maxsize, 0, True)
 
@@ -657,6 +660,7 @@ class OutOfOrderCore:
 
                     # --- retire --------------------------------------------
                     retired = 0
+                    retire_stall = None
                     while retired < retire_width and rob:
                         dyn = rob[0]
                         rc = dyn.retire_class
@@ -666,6 +670,7 @@ class OutOfOrderCore:
                             if (dyn.needs_write_buffer
                                     and len(wb_entries) >= wb_capacity):
                                 stats.retire_stall_wb_full += 1
+                                retire_stall = "retire_stall_wb_full"
                                 break
                         elif rc == RETIRE_DSB:
                             while (incomplete_heap
@@ -684,9 +689,11 @@ class OutOfOrderCore:
                                         bucket.append((WAKE, None))
                                 if now < dyn.barrier_ready_cycle + dsb_penalty:
                                     stats.retire_stall_dsb += 1
+                                    retire_stall = "retire_stall_dsb"
                                     break
                             else:
                                 stats.retire_stall_dsb += 1
+                                retire_stall = "retire_stall_dsb"
                                 break
                         elif rc == RETIRE_WAIT_KEY:
                             if (wb.older_ede_with_key(dyn.inst.edk_use,
@@ -694,12 +701,14 @@ class OutOfOrderCore:
                                     or (wait_blocked is not None
                                         and wait_blocked(dyn))):
                                 stats.retire_stall_wait += 1
+                                retire_stall = "retire_stall_wait"
                                 break
                         elif rc == RETIRE_WAIT_ALL:
                             if (wb.older_ede_any(dyn.seq)
                                     or (wait_blocked is not None
                                         and wait_blocked(dyn))):
                                 stats.retire_stall_wait += 1
+                                retire_stall = "retire_stall_wait"
                                 break
                         else:  # RETIRE_HALT
                             if track_incomplete:
@@ -976,6 +985,7 @@ class OutOfOrderCore:
 
                     # --- dispatch ------------------------------------------
                     dispatched = 0
+                    dispatch_stall = None
                     if fetch_index < trace_len and halt_dyn is None:
                         while (dispatched < decode_width
                                and fetch_index < trace_len):
@@ -998,19 +1008,23 @@ class OutOfOrderCore:
                                 break
                             if rob_len >= rob_entries:
                                 stats.dispatch_stall_rob += 1
+                                dispatch_stall = "dispatch_stall_rob"
                                 break
                             tail = tails[fetch_index]
                             needs_iq = tail[9]
                             if needs_iq and iq_len >= iq_entries:
                                 stats.dispatch_stall_iq += 1
+                                dispatch_stall = "dispatch_stall_iq"
                                 break
                             is_load = tail[1]
                             if is_load and lq_used >= lq_entries:
                                 stats.dispatch_stall_lsq += 1
+                                dispatch_stall = "dispatch_stall_lsq"
                                 break
                             is_store_class = tail[4]
                             if is_store_class and sq_used >= sq_entries:
                                 stats.dispatch_stall_lsq += 1
+                                dispatch_stall = "dispatch_stall_lsq"
                                 break
                             seq = next_seq
                             # Fill the DynInst from the columns: the slots
@@ -1152,7 +1166,13 @@ class OutOfOrderCore:
                         raise _Stuck("pipeline deadlock (no stage progressed, "
                                      "nothing scheduled)")
                     if lockstep:
-                        yield retired, wake
+                        skipped = yield retired, wake
+                        if skipped:
+                            # Each skipped step repeats this idle one's stalls.
+                            for stall in (retire_stall, dispatch_stall):
+                                if stall:
+                                    setattr(stats, stall,
+                                            getattr(stats, stall) + skipped)
                         wake = self.now
                     else:
                         self.now = wake

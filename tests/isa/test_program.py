@@ -1,10 +1,10 @@
-"""Tests for Program, TraceBuilder and disassembly."""
+"""Tests for Program and TraceBuilder."""
 
 import pytest
 
 from repro.isa import instructions as ops
 from repro.isa.opcodes import Opcode
-from repro.isa.program import Program, TraceBuilder, disassemble
+from repro.isa.program import Program, TraceBuilder
 
 
 class TestProgram:
@@ -75,20 +75,3 @@ class TestTraceBuilder:
         assert builder.emit(ops.nop()) == 0
         assert builder.emit(ops.nop()) == 1
 
-
-class TestDisassemble:
-    def test_numbered_listing(self):
-        text = disassemble([ops.nop(), ops.mov_imm(1, 5)])
-        lines = text.splitlines()
-        assert lines[0].strip().startswith("0:")
-        assert "mov x1, #5" in lines[1]
-
-    def test_window(self):
-        instructions = [ops.mov_imm(r, r) for r in range(10)]
-        text = disassemble(instructions, start=4, count=2)
-        assert text.count("\n") == 1
-        assert "x4" in text and "x5" in text
-
-    def test_window_clamped_to_length(self):
-        text = disassemble([ops.nop()], start=0, count=100)
-        assert text.count("\n") == 0

@@ -47,10 +47,19 @@ class TestSharedEdmBus:
         consumer = _Dyn(seq=9)
         token = remote_token(1, 5)
         consumer.e_deps_outstanding.add(token)
-        bus.add_waiter((1, 5), consumer)
+        bus.add_waiter((1, 5), 0, consumer)
         bus.complete(1, producer)
         assert token not in consumer.e_deps_outstanding
         assert bus.remote_producer(0, 7) is None
+        # The consumer's core is recorded for the driver to step.
+        assert bus.woken == {0}
+
+    def test_complete_wakes_cores_with_blocked_waits(self):
+        bus = SharedEdmBus()
+        bus.publish(1, _Dyn(seq=5), (7,))
+        bus.blocked_waits.add(0)
+        bus.complete(1, _Dyn(seq=5))
+        assert bus.woken == {0}
 
     def test_wait_watermark_ignores_later_publishes(self):
         bus = SharedEdmBus()
@@ -293,3 +302,106 @@ class TestMachineLifetime:
         core.on_complete = seen.append
         assert core.on_complete == seen.append
         assert "on_ede_dispatch" not in vars(core)
+
+
+def _recording_machine(traces):
+    """IQ-policy coherent cores, one per trace, that record every
+    completed DynInst in ``completed``."""
+    from repro.harness.configs import DEFAULT_PARAMS, configuration
+    from repro.memory.controller import MemoryController
+    from repro.multicore.core import CoherentCore
+
+    class Recording(CoherentCore):
+        def on_complete(self, dyn):
+            self.completed.append(dyn)
+            super().on_complete(dyn)
+
+    params = DEFAULT_PARAMS
+    controller = MemoryController(address_map=params.address_map,
+                                  dram_params=params.dram,
+                                  nvm_params=params.nvm)
+    directory, bus = CoherenceDirectory(), SharedEdmBus()
+    cores = []
+    for core_id, trace in enumerate(traces):
+        hierarchy = CoherentHierarchy(controller, params.hierarchy,
+                                      directory, core_id)
+        core = Recording(core_id, bus, trace, hierarchy,
+                         configuration("IQ").policy, params.core)
+        core.completed = []
+        cores.append(core)
+    return cores
+
+
+class TestWakes:
+    """Which cycle a core that only the EDM bus can unblock resumes in.
+
+    The consumer's core dispatches one cycle after the producer publishes
+    key 1 (three NOPs first), and then has nothing scheduled: only the
+    producer's completion, on the other core, can move it.  The
+    reference driver steps every core every cycle, so it pins the cycle.
+    """
+
+    @staticmethod
+    def _producer():
+        from repro.isa import instructions as ops
+        from tests.pipeline.conftest import NVM
+
+        return [ops.mov_imm(0, NVM), ops.dc_cvap_ede(0, 1, 0, addr=NVM),
+                ops.halt()]
+
+    @staticmethod
+    def _after_nops(*insts):
+        from repro.isa import instructions as ops
+
+        return [ops.nop(), ops.nop(), ops.nop(), *insts, ops.halt()]
+
+    @staticmethod
+    def _run(traces, use_reference=False):
+        from repro.multicore.system import drive
+        from tests.multicore.reference_drive import reference_drive
+
+        cores = _recording_machine(traces)
+        steps = (reference_drive if use_reference else drive)(cores)
+        return cores, steps
+
+    @staticmethod
+    def _producer_done(core):
+        (dyn,) = [d for d in core.completed if d.producer_keys]
+        return dyn.complete_cycle
+
+    @pytest.mark.parametrize("producer_id, delay", [(0, 0), (1, 1)])
+    def test_remote_token_consumer_issues_when_woken(self, producer_id,
+                                                     delay):
+        from repro.isa import instructions as ops
+        from tests.pipeline.conftest import NVM
+
+        consumer = self._after_nops(ops.ldr_ede(2, 3, 0, 1, addr=NVM + 4096))
+        traces = [consumer, self._producer()]
+        if producer_id == 0:
+            traces.reverse()
+        results = []
+        for use_reference in (False, True):
+            cores, steps = self._run(traces, use_reference)
+            (load,) = [d for d in cores[1 - producer_id].completed
+                       if d.is_load]
+            done = self._producer_done(cores[producer_id])
+            assert load.issue_cycle == done + delay
+            results.append(([dataclasses.asdict(c.stats) for c in cores],
+                            steps))
+        (stats, steps), (reference_stats, reference_steps) = results
+        assert stats == reference_stats
+        assert steps < reference_steps
+
+    @pytest.mark.parametrize("producer_id, delay", [(0, 0), (1, 1)])
+    def test_blocked_wait_retires_when_woken(self, producer_id, delay):
+        from repro.isa import instructions as ops
+
+        traces = [self._after_nops(ops.wait_key(1)), self._producer()]
+        if producer_id == 0:
+            traces.reverse()
+        cores, _ = self._run(traces)
+        waiter = cores[1 - producer_id]
+        (wait,) = [d for d in waiter.completed if d.is_wait]
+        assert wait.retire_cycle == self._producer_done(
+            cores[producer_id]) + delay
+        assert waiter.stats.retire_stall_wait > 0
